@@ -4,9 +4,7 @@ The end-to-end figure benches (``bench_scale.py``) tell you *whether*
 the engine got slower; these tell you *where*.  Each bench isolates one
 subsystem the speed campaign optimised (see ``docs/PERFORMANCE.md``):
 
-* event-queue churn — push/cancel/pop through both queue
-  implementations, so the calendar queue's O(1) claim is continuously
-  measured against the binary-heap fallback;
+* event-queue churn — push/cancel/pop through the kernel's queue;
 * wireless-channel arbitration — the shared-medium FIFO-by-arrival
   scheduler under saturating bidirectional traffic;
 * the TCP segment pump — a bulk transfer between two wired hosts,
@@ -21,10 +19,8 @@ into ``BENCH_scale.json``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim import Simulator
-from repro.sim.events import make_event_queue
+from repro.sim.events import EventQueue
 from repro.net import AddressAllocator, Host, Internet, attach_wireless_host
 from repro.tcp import TCPStack
 
@@ -35,10 +31,14 @@ from repro.tcp import TCPStack
 QUEUE_OPS = 200_000
 
 
-def _queue_churn(kind: str) -> int:
+def _queue_churn(_ignored: object = None) -> int:
     """Steady-state simulator-like load: every pop schedules ahead, a
-    third of entries are cancelled before they fire."""
-    queue = make_event_queue(kind)
+    third of entries are cancelled before they fire.
+
+    The argument once named a queue implementation; ``perfbench/``
+    (frozen) still passes one, so it is accepted and ignored.
+    """
+    queue = EventQueue()
     sink = 0
 
     def noop() -> None:
@@ -65,10 +65,9 @@ def _queue_churn(kind: str) -> int:
     return ops
 
 
-@pytest.mark.parametrize("kind", ["calendar", "heap"])
-def test_queue_churn(benchmark, kind):
-    """push/cancel/pop throughput of one queue implementation."""
-    ops = benchmark.pedantic(lambda: _queue_churn(kind), rounds=1, iterations=1)
+def test_queue_churn(benchmark):
+    """push/cancel/pop throughput of the event queue."""
+    ops = benchmark.pedantic(_queue_churn, rounds=1, iterations=1)
     assert ops == QUEUE_OPS
     benchmark.extra_info["events"] = ops
     benchmark.extra_info["subsystem"] = "event_queue"

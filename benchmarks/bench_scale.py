@@ -8,18 +8,12 @@ cell, in well under a minute) and attach ``events`` / ``peak_swarm``
 extra-info so ``scripts/run_benchmarks.py`` can consolidate
 events-per-second and swarm-size numbers into ``BENCH_scale.json``.
 
-The packet-engine benches run one mid-size packet-backend cell end to
-end under both event-queue implementations, giving ``BENCH_scale.json``
-a simulated-events-per-second trajectory for the discrete-event kernel
-(see ``docs/PERFORMANCE.md``) and letting ``--check-regression`` verify
-the default calendar queue never falls behind the heap fallback.
+The packet-engine bench runs one mid-size packet-backend cell end to
+end, giving ``BENCH_scale.json`` a simulated-events-per-second
+trajectory for the discrete-event kernel (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
-
-import os
-
-import pytest
 
 from conftest import run_figure
 
@@ -73,27 +67,17 @@ def test_fluid_engine_1m_peers(benchmark):
     _bench_engine(benchmark, 10_000.0)
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_packet_engine_e2e(benchmark, queue):
+def test_packet_engine_e2e(benchmark):
     """One packet-backend cell (12 peers, 25% mobile) end to end.
 
-    Both parametrisations must produce bit-identical results (pinned by
-    tests/test_scale.py and tests/test_event_queue_property.py); here we
-    only measure speed.  ``events`` is the kernel event count, so the
-    consolidated events-per-second is directly comparable across PRs.
+    The result is pinned by tests/test_scale.py; here we only measure
+    speed.  ``events`` is the kernel event count, so the consolidated
+    events-per-second is directly comparable across PRs.
     """
     from repro.experiments.figx_scale import FigXScale, packet_cell
 
     def run():
-        old = os.environ.get("REPRO_EVENT_QUEUE")
-        os.environ["REPRO_EVENT_QUEUE"] = queue
-        try:
-            return packet_cell(1, 12, 0.25, False, dict(FigXScale.defaults))
-        finally:
-            if old is None:
-                del os.environ["REPRO_EVENT_QUEUE"]
-            else:
-                os.environ["REPRO_EVENT_QUEUE"] = old
+        return packet_cell(1, 12, 0.25, False, dict(FigXScale.defaults))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["events"] = result["steps"]

@@ -21,16 +21,11 @@ diffable across commits.  Each run also appends one timestamped line
 ``benchmarks/TRAJECTORY.jsonl``, the repo's long-term perf history;
 ``--no-trajectory`` skips the append for scratch runs.
 
-Regression gating (``--check-regression``) applies two checks:
-
-* the implementation pair: the default calendar event queue must not
-  fall more than ``--threshold`` (default 30%) behind the heap fallback
-  on the end-to-end packet bench — a machine-independent guard, safe
-  for CI runners of unknown speed;
-* optionally, ``--baseline PATH`` (e.g. the committed
-  ``benchmarks/BASELINE.json``) compares events-per-second per bench
-  against recorded numbers — meaningful on the machine that recorded
-  them, so it is opt-in rather than part of ``--check-regression``.
+Regression gating: ``--baseline PATH`` (e.g. the committed
+``benchmarks/BASELINE.json``) compares events-per-second per bench
+against recorded numbers and fails when one falls more than
+``--threshold`` (default 30%) behind — meaningful only on the machine
+that recorded them, so CI does not use it.
 """
 
 from __future__ import annotations
@@ -112,7 +107,7 @@ def append_trajectory(report: dict, path: str) -> dict:
     return record
 
 
-def check_regression(report: dict, threshold: float, baseline: dict | None) -> list:
+def check_regression(report: dict, threshold: float, baseline: dict) -> list:
     """Return a list of human-readable regression failures (empty = pass)."""
     failures = []
     by_name = {e["name"]: e for e in report["benchmarks"]}
@@ -120,31 +115,17 @@ def check_regression(report: dict, threshold: float, baseline: dict | None) -> l
     def eps(entry):
         return entry.get("events_per_sec") or 0.0
 
-    # Machine-independent pair check: the default queue implementation
-    # must stay within `threshold` of the heap fallback end to end.
-    calendar = by_name.get("test_packet_engine_e2e[calendar]")
-    heap = by_name.get("test_packet_engine_e2e[heap]")
-    if calendar and heap and eps(heap) > 0:
-        floor = (1.0 - threshold) * eps(heap)
-        if eps(calendar) < floor:
+    for ref in baseline.get("benchmarks", []):
+        current = by_name.get(ref["name"])
+        ref_eps = ref.get("events_per_sec")
+        if current is None or not ref_eps:
+            continue
+        floor = (1.0 - threshold) * ref_eps
+        if eps(current) < floor:
             failures.append(
-                f"calendar queue {eps(calendar):,.0f} ev/s fell more than "
-                f"{threshold:.0%} behind heap fallback {eps(heap):,.0f} ev/s"
+                f"{ref['name']}: {eps(current):,.0f} ev/s is >"
+                f"{threshold:.0%} below recorded baseline {ref_eps:,.0f} ev/s"
             )
-
-    # Optional trajectory check against recorded numbers.
-    if baseline:
-        for ref in baseline.get("benchmarks", []):
-            current = by_name.get(ref["name"])
-            ref_eps = ref.get("events_per_sec")
-            if current is None or not ref_eps:
-                continue
-            floor = (1.0 - threshold) * ref_eps
-            if eps(current) < floor:
-                failures.append(
-                    f"{ref['name']}: {eps(current):,.0f} ev/s is >"
-                    f"{threshold:.0%} below recorded baseline {ref_eps:,.0f} ev/s"
-                )
     return failures
 
 
@@ -158,12 +139,10 @@ def main(argv=None) -> int:
                         help="consolidated report path (default: repo root)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="REPRO_BENCH_JOBS for the figure campaigns")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if the calendar queue regresses vs the "
-                             "heap fallback (and vs --baseline, if given)")
     parser.add_argument("--baseline", default=None,
                         help="recorded BENCH_scale-format JSON to compare "
-                             "events/sec against (e.g. benchmarks/BASELINE.json)")
+                             "events/sec against (e.g. benchmarks/BASELINE.json); "
+                             "fail when a bench falls --threshold behind it")
     parser.add_argument("--threshold", type=float, default=0.30,
                         help="allowed events/sec regression fraction (default 0.30)")
     parser.add_argument("--trajectory", default=TRAJECTORY_PATH,
@@ -217,19 +196,16 @@ def main(argv=None) -> int:
               + (f"  peak {entry['peak_swarm']:>9,.0f}"
                  if entry["peak_swarm"] else ""))
 
-    if args.check_regression or args.baseline:
-        baseline = None
-        if args.baseline:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
+    if args.baseline:
+        with open(args.baseline) as handle:
+            baseline = json.load(handle)
         failures = check_regression(report, args.threshold, baseline)
         if failures:
             print("\nperformance regression detected:", file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
             return 1
-        print("\nregression check passed"
-              + (f" (vs {args.baseline})" if args.baseline else ""))
+        print(f"\nregression check passed (vs {args.baseline})")
     return 0
 
 

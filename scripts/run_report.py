@@ -3,7 +3,7 @@
 
 Produce a log with either::
 
-    PYTHONPATH=src python -m repro.experiments fig8a --trace run.jsonl
+    PYTHONPATH=src python -m repro.experiments run fig8a --trace run.jsonl
 
 or programmatically::
 

@@ -8,7 +8,7 @@ time spans, timeline excerpts, and — when a
 per-layer metric tables.
 
 This is the reading half of the observability layer: instrument a run
-(``python -m repro.experiments fig8a --trace run.jsonl`` or
+(``python -m repro.experiments run fig8a --trace run.jsonl`` or
 :func:`repro.obs.tracing.capture`), then::
 
     python scripts/run_report.py run.jsonl -o run.md

@@ -1,6 +1,6 @@
 """Command-line runner for the figure reproductions.
 
-New-style usage (the scenario registry + parallel runner)::
+Usage (the scenario registry + parallel runner)::
 
     python -m repro.experiments list                 # what can I run?
     python -m repro.experiments list --json
@@ -8,12 +8,6 @@ New-style usage (the scenario registry + parallel runner)::
     python -m repro.experiments run fig4bc --num-pieces 400 --json
     python -m repro.experiments run all --jobs 8 --no-cache
     python -m repro.experiments run fig3a --set runs=2 --set duration=10
-
-Legacy spellings keep working (serial, uncached, exactly as before)::
-
-    python -m repro.experiments fig2a
-    python -m repro.experiments fig4bc --num-pieces 400
-    python -m repro.experiments all --chart --trace run.jsonl
 
 ``run`` caches each simulated cell on disk keyed by (scenario, params,
 seed, code version); a re-run with nothing changed executes zero
@@ -38,12 +32,11 @@ from ..runner import (
     default_cache_dir,
     get_scenario,
     print_progress,
-    run_scenario,
     scenario_names,
 )
 
-# Legacy `all` order (the pre-registry CLI ran the simple figures first,
-# then the piecewise ones); kept stable so logs remain comparable.
+# `run all` order (the simple figures first, then the piecewise ones);
+# kept stable so logs remain comparable.
 ALL_ORDER: List[str] = [
     "fig2a", "fig2bc", "fig3a", "fig3b", "fig3c", "fig4a",
     "fig8a", "fig8b", "fig8c", "fig9c", "fig4bc", "fig9ab",
@@ -180,30 +173,6 @@ def _resolve_names(figure: str) -> List[str]:
         # callers of get_scenario/run_scenario get the exception itself.
         raise SystemExit(f"error: {exc.args[0]}") from None
     return [figure]
-
-
-def run_one(
-    name: str, num_pieces: int = 20, chart: bool = False, audit: bool = False
-) -> int:
-    """Legacy front door: run one figure serially and print its table.
-
-    Returns the number of failed cells (always 0 unless auditing turns
-    violations into failures).
-    """
-    _resolve_names(name)  # unknown figures exit cleanly, as they always did
-    start = time.time()
-    runner = Runner(jobs=1, audit=audit)
-    run = runner.run(name, _overrides_for(name, num_pieces))
-    print(run.result.table())
-    if chart:
-        from ..analysis import ascii_chart
-
-        print()
-        print(ascii_chart(run.result))
-    for failure in run.failures:
-        print(f"warning: {failure.summary()}", file=sys.stderr)
-    print(f"[{time.time() - start:.1f}s]")
-    return len(run.failures)
 
 
 def _result_payload(run) -> Dict[str, object]:
@@ -428,62 +397,9 @@ def main(argv=None) -> None:
     _add_run_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    # Legacy spelling: `python -m repro.experiments fig2a [--num-pieces N]
-    # [--chart] [--trace PATH]` — serial and uncached, exactly as before
-    # the registry existed.
-    if argv and argv[0] not in ("list", "run", "-h", "--help"):
-        legacy = argparse.ArgumentParser(
-            prog="python -m repro.experiments",
-            description="Reproduce one figure of the paper and print its table.",
-        )
-        legacy.add_argument("figure",
-                            help="|".join(scenario_names()) + "|all")
-        legacy.add_argument("--num-pieces", type=int, default=20,
-                            help="piece count for fig4bc/fig9ab (20 or 400)")
-        legacy.add_argument("--chart", action="store_true",
-                            help="also render an ASCII chart of the series")
-        legacy.add_argument("--trace", metavar="PATH", default=None,
-                            help="write the structured cross-layer event log "
-                                 "of the run as JSONL to PATH (render it with "
-                                 "scripts/run_report.py)")
-        legacy.add_argument("--audit", action="store_true",
-                            help="check cross-layer invariants (repro.audit); "
-                                 "violations exit non-zero")
-        args = legacy.parse_args(argv)
-        failed_cells = 0
-
-        def run_all() -> None:
-            nonlocal failed_cells
-            if args.figure == "all":
-                for name in _resolve_names("all"):
-                    failed_cells += run_one(
-                        name, args.num_pieces, chart=args.chart, audit=args.audit
-                    )
-                    print()
-            else:
-                failed_cells += run_one(
-                    args.figure, args.num_pieces, chart=args.chart, audit=args.audit
-                )
-
-        if args.trace is not None:
-            from ..obs import tracing
-
-            try:
-                open(args.trace, "w", encoding="utf-8").close()
-            except OSError as exc:
-                legacy.error(f"cannot write trace log {args.trace}: {exc}")
-            with tracing.capture(path=args.trace):
-                run_all()
-            print(f"[trace written to {args.trace}]")
-        else:
-            run_all()
-        if args.audit and failed_cells:
-            raise SystemExit(1)
-        return
-
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.error("choose a command: list | run | <figure>")
+        parser.error("choose a command: list | run")
     args.func(args)
 
 

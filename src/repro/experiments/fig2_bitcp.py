@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis import ExperimentResult, Series, summarize
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..sim import mean
 from .base import BulkSender, WirelessPairTopology, run_transfer
 
@@ -79,20 +79,6 @@ class Fig2A(Scenario):
         )
 
 
-def fig2a(
-    bers: Sequence[float] = DEFAULT_BERS,
-    runs: int = 5,
-    duration: float = 40.0,
-    rate: float = 60_000.0,
-    base_seed: int = 100,
-) -> ExperimentResult:
-    """Bi-TCP vs uni-TCP downloading throughput across BER (Figure 2(a))."""
-    return run_scenario("fig2a", {
-        "bers": list(bers), "runs": runs, "duration": duration,
-        "rate": rate, "base_seed": base_seed,
-    })
-
-
 def _packets_and_drops(
     seed: int,
     bidirectional: bool,
@@ -127,7 +113,12 @@ def _packets_and_drops(
 
 @scenario
 class Fig2BC(Scenario):
-    """Packets on the wireless leg vs time, uni (2b) and bi (2c)."""
+    """Packets on the wireless leg vs time, uni (2b) and bi (2c).
+
+    The access-point queue is kept *smaller* than the path's
+    bandwidth-delay product, so halving the window after a buffer drop
+    genuinely starves the wireless leg (the regime the paper plots).
+    """
 
     name = "fig2bc"
     description = (
@@ -180,26 +171,6 @@ class Fig2BC(Scenario):
                 "bucket_s": p["bucket"],
             },
         )
-
-
-def fig2bc(
-    duration: float = 20.0,
-    rate: float = 60_000.0,
-    ap_queue_packets: int = 6,
-    bucket: float = 0.25,
-    seed: int = 7,
-    core_delay: float = 0.1,
-) -> ExperimentResult:
-    """Packets on the wireless leg vs time, uni (2b) and bi (2c).
-
-    The access-point queue is kept *smaller* than the path's
-    bandwidth-delay product, so halving the window after a buffer drop
-    genuinely starves the wireless leg (the regime the paper plots).
-    """
-    return run_scenario("fig2bc", {
-        "duration": duration, "rate": rate, "ap_queue_packets": ap_queue_packets,
-        "bucket": bucket, "seed": seed, "core_delay": core_delay,
-    })
 
 
 def cluster_drops(drop_times: Sequence[float], min_gap: float = 1.0) -> List[float]:

@@ -20,7 +20,7 @@ from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..wp2p import WP2PClient, WP2PConfig
 from .fig4_mobility import GRID, playability_run
 
@@ -58,7 +58,12 @@ def _mf_factory(sim, host, torrent, **kwargs):
 
 @scenario
 class Fig9AB(Scenario):
-    """Mobility-aware fetching vs rarest-first playability (Figure 9(a, b))."""
+    """Mobility-aware fetching vs rarest-first playability (Figure 9(a, b)).
+
+    ``num_pieces=20`` is the paper's 5 MB file, ``num_pieces=400`` the
+    100 MB file; pr equals the downloaded fraction, as in the paper's
+    evaluation.
+    """
 
     name = "fig9ab"
     description = (
@@ -113,24 +118,6 @@ class Fig9AB(Scenario):
             ),
             parameters={"num_pieces": num_pieces, "runs": p["runs"]},
         )
-
-
-def fig9ab(
-    num_pieces: int,
-    runs: int = 10,
-    base_seed: int = 950,
-    grid: Sequence[float] = GRID,
-) -> ExperimentResult:
-    """Mobility-aware fetching vs rarest-first playability (Figure 9(a, b)).
-
-    ``num_pieces=20`` is the paper's 5 MB file, ``num_pieces=400`` the
-    100 MB file; pr equals the downloaded fraction, as in the paper's
-    evaluation.
-    """
-    return run_scenario("fig9ab", {
-        "num_pieces": num_pieces, "runs": runs,
-        "base_seed": base_seed, "grid": list(grid),
-    })
 
 
 ROLE_REVERSAL_INTERVALS: Sequence[float] = (180.0, 120.0, 60.0)
@@ -228,16 +215,3 @@ class Fig9C(Scenario):
                 "duration_s": p["duration"],
             },
         )
-
-
-def fig9c(
-    intervals: Sequence[float] = ROLE_REVERSAL_INTERVALS,
-    runs: int = 2,
-    duration: float = 360.0,
-    base_seed: int = 980,
-) -> ExperimentResult:
-    """Role reversal: mobile-seed upload throughput vs mobility rate."""
-    return run_scenario("fig9c", {
-        "intervals": list(intervals), "runs": runs,
-        "duration": duration, "base_seed": base_seed,
-    })

@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..strategy import MixAssigner, get_strategy
 from ..wp2p import WP2PClient, WP2PConfig
 from .base import random_piece_subset
@@ -402,16 +402,3 @@ class FigXArena(Scenario):
                 "engine_events": total_events,
             },
         )
-
-
-def figx_arena(
-    mixes: Sequence[str] = tuple(ARENA_MIXES),
-    mobile_fractions: Sequence[float] = (0.0, 0.5),
-    runs: int = 3,
-) -> ExperimentResult:
-    """Run the strategy arena tournament with default parameters."""
-    return run_scenario("figx_arena", {
-        "mixes": list(mixes),
-        "mobile_fractions": list(mobile_fractions),
-        "runs": runs,
-    })

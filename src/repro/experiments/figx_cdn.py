@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence
 
 from ..analysis import ExperimentResult, Series
 from ..cdn import CdnScenario, cdn_fluid_cell
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 
 CLIENTS: Sequence[str] = ("default", "wp2p")
 MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.4, 0.8)
@@ -221,18 +221,3 @@ class FigXCdn(Scenario):
                 "gate": gate,
             },
         )
-
-
-def figx_cdn(
-    clients: Sequence[str] = CLIENTS,
-    mobile_fractions: Sequence[float] = MOBILE_FRACTIONS,
-    runs: int = 4,
-    duration: float = 600.0,
-    base_seed: int = 1400,
-) -> ExperimentResult:
-    """CDN sweep: origin offload vs mobile fraction, default vs wP2P."""
-    return run_scenario("figx_cdn", {
-        "clients": list(clients),
-        "mobile_fractions": list(mobile_fractions),
-        "runs": runs, "duration": duration, "base_seed": base_seed,
-    })

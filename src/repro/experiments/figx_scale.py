@@ -29,7 +29,7 @@ from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
-from ..runner import Scenario, collect, run_scenario, scenario
+from ..runner import Scenario, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
@@ -335,17 +335,3 @@ class FigXScale(Scenario):
                 "peak_swarm_size": peak_swarm,
             },
         )
-
-
-def figx_scale(
-    swarm_sizes: Sequence[int] = SWARM_SIZES,
-    mobile_fractions: Sequence[float] = MOBILE_FRACTIONS,
-    runs: int = 1,
-    backend: Optional[str] = None,
-) -> ExperimentResult:
-    """Scale sweep on the fluid backend (or ``backend="packet"`` at small N)."""
-    return run_scenario("figx_scale", {
-        "swarm_sizes": list(swarm_sizes),
-        "mobile_fractions": list(mobile_fractions),
-        "runs": runs,
-    }, backend=backend)

@@ -20,9 +20,10 @@ Everything is off by default and costs a boolean check when off.  Typical
 use::
 
     from repro.obs import tracing
+    from repro.runner import run_scenario
 
     with tracing.capture(path="fig8a.jsonl"):
-        fig8a(runs=1)
+        run_scenario("fig8a", {"runs": 1})
 
 then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 """

@@ -26,7 +26,7 @@ Experiments construct their simulators internally, so sinks can also be
 installed *globally*: :func:`install` (or the :func:`capture` context
 manager) registers defaults that every subsequently created
 :class:`~repro.sim.kernel.Simulator` picks up — that is how
-``python -m repro.experiments fig8a --trace run.jsonl`` traces a whole
+``python -m repro.experiments run fig8a --trace run.jsonl`` traces a whole
 figure reproduction without threading a sink through every call.
 """
 
@@ -279,7 +279,7 @@ def capture(
     """Trace every simulator created inside the block.
 
     >>> with capture(path="run.jsonl") as sinks:     # doctest: +SKIP
-    ...     fig8a(runs=1)
+    ...     run_scenario("fig8a", {"runs": 1})
     ...
     >>> events = read_jsonl("run.jsonl")             # doctest: +SKIP
 

@@ -517,9 +517,9 @@ def run_scenario(
 ):
     """Run a registered scenario and return its ``ExperimentResult``.
 
-    The convenience front door used by the legacy ``fig*()`` wrappers,
-    the benchmarks, and ``scripts/generate_experiments_md.py``.  For the
-    failure list and runner statistics, use :class:`Runner` directly.
+    The convenience front door for library callers, the benchmarks, and
+    ``scripts/generate_experiments_md.py``.  For the failure list and
+    runner statistics, use :class:`Runner` directly.
     """
     runner = Runner(
         jobs=jobs, cache=cache, progress=progress, audit=audit,

@@ -5,34 +5,18 @@ zero-argument callable (arguments are bound at scheduling time).  Events are
 totally ordered by ``(time, sequence)`` so that two events scheduled for the
 same instant fire in scheduling order, which keeps runs deterministic.
 
-Two queue implementations share that contract (see
-``docs/PERFORMANCE.md`` for the campaign that introduced the split):
-
-* :class:`CalendarEventQueue` — the default.  A Brown-style calendar
-  queue: time is cut into fixed-``width`` buckets laid out modulo a
-  "year" of ``nbuckets`` slots, so push and pop are O(1) amortised
-  instead of O(log n).  Each bucket is a small binary heap of
-  ``(time, seq, event)`` tuples, which keeps every comparison on the
-  C fast path (the old single heap spent most of its time in a Python
-  ``Event.__lt__``).  Bucket count and width adapt to the live event
-  population.
-* :class:`HeapEventQueue` — the classic single binary heap, kept as a
-  fallback and as the ordering oracle for the calendar queue's
-  property tests.
-
-Both implementations pop events in exactly the same ``(time, seq)``
-order, so a simulation is bit-identical under either; select with the
-``queue=`` argument to :class:`~repro.sim.kernel.Simulator` or the
-``REPRO_EVENT_QUEUE`` environment variable (``calendar`` | ``heap``).
+:class:`EventQueue` is one binary heap of ``(time, seq, event)`` tuples,
+which keeps every comparison on the C fast path (``seq`` is unique, so a
+comparison never reaches the event).  ``docs/PERFORMANCE.md`` records the
+calendar queue that was measured against it and removed.
 
 Cancellation is lazy: cancelling marks the event dead and the queue
-discards it when it reaches a bucket head (both queues compact when
-dead entries pile up), keeping push O(1)/O(log n) and cancellation O(1).
+discards it when it reaches the heap head (compacting when dead entries
+pile up), keeping push O(log n) and cancellation O(1).
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -42,22 +26,11 @@ class Event:
 
     Instances are created by the kernel; user code receives them as handles
     that can be cancelled via :meth:`cancel` or :meth:`Simulator.cancel`.
+    ``cancelled`` is also set when the queue pops the event to fire it,
+    so a spent handle is not :attr:`alive` and cancelling it is a no-op.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so it will not fire.
@@ -76,11 +49,8 @@ class Event:
         """True until the event fires or is cancelled."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled or fired" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
@@ -88,8 +58,8 @@ def _noop(*_args: Any) -> None:
     return None
 
 
-#: ``Event.__new__`` cached for the queue push hot paths, which build
-#: events by direct attribute stores instead of an ``__init__`` call.
+#: ``Event.__new__`` cached for the queue push hot path: ``Event`` has no
+#: ``__init__``, the queue builds events by direct attribute stores.
 _new_event = Event.__new__
 
 
@@ -99,33 +69,8 @@ _new_event = Event.__new__
 _Entry = Tuple[float, int, Event]
 
 
-def _day_of(time: float, width: float) -> int:
-    """The canonical calendar day of ``time``: the unique ``k`` with
-    ``k * width <= time < (k + 1) * width`` under float arithmetic.
-
-    ``int(time / width)`` alone is not canonical: the division can round
-    across a bucket boundary in either direction (e.g. ``4.1 / 0.005``),
-    leaving an event that fails its own day's window test — which would
-    let the calendar walk skip past a live event.  See the window checks
-    in :class:`CalendarEventQueue`.
-    """
-    k = int(time / width)
-    if time < k * width:
-        k -= 1
-    else:
-        while time >= (k + 1) * width:
-            k += 1
-    return k
-
-
-class HeapEventQueue:
-    """A cancellable priority queue over one binary heap.
-
-    The reference implementation: simple, O(log n) per operation, and
-    the ordering oracle the calendar queue is property-tested against.
-    """
-
-    kind = "heap"
+class EventQueue:
+    """A cancellable priority queue over one binary heap."""
 
     __slots__ = ("_heap", "_seq", "_live", "_dead")
 
@@ -139,7 +84,7 @@ class HeapEventQueue:
         """Schedule ``callback(*args)`` at absolute ``time``."""
         seq = self._seq
         self._seq = seq + 1
-        # Build the Event without the __init__ frame (push runs ~1M times
+        # Build the Event without an __init__ frame (push runs ~1M times
         # per packet-level figure; attribute stores are all it does).
         event = _new_event(Event)
         event.time = time
@@ -174,6 +119,7 @@ class HeapEventQueue:
             event = entry[2]
             if not event.cancelled:
                 self._live -= 1
+                event.cancelled = True  # spent: a late cancel is a no-op
                 return event
             self._dead -= 1
         return None
@@ -184,7 +130,8 @@ class HeapEventQueue:
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[2].cancelled:
+            event = head[2]
+            if event.cancelled:
                 heappop(heap)
                 self._dead -= 1
                 continue
@@ -192,7 +139,8 @@ class HeapEventQueue:
                 return None
             heappop(heap)
             self._live -= 1
-            return head[2]
+            event.cancelled = True  # spent: a late cancel is a no-op
+            return event
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -208,316 +156,3 @@ class HeapEventQueue:
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-
-class CalendarEventQueue:
-    """A Brown-style calendar queue: O(1) amortised push and pop.
-
-    Time is divided into buckets of fixed ``width`` seconds arranged in a
-    circular "year" of ``nbuckets`` slots: an event at time ``t`` lives in
-    absolute day ``k = int(t / width)``, bucket ``k % nbuckets``.  The
-    queue walks the calendar day by day (``_k``), popping events from the
-    current bucket while they fall inside the day's window
-    ``[k*width, (k+1)*width)``; events from a later year sit in the same
-    bucket but fail the window test and wait their turn.
-
-    Tie-breaking contract: each bucket is a binary heap of
-    ``(time, seq, event)`` tuples, so same-time events pop in scheduling
-    (``seq``) order — the identical total order as
-    :class:`HeapEventQueue`, which makes the two implementations freely
-    interchangeable without perturbing a single simulation result.
-
-    Adaptivity: when the live population outgrows ``2 * nbuckets`` the
-    calendar doubles its buckets and re-derives ``width`` from the mean
-    gap between soon-to-fire events (shrinking likewise at
-    ``nbuckets // 2``), so densely and sparsely loaded phases of a run
-    both keep roughly O(1) access.  Pushes *behind* the current day
-    (possible after ``run(until=...)`` parked the walk beyond them)
-    rewind the walk, preserving order.  A full lap without a due event
-    falls back to a direct min search that teleports the walk to the
-    next populated day, so widely spaced timers cannot stall the queue.
-    """
-
-    kind = "calendar"
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_width", "_k", "_seq",
-        "_live", "_dead", "_grow_at", "_shrink_at", "_cur", "_top",
-        "_pd_lo", "_pd_hi", "_pd_k", "_pd_bucket",
-    )
-
-    _MIN_BUCKETS = 16
-    _MIN_WIDTH = 1e-9
-
-    def __init__(self, width: float = 0.005) -> None:
-        self._nbuckets = self._MIN_BUCKETS
-        self._buckets: List[List[_Entry]] = [[] for _ in range(self._nbuckets)]
-        self._width = max(float(width), self._MIN_WIDTH)
-        self._k = 0  # absolute day the walk is on
-        # Cached view of the walk position so the pop fast path touches
-        # only two attributes: the current day's bucket and the end of
-        # its window.  Invariant: _cur is _buckets[_k % _nbuckets] and
-        # _top == (_k + 1) * _width.
-        self._cur: List[_Entry] = self._buckets[0]
-        self._top = self._width
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
-        # One-entry push cache: consecutive pushes cluster around `now`,
-        # so remember the last day's window/bucket and skip the division
-        # when the next push lands in the same day.  Invalidated by
-        # _resize (width and bucket layout change).
-        self._pd_lo = 0.0
-        self._pd_hi = 0.0
-        self._pd_k = 0
-        self._pd_bucket = self._buckets[0]
-        self._set_thresholds()
-
-    def _set_thresholds(self) -> None:
-        self._grow_at = 2 * self._nbuckets
-        self._shrink_at = self._nbuckets // 2 if self._nbuckets > self._MIN_BUCKETS else -1
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-    def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``."""
-        seq = self._seq
-        self._seq = seq + 1
-        # Build the Event without the __init__ frame (see HeapEventQueue).
-        event = _new_event(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        if self._pd_lo <= time < self._pd_hi:
-            # Push cache hit: same day as the previous push.
-            k = self._pd_k
-            bucket = self._pd_bucket
-        else:
-            width = self._width
-            # Canonical day (see _day_of, inlined here — push is the
-            # hottest call in the simulator): k*width <= time < (k+1)*width.
-            k = int(time / width)
-            if time < k * width:
-                k -= 1
-            else:
-                while time >= (k + 1) * width:
-                    k += 1
-            bucket = self._buckets[k % self._nbuckets]
-            self._pd_lo = k * width
-            self._pd_hi = (k + 1) * width
-            self._pd_k = k
-            self._pd_bucket = bucket
-        if k < self._k or self._live == 0:
-            # Behind the walk (run(until=...) parked us past this day, or
-            # the calendar drained): rewind so the scan cannot skip it.
-            self._k = k
-            self._cur = bucket
-            self._top = self._pd_hi  # == (k + 1) * width
-        heappush(bucket, (time, seq, event))
-        self._live += 1
-        if self._live > self._grow_at:
-            self._resize(self._nbuckets * 2)
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
-            self._live -= 1
-            dead = self._dead = self._dead + 1
-            if dead > 512 and dead > self._live:
-                self._resize(self._nbuckets)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None if empty."""
-        return self.pop_due(None)
-
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        """Pop the earliest live event with ``time <= until`` (or any when
-        ``until`` is None); returns None without popping otherwise."""
-        if self._live == 0:
-            return None
-        # Fast path: the next event is the head of the current day's
-        # bucket and falls inside the day's window.
-        bucket = self._cur
-        while bucket:
-            head = bucket[0]
-            if head[2].cancelled:
-                heappop(bucket)
-                self._dead -= 1
-                continue
-            if head[0] < self._top:
-                if until is not None and head[0] > until:
-                    return None
-                heappop(bucket)
-                live = self._live = self._live - 1
-                if live < self._shrink_at:
-                    self._resize(max(self._nbuckets // 2, self._MIN_BUCKETS))
-                return head[2]
-            break
-        # Slow path: advance the walk to the next populated day.
-        entry = self._advance()
-        if entry is None:
-            return None
-        if until is not None and entry[0] > until:
-            return None
-        heappop(self._cur)
-        live = self._live = self._live - 1
-        if live < self._shrink_at:
-            self._resize(max(self._nbuckets // 2, self._MIN_BUCKETS))
-        return entry[2]
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, or None."""
-        if self._live == 0:
-            return None
-        bucket = self._cur
-        while bucket:
-            head = bucket[0]
-            if head[2].cancelled:
-                heappop(bucket)
-                self._dead -= 1
-                continue
-            if head[0] < self._top:
-                return head[0]
-            break
-        entry = self._advance()
-        return entry[0] if entry is not None else None
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    # ------------------------------------------------------------------
-    # The calendar walk
-    # ------------------------------------------------------------------
-    def _advance(self) -> Optional[_Entry]:
-        """Advance the walk past the current (exhausted) day to the next
-        live event; positions ``_k``/``_cur``/``_top`` on its day and
-        returns its entry without popping.  The caller has already ruled
-        out the current day, so the scan starts at ``_k + 1``."""
-        buckets = self._buckets
-        nbuckets = self._nbuckets
-        width = self._width
-        k = self._k + 1
-        dead = self._dead
-        for _ in range(nbuckets - 1):
-            bucket = buckets[k % nbuckets]
-            while bucket:
-                head = bucket[0]
-                if head[2].cancelled:
-                    heappop(bucket)
-                    dead -= 1
-                    continue
-                if head[0] < (k + 1) * width:
-                    self._k = k
-                    self._cur = bucket
-                    self._top = (k + 1) * width
-                    self._dead = dead
-                    return head
-                break
-            k += 1
-        self._dead = dead
-        return self._direct_search()
-
-    def _direct_search(self) -> Optional[_Entry]:
-        """A full lap found nothing due this year: scan every bucket head
-        for the global minimum and teleport the walk to its day."""
-        best: Optional[_Entry] = None
-        best_bucket: Optional[List[_Entry]] = None
-        for bucket in self._buckets:
-            while bucket and bucket[0][2].cancelled:
-                heappop(bucket)
-                self._dead -= 1
-            if bucket:
-                head = bucket[0]
-                if best is None or head < best:
-                    best = head
-                    best_bucket = bucket
-        if best is None:
-            return None
-        self._k = _day_of(best[0], self._width)
-        self._cur = best_bucket
-        self._top = (self._k + 1) * self._width
-        return best
-
-    # ------------------------------------------------------------------
-    # Adaptive resizing
-    # ------------------------------------------------------------------
-    def _resize(self, nbuckets: int) -> None:
-        """Rebuild with ``nbuckets`` buckets and a freshly estimated width
-        (also drops cancelled entries).  Order is untouched: membership
-        and the (time, seq) total order are properties of the entries."""
-        entries = [
-            entry
-            for bucket in self._buckets
-            for entry in bucket
-            if not entry[2].cancelled
-        ]
-        entries.sort()
-        self._width = self._estimate_width(entries)
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            bucket = self._buckets[_day_of(entry[0], width) % nbuckets]
-            bucket.append(entry)
-        for bucket in self._buckets:
-            heapify(bucket)
-        self._dead = 0
-        self._live = len(entries)
-        self._k = _day_of(entries[0][0], width) if entries else 0
-        self._cur = self._buckets[self._k % nbuckets]
-        self._top = (self._k + 1) * width
-        # The push cache points at the old layout: force a miss.
-        self._pd_lo = 0.0
-        self._pd_hi = 0.0
-        self._pd_bucket = self._cur
-        self._set_thresholds()
-
-    def _estimate_width(self, sorted_entries: List[_Entry]) -> float:
-        """Bucket width = 4x the mean gap between soon-to-fire events.
-
-        Sampling the head of the queue (the next ~256 events) matches the
-        region the walk is about to traverse; far-future timers would
-        otherwise inflate the estimate and pile everything into one day.
-        """
-        sample = sorted_entries[:256]
-        if len(sample) < 2:
-            return self._width
-        gaps = [
-            b[0] - a[0]
-            for a, b in zip(sample, sample[1:])
-            if b[0] > a[0]
-        ]
-        if not gaps:
-            return self._width
-        return max(4.0 * sum(gaps) / len(gaps), self._MIN_WIDTH)
-
-
-#: The default queue implementation (see module docstring).
-EventQueue = CalendarEventQueue
-
-_QUEUE_KINDS = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
-
-
-def make_event_queue(kind: Optional[str] = None):
-    """Build an event queue: ``kind`` is ``"calendar"`` (default) or
-    ``"heap"``; ``None`` defers to ``REPRO_EVENT_QUEUE`` then the default."""
-    if kind is None:
-        kind = os.environ.get("REPRO_EVENT_QUEUE") or "calendar"
-    try:
-        return _QUEUE_KINDS[kind]()
-    except KeyError:
-        raise ValueError(
-            f"unknown event queue kind {kind!r} "
-            f"(expected one of {sorted(_QUEUE_KINDS)})"
-        ) from None

@@ -15,7 +15,7 @@ from ..audit import apply_defaults as _audit_defaults
 from ..obs import tracing as _tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiling import KernelProfiler
-from .events import Event, make_event_queue
+from .events import Event, EventQueue
 from .randomness import RngRegistry
 
 
@@ -39,16 +39,10 @@ class Simulator:
     seed:
         Master seed for all named random streams (see
         :class:`~repro.sim.randomness.RngRegistry`).
-    queue:
-        Event queue implementation: ``"calendar"`` (default) or
-        ``"heap"``.  Both pop in the identical ``(time, seq)`` order, so
-        results are bit-identical either way; ``None`` defers to the
-        ``REPRO_EVENT_QUEUE`` environment variable.  See
-        :mod:`repro.sim.events`.
     """
 
-    def __init__(self, seed: int = 0, queue: Optional[str] = None) -> None:
-        self._queue = make_event_queue(queue)
+    def __init__(self, seed: int = 0) -> None:
+        self._queue = EventQueue()
         # Bound-method cache: schedule()/call_soon() run ~1M times per
         # packet-level figure, so skip the two attribute loads per call.
         self._push = self._queue.push

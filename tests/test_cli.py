@@ -1,8 +1,8 @@
 """Tests for the experiment CLI (python -m repro.experiments).
 
-Covers the new registry-backed subcommands (``list``, ``run``) and the
-legacy spellings (``fig2a``, ``all``, ``--num-pieces``, ``--chart``,
-``--trace``) that must keep working verbatim.
+``list`` and ``run`` are the whole grammar; what the removed bare
+``<figure>`` form could do (``--num-pieces``, ``--chart``, ``--trace``)
+is covered here under ``run``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import ALL_ORDER, main, run_one
+from repro.experiments.__main__ import ALL_ORDER, main
 from repro.runner import scenario_names
 
 FIGURES = {
@@ -107,37 +107,37 @@ class TestOverrideConflicts:
 
 
 class TestLegacySpellings:
-    def test_run_one_prints_table(self, capsys):
-        run_one("fig2bc", num_pieces=20)
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
-        assert "paper:" in out
+    """The bare ``<figure>`` form is a usage error; each thing it could
+    do is spelled with ``run``."""
 
-    def test_run_one_with_chart(self, capsys):
-        run_one("fig2bc", num_pieces=20, chart=True)
+    def test_bare_figure_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2bc"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_no_command_names_the_grammar(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "list | run" in capsys.readouterr().err
+
+    def test_run_with_chart(self, capsys):
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--chart"])
         out = capsys.readouterr().out
         assert out.count("Figure 2(b, c)") >= 2  # table + chart headers
 
-    def test_unknown_figure_exits(self):
-        with pytest.raises(SystemExit):
-            run_one("fig99", num_pieces=20)
-
-    def test_main_parses_bare_figure(self, capsys):
-        main(["fig2bc"])
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
-
     def test_piecewise_figure_accepts_num_pieces(self, capsys):
-        main(["fig4bc", "--num-pieces", "10"])
+        main(["run", "fig4bc", "--no-cache", "--quiet", "--num-pieces", "10"])
         out = capsys.readouterr().out
         assert "Playable" in out
 
-    def test_legacy_trace_writes_jsonl(self, capsys, tmp_path):
+    def test_run_trace_writes_jsonl(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"
-        main(["fig2bc", "--trace", str(trace)])
-        out = capsys.readouterr().out
-        assert "Figure 2(b, c)" in out
-        assert f"[trace written to {trace}]" in out
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert "Figure 2(b, c)" in captured.out
+        assert f"[trace written to {trace}]" in captured.err
         lines = trace.read_text().strip().splitlines()
         assert lines and all(json.loads(line) for line in lines)
 

@@ -1,15 +1,15 @@
-"""Property tests for the calendar event queue against the heap oracle.
+"""Property tests for the event queue against an in-test model.
 
-The two queue implementations in :mod:`repro.sim.events` promise the
-identical ``(time, seq)`` total order — that contract is what makes
-them freely interchangeable without perturbing a single simulation
-result ("bit-identical or it doesn't merge", docs/PERFORMANCE.md).
-These tests drive both in lockstep through randomized insert / cancel /
-bounded-pop schedules and assert every pop matches, including the
-float-boundary regime that broke the first calendar implementation:
-``int(t / width)`` can round across a bucket boundary (e.g.
-``4.1 / 0.005``), so day mapping must be canonicalised or the calendar
-walk skips live events.
+:class:`~repro.sim.events.EventQueue` promises one thing: events leave
+in ``(time, seq)`` order, cancelled ones never.  The model here is the
+most obvious structure with that behaviour — a list of ``(time, seq)``
+pairs sorted on demand plus a cancelled set — and the queue is driven in
+lockstep with it through randomized insert / cancel / bounded-pop
+schedules, checking every ``pop_due``, ``pop``, ``peek_time`` and
+``len``.  The three schedule families are the ones that broke the
+removed calendar queue (``int(t / width)`` rounds across a bucket
+boundary for exact multiples such as ``4.1 / 0.005``); they stay because
+an alternative queue has to pass them before it is measured.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import pytest
 
 from repro.net import AddressAllocator, Host, Internet, attach_wired_host
 from repro.sim import Simulator
-from repro.sim.events import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    _day_of,
-    make_event_queue,
-)
+from repro.sim.events import EventQueue
 from repro.tcp import TCPStack
 
 
@@ -33,47 +28,81 @@ def _noop() -> None:
     pass
 
 
+class _Model:
+    """Pending ``(time, seq)`` pairs, sorted on demand."""
+
+    def __init__(self) -> None:
+        self.pending = []
+        self.cancelled = set()
+        self.seq = 0
+
+    def push(self, time: float) -> int:
+        seq = self.seq
+        self.seq += 1
+        self.pending.append((time, seq))
+        return seq
+
+    def cancel(self, seq: int) -> None:
+        self.cancelled.add(seq)
+
+    def live(self):
+        self.pending.sort()  # in place: the next sort finds it nearly sorted
+        return [e for e in self.pending if e[1] not in self.cancelled]
+
+    def pop_due(self, until):
+        live = self.live()
+        if not live or (until is not None and live[0][0] > until):
+            return None
+        self.pending.remove(live[0])
+        return live[0]
+
+
+def _check_pop(got, want, context) -> None:
+    if want is None:
+        assert got is None, (context, got and (got.time, got.seq))
+    else:
+        assert got is not None, (context, want)
+        assert (got.time, got.seq) == want, context
+        assert not got.alive  # a popped event is spent
+
+
 def _drive(seed: int, *, times, ops: int = 4_000) -> None:
-    """Run an identical random schedule through both queues; every pop
-    (bounded and unbounded) must return events with identical
-    ``(time, seq)``."""
+    """Run one random schedule through the queue and the model; every
+    pop (bounded and unbounded), peek and length must agree."""
     rng = random.Random(seed)
-    calendar = CalendarEventQueue()
-    heap = HeapEventQueue()
-    live = []  # parallel (calendar_event, heap_event) handles
+    queue = EventQueue()
+    model = _Model()
+    handles = {}  # seq -> Event, for events neither popped nor cancelled
 
     for _ in range(ops):
         roll = rng.random()
-        if roll < 0.55 or not live:
+        if roll < 0.55 or not handles:
             t = times(rng)
-            live.append((calendar.push(t, _noop), heap.push(t, _noop)))
-        elif roll < 0.70 and live:
-            ce, he = live.pop(rng.randrange(len(live)))
-            calendar.cancel(ce)
-            heap.cancel(he)
+            event = queue.push(t, _noop)
+            assert event.seq == model.push(t)
+            handles[event.seq] = event
+        elif roll < 0.70:
+            seq = rng.choice(list(handles))
+            queue.cancel(handles.pop(seq))
+            model.cancel(seq)
         else:
             until = None if rng.random() < 0.3 else times(rng)
-            got = calendar.pop_due(until)
-            want = heap.pop_due(until)
-            if want is None:
-                assert got is None, (until, got and (got.time, got.seq))
-            else:
-                assert got is not None, (until, (want.time, want.seq))
-                assert (got.time, got.seq) == (want.time, want.seq)
-                # Retire the popped handles: cancelling an event that has
-                # already fired is a kernel-contract violation.
-                live = [(ce, he) for ce, he in live if he is not want]
-            assert calendar.peek_time() == heap.peek_time()
+            want = model.pop_due(until)
+            _check_pop(queue.pop_due(until), want, until)
+            if want is not None:
+                del handles[want[1]]
+        live = model.live()
+        assert queue.peek_time() == (live[0][0] if live else None)
+        assert len(queue) == len(live)
+        assert bool(queue) == bool(live)
 
     # Drain: the full remaining order must match exactly.
     while True:
-        want = heap.pop()
-        got = calendar.pop()
+        want = model.pop_due(None)
+        _check_pop(queue.pop(), want, "drain")
         if want is None:
-            assert got is None
             break
-        assert got is not None and (got.time, got.seq) == (want.time, want.seq)
-    assert len(calendar) == len(heap) == 0
+    assert len(queue) == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -84,7 +113,7 @@ def test_pop_order_matches_heap_random(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_pop_order_matches_heap_boundary_times(seed):
-    """Times that are exact multiples of common bucket widths — the
+    """Times that are exact multiples of a common bucket width — the
     float regime where ``int(t / width)`` rounds across a boundary."""
 
     def times(rng):
@@ -99,38 +128,41 @@ def test_pop_order_matches_heap_bursty_same_time():
     _drive(99, times=lambda rng: rng.choice((1.0, 1.0, 1.0, 2.5, 2.5)))
 
 
-def test_day_of_is_canonical():
-    """_day_of must satisfy k*width <= t < (k+1)*width exactly."""
-    rng = random.Random(42)
-    for _ in range(20_000):
-        width = rng.choice((0.005, 0.001, 0.1, 1 / 3, 1e-6))
-        t = rng.randrange(0, 10_000) * width + rng.random() * width
-        k = _day_of(t, width)
-        assert k * width <= t < (k + 1) * width, (t, width, k)
-    # The regression instance that produced an out-of-order dispatch.
-    k = _day_of(4.1, 0.005)
-    assert k * 0.005 <= 4.1 < (k + 1) * 0.005
+def test_order_survives_compaction():
+    """Pile up more than 512 dead entries, outnumbering the live ones,
+    so the queue compacts mid-run; order and counts must not notice."""
+    rng = random.Random(7)
+    queue = EventQueue()
+    model = _Model()
+    events = []
+    for _ in range(1_500):
+        t = rng.random() * 50.0
+        events.append(queue.push(t, _noop))
+        model.push(t)
+    rng.shuffle(events)
+    for event in events[:1_200]:
+        queue.cancel(event)
+        model.cancel(event.seq)
+        assert len(queue) == len(model.live())
+    assert len(queue._heap) < 1_500  # nothing was popped: it compacted
+    while True:
+        want = model.pop_due(None)
+        _check_pop(queue.pop(), want, "after compaction")
+        if want is None:
+            break
 
 
-def test_make_event_queue_selection(monkeypatch):
-    assert make_event_queue("calendar").kind == "calendar"
-    assert make_event_queue("heap").kind == "heap"
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    assert make_event_queue().kind == "heap"
-    monkeypatch.delenv("REPRO_EVENT_QUEUE")
-    assert make_event_queue().kind == "calendar"
-    with pytest.raises(ValueError):
-        make_event_queue("splay")
-
-
-def _bulk_transfer(queue: str):
-    """A full TCP bulk transfer; returns order-sensitive run statistics."""
+def test_bulk_transfer_statistics_pinned():
+    """Every order-sensitive statistic of one full TCP bulk transfer, as
+    both queue implementations produced it at the commit before the
+    calendar queue was removed (the figure-level digests are pinned in
+    tests/test_scale.py)."""
 
     class _Message:
         def __init__(self, wire_length: int) -> None:
             self.wire_length = wire_length
 
-    sim = Simulator(seed=5, queue=queue)
+    sim = Simulator(seed=5)
     internet = Internet(sim, core_delay=0.01)
     alloc = AddressAllocator()
     a, b = Host(sim, "a"), Host(sim, "b")
@@ -145,7 +177,7 @@ def _bulk_transfer(queue: str):
     for _ in range(300):
         client.send_message(_Message(1400))
     end = sim.run(until=60.0)
-    return (
+    assert (
         end,
         len(received),
         sim.events_processed,
@@ -153,11 +185,4 @@ def _bulk_transfer(queue: str):
         client.stats.segments_received,
         client.stats.pure_acks_sent,
         internet.packets_forwarded,
-    )
-
-
-def test_simulation_bit_identical_across_queue_impls():
-    """The same run under calendar and heap queues must agree on every
-    order-sensitive statistic (the end-to-end interchangeability claim;
-    the figure-level digests are pinned in tests/test_scale.py)."""
-    assert _bulk_transfer("calendar") == _bulk_transfer("heap")
+    ) == (60.0, 300, 2536, 363, 144, 1, 507)

@@ -13,14 +13,10 @@ from repro.analysis import ExperimentResult, Series
 from repro.experiments import (
     cluster_drops,
     drop_response_ratio,
-    fig2a,
-    fig2bc,
-    fig4bc,
-    fig8a,
-    fig9ab,
     playability_run,
     run_transfer,
 )
+from repro.runner import run_scenario
 
 
 class TestSeriesContainers:
@@ -81,11 +77,13 @@ class TestFig2Helpers:
         assert drop_response_ratio(s, [1.0]) is None
 
     def test_fig2a_mini(self):
-        result = fig2a(bers=(0.0, 2e-5), runs=1, duration=10.0)
+        result = run_scenario(
+            "fig2a", {"bers": [0.0, 2e-5], "runs": 1, "duration": 10.0}
+        )
         assert result.get("Uni-TCP").y_at(0.0) > result.get("Uni-TCP").y_at(2e-5)
 
     def test_fig2bc_mini(self):
-        result = fig2bc(duration=10.0)
+        result = run_scenario("fig2bc", {"duration": 10.0})
         assert len(result.get("Uni-directional")) > 10
         assert result.parameters["bi_drop_times"]
 
@@ -97,13 +95,13 @@ class TestPlayabilityHarness:
         assert curve[-1] == (100.0, 100.0)
 
     def test_fig4bc_mini(self):
-        result = fig4bc(num_pieces=10, runs=2)
+        result = run_scenario("fig4bc", {"num_pieces": 10, "runs": 2})
         series = result.series[0]
         assert series.y_at(0.0) == 0.0
         assert series.y_at(100.0) == 100.0
 
     def test_fig9ab_mini(self):
-        result = fig9ab(num_pieces=10, runs=2)
+        result = run_scenario("fig9ab", {"num_pieces": 10, "runs": 2})
         assert set(result.labels()) == {"Default P2P", "wP2P"}
         # MF at least matches rarest-first mid-download on average
         assert result.get("wP2P").y_at(50.0) >= result.get("Default P2P").y_at(50.0) - 10
@@ -111,7 +109,9 @@ class TestPlayabilityHarness:
 
 class TestFig8Mini:
     def test_fig8a_mini_runs(self):
-        result = fig8a(bers=(1e-5,), runs=1, duration=15.0)
+        result = run_scenario(
+            "fig8a", {"bers": [1e-5], "runs": 1, "duration": 15.0}
+        )
         assert result.get("Default P2P").y[0] > 0
         assert result.get("wP2P").y[0] > 0
 

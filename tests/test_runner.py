@@ -112,9 +112,9 @@ class TestDeterminism:
         assert json.dumps(s) == json.dumps(p)
 
     def test_wrapper_matches_runner(self):
-        from repro.experiments import fig2a
-
-        direct = fig2a(runs=2, duration=2.0, bers=[0.0, 1e-5])
+        direct = run_scenario(
+            "fig2a", {"runs": 2, "duration": 2.0, "bers": [0.0, 1e-5]}
+        )
         via_runner = Runner(jobs=2).run("fig2a", FAST_FIG2A).result
         assert [s.y for s in direct.series] == [s.y for s in via_runner.series]
 

@@ -122,6 +122,23 @@ class TestSimulator:
         sim = Simulator()
         sim.cancel(None)
 
+    def test_cancel_spent_event_is_noop(self):
+        """Cancelling an event that already fired must not touch the
+        queue's live count (it used to drop it by one, hiding a queued
+        event from ``pending_events``)."""
+        sim = Simulator()
+        fired = []
+        spent = sim.schedule(1.0, fired.append, "first")
+        sim.schedule(5.0, fired.append, "second")
+        sim.run(until=2.0)
+        assert not spent.alive
+        sim.cancel(spent)
+        assert sim.pending_events == 1
+        assert len(sim._queue) == 1 and bool(sim._queue)
+        sim.run()
+        assert fired == ["first", "second"]
+        assert sim.pending_events == 0
+
     def test_call_soon_fires_at_current_time(self):
         sim = Simulator()
         seen = []
