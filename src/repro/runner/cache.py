@@ -11,7 +11,8 @@ seed + :func:`~repro.runner.spec.code_version`).  Properties:
   into place, so parallel workers (or parallel CI jobs sharing a cache
   volume) never observe torn entries.
 * **Corruption-tolerant** — an unreadable entry is treated as a miss
-  and overwritten, never an error.
+  and overwritten, never an error; unlike an absent one it is counted
+  (``ResultCache.corrupt``, ``RunnerStats.cache_corrupt``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class ResultCache:
         self.root = root if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, digest[:2], digest + ".json")
@@ -46,8 +48,15 @@ class ResultCache:
             with open(self._path(digest), "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
             value = entry["value"]
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
             self.misses += 1
+            return False, None
+        except (OSError, ValueError, KeyError, TypeError):
+            # The entry exists but cannot be used: still a miss (the
+            # cell re-executes and its put overwrites it), but a counted
+            # one, so a damaged cache volume does not pass for a cold one.
+            self.misses += 1
+            self.corrupt += 1
             return False, None
         self.hits += 1
         return True, value

@@ -108,13 +108,19 @@ class RunnerStats:
     cache_hits: int = 0
     failed: int = 0
     retries: int = 0
+    #: Cache entries that existed but could not be read (re-executed).
+    cache_corrupt: int = 0
     elapsed_s: float = 0.0
     cell_seconds: Dict[Cell, float] = field(default_factory=dict)
 
     def summary(self) -> str:
+        corrupt = (
+            f"{self.cache_corrupt} corrupt cache entries, "
+            if self.cache_corrupt else ""
+        )
         return (
             f"{self.total_cells} cells: {self.executed} executed, "
-            f"{self.cache_hits} cache hits, {self.failed} failed, "
+            f"{self.cache_hits} cache hits, {corrupt}{self.failed} failed, "
             f"{self.retries} retries [{self.elapsed_s:.1f}s]"
         )
 
@@ -397,18 +403,26 @@ class Runner:
         failures: List[CellFailure] = []
 
         # Cache probe: anything already known is served without simulating.
+        # A missed cell's digest is kept for its put.
         pending: List[Cell] = []
-        code = code_version() if self.cache is not None else ""
-        for cell in cells:
-            if self.cache is not None:
-                hit, value = self.cache.get(
-                    cell_digest(spec, cell[0], cell[1], code, chaos=self.chaos_options)
+        digests: Dict[Cell, str] = {}
+        if self.cache is not None:
+            code = code_version()
+            corrupt_before = self.cache.corrupt
+            for cell in cells:
+                digest = cell_digest(
+                    spec, cell[0], cell[1], code, chaos=self.chaos_options
                 )
+                hit, value = self.cache.get(digest)
                 if hit:
                     values[cell] = value
                     stats.cache_hits += 1
-                    continue
-            pending.append(cell)
+                else:
+                    digests[cell] = digest
+                    pending.append(cell)
+            stats.cache_corrupt = self.cache.corrupt - corrupt_before
+        else:
+            pending = list(cells)
 
         jobs = min(self.jobs, max(len(pending), 1))
         if jobs > 1 and tracing.installed():
@@ -447,10 +461,7 @@ class Runner:
                         values[cell] = value
                         if self.cache is not None:
                             self.cache.put(
-                                cell_digest(
-                                    spec, cell[0], cell[1], code,
-                                    chaos=self.chaos_options,
-                                ),
+                                digests[cell],
                                 value,
                                 meta={
                                     "scenario": scn.name,
@@ -478,6 +489,7 @@ class Runner:
         self.metrics.counter("runner.cells").add(stats.total_cells)
         self.metrics.counter("runner.executed").add(stats.executed)
         self.metrics.counter("runner.cache_hits").add(stats.cache_hits)
+        self.metrics.counter("runner.cache_corrupt").add(stats.cache_corrupt)
         self.metrics.counter("runner.failures").add(stats.failed)
         self.metrics.counter("runner.retries").add(stats.retries)
 

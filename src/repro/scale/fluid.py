@@ -27,6 +27,30 @@ over a handful of classes, so the cost is independent of swarm size —
 a million-peer swarm integrates in the same milliseconds as a ten-peer
 one — and results are bit-identical wherever they run.
 
+A step does only state-dependent arithmetic.  What the step needs falls
+into three lifetimes:
+
+* **run-constant** — ``float(file_size)``, the warm threshold, whether a
+  content mode is on, each class's arrival rate and wireless coupling:
+  computed once in ``__init__``;
+* **epoch-constant** — every pure function of (class, set of active
+  :class:`~repro.scale.chaosmap.RateWindow` s): the modifier products,
+  the rejoin freeze, effective availability, ``u_cap``, base ``d_cap``,
+  efficiency factor, departure and rejoin rates.  They form the
+  per-class **rate plan**, rebuilt by :meth:`FluidSwarm._rebuild_plan`
+  only when ``t`` crosses the next window ``start``/``end``; a
+  chaos-free swarm is the one-epoch case of the same code;
+* **per-step** — pools, departures, arrivals, the warm-up ramp, supply,
+  demand, utilization, progress.
+
+Termination is an O(1) read of a counter of incomplete leecher classes
+(a class with no peers and no arrivals is *vacuous* and never counted).
+The rule for changing any of this: **float-operation order is the
+contract** — the same IEEE operations on the same operands in the same
+order — checked by ``scripts/fluid_golden.py --check`` and by the
+lockstep property test against the straight-line stepper kept in
+``tests/test_fluid_lockstep.py``.
+
 Observability: the engine owns a
 :class:`~repro.obs.metrics.MetricsRegistry` and a
 :class:`~repro.obs.tracing.TraceBus` (both clocked on *model* time, and
@@ -38,7 +62,9 @@ the bus picks up globally installed sinks exactly like a packet-level
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from ..chaos.schedule import ChaosSchedule
 from ..obs import tracing
@@ -55,11 +81,26 @@ from .model import (
 
 
 class _ClassState:
-    """Mutable integration state for one peer class."""
+    """Mutable integration state for one peer class, plus its rate plan.
+
+    The first group of slots is the integration state proper.  The
+    second is constant for the run (copied off the frozen
+    :class:`PeerClass` so the hot loop pays one attribute load, not
+    two).  The third is the class's **rate plan** — every rate that is
+    a pure function of the class and the set of active
+    :class:`RateWindow` s — rewritten by
+    :meth:`FluidSwarm._rebuild_plan` only when that set changes.
+    ``d_cap`` is the one per-step scratch value the progress loop reads
+    back.
+    """
 
     __slots__ = (
         "cls", "online", "pools", "progress", "complete", "completion_time",
         "alive", "peak_online", "samples",
+        "arrival_rate", "wireless_shared", "upload_coupling",
+        "availability", "u_cap", "d_cap_base", "efficiency_factor",
+        "departure_rate", "churn_rejoin_rate",
+        "d_cap",
     )
 
     def __init__(self, cls: PeerClass) -> None:
@@ -73,10 +114,28 @@ class _ClassState:
         self.alive = float(cls.count)
         self.peak_online = float(cls.count)
         self.samples: List[Tuple[float, float]] = []
+        self.arrival_rate = cls.arrival_rate
+        self.wireless_shared = cls.wireless_shared
+        self.upload_coupling = cls.upload_coupling
+        self.d_cap = 0.0
 
     @property
     def offline(self) -> float:
+        if not self.pools:
+            return 0.0
         return sum(amount for amount, _ in self.pools)
+
+
+@lru_cache(maxsize=128)
+def _playability_curve(
+    num_pieces: int, selection: str
+) -> Tuple[Tuple[float, float], ...]:
+    """The 51-point (downloaded %, playable %) curve of a result; a pure
+    function of its arguments, so a grid of cells computes it once."""
+    return tuple(
+        (100.0 * d, 100.0 * playability_surrogate(d, num_pieces, selection))
+        for d in (i / 50.0 for i in range(51))  # downloaded fraction 0..1
+    )
 
 
 class FluidSwarm:
@@ -109,6 +168,30 @@ class FluidSwarm:
         if chaos is not None and not chaos.empty:
             self.windows, self.impulses = schedule_modifiers(chaos)
         self._states = [_ClassState(c) for c in params.classes]
+        # Run constants of the step.
+        self._file_size = float(params.file_size)
+        self._warm = max(params.warm_fraction, 1.0 / max(params.num_pieces, 1))
+        self._content_on = params.content_mode != ""
+        # Termination: leecher classes still downloading, and whether
+        # arrivals keep the swarm open forever.  A leecher class with no
+        # peers and no arrivals is vacuous — it has nothing to complete,
+        # so it is never counted and cannot hold the swarm open.
+        self._incomplete = sum(
+            1 for c in params.classes
+            if not c.seed and (c.count > 0 or c.arrival_rate > 0.0)
+        )
+        self._arrivals_open = any(
+            c.arrival_rate != 0.0 for c in params.classes
+        )
+        # The set of active windows can only change when ``t`` crosses
+        # one of these; the rate plan is rebuilt then and only then.
+        self._boundaries = sorted(
+            {w.start for w in self.windows} | {w.end for w in self.windows}
+        )
+        self._plan_until = float("-inf")
+        self._freeze_rejoin = False
+        #: Rate-plan rebuilds so far: 1 + boundaries crossed, never per step.
+        self.plan_rebuilds = 0
         self._active_window_count = 0
         self._utilization_sum = 0.0
         self._utilization_steps = 0
@@ -149,24 +232,31 @@ class FluidSwarm:
         calls).  Sampling and crash-impulse cursors live on the instance,
         so successive calls continue exactly where the last one stopped.
         """
-        params = self.params
+        dt = self.params.dt
+        sample_interval = self.params.sample_interval
+        impulses = self.impulses
+        n_impulses = len(impulses)
+        states = self._states
+        step = self._step
+        finished = self._finished
         started = _time.perf_counter()
-        while self.t < until:
-            if stop_when_finished and self._finished():
+        t = self.t
+        while t < until:
+            if stop_when_finished and finished():
                 break
             # Crash impulses scheduled inside this step fire first.
             while (
-                self._next_impulse < len(self.impulses)
-                and self.impulses[self._next_impulse].t < self.t + params.dt
+                self._next_impulse < n_impulses
+                and impulses[self._next_impulse].t < t + dt
             ):
-                self._fire_impulse(self.impulses[self._next_impulse])
+                self._fire_impulse(impulses[self._next_impulse])
                 self._next_impulse += 1
-            if self.t + 1e-12 >= self._next_sample:
-                for state in self._states:
-                    state.samples.append((self.t, state.progress))
-                self._next_sample += params.sample_interval
-            self._step(params.dt)
-            self.t += params.dt
+            if t + 1e-12 >= self._next_sample:
+                for state in states:
+                    state.samples.append((t, state.progress))
+                self._next_sample += sample_interval
+            step(dt)
+            self.t = t = t + dt
             self.steps += 1
         self.wall_seconds += _time.perf_counter() - started
 
@@ -188,9 +278,7 @@ class FluidSwarm:
 
     # ------------------------------------------------------------------
     def _finished(self) -> bool:
-        return all(
-            s.complete for s in self._states if not s.cls.seed
-        ) and all(s.cls.arrival_rate == 0.0 for s in self._states)
+        return self._incomplete == 0 and not self._arrivals_open
 
     @property
     def finished(self) -> bool:
@@ -243,37 +331,23 @@ class FluidSwarm:
                     permanent=impulse.permanent,
                 )
 
-    def _active_windows(self, cls: PeerClass) -> List[RateWindow]:
-        t = self.t
-        return [
-            w for w in self.windows if w.active(t) and class_matches(cls, w.target)
-        ]
-
     # ------------------------------------------------------------------
-    def _step(self, dt: float) -> None:
+    def _rebuild_plan(self) -> None:
+        """Recompute every class's rate plan for the windows active now.
+
+        Called by :meth:`_step` when ``t`` reaches the next window
+        boundary (and once at the start), so a chaos-free swarm builds
+        exactly one plan.  The arithmetic is the per-step arithmetic it
+        replaces, operand for operand: the windows fold in schedule order.
+        """
         params = self.params
-        file_size = float(params.file_size)
-        warm = max(params.warm_fraction, 1.0 / max(params.num_pieces, 1))
-
-        supply_total = 0.0
-        demand_total = 0.0
-        # Piece-holder mass for the coded-availability surrogate; only
-        # tracked when a content mode is set (the default "" skips every
-        # branch below, leaving pure-fluid runs bit-identical).
-        content_on = params.content_mode != ""
-        holder_online = 0.0
-        holder_total = 0.0
-        per_class: List[Tuple[_ClassState, float, float, float]] = []
-        freeze_rejoin = any(
-            w.freeze_rejoin for w in self.windows if w.active(self.t)
-        )
+        t = self.t
+        active = [w for w in self.windows if w.active(t)]
+        # Rejoins stall entirely while the tracker is dark.
+        self._freeze_rejoin = any(w.freeze_rejoin for w in active)
         active_count = 0
-
         for state in self._states:
             cls = state.cls
-            windows = self._active_windows(cls)
-            active_count += len(windows)
-
             availability_factor = 1.0
             upload_factor = 1.0
             download_factor = 1.0
@@ -282,7 +356,10 @@ class FluidSwarm:
             extra_handoff_rate = 0.0
             extra_handoff_downtime = 0.0
             churn_rejoin_rate = 0.0
-            for w in windows:
+            for w in active:
+                if not class_matches(cls, w.target):
+                    continue
+                active_count += 1
                 availability_factor *= w.availability_factor
                 upload_factor *= w.upload_factor
                 download_factor *= w.download_factor
@@ -293,38 +370,6 @@ class FluidSwarm:
                     extra_handoff_downtime, w.extra_handoff_downtime
                 )
                 churn_rejoin_rate = max(churn_rejoin_rate, w.rejoin_rate)
-
-            # Rejoins (stalled entirely while the tracker is dark).
-            if not freeze_rejoin and state.pools:
-                remaining: List[List[float]] = []
-                for pool in state.pools:
-                    amount, rate = pool
-                    drained = amount * min(1.0, rate * dt)
-                    state.online += drained
-                    amount -= drained
-                    if amount > 1e-9:
-                        remaining.append([amount, rate])
-                state.pools = remaining
-
-            # Churn departures into a pool that rejoins at the window's rate.
-            if departure_rate > 0.0 and state.online > 0.0:
-                departed = state.online * min(1.0, departure_rate * dt)
-                state.online -= departed
-                if churn_rejoin_rate > 0.0:
-                    state.pools.append([departed, churn_rejoin_rate])
-                else:
-                    state.alive -= departed  # aborted for good
-
-            # Arrivals enter at zero progress, diluting the class mean.
-            if cls.arrival_rate > 0.0:
-                joined = cls.arrival_rate * dt
-                old_alive = state.alive
-                state.online += joined
-                state.alive += joined
-                if state.alive > 0.0 and not state.complete:
-                    state.progress *= old_alive / state.alive
-
-            state.peak_online = max(state.peak_online, state.online)
 
             # Duty-cycle availability: scheduled handoffs + storm pressure.
             availability = cls.availability()
@@ -339,25 +384,108 @@ class FluidSwarm:
             u_cap = cls.upload_rate * upload_factor
             if cls.wp2p and not cls.seed:
                 u_cap *= cls.lihd_level
-            ramp = 1.0 if state.complete else min(1.0, state.progress / warm)
-            u_used = u_cap * ramp
-            supply_total += state.online * availability * u_used
-            if content_on and (cls.seed or state.complete):
-                # Custody holders: the online, duty-cycled fraction of
-                # the piece-holding population is what keeps individual
-                # coded indices reachable.
-                holder_online += state.online * availability
-                holder_total += state.online + state.offline
+
+            state.availability = availability
+            state.u_cap = u_cap
+            state.d_cap_base = cls.download_rate * download_factor
+            state.efficiency_factor = efficiency_factor
+            state.departure_rate = departure_rate
+            state.churn_rejoin_rate = churn_rejoin_rate
+
+        if self._active_window_count != active_count and self.trace.enabled:
+            self.trace.event(
+                "scale", "chaos_windows_active", count=active_count,
+            )
+        self._active_window_count = active_count
+        nxt = bisect_right(self._boundaries, t)
+        self._plan_until = (
+            self._boundaries[nxt] if nxt < len(self._boundaries)
+            else float("inf")
+        )
+        self.plan_rebuilds += 1
+
+    def _step(self, dt: float) -> None:
+        t = self.t
+        if t >= self._plan_until:
+            self._rebuild_plan()
+        freeze_rejoin = self._freeze_rejoin
+        warm = self._warm
+        # Piece-holder mass for the coded-availability surrogate; only
+        # tracked when a content mode is set (the default "" skips every
+        # branch below, leaving pure-fluid runs bit-identical).
+        content_on = self._content_on
+        states = self._states
+
+        supply_total = 0.0
+        demand_total = 0.0
+        holder_online = 0.0
+        holder_total = 0.0
+
+        for state in states:
+            # Rejoins (stalled entirely while the tracker is dark).
+            if state.pools and not freeze_rejoin:
+                remaining: List[List[float]] = []
+                for pool in state.pools:
+                    amount, rate = pool
+                    drained = amount * min(1.0, rate * dt)
+                    state.online += drained
+                    amount -= drained
+                    if amount > 1e-9:
+                        remaining.append([amount, rate])
+                state.pools = remaining
+
+            # Churn departures into a pool that rejoins at the window's rate.
+            departure_rate = state.departure_rate
+            if departure_rate > 0.0 and state.online > 0.0:
+                departed = state.online * min(1.0, departure_rate * dt)
+                state.online -= departed
+                if state.churn_rejoin_rate > 0.0:
+                    state.pools.append([departed, state.churn_rejoin_rate])
+                else:
+                    state.alive -= departed  # aborted for good
+
+            # Arrivals enter at zero progress, diluting the class mean.
+            arrival_rate = state.arrival_rate
+            if arrival_rate > 0.0:
+                joined = arrival_rate * dt
+                old_alive = state.alive
+                state.online += joined
+                state.alive += joined
+                if state.alive > 0.0 and not state.complete:
+                    state.progress *= old_alive / state.alive
+
+            online = state.online
+            if online > state.peak_online:
+                state.peak_online = online
+
+            availability = state.availability
+            complete = state.complete
+            if complete:
+                ramp = 1.0
+            else:
+                # Useful as an uploader once warm (piece-availability ramp).
+                ramp = state.progress / warm
+                if not ramp < 1.0:
+                    ramp = 1.0
+            u_used = state.u_cap * ramp
+            supply_total += online * availability * u_used
+            if complete:
+                if content_on:
+                    # Custody holders: the online, duty-cycled fraction
+                    # of the piece-holding population is what keeps
+                    # individual coded indices reachable.
+                    holder_online += online * availability
+                    holder_total += online + state.offline
+                continue
 
             # Download demand: shared wireless airtime charges for uploads.
-            if state.complete:
-                per_class.append((state, 0.0, availability, efficiency_factor))
-                continue
-            d_cap = cls.download_rate * download_factor
-            if cls.wireless_shared:
-                d_cap = max(0.0, d_cap - cls.upload_coupling * u_used)
-            demand_total += state.online * availability * d_cap
-            per_class.append((state, d_cap, availability, efficiency_factor))
+            d_cap = state.d_cap_base
+            if state.wireless_shared:
+                d_cap -= state.upload_coupling * u_used
+                if not d_cap > 0.0:
+                    d_cap = 0.0
+            demand_total += online * availability * d_cap
+            state.d_cap = d_cap
 
         # Boundary flows from a co-simulation driver (zero for pure-fluid
         # runs, so adding them keeps results bit-identical).
@@ -373,12 +501,7 @@ class FluidSwarm:
         self.last_demand = demand_total
         self.last_utilization = utilization if demand_total > 0.0 else 1.0
 
-        if self._active_window_count != active_count and self.trace.enabled:
-            self.trace.event(
-                "scale", "chaos_windows_active", count=active_count,
-            )
-        self._active_window_count = active_count
-
+        params = self.params
         content_factor = 1.0
         if content_on:
             # No dedicated holder mass (all seeds gone): fall back to the
@@ -393,29 +516,36 @@ class FluidSwarm:
                 params.code_k, params.code_n,
             )
 
-        if self.t < params.startup_delay:
+        if t < params.startup_delay:
             return
 
-        for state, d_cap, availability, efficiency_factor in per_class:
-            if state.complete or d_cap <= 0.0:
+        efficiency = params.efficiency
+        file_size = self._file_size
+        for state in states:
+            if state.complete:
                 continue
-            total_pop = state.online + state.offline
+            d_cap = state.d_cap
+            if d_cap <= 0.0:
+                continue
+            online = state.online
+            total_pop = online + state.offline if state.pools else online
             if total_pop <= 0.0:
                 continue
             rate = (
-                d_cap * availability * utilization
-                * params.efficiency * efficiency_factor * content_factor
+                d_cap * state.availability * utilization
+                * efficiency * state.efficiency_factor * content_factor
             )
             # Class-mean progress: only the online fraction downloads.
-            dp = rate * (state.online / total_pop) * dt / file_size
+            dp = rate * (online / total_pop) * dt / file_size
             if dp <= 0.0:
                 continue
             new_progress = state.progress + dp
             if new_progress >= 1.0:
                 overshoot = (1.0 - state.progress) / dp
-                state.completion_time = self.t + overshoot * dt
+                state.completion_time = t + overshoot * dt
                 state.progress = 1.0
                 state.complete = True
+                self._incomplete -= 1
                 self.metrics.counter("scale.completions").add(state.alive)
                 if self.trace.enabled:
                     self.trace.event(
@@ -431,25 +561,21 @@ class FluidSwarm:
     def _result(self) -> FluidResult:
         params = self.params
         classes: Dict[str, ClassResult] = {}
-        grid = [i / 50.0 for i in range(51)]  # downloaded fraction 0..1
         for state in self._states:
             cls = state.cls
             completion = state.completion_time
             goodput = 0.0
             if not cls.seed and completion:
                 goodput = params.file_size / completion
-            playability = [
-                (100.0 * d,
-                 100.0 * playability_surrogate(d, params.num_pieces, cls.selection))
-                for d in grid
-            ]
             classes[cls.name] = ClassResult(
                 name=cls.name,
                 completion_time=completion,
                 mean_goodput=goodput,
                 seed=cls.seed,
                 progress=list(state.samples),
-                playability=playability,
+                playability=list(
+                    _playability_curve(params.num_pieces, cls.selection)
+                ),
                 final_progress=state.progress,
                 peak_online=state.peak_online,
             )

@@ -290,12 +290,19 @@ class FluidResult:
         }
 
     def leecher_completion_time(self) -> Optional[float]:
-        """Latest completion among leecher classes (None if any censored)."""
+        """Latest completion among leecher classes (None if any censored).
+
+        A class that never had a peer (``peak_online == 0``) has nothing
+        to complete and censors nothing; one that had population and
+        lost it (a permanent crash) still does.
+        """
         times: List[float] = []
         for cr in self.classes.values():
             if cr.seed:
                 continue
             if cr.completion_time is None:
+                if cr.peak_online == 0.0:
+                    continue
                 return None
             times.append(cr.completion_time)
         return max(times) if times else None

@@ -171,6 +171,33 @@ class TestCache:
             handle.write("not json{")
         hit, value = cache.get("ab" * 32)
         assert not hit and value is None
+        assert (cache.misses, cache.corrupt) == (1, 1)
+        # An absent entry is a plain miss.
+        assert cache.get("cd" * 32) == (False, None)
+        assert (cache.misses, cache.corrupt) == (2, 1)
+
+    def test_truncated_entry_reexecutes_and_is_counted(self, tmp_path):
+        # Fault injection: one entry of a warm cache is cut short (a
+        # full disk, a killed writer without the atomic rename).
+        cache = ResultCache(str(tmp_path))
+        cold = Runner(cache=cache).run("fig2a", FAST_FIG2A)
+        victim = sorted(tmp_path.rglob("*.json"))[0]
+        victim.write_text(victim.read_text()[:10])
+
+        metrics = MetricsRegistry()
+        damaged = Runner(cache=cache, metrics=metrics).run("fig2a", FAST_FIG2A)
+        assert damaged.stats.cache_corrupt == 1
+        assert damaged.stats.executed == 1
+        assert damaged.stats.cache_hits == 7
+        assert "1 corrupt cache entries" in damaged.stats.summary()
+        assert metrics.snapshot()["runner.cache_corrupt"]["total"] == 1
+        assert damaged.values == cold.values
+        json.loads(victim.read_text())  # rewritten whole
+
+        healed = Runner(cache=cache).run("fig2a", FAST_FIG2A)
+        assert healed.stats.cache_hits == healed.stats.total_cells
+        assert healed.stats.cache_corrupt == 0
+        assert "corrupt" not in healed.stats.summary()
 
     def test_no_cache_runner_never_touches_disk(self, tmp_path):
         Runner(cache=None).run("fig2a", FAST_FIG2A)

@@ -330,6 +330,35 @@ class TestEngine:
         result = run_fluid(p)
         assert result.leecher_completion_time() is None
 
+    def test_empty_leecher_class_does_not_hold_the_swarm_open(self):
+        # Regression: count=0 is legal, but a leecher class with no
+        # peers and no arrivals can never progress, so it used to keep
+        # run() integrating to max_time (345,600 steps of a simulated
+        # day) and censor leecher_completion_time().
+        p = FluidParams(file_size=4 * MIB, piece_length=65_536, classes=(
+            PeerClass("seeds", 5.0, 96_000.0, 1_000_000.0, seed=True),
+            PeerClass("wired", 75.0, 48_000.0, 500_000.0),
+            PeerClass("mobile", 0.0, 24_000.0, 100_000.0, mobile=True,
+                      wireless_shared=True, handoff_interval=90.0),
+        ))
+        result = run_fluid(p)
+        wired = result.classes["wired"].completion_time
+        assert wired is not None
+        assert result.horizon == pytest.approx(wired, abs=p.dt)
+        assert result.classes["mobile"].completion_time is None
+        assert result.leecher_completion_time() == wired
+
+    def test_class_emptied_by_a_permanent_crash_still_censors(self):
+        schedule = ChaosSchedule(events=(
+            PeerCrash(start=2.0, target="mobile", downtime=None),
+        ))
+        swarm = FluidSwarm(params(max_time=400.0), chaos=schedule)
+        result = swarm.run()
+        assert _state(swarm, "mobile").alive == pytest.approx(0.0, abs=1e-9)
+        assert result.horizon == 400.0
+        assert result.classes["wired"].completion_time is not None
+        assert result.leecher_completion_time() is None
+
     def test_metrics_and_traces_flow_through_obs(self):
         from repro.obs.tracing import RingBufferSink
 
