@@ -110,7 +110,7 @@ class PeerConnection:
     # ------------------------------------------------------------------
     def _send(self, message) -> None:
         """Transmit a wire message, tracking activity for keep-alives."""
-        self.last_sent = self.sim.now
+        self.last_sent = self.sim._now
         self.tcp.send_message(message)
 
     def send_handshake(self) -> None:
@@ -133,8 +133,8 @@ class PeerConnection:
 
     def update_interest(self) -> None:
         """Recompute and signal whether we want anything this peer has."""
-        if self.closed or not self.ready:
-            return
+        if self.closed or not (self.handshake_sent and self.handshake_received):
+            return  # not self.ready, inlined: runs on every HAVE
         interested = self.peer_bitfield.has_piece_other_is_missing(
             self.client.manager.bitfield
         )
@@ -192,7 +192,7 @@ class PeerConnection:
     def _on_message(self, message: object) -> None:
         if self.closed:
             return
-        self.last_received = self.sim.now
+        self.last_received = self.sim._now
         if isinstance(message, Handshake):
             self._on_handshake(message)
         elif isinstance(message, BitfieldMessage):

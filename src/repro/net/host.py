@@ -37,6 +37,8 @@ IPChangeListener = Callable[[Optional[str], Optional[str]], Any]
 class Interface:
     """A single network interface: address, up/down state, access link."""
 
+    __slots__ = ("host", "name", "ip", "up", "link", "tx_dropped")
+
     def __init__(self, host: "Host", name: str = "wlan0") -> None:
         self.host = host
         self.name = name
@@ -119,7 +121,12 @@ class Host:
             return
         egress = self.netfilter.egress
         if not egress._filters:  # empty chain: skip the stream machinery
-            interface.transmit(packet)
+            # interface.transmit(), inlined (the interface is up here).
+            link = interface.link
+            if link is None:
+                interface.tx_dropped += 1
+            else:
+                link.send_from_host(packet)
             return
         for out in egress.apply(packet):
             interface.transmit(out)

@@ -67,10 +67,10 @@ class Internet:
         packet.hops += 1
         self.packets_forwarded += 1
         if self.core_delay > 0:
-            # Hot path (once per forwarded packet): schedule through
-            # sim._push directly to skip the schedule() wrapper frame.
+            # Hot path (once per forwarded packet), never cancelled: the
+            # kernel's handle-free push, no schedule() wrapper frame.
             sim = self.sim
-            sim._push(sim._now + self.core_delay, attachment.deliver_from_core, (packet,))
+            sim._post(sim._now + self.core_delay, attachment.deliver_from_core, (packet,))
         else:
             attachment.deliver_from_core(packet)
 

@@ -51,9 +51,34 @@ class _Direction:
         if audit is not None:
             audit.register_direction(self)
 
+    # send/_tx_done run once per packet per direction.  Nothing ever
+    # cancels a serialisation or propagation event, so both go through
+    # the kernel's handle-free sim._post (delays are non-negative by
+    # construction), and the queue's enqueue/dequeue are inlined.
     def send(self, packet: Packet) -> None:
-        if self.queue.enqueue(packet, self.sim._now) and not self._busy:
-            self._serve()
+        """Queue ``packet`` for transmission (drop-tail on overflow)."""
+        q = self.queue
+        fifo = q._queue
+        size = packet.size_bytes
+        if len(fifo) >= q.capacity_packets or (
+            q.capacity_bytes is not None and q._bytes + size > q.capacity_bytes
+        ):
+            q.enqueue(packet, self.sim._now)  # records the overflow drop
+            return
+        q.enqueued += 1
+        q.bytes_enqueued += size
+        if self._busy:
+            fifo.append(packet)
+            q._bytes += size
+            return
+        # An idle transmitter has an empty queue (it goes idle only on
+        # finding it empty): the packet passes straight through to
+        # serialisation, moving the counters a trip through the FIFO would.
+        q.dequeued += 1
+        q.bytes_dequeued += size
+        self._busy = True
+        sim = self.sim
+        sim._post(sim._now + size / self.rate, self._tx_done, (packet,))
 
     def set_rate(self, rate_bytes_per_s: float) -> None:
         if rate_bytes_per_s <= 0:
@@ -65,11 +90,13 @@ class _Direction:
             raise ValueError("prop_delay must be non-negative")
         self.prop_delay = prop_delay
 
-    # _serve/_tx_done fire once per packet per direction; they schedule
-    # through sim._push directly to skip the schedule() wrapper frame
-    # (delays here are non-negative by construction).
-    def _serve(self) -> None:
-        # Inlined self.queue.dequeue() — one call frame per packet saved.
+    def _tx_done(self, packet: Packet) -> None:
+        self.bytes_sent += packet.size_bytes
+        self.packets_sent += 1
+        sim = self.sim
+        now = sim._now
+        sim._post(now + self.prop_delay, self.deliver, (packet,))
+        # Start serialising the head-of-line packet, or go idle.
         q = self.queue
         fifo = q._queue
         if not fifo:
@@ -80,20 +107,16 @@ class _Direction:
         q._bytes -= size
         q.dequeued += 1
         q.bytes_dequeued += size
-        self._busy = True
-        sim = self.sim
-        sim._push(sim._now + size / self.rate, self._tx_done, (packet,))
-
-    def _tx_done(self, packet: Packet) -> None:
-        self.bytes_sent += packet.size_bytes
-        self.packets_sent += 1
-        sim = self.sim
-        sim._push(sim._now + self.prop_delay, self.deliver, (packet,))
-        self._serve()
+        sim._post(now + size / self.rate, self._tx_done, (packet,))
 
 
 class WiredAccessLink:
-    """Full-duplex access link: host <-> Internet core."""
+    """Full-duplex access link: host <-> Internet core.
+
+    ``send_from_host(packet)`` (the host side) and
+    ``deliver_from_core(packet)`` (the core side) are the two
+    directions' ``send``, bound per instance.
+    """
 
     def __init__(
         self,
@@ -121,6 +144,9 @@ class WiredAccessLink:
             queue_packets,
             host.interface.receive,
         )
+        # One frame per hop instead of two.
+        self.send_from_host = self.uplink.send
+        self.deliver_from_core = self.downlink.send
         host.interface.attach(self)
         self._baseline = None
 
@@ -163,17 +189,9 @@ class WiredAccessLink:
         self.downlink.set_prop_delay(down_delay)
         self._baseline = None
 
-    # Host-side API ------------------------------------------------------
-    def send_from_host(self, packet: Packet) -> None:
-        self.uplink.send(packet)
-
     def host_detached(self) -> None:
         self.uplink.queue.clear()
         self.downlink.queue.clear()
-
-    # Core-side API ------------------------------------------------------
-    def deliver_from_core(self, packet: Packet) -> None:
-        self.downlink.send(packet)
 
 
 def attach_wired_host(

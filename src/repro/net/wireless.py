@@ -232,29 +232,37 @@ class WirelessChannel:
         self._busy = True
         tx_time = (size + MAC_OVERHEAD_BYTES) / self._tx_denom
         self.airtime_busy += tx_time
+        # Airtime and propagation events are never cancelled: the
+        # kernel's handle-free push.
         sim = self.sim
-        sim._push(sim._now + tx_time, self._tx_done, (packet, direction))
+        sim._post(sim._now + tx_time, self._tx_done, (packet, direction))
 
     def _tx_done(self, packet: Packet, direction: str) -> None:
-        lost = self._rng.random() < loss_probability(self.ber, packet.size_bytes)
+        size = packet.size_bytes
+        ber = self.ber
+        # One draw per frame even on a clean channel (the stream's
+        # position is part of the run); loss_probability's ber == 0 case
+        # is taken inline.
+        lost = self._rng.random() < (
+            loss_probability(ber, size) if ber > 0.0 else 0.0
+        )
+        sim = self.sim
         if direction == UPLINK:
             self.frames_up += 1
-            self.client_tx_series.record(self.sim._now, packet.size_bytes)
+            self.client_tx_series.record(sim._now, size)
         else:
             self.frames_down += 1
         if lost:
             self.frames_lost += 1
             self.loss_records.append(
-                DropRecord(self.sim.now, self.name, f"bit_error_{direction}", packet.size_bytes)
+                DropRecord(sim._now, self.name, f"bit_error_{direction}", size)
             )
+        elif direction == UPLINK:
+            self.bytes_up += size
+            sim._post(sim._now + self.prop_delay, self.internet.forward, (packet,))
         else:
-            sim = self.sim
-            if direction == UPLINK:
-                self.bytes_up += packet.size_bytes
-                sim._push(sim._now + self.prop_delay, self.internet.forward, (packet,))
-            else:
-                self.bytes_down += packet.size_bytes
-                sim._push(sim._now + self.prop_delay, self.host.interface.receive, (packet,))
+            self.bytes_down += size
+            sim._post(sim._now + self.prop_delay, self.host.interface.receive, (packet,))
         self._serve()
 
     # ------------------------------------------------------------------

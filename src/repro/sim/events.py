@@ -1,18 +1,32 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel is callback-based: an :class:`Event` couples a firing time with a
-zero-argument callable (arguments are bound at scheduling time).  Events are
-totally ordered by ``(time, sequence)`` so that two events scheduled for the
+The kernel is callback-based: an event couples a firing time with a
+callable and the arguments bound at scheduling time.  Events are totally
+ordered by ``(time, sequence)`` so that two events scheduled for the
 same instant fire in scheduling order, which keeps runs deterministic.
 
-:class:`EventQueue` is one binary heap of ``(time, seq, event)`` tuples,
-which keeps every comparison on the C fast path (``seq`` is unique, so a
-comparison never reaches the event).  ``docs/PERFORMANCE.md`` records the
-calendar queue that was measured against it and removed.
+:class:`EventQueue` is one binary heap of 4-tuples, which keeps every
+comparison on the C fast path (``seq`` is unique, so a comparison never
+reaches the third field).  An entry takes one of two shapes, and which
+one is a property of the *caller* — does it ever cancel?
 
-Cancellation is lazy: cancelling marks the event dead and the queue
-discards it when it reaches the heap head (compacting when dead entries
-pile up), keeping push O(log n) and cancellation O(1).
+* ``(time, seq, event, None)`` — :meth:`EventQueue.push` allocates an
+  :class:`Event` handle that can later be handed to
+  :meth:`EventQueue.cancel` (timers, application callbacks).
+* ``(time, seq, callback, args)`` — :meth:`EventQueue.post` is
+  fire-and-forget: no handle exists, so the entry cannot be cancelled
+  (link serialisation, propagation and core-delay hops — most of a
+  packet run's pushes).  It consumes ``seq`` exactly as ``push`` does,
+  so mixing the two never reorders anything.
+
+``docs/PERFORMANCE.md`` records the calendar queue that was measured
+against the heap and removed.
+
+Cancellation is lazy: cancelling marks the handle dead and whoever pops
+the heap discards it when it surfaces (the queue compacts in place when
+dead entries pile up), keeping push O(log n) and cancellation O(1).
+The queue counts one thing, the dead entries still in the heap; its
+length is derived from that.
 """
 
 from __future__ import annotations
@@ -22,27 +36,18 @@ from typing import Any, Callable, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback the caller may cancel.
 
-    Instances are created by the kernel; user code receives them as handles
-    that can be cancelled via :meth:`cancel` or :meth:`Simulator.cancel`.
-    ``cancelled`` is also set when the queue pops the event to fire it,
-    so a spent handle is not :attr:`alive` and cancelling it is a no-op.
+    Instances are created by :meth:`EventQueue.push`; user code receives
+    them as handles and cancels them with ``Simulator.cancel(event)``
+    (``Timer.cancel()`` for a timer's own deadline), which goes through
+    :meth:`EventQueue.cancel` — the one place that keeps the queue's
+    accounting, which is why the handle has no cancel method of its own.
+    ``cancelled`` is also set when the event is popped to fire, so a
+    spent handle is not :attr:`alive` and cancelling it is a no-op.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def cancel(self) -> None:
-        """Mark the event so it will not fire.
-
-        Safe to call multiple times and after the event has fired (a no-op
-        in that case).
-        """
-        self.cancelled = True
-        # Drop references so cancelled events pinned in the queue do not keep
-        # large object graphs (packets, connections) alive.
-        self.callback = _noop
-        self.args = ()
 
     @property
     def alive(self) -> bool:
@@ -54,105 +59,117 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
-def _noop(*_args: Any) -> None:
-    return None
-
-
 #: ``Event.__new__`` cached for the queue push hot path: ``Event`` has no
 #: ``__init__``, the queue builds events by direct attribute stores.
 _new_event = Event.__new__
 
 
-# One queue entry: ``(time, seq, event)``.  ``seq`` is unique, so tuple
-# comparison never falls through to the event itself — every heap
+# One queue entry: ``(time, seq, event, None)`` from push() or ``(time,
+# seq, callback, args)`` from post().  ``seq`` is unique, so tuple
+# comparison never falls through to the third field — every heap
 # comparison is a C-level float/int compare.
-_Entry = Tuple[float, int, Event]
+_Entry = Tuple[float, int, Any, Optional[tuple]]
 
 
 class EventQueue:
     """A cancellable priority queue over one binary heap."""
 
-    __slots__ = ("_heap", "_seq", "_live", "_dead")
+    __slots__ = ("_heap", "_seq", "_dead")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
+        self._seq = 0  # pushes so far == the next entry's tie-break
+        self._dead = 0  # cancelled entries still in the heap
 
     def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``."""
+        """Schedule ``callback(*args)`` at absolute ``time``; returns its handle."""
         seq = self._seq
         self._seq = seq + 1
-        # Build the Event without an __init__ frame (push runs ~1M times
-        # per packet-level figure; attribute stores are all it does).
+        # Build the Event without an __init__ frame.
         event = _new_event(Event)
         event.time = time
         event.seq = seq
         event.callback = callback
         event.args = args
         event.cancelled = False
-        heappush(self._heap, (time, seq, event))
-        self._live += 1
+        heappush(self._heap, (time, seq, event, None))
         return event
 
+    def post(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> None:
+        """Schedule ``callback(*args)`` at absolute ``time``, fire-and-forget.
+
+        For callers that never cancel: the heap entry carries the
+        callback itself, no :class:`Event` is allocated, and ``seq`` is
+        consumed exactly as :meth:`push` consumes it.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, callback, args))
+
     def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event (idempotent)."""
+        """Cancel a previously pushed event (idempotent, spent included)."""
         if not event.cancelled:
-            event.cancel()
-            self._live -= 1
+            event.cancelled = True
+            # Drop references so cancelled events pinned in the heap do not
+            # keep large object graphs (packets, connections) alive.
+            event.callback = None
+            event.args = ()
             dead = self._dead = self._dead + 1
-            if dead > 512 and dead > self._live:
+            if dead > 512 and dead + dead > len(self._heap):
                 self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (order preserving)."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapify(self._heap)
+        """Drop cancelled entries and re-heapify (order preserving).
+
+        In place: ``Simulator.run`` holds the list across callbacks.
+        """
+        heap = self._heap
+        heap[:] = [
+            entry for entry in heap
+            if entry[3] is not None or not entry[2].cancelled
+        ]
+        heapify(heap)
         self._dead = 0
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            event = entry[2]
-            if not event.cancelled:
-                self._live -= 1
-                event.cancelled = True  # spent: a late cancel is a no-op
-                return event
-            self._dead -= 1
-        return None
+        return self.pop_due(None)
 
     def pop_due(self, until: Optional[float]) -> Optional[Event]:
         """Pop the earliest live event with ``time <= until`` (or any when
-        ``until`` is None); returns None without popping otherwise."""
+        ``until`` is None); returns None without popping it otherwise.
+
+        The event comes back spent (a late cancel is a no-op); a
+        handle-free entry comes back as an :class:`Event` built here.
+        """
         heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and head[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
-            event.cancelled = True  # spent: a late cancel is a no-op
+        while heap and (until is None or heap[0][0] <= until):
+            time, seq, callback, args = heappop(heap)
+            if args is None:  # a handle: the third field is the Event
+                event = callback
+                if event.cancelled:
+                    self._dead -= 1
+                    continue
+            else:
+                event = _new_event(Event)
+                event.time = time
+                event.seq = seq
+                event.callback = callback
+                event.args = args
+            event.cancelled = True
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, or None."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][3] is None and heap[0][2].cancelled:
             heappop(heap)
             self._dead -= 1
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._dead

@@ -8,6 +8,7 @@ global ``random`` module; they hold a reference to their simulator and use
 
 from __future__ import annotations
 
+from heapq import heappop
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -46,6 +47,9 @@ class Simulator:
         # Bound-method cache: schedule()/call_soon() run ~1M times per
         # packet-level figure, so skip the two attribute loads per call.
         self._push = self._queue.push
+        # The handle-free push (absolute time, like _push) for components
+        # that never cancel: links, the wireless cell, the core.
+        self._post = self._queue.post
         self._now = 0.0
         self.rng = RngRegistry(seed)
         self._running = False
@@ -96,7 +100,8 @@ class Simulator:
         return self._push(self._now, callback, args)
 
     def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a scheduled event.  ``None`` and spent events are no-ops."""
+        """Cancel a scheduled event (the handle has no cancel method of
+        its own).  ``None`` and spent events are no-ops."""
         if event is not None:
             self._queue.cancel(event)
 
@@ -108,7 +113,8 @@ class Simulator:
 
         Returns the simulated time at which the run stopped.  If ``until``
         is given, the clock is advanced to exactly ``until`` even when the
-        queue drains early, so back-to-back ``run`` calls compose.
+        queue drains early, so back-to-back ``run`` calls compose (an
+        event not yet due stays queued under its ``(time, seq)`` key).
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -124,21 +130,31 @@ class Simulator:
             )
         run_started_wall = perf_counter() if profiler is not None else 0.0
         run_started_sim = self._now
-        pop_due = self._queue.pop_due
+        queue = self._queue
         try:
             if auditor is None and profiler is None and max_events is None:
-                # Fast path: the common unobserved bulk run.  One queue
-                # call per event, no per-event feature checks.
-                while True:
-                    event = pop_due(until)
-                    if event is None:
-                        break
-                    self._now = event.time
-                    event.callback(*event.args)
+                # Fast path: the common unobserved bulk run pops the heap
+                # itself — no queue call, no per-event feature checks.
+                # Callbacks push into, and cancel() compacts, this list.
+                heap = queue._heap
+                horizon = float("inf") if until is None else until
+                while heap and heap[0][0] <= horizon:
+                    time, _, callback, args = heappop(heap)
+                    if args is None:  # a handle: the third field is the Event
+                        event = callback
+                        if event.cancelled:
+                            queue._dead -= 1
+                            continue
+                        event.cancelled = True  # spent: a late cancel is a no-op
+                        callback = event.callback
+                        args = event.args
+                    self._now = time
+                    callback(*args)
                     processed += 1
                     if self._stopped:
                         break
             else:
+                pop_due = queue.pop_due
                 while True:
                     event = pop_due(until)
                     if event is None:

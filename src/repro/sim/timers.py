@@ -11,14 +11,16 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .events import Event
-from .kernel import Simulator
+from .kernel import SimulationError, Simulator
 
 
 class Timer:
     """A one-shot timer that can be (re)started and cancelled.
 
     The callback is invoked with no arguments when the timer expires.
-    Restarting an armed timer cancels the previous deadline.
+    Restarting an armed timer cancels the previous deadline.  ``_event``
+    is that deadline's handle, ``None`` exactly while disarmed; start and
+    cancel run once per TCP segment, so they go to the queue directly.
     """
 
     __slots__ = ("_sim", "_callback", "_event")
@@ -30,25 +32,27 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
+        sim = self._sim
+        if self._event is not None:
+            sim._queue.cancel(self._event)
+        self._event = sim._push(sim._now + delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
         if self._event is not None:
-            self._sim.cancel(self._event)
+            self._sim._queue.cancel(self._event)
             self._event = None
 
     @property
     def armed(self) -> bool:
-        return self._event is not None and self._event.alive
+        return self._event is not None
 
     @property
     def expires_at(self) -> Optional[float]:
         """Absolute expiry time, or None when disarmed."""
-        if self._event is not None and self._event.alive:
-            return self._event.time
-        return None
+        return self._event.time if self._event is not None else None
 
     def _fire(self) -> None:
         self._event = None

@@ -25,7 +25,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..net.host import Host
 from ..net.packet import Packet
 from ..sim import Simulator, Timer
-from .congestion import NewRenoCongestionControl
+from .congestion import FAST_RECOVERY, NewRenoCongestionControl
 from .rtt import RTTEstimator
 from .segment import ACK, DEFAULT_MSS, FIN, RST, SYN, TCPSegment, pure_ack
 from .streams import ReceiveStream, SendStream
@@ -305,51 +305,68 @@ class TCPConnection:
     # ACK-side processing
     # ------------------------------------------------------------------
     def _process_ack(self, segment: TCPSegment) -> None:
-        if not segment.flags & ACK or segment.ack is None:
+        """The ACK clock: runs once per received segment.
+
+        The common connection has no FIN out, no SACK scoreboard and
+        nothing new to do on a piggybacked repeat of ``snd.una``; those
+        branches of ``_ack_advance`` / ``_flight_size`` /
+        ``_maybe_finish_close`` are taken inline here.
+        """
+        ack = segment.ack
+        if not segment.flags & ACK or ack is None:
             return
         self._peer_rwnd = segment.rwnd
-        ack = segment.ack
-        if ack > self._max_sent + (1 if self._fin_sent else 0):
+        fin_sent = self._fin_sent
+        if ack > self._max_sent + (1 if fin_sent else 0):
             return  # acks data we never sent; ignore
 
-        if self.config.sack and segment.sack_blocks:
+        if segment.sack_blocks and self.config.sack:
             self._sack_update(segment.sack_blocks)
 
-        if ack > self.snd.una:
-            acked = self._ack_advance(ack)
-            self._holes_retransmitted.clear()
-            self._sack_prune()
+        snd = self.snd
+        if ack > snd.una:
+            if fin_sent:
+                acked = self._ack_advance(ack)
+            else:
+                acked = snd.ack_to(ack)  # ack <= _max_sent <= snd.end
+            if self._holes_retransmitted:
+                self._holes_retransmitted.clear()
+            if self._sack_scoreboard:
+                self._sack_prune()
             self._dupacks = 0
             self._consecutive_timeouts = 0
             if self._timed_end is not None and ack >= self._timed_end:
                 if self._timed_valid:
                     self.rtt.sample(self.sim._now - self._timed_at)
                 self._timed_end = None
-            was_recovery = self.cc.in_recovery
-            retransmit = self.cc.on_new_ack(acked, self.snd.nxt, ack)
-            if was_recovery and not self.cc.in_recovery and self.sim.trace.enabled:
+            cc = self.cc
+            was_recovery = cc.state == FAST_RECOVERY
+            retransmit = cc.on_new_ack(acked, snd.nxt, ack)
+            if was_recovery and cc.state != FAST_RECOVERY and self.sim.trace.enabled:
                 self.sim.trace.event(
                     "tcp", "recovery_exit", conn=self._trace_label,
-                    cwnd=self.cc.cwnd, ssthresh=self.cc.ssthresh,
+                    cwnd=cc.cwnd, ssthresh=cc.ssthresh,
                 )
             self.stats.payload_bytes_acked += acked
             if retransmit:
                 self._retransmit_head()
-            if self._flight_size() > 0:
+            if (self._flight_size() if fin_sent else snd.nxt - snd.una) > 0:
                 self._rto_timer.start(self.rtt.rto)
             else:
                 self._rto_timer.cancel()
                 self.rtt.reset_backoff()
-            self._maybe_finish_close(ack)
+            if fin_sent:
+                self._maybe_finish_close(ack)
             self._try_output()
         elif (
-            ack == self.snd.una
+            segment.payload_len == 0
+            and segment.flags == ACK  # a pure ACK (segment.is_pure_ack)
+            and ack == snd.una
             and (flight_before := self._flight_size()) > 0
-            and segment.is_pure_ack
         ):
             self._dupacks += 1
             self.stats.dupacks_received += 1
-            if self.cc.on_dupack(self._dupacks, flight_before, self.snd.nxt):
+            if self.cc.on_dupack(self._dupacks, flight_before, snd.nxt):
                 self.stats.fast_retransmits += 1
                 if self.sim.trace.enabled:
                     self.sim.trace.event(
@@ -397,7 +414,8 @@ class TCPConnection:
     # Data-side processing
     # ------------------------------------------------------------------
     def _process_data(self, segment: TCPSegment) -> None:
-        if self.rcv is None or self._finished:
+        rcv = self.rcv
+        if rcv is None or self._finished:
             return
         has_payload = segment.payload_len > 0
         fin = segment.flags & FIN
@@ -409,22 +427,22 @@ class TCPConnection:
 
         advanced = False
         if has_payload:
-            advanced = self.rcv.add(segment.seq, segment.payload_len, segment.messages)
+            advanced = rcv.add(segment.seq, segment.payload_len, segment.messages)
             if advanced:
-                delivered = self.rcv.pop_deliverable()
-                self.stats.payload_bytes_delivered = self.rcv.bytes_delivered
-                for message in delivered:
-                    if self.on_message is not None:
-                        self.on_message(message)
-                if self._finished:
-                    return
+                self.stats.payload_bytes_delivered = rcv.bytes_delivered
+                if rcv._pending_heap:  # else nothing can be deliverable
+                    for message in rcv.pop_deliverable():
+                        if self.on_message is not None:
+                            self.on_message(message)
+                    if self._finished:
+                        return
 
-        fin_consumed = False
-        if self._remote_fin_seq is not None and self.rcv.rcv_nxt == self._remote_fin_seq and not self.rcv.has_gap:
-            self.rcv.rcv_nxt += 1
-            fin_consumed = True
-
-        if fin_consumed:
+        if (
+            self._remote_fin_seq is not None
+            and rcv.rcv_nxt == self._remote_fin_seq
+            and not rcv._segments  # no reassembly gap
+        ):
+            rcv.rcv_nxt += 1
             self._on_remote_fin()
             self._send_pure_ack()
             return
@@ -445,11 +463,12 @@ class TCPConnection:
         sent = self._try_output()
         if sent > 0:
             return  # ACK rode out on a data segment
+        config = self.config
         pending = self.rcv.rcv_nxt - self._last_ack_sent
-        if pending >= self.config.delack_segments * self.config.mss:
+        if pending >= config.delack_segments * config.mss:
             self._send_pure_ack()
-        elif not self._delack_timer.armed:
-            self._delack_timer.start(self.config.delack_timeout)
+        elif self._delack_timer._event is None:  # not armed
+            self._delack_timer.start(config.delack_timeout)
 
     def _on_delack(self) -> None:
         if self.rcv is not None and self.rcv.rcv_nxt > self._last_ack_sent:
@@ -472,14 +491,16 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def _try_output(self) -> int:
         """Send as much new data as the window allows; returns segments sent."""
+        snd = self.snd
+        config = self.config
+        if snd.nxt >= snd.end and not self._fin_pending and not config.track_cwnd:
+            return 0  # nothing unsent, no FIN owed: the usual ACK-clock call
         if (
             self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT, CLOSING, LAST_ACK)
             or self.rcv is None
         ):
             return 0
         sent = 0
-        snd = self.snd
-        config = self.config
         window = min(self.cc.cwnd, self._peer_rwnd)
         # Once our FIN is out nothing new may follow it, but data *before*
         # the FIN may still be (re)transmitted — e.g. go-back-N after RTO.
@@ -511,7 +532,7 @@ class TCPConnection:
             self.stats.payload_bytes_sent += take
             if sent == 0 and take > 0:
                 self.stats.piggybacked_acks += 1
-            if not self._rto_timer.armed:
+            if self._rto_timer._event is None:  # not armed
                 self._rto_timer.start(self.rtt.rto)
             sent += 1
         if (
@@ -521,7 +542,7 @@ class TCPConnection:
             and self.state in (ESTABLISHED, CLOSE_WAIT)
         ):
             self._send_fin()
-        if self.config.track_cwnd:
+        if config.track_cwnd:
             self.stats.cwnd_history.append((self.sim.now, self.cc.cwnd))
         return sent
 
@@ -567,9 +588,9 @@ class TCPConnection:
         if segment.flags & ACK and ack is not None:
             if ack > self._last_ack_sent:
                 self._last_ack_sent = ack
-            self._delack_timer.cancel()
-        packet = Packet(self.local_ip, self.remote_ip, segment, created_at=self.sim._now)
-        self.host.send(packet)
+            if self._delack_timer._event is not None:  # armed
+                self._delack_timer.cancel()
+        self.host.send(Packet(self.local_ip, self.remote_ip, segment, self.sim._now))
 
     # ------------------------------------------------------------------
     # Timers

@@ -49,6 +49,7 @@ class TCPSegment:
         "messages",
         "rwnd",
         "sack_blocks",
+        "wire_size",
     )
 
     def __init__(
@@ -78,17 +79,14 @@ class TCPSegment:
         self.messages = messages
         self.rwnd = rwnd
         self.sack_blocks = sack_blocks
+        # Bytes on the wire at the transport layer (header + payload),
+        # fixed at construction: segments are never mutated.  SACK blocks
+        # cost real option bytes (2 + 8 per block, RFC 2018), which
+        # matters to the wireless bit-error model.
+        options = (2 + 8 * len(sack_blocks)) if sack_blocks else 0
+        self.wire_size = TCP_HEADER_BYTES + options + payload_len
 
     # ------------------------------------------------------------------
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire at the transport layer (header + payload).
-
-        SACK blocks cost real option bytes (2 + 8 per block, RFC 2018),
-        which matters to the wireless bit-error model."""
-        options = (2 + 8 * len(self.sack_blocks)) if self.sack_blocks else 0
-        return TCP_HEADER_BYTES + options + self.payload_len
-
     @property
     def seq_span(self) -> int:
         """Sequence numbers consumed: payload plus one for SYN/FIN."""

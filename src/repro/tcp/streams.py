@@ -19,12 +19,17 @@ from typing import Any, Dict, List, Optional, Tuple
 class SendStream:
     """Outgoing stream state: una / nxt / end pointers plus message ranges."""
 
+    __slots__ = ("una", "nxt", "end", "_message_ends", "_ends")
+
     def __init__(self, initial_seq: int) -> None:
         self.una = initial_seq  # oldest unacknowledged byte
         self.nxt = initial_seq  # next byte to transmit
         self.end = initial_seq  # end of data written by the application
         # (end_seq, message) sorted by end_seq; pruned as data is acked.
         self._message_ends: List[Tuple[int, Any]] = []
+        # The end_seq column alone, entry for entry: bisecting plain ints
+        # stays in C, bisecting the pairs would compare messages.
+        self._ends: List[int] = []
 
     # ------------------------------------------------------------------
     # Application side
@@ -36,6 +41,7 @@ class SendStream:
         start = self.end
         self.end += length
         self._message_ends.append((self.end, message))
+        self._ends.append(self.end)
         return start, self.end
 
     @property
@@ -61,9 +67,10 @@ class SendStream:
         message's last byte; ranges are ``[seq, seq + len)`` so the message
         ending at ``e`` rides any segment with ``start < e <= end``.
         """
-        lo = bisect_right(self._message_ends, (start, _MAX_OBJ))
-        hi = bisect_right(self._message_ends, (end, _MAX_OBJ))
-        return tuple(self._message_ends[lo:hi])
+        ends = self._ends
+        lo = bisect_right(ends, start)
+        hi = bisect_right(ends, end, lo)
+        return tuple(self._message_ends[lo:hi]) if hi > lo else ()
 
     def ack_to(self, ack: int) -> int:
         """Process a cumulative ACK; returns bytes newly acknowledged.
@@ -80,27 +87,20 @@ class SendStream:
         self.una = ack
         if self.nxt < ack:
             self.nxt = ack
-        lo = bisect_right(self._message_ends, (ack, _MAX_OBJ))
+        lo = bisect_right(self._ends, ack)
         if lo:
             del self._message_ends[:lo]
+            del self._ends[:lo]
         return acked
-
-
-class _MaxObj:
-    """Sorts after every other object (sentinel for bisect on tuples)."""
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __gt__(self, other: object) -> bool:
-        return True
-
-
-_MAX_OBJ = _MaxObj()
 
 
 class ReceiveStream:
     """Incoming stream reassembly and in-order message delivery."""
+
+    __slots__ = (
+        "rcv_nxt", "_segments", "_pending", "_pending_heap",
+        "bytes_delivered", "duplicate_bytes", "_last_insert_point",
+    )
 
     def __init__(self, initial_seq: int) -> None:
         self.rcv_nxt = initial_seq

@@ -6,10 +6,20 @@ most obvious structure with that behaviour — a list of ``(time, seq)``
 pairs sorted on demand plus a cancelled set — and the queue is driven in
 lockstep with it through randomized insert / cancel / bounded-pop
 schedules, checking every ``pop_due``, ``pop``, ``peek_time`` and
-``len``.  The three schedule families are the ones that broke the
-removed calendar queue (``int(t / width)`` rounds across a bucket
-boundary for exact multiples such as ``4.1 / 0.005``); they stay because
-an alternative queue has to pass them before it is measured.
+``len``.  Pushes are a mix of ``push`` (a handle the schedule may
+cancel) and the handle-free ``post`` (an entry nobody can cancel); both
+draw ``seq`` from the one counter.  The three schedule families are the
+ones that broke the removed calendar queue (``int(t / width)`` rounds
+across a bucket boundary for exact multiples such as ``4.1 / 0.005``);
+they stay because an alternative queue has to pass them before it is
+measured.
+
+A fourth family drives :meth:`Simulator.run` itself — whose unobserved
+loop pops the heap directly — over random uneven ``run(until=t_k)``
+slices of a self-extending schedule (handle and handle-free pushes at
+equal times, cancels, ``stop()``, a compaction mid-run) and requires
+what one uninterrupted ``run()`` produces; the profiled loop must
+dispatch the same sequence and see the real callbacks.
 """
 
 from __future__ import annotations
@@ -76,7 +86,11 @@ def _drive(seed: int, *, times, ops: int = 4_000) -> None:
 
     for _ in range(ops):
         roll = rng.random()
-        if roll < 0.55 or not handles:
+        if roll < 0.25:
+            t = times(rng)
+            queue.post(t, _noop)  # no handle: the model can never cancel it
+            model.push(t)
+        elif roll < 0.55 or not handles:
             t = times(rng)
             event = queue.push(t, _noop)
             assert event.seq == model.push(t)
@@ -90,7 +104,7 @@ def _drive(seed: int, *, times, ops: int = 4_000) -> None:
             want = model.pop_due(until)
             _check_pop(queue.pop_due(until), want, until)
             if want is not None:
-                del handles[want[1]]
+                handles.pop(want[1], None)  # posted entries have no handle
         live = model.live()
         assert queue.peek_time() == (live[0][0] if live else None)
         assert len(queue) == len(live)
@@ -150,6 +164,138 @@ def test_order_survives_compaction():
         _check_pop(queue.pop(), want, "after compaction")
         if want is None:
             break
+
+
+# ----------------------------------------------------------------------
+# Simulator.run over uneven slices == one uninterrupted run
+# ----------------------------------------------------------------------
+class _Program:
+    """A schedule that extends itself as it runs.
+
+    Every decision an event makes (what it pushes, which handle it
+    cancels, whether it stops the run) is drawn from an RNG seeded by
+    the event's own id, so the behaviour is a function of dispatch order
+    alone — how the run is sliced cannot leak into it.
+    """
+
+    GRID = 0.25  # coarse time grid: many handle/handle-free ties
+
+    def __init__(self, seed: int, profiled: bool = False) -> None:
+        self.sim = Simulator(seed=seed)
+        self.seed = seed
+        self.log = []  # (id, time, pending after the event's own pushes)
+        self.recorded = []  # callback names the profiler hook was handed
+        self.handles = {}  # id -> Event, for ids pushed with a handle
+        self.stops = 0
+        self.next_id = 0
+        if profiled:
+            self.sim.enable_profiling().record = (
+                lambda callback, dt: self.recorded.append(callback.__name__)
+            )
+        rng = random.Random(seed)
+        for _ in range(40):
+            self._push(rng, horizon=20.0)
+        # A pile of far-future handles, kept apart from the ones above,
+        # that events cancel 300 at a time: > 512 dead outnumbering the
+        # live ones -> compaction inside a callback, while run() holds
+        # the heap.  The last 200 survive and fire.
+        self.pile = [self._push_handle(500.0 + i * 0.01) for i in range(1_400)]
+        self.handles.clear()
+
+    def _push_handle(self, time: float):
+        ident = self.next_id
+        self.next_id += 1
+        event = self.sim.schedule_at(time, self.fire_handle, ident)
+        self.handles[ident] = event
+        return event
+
+    def _push(self, rng, horizon: float) -> None:
+        time = self.sim.now + round(rng.random() * horizon / self.GRID) * self.GRID
+        if rng.random() < 0.5:
+            self._push_handle(time)
+        else:
+            ident = self.next_id
+            self.next_id += 1
+            self.sim._post(time, self.fire_posted, (ident,))
+
+    def fire_handle(self, ident: int) -> None:
+        self.handles.pop(ident, None)
+        self._fire(ident)
+
+    def fire_posted(self, ident: int) -> None:
+        self._fire(ident)
+
+    def _fire(self, ident: int) -> None:
+        sim = self.sim
+        rng = random.Random(self.seed * 1_000_003 + ident)
+        if self.next_id < 4_000:  # the schedule stops extending itself
+            for _ in range(rng.choice((1, 1, 2, 2))):
+                self._push(rng, horizon=6.0)
+        if self.handles and rng.random() < 0.3:
+            victim = rng.choice(sorted(self.handles))
+            sim.cancel(self.handles.pop(victim))
+        if len(self.pile) > 200 and rng.random() < 0.2:
+            for event in self.pile[:300]:
+                sim.cancel(event)
+            del self.pile[:300]
+        if rng.random() < 0.05:
+            self.stops += 1
+            sim.stop()
+        self.log.append((ident, sim.now, sim.pending_events))
+
+    def run(self, until=None) -> None:
+        """``sim.run(until)``, resumed for as long as an event stopped it."""
+        while True:
+            stops = self.stops
+            self.sim.run(until=until)
+            if self.stops == stops:
+                return
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sliced_runs_equal_one_uninterrupted_run(seed):
+    whole = _Program(seed)
+    whole.run()
+    assert whole.stops > 0 and len(whole.pile) == 200  # stop() and compaction happened
+    assert len(whole.log) > 500
+
+    sliced = _Program(seed)
+    rng = random.Random(seed + 100)
+    t = 0.0
+    while sliced.sim.pending_events and t < 400.0:
+        # Uneven slices: empty ones, ones ending exactly on the event
+        # grid (a head due *at* ``until`` fires, the next one stays).
+        t += rng.choice((0.0, 0.1, _Program.GRID, 1.0, 3.7, 25.0))
+        sliced.run(until=t)
+        assert sliced.sim.now == t
+        done = len(sliced.log)
+        assert sliced.log == whole.log[:done]
+        assert all(entry[1] <= t for entry in sliced.log)
+        assert done == len(whole.log) or whole.log[done][1] > t
+        if done:
+            assert sliced.sim.pending_events == whole.log[done - 1][2]
+        assert sliced.sim.events_processed == done
+    sliced.run()  # the far-future survivors of the pile
+    assert sliced.log == whole.log
+    assert sliced.sim.now == whole.sim.now
+    assert sliced.sim.events_processed == whole.sim.events_processed == len(whole.log)
+    assert sliced.sim.pending_events == whole.sim.pending_events == 0
+    assert not sliced.sim._queue and sliced.sim._queue._dead == 0
+    assert sliced.sim._queue._seq == whole.sim._queue._seq  # same pushes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_profiled_loop_dispatches_the_same_sequence(seed):
+    plain = _Program(seed)
+    plain.run()
+    profiled = _Program(seed, profiled=True)
+    profiled.run()
+    assert profiled.log == plain.log
+    assert profiled.sim.events_processed == plain.sim.events_processed
+    # record() was handed the real callback of every entry, handle or not.
+    assert set(profiled.recorded) == {"fire_handle", "fire_posted"}
+    assert len(profiled.recorded) == len(plain.log)
+    assert profiled.recorded.count("fire_posted") > 100
 
 
 def test_bulk_transfer_statistics_pinned():

@@ -122,6 +122,24 @@ class TestSimulator:
         sim = Simulator()
         sim.cancel(None)
 
+    def test_cancel_has_one_path_and_its_accounting_holds(self):
+        """The handle used to offer ``event.cancel()``, which marked the
+        event dead without telling the queue: ``pending_events`` stayed
+        at 2 here, read 1 after the drain, and the dead count went to
+        -1.  Cancelling goes through the simulator (or the queue) only."""
+        sim = Simulator()
+        fired = []
+        doomed = sim.schedule(1.0, fired.append, "doomed")
+        sim.schedule(2.0, fired.append, "kept")
+        assert not hasattr(doomed, "cancel")
+        sim.cancel(doomed)
+        sim.cancel(doomed)  # idempotent
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["kept"]
+        assert sim.pending_events == 0
+        assert not sim._queue and sim._queue._dead == 0
+
     def test_cancel_spent_event_is_noop(self):
         """Cancelling an event that already fired must not touch the
         queue's live count (it used to drop it by one, hiding a queued
@@ -186,6 +204,22 @@ class TestTimer:
         t.start(4.0)
         assert t.armed
         assert t.expires_at == 4.0
+        sim.run()
+        assert not t.armed and t.expires_at is None
+
+    def test_negative_delay_raises_and_restart_keeps_the_queue_count(self):
+        """start() schedules through the queue directly; it still refuses
+        the past, and a restart leaves one live deadline, not two."""
+        sim = Simulator()
+        t = Timer(sim, lambda: None)
+        with pytest.raises(SimulationError):
+            t.start(-0.1)
+        assert not t.armed and sim.pending_events == 0
+        t.start(1.0)
+        t.start(3.0)
+        assert sim.pending_events == 1 and t.expires_at == 3.0
+        t.cancel()
+        assert sim.pending_events == 0
 
 
 class TestPeriodicTask:
