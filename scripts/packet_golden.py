@@ -56,6 +56,21 @@ GOLDEN_PATH = (
 #: The ``--quick`` packet_swarm cell of the committed benchmark.
 QUICK_SWARM = dict(FigXScale.defaults, file_size_kib=256, handoff_interval=10.0)
 
+#: Connection churn, default clients: every mobile download crosses
+#: several handoffs, and the restart delay is shorter than the handoff
+#: interval so each one is a teardown, a fresh peer ID and a re-announce.
+RESTART_CHURN = dict(
+    FigXScale.defaults, file_size_kib=512, handoff_interval=10.0,
+    restart_delay=2.0,
+)
+
+#: Connection churn, CDN shape: 60 s of short per-asset swarms under a
+#: handoff every 15 s (1,723 TCP connections in 103,049 events).
+CDN_CHURN = dict(
+    FigXCdn.defaults, catalog="assets:4,size_kib:128,piece_kib:16",
+    demand="zipf:0.3@2.0", duration=60.0,
+)
+
 
 def _sack_pair() -> object:
     """Bi-directional bulk TCP over a lossy cell with SACK and the cwnd
@@ -98,10 +113,7 @@ def _traced() -> object:
 
 def cases() -> Dict[str, Callable[[], object]]:
     """Case name -> thunk producing the JSON data that is hashed."""
-    cdn = dict(
-        FigXCdn.defaults, catalog="assets:4,size_kib:128,piece_kib:16",
-        demand="zipf:0.3@2.0", duration=12.0,
-    )
+    cdn = dict(CDN_CHURN, duration=12.0)
     return {
         "fig2_bidirectional_ber": lambda: dataclasses.asdict(
             run_transfer(1, 1e-5, True, duration=30.0)
@@ -120,7 +132,11 @@ def cases() -> Dict[str, Callable[[], object]]:
         "swarm_handoffs_wp2p": lambda: packet_cell(
             3, 12, 0.4, True, dict(QUICK_SWARM, file_size_kib=512, handoff_interval=4.0)
         ),
+        "swarm_restart_churn": lambda: packet_cell(
+            5, 12, 0.5, False, RESTART_CHURN
+        ),
         "cdn_mini_wp2p": lambda: cdn_run(7, "wp2p", 0.4, cdn),
+        "cdn_churn_default": lambda: cdn_run(3, "default", 0.4, CDN_CHURN),
         "hybrid_cell": _hybrid,
         "chaos_degrade": lambda: chaos_run(
             8, "degrade", 2.0, 120.0, False, horizon=40.0,

@@ -500,7 +500,10 @@ class BitTorrentClient:
         return [p for p in self.peers.values() if not p.closed]
 
     def _connection_count(self) -> int:
-        return len(self.connected_peers()) + len(self._pending)
+        count = len(self._pending)
+        for peer in self.peers.values():
+            count += not peer.closed
+        return count
 
     def _close_all_connections(self, reason: str) -> None:
         for peer in list(self.peers.values()) + list(self._pending):
@@ -680,25 +683,26 @@ class BitTorrentClient:
     # ------------------------------------------------------------------
     def _on_sweep(self) -> None:
         released = self.manager.expire_requests(self.sim.now, self.config.request_timeout)
+        peers = self.connected_peers()
         if released:
             keys = set(released)
-            for peer in self.connected_peers():
+            for peer in peers:
                 for key in list(peer.outstanding):
                     if key in keys:
                         del peer.outstanding[key]
-        for peer in self.connected_peers():
+        for peer in peers:
             if not peer.peer_choking and peer.am_interested:
                 self.fill_requests(peer)
-        self._keepalive_sweep()
+        self._keepalive_sweep(peers)
         self._pump_uploads()
         self.ledger.prune()
         if self._connection_count() < self.config.max_peers:
             self.connect_to_known_peers(limit=self.config.connects_per_sweep)
 
-    def _keepalive_sweep(self) -> None:
+    def _keepalive_sweep(self, peers: List[PeerConnection]) -> None:
         """Keep idle connections alive; reap dead-silent ones."""
         now = self.sim.now
-        for peer in self.connected_peers():
+        for peer in peers:
             if not peer.ready:
                 continue
             if (

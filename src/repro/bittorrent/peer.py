@@ -61,9 +61,7 @@ class PeerConnection:
         self.handshake_received = False
         self.registered = False
 
-        window = client.config.rate_window
-        self.download_meter = RateMeter(self.sim, window=window)
-        self.upload_meter = RateMeter(self.sim, window=window)
+        self._download_meter = self._upload_meter = None  # built on first use
         self.outstanding: Dict[BlockKey, float] = {}  # our pending requests
         self.blocks_uploaded = 0
         self.blocks_downloaded = 0
@@ -83,6 +81,24 @@ class PeerConnection:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _new_meter(self) -> RateMeter:
+        """A connection that dies in the handshake never needs one."""
+        return RateMeter(self.sim, window=self.client.config.rate_window)
+
+    @property
+    def download_meter(self) -> RateMeter:
+        """Sliding-window rate of blocks received from this peer."""
+        if self._download_meter is None:
+            self._download_meter = self._new_meter()
+        return self._download_meter
+
+    @property
+    def upload_meter(self) -> RateMeter:
+        """Sliding-window rate of blocks sent to this peer."""
+        if self._upload_meter is None:
+            self._upload_meter = self._new_meter()
+        return self._upload_meter
+
     @property
     def ready(self) -> bool:
         """Handshake exchanged in both directions."""

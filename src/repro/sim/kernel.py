@@ -139,15 +139,15 @@ class Simulator:
                 heap = queue._heap
                 horizon = float("inf") if until is None else until
                 while heap and heap[0][0] <= horizon:
-                    time, _, callback, args = heappop(heap)
-                    if args is None:  # a handle: the third field is the Event
-                        event = callback
-                        if event.cancelled:
+                    time, seq, callback, args = heappop(heap)
+                    if args is None:  # a handle in the third field
+                        handle = callback
+                        if handle._live != seq:  # stale: cancelled or re-armed
                             queue._dead -= 1
                             continue
-                        event.cancelled = True  # spent: a late cancel is a no-op
-                        callback = event.callback
-                        args = event.args
+                        handle._live = None  # spent: a late cancel is a no-op
+                        callback = handle.callback
+                        args = handle.args
                     self._now = time
                     callback(*args)
                     processed += 1

@@ -19,8 +19,8 @@ and re-delivers them in order on the far side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..net.host import Host
 from ..net.packet import Packet
@@ -39,6 +39,10 @@ FIN_WAIT = "fin_wait"
 CLOSE_WAIT = "close_wait"
 LAST_ACK = "last_ack"
 CLOSING = "closing"
+
+
+def _released() -> None:
+    """What a finished connection's timers fire instead of its methods."""
 
 
 @dataclass
@@ -79,7 +83,7 @@ class ConnectionStats:
     timeouts: int = 0
     fast_retransmits: int = 0
     piggybacked_acks: int = 0
-    cwnd_history: List[Tuple[float, int]] = field(default_factory=list)
+    cwnd_history: Sequence[Tuple[float, int]] = ()  # a list under track_cwnd
 
 
 class TCPConnection:
@@ -128,7 +132,7 @@ class TCPConnection:
             min_rto=self.config.min_rto,
             max_rto=self.config.max_rto,
         )
-        self.stats = ConnectionStats()
+        self.stats = ConnectionStats(cwnd_history=[] if self.config.track_cwnd else ())
 
         self._rto_timer = Timer(sim, self._on_rto)
         self._delack_timer = Timer(sim, self._on_delack)
@@ -146,10 +150,12 @@ class TCPConnection:
         self._local_fin_seq: Optional[int] = None
         self._remote_fin_seq: Optional[int] = None
         self._finished = False
-        self._sack_scoreboard: List[Tuple[int, int]] = []
-        # hole start -> dupack count when (re)sent; a hole may be resent
-        # after 4 further dupacks (its retransmission was likely lost too)
-        self._holes_retransmitted: dict = {}
+        # SACK-lite sender state, built only under TCPConfig.sack: the
+        # scoreboard, and hole start -> dupack count when (re)sent; a hole
+        # may be resent after 4 further dupacks (its retransmission was
+        # likely lost too).
+        self._sack_scoreboard: Sequence[Tuple[int, int]] = [] if self.config.sack else ()
+        self._holes_retransmitted = {} if self.config.sack else None
 
         # Application callbacks.
         self.on_established: Optional[Callable[[], None]] = None
@@ -467,7 +473,7 @@ class TCPConnection:
         pending = self.rcv.rcv_nxt - self._last_ack_sent
         if pending >= config.delack_segments * config.mss:
             self._send_pure_ack()
-        elif self._delack_timer._event is None:  # not armed
+        elif self._delack_timer._live is None:  # not armed
             self._delack_timer.start(config.delack_timeout)
 
     def _on_delack(self) -> None:
@@ -532,7 +538,7 @@ class TCPConnection:
             self.stats.payload_bytes_sent += take
             if sent == 0 and take > 0:
                 self.stats.piggybacked_acks += 1
-            if self._rto_timer._event is None:  # not armed
+            if self._rto_timer._live is None:  # not armed
                 self._rto_timer.start(self.rtt.rto)
             sent += 1
         if (
@@ -588,7 +594,7 @@ class TCPConnection:
         if segment.flags & ACK and ack is not None:
             if ack > self._last_ack_sent:
                 self._last_ack_sent = ack
-            if self._delack_timer._event is not None:  # armed
+            if self._delack_timer._live is not None:  # armed
                 self._delack_timer.cancel()
         self.host.send(Packet(self.local_ip, self.remote_ip, segment, self.sim._now))
 
@@ -639,8 +645,9 @@ class TCPConnection:
         self.rtt.backoff()
         self._dupacks = 0
         self._timed_end = None
-        self._sack_scoreboard.clear()
-        self._holes_retransmitted.clear()
+        if self.config.sack:
+            self._sack_scoreboard = []
+            self._holes_retransmitted.clear()
         if (
             self._fin_sent
             and self._local_fin_seq is not None
@@ -826,6 +833,14 @@ class TCPConnection:
             self._unregister(self)
         if self.on_close is not None:
             self.on_close(reason)
+        # The last application callback has returned: drop every reference
+        # that closes a cycle through this endpoint, so a closed connection
+        # is freed by reference count.  The timers get a no-op, not None:
+        # a refused accept re-arms a finished endpoint's RTO timer
+        # (TCPStack._accept) and that expiry stays a counted event.
+        self.on_established = self.on_message = self.on_close = None
+        self._unregister = None
+        self._rto_timer.callback = self._delack_timer.callback = _released
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

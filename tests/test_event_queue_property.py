@@ -20,6 +20,16 @@ slices of a self-extending schedule (handle and handle-free pushes at
 equal times, cancels, ``stop()``, a compaction mid-run) and requires
 what one uninterrupted ``run()`` produces; the profiled loop must
 dispatch the same sequence and see the real callbacks.
+
+A fifth family puts re-armable :class:`~repro.sim.Timer` objects — each
+its own queue handle, re-armed in place — next to handles and
+handle-free posts, and runs one self-extending program twice: on the
+real kernel and on a model kernel that keeps only *live* entries in a
+dict and scans it for the minimum.  Re-arming while armed, cancel then
+re-arm, re-arming from inside the timer's own callback and a burst of
+re-arms that compacts the heap under ``run()`` must leave the two logs,
+clocks, event counts and sequence counters equal; sliced and profiled
+runs must equal the uninterrupted plain one.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import random
 import pytest
 
 from repro.net import AddressAllocator, Host, Internet, attach_wired_host
-from repro.sim import Simulator
+from repro.sim import Simulator, Timer
 from repro.sim.events import EventQueue
 from repro.tcp import TCPStack
 
@@ -296,6 +306,278 @@ def test_profiled_loop_dispatches_the_same_sequence(seed):
     assert set(profiled.recorded) == {"fire_handle", "fire_posted"}
     assert len(profiled.recorded) == len(plain.log)
     assert profiled.recorded.count("fire_posted") > 100
+
+
+# ----------------------------------------------------------------------
+# Re-armable timers next to handles and handle-free posts, vs a model
+# ----------------------------------------------------------------------
+class _ModelTimer:
+    def __init__(self, kernel, callback) -> None:
+        self.kernel, self.callback, self.seq = kernel, callback, None
+
+    def start(self, delay: float) -> None:
+        self.cancel()
+        self.seq = self.kernel.push(self.kernel.now + delay, self._fire)
+
+    def cancel(self) -> None:
+        self.kernel.cancel(self.seq)
+        self.seq = None
+
+    @property
+    def armed(self) -> bool:
+        return self.seq is not None
+
+    @property
+    def expires_at(self):
+        return self.kernel.live[self.seq][0] if self.armed else None
+
+    def _fire(self) -> None:
+        self.seq = None
+        self.callback()
+
+
+class _ModelKernel:
+    """The obvious kernel: live entries only, ``seq -> (time, callback,
+    args)``, scanned for the minimum ``(time, seq)``.  A cancelled or
+    superseded entry is simply gone — there is nothing stale to skip."""
+
+    def __init__(self) -> None:
+        self.now, self.seq, self.events_processed = 0.0, 0, 0
+        self.live = {}
+        self.stopped = False
+
+    def push(self, time, callback, *args) -> int:
+        seq = self.seq
+        self.seq += 1
+        self.live[seq] = (time, callback, args)
+        return seq
+
+    post = push
+
+    def timer(self, callback) -> _ModelTimer:
+        return _ModelTimer(self, callback)
+
+    def cancel(self, seq) -> None:
+        self.live.pop(seq, None)
+
+    def stop(self) -> None:
+        self.stopped = True
+
+    @property
+    def pending_events(self) -> int:
+        return len(self.live)
+
+    def run(self, until=None) -> None:
+        self.stopped = False
+        while self.live and not self.stopped:
+            seq = min(self.live, key=lambda s: (self.live[s][0], s))
+            time, callback, args = self.live[seq]
+            if until is not None and time > until:
+                break
+            del self.live[seq]
+            self.now = time
+            callback(*args)
+            self.events_processed += 1
+        if until is not None and not self.stopped and self.now < until:
+            self.now = until
+
+
+class _RealKernel:
+    """The same surface over a :class:`Simulator`."""
+
+    def __init__(self, profiled: bool = False) -> None:
+        self.sim = Simulator(seed=0)
+        self.recorded = []
+        if profiled:
+            self.sim.enable_profiling().record = (
+                lambda callback, dt: self.recorded.append(callback.__name__)
+            )
+
+    now = property(lambda self: self.sim.now)
+    seq = property(lambda self: self.sim._queue._seq)
+    events_processed = property(lambda self: self.sim.events_processed)
+    pending_events = property(lambda self: self.sim.pending_events)
+
+    def push(self, time, callback, *args):
+        return self.sim.schedule_at(time, callback, *args)
+
+    def post(self, time, callback, *args) -> None:
+        self.sim._post(time, callback, args)
+
+    def timer(self, callback) -> Timer:
+        return Timer(self.sim, callback)
+
+    def cancel(self, handle) -> None:
+        self.sim.cancel(handle)
+
+    def stop(self) -> None:
+        self.sim.stop()
+
+    def run(self, until=None) -> None:
+        self.sim.run(until=until)
+
+
+class _TimerProgram:
+    """A self-extending schedule over handles, posts and six timers.
+
+    As in :class:`_Program`, every decision is drawn from an RNG seeded
+    by the firing event's own id, so behaviour is a function of dispatch
+    order alone — not of the kernel underneath or of how the run is cut.
+    """
+
+    GRID = 0.25
+    TIMERS = 6
+    BURST = 700  # re-arms in one callback: > 512 stale entries, compaction
+
+    def __init__(self, kernel, seed: int) -> None:
+        self.kernel, self.seed = kernel, seed
+        self.log = []
+        self.handles = {}
+        self.next_id = 0
+        self.stops = self.bursts = self.rearmed_armed = self.rearmed_inside = 0
+        self.timers = [
+            kernel.timer(lambda k=k: self._timer_fired(k)) for k in range(self.TIMERS)
+        ]
+        self.deadline = [None] * self.TIMERS  # where the program last armed each
+        self.fired = [0] * self.TIMERS
+        rng = random.Random(seed)
+        for _ in range(30):
+            self._push(rng, horizon=10.0)
+        for k in range(self.TIMERS):
+            self._start(k, self._delay(rng, 8.0))
+
+    def _delay(self, rng, horizon: float) -> float:
+        return round(rng.random() * horizon / self.GRID) * self.GRID
+
+    def _push(self, rng, horizon: float) -> None:
+        time = self.kernel.now + self._delay(rng, horizon)
+        ident = self.next_id
+        self.next_id += 1
+        if rng.random() < 0.5:
+            self.handles[ident] = self.kernel.push(time, self.fire_handle, ident)
+        else:
+            self.kernel.post(time, self.fire_posted, ident)
+
+    def _start(self, k: int, delay: float) -> None:
+        self.rearmed_armed += self.timers[k].armed
+        self.timers[k].start(delay)
+        self.deadline[k] = self.kernel.now + delay
+        assert self.timers[k].armed and self.timers[k].expires_at == self.deadline[k]
+
+    def fire_handle(self, ident: int) -> None:
+        self.handles.pop(ident, None)
+        self._act(ident)
+
+    def fire_posted(self, ident: int) -> None:
+        self._act(ident)
+
+    def _timer_fired(self, k: int) -> None:
+        timer = self.timers[k]
+        # Only the latest arm fires — never a superseded entry, early or
+        # late — and the timer is disarmed inside its own callback.
+        assert self.kernel.now == self.deadline[k]
+        assert not timer.armed and timer.expires_at is None
+        self.fired[k] += 1
+        self._act(1_000_000 + k * 10_000 + self.fired[k], own=k)
+
+    def _act(self, ident: int, own=None) -> None:
+        kernel = self.kernel
+        rng = random.Random(self.seed * 1_000_003 + ident)
+        if self.next_id < 1_500:
+            for _ in range(rng.choice((1, 1, 2))):
+                self._push(rng, horizon=5.0)
+            if own is not None and rng.random() < 0.8:
+                self.rearmed_inside += 1
+                self._start(own, self._delay(rng, 3.0))
+        if self.handles and rng.random() < 0.25:
+            kernel.cancel(self.handles.pop(rng.choice(sorted(self.handles))))
+        k = rng.randrange(self.TIMERS)
+        roll = rng.random()
+        if roll < 0.10:
+            self._start(k, self._delay(rng, 3.0))  # usually while armed
+        elif roll < 0.14:
+            self.timers[k].cancel()
+            assert not self.timers[k].armed
+        elif roll < 0.18:
+            self.timers[k].cancel()
+            self._start(k, self._delay(rng, 3.0))
+        elif roll < 0.20 and self.bursts < 3:
+            self.bursts += 1
+            for _ in range(self.BURST):
+                self._start(k, self._delay(rng, 40.0))
+        if rng.random() < 0.04:
+            self.stops += 1
+            kernel.stop()
+        self.log.append((
+            ident, kernel.now, kernel.pending_events,
+            tuple(t.expires_at for t in self.timers),
+        ))
+
+    def run(self, until=None) -> None:
+        while True:
+            stops = self.stops
+            self.kernel.run(until)
+            if self.stops == stops:
+                return
+
+
+def _assert_same_outcome(got: _TimerProgram, want: _TimerProgram) -> None:
+    assert got.log == want.log
+    for field in ("now", "events_processed", "pending_events", "seq"):
+        assert getattr(got.kernel, field) == getattr(want.kernel, field), field
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_timers_match_the_model_kernel(seed, monkeypatch):
+    model = _TimerProgram(_ModelKernel(), seed)
+    model.run()
+    # Every case the family names happened in this schedule.
+    assert model.rearmed_armed > 100 and model.rearmed_inside > 30
+    assert model.bursts > 0 and model.stops > 0 and len(model.log) > 800
+
+    compactions = []
+    compact = EventQueue._compact
+    monkeypatch.setattr(
+        EventQueue, "_compact",
+        lambda queue: (compactions.append(queue._dead), compact(queue)),
+    )
+    real = _TimerProgram(_RealKernel(), seed)
+    real.run()
+    _assert_same_outcome(real, model)
+    queue = real.kernel.sim._queue
+    assert len(real.log) == real.kernel.events_processed
+    assert len(queue) == 0 and queue._dead == 0
+    # Each burst left > 512 stale entries of one timer in the heap and
+    # compacted it from inside a callback, while run() held the list.
+    assert len(compactions) >= model.bursts and min(compactions) > 512
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_timers_sliced_and_profiled_runs_equal_the_plain_run(seed):
+    whole = _TimerProgram(_RealKernel(), seed)
+    whole.run()
+
+    sliced = _TimerProgram(_RealKernel(), seed)
+    rng = random.Random(seed + 200)
+    t = 0.0
+    while sliced.kernel.pending_events:
+        t += rng.choice((0.0, 0.1, _TimerProgram.GRID, 1.0, 3.7, 25.0))
+        sliced.run(until=t)
+        done = len(sliced.log)
+        assert sliced.kernel.now == t and sliced.log == whole.log[:done]
+        assert done == len(whole.log) or whole.log[done][1] > t
+        assert sliced.kernel.events_processed == done
+    whole.run(until=t)  # drained already: only levels the clocks
+    _assert_same_outcome(sliced, whole)
+
+    profiled = _TimerProgram(_RealKernel(profiled=True), seed)
+    profiled.run()
+    profiled.run(until=t)
+    _assert_same_outcome(profiled, whole)
+    # The observed loop dispatched, and reported, the timers' own
+    # callbacks — no wrapper frame stands in for them.
+    assert len(profiled.kernel.recorded) == len(whole.log)
+    assert set(profiled.kernel.recorded) == {"fire_handle", "fire_posted", "<lambda>"}
 
 
 def test_bulk_transfer_statistics_pinned():

@@ -222,7 +222,53 @@ class TestTimer:
         assert sim.pending_events == 0
 
 
+    def test_disarmed_inside_its_own_callback_and_may_rearm_there(self):
+        sim = Simulator()
+        seen = []
+
+        def expired():
+            seen.append((sim.now, t.armed, t.expires_at))
+            if len(seen) == 1:
+                t.start(1.5)
+
+        t = Timer(sim, expired)
+        t.start(2.0)
+        sim.run()
+        assert seen == [(2.0, False, None), (3.5, False, None)]
+        assert sim.events_processed == 2
+
+    def test_expires_at_tracks_the_latest_arm_and_len_counts_it_once(self):
+        """A timer is its own queue handle: re-arming leaves the old heap
+        entry behind to go stale, the queue still counts one deadline."""
+        sim = Simulator()
+        fired = []
+        t = Timer(sim, lambda: fired.append(sim.now))
+        for delay in (5.0, 1.0, 3.0):  # later, earlier, in between
+            t.start(delay)
+            assert t.expires_at == delay
+            assert len(sim._queue) == sim.pending_events == 1
+        assert len(sim._queue._heap) == 3  # two stale entries, counted dead
+        t.cancel()
+        t.start(4.0)
+        assert len(sim._queue) == 1 and t.expires_at == 4.0
+        sim.run()
+        assert fired == [4.0]  # no stale entry fired, early or late
+        assert sim.events_processed == 1 and len(sim._queue) == 0
+        assert sim._queue._seq == 4 and sim._queue._dead == 0
+
+
 class TestPeriodicTask:
+    def test_restart_after_stop_keeps_one_tick_chain(self):
+        sim = Simulator()
+        ticks = []
+        task = PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now)).start()
+        sim.run(until=1.5)
+        task.stop()
+        assert not task.running and sim.pending_events == 0
+        task.start(first_delay=0.25)
+        sim.run(until=3.0)
+        assert ticks == [1.0, 1.75, 2.75] and sim.pending_events == 1
+
     def test_ticks_at_interval(self):
         sim = Simulator()
         ticks = []

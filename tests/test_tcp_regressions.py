@@ -6,10 +6,12 @@ redundant with broader suites.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcp import TCPConfig, TCPSegment
+from repro.tcp.segment import ACK, RST, SYN
 
 from tests.helpers import Message, TwoHostNet
 
@@ -167,3 +169,42 @@ class TestAdversarialLossPatterns:
             client.send_message(Message(1460, i))
         net.sim.run(until=120.0)
         assert accepted[0].received == list(range(80))
+
+
+class TestRefusedAcceptAnswersWithRst:
+    """Known issue, pinned not fixed (docs/ARCHITECTURE.md § repro.tcp).
+
+    ``TCPStack._accept`` calls ``open_passive`` even when the listener
+    aborted the new connection inside ``on_accept`` (what
+    ``BitTorrentClient._accept`` does at ``max_peers``): the finished,
+    unregistered endpoint still answers SYN-ACK and arms its RTO timer,
+    so the initiator completes a handshake with nobody and learns of the
+    refusal a round trip late.  The fix — reject with RST — changes
+    packets and every CDN digest, so it waits for a PR whose gate is not
+    bit-identity; this test turns green when it lands.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="refused accept still sends SYN-ACK")
+    def test_refused_accept_sends_rst_not_synack(self):
+        net = TwoHostNet()
+        refused = []
+
+        def refuse(conn):
+            refused.append(conn)
+            conn.abort("busy")
+
+        flags_from_b = []
+        net.b.netfilter.egress.register(
+            lambda pkt: flags_from_b.append(pkt.payload.flags)
+        )
+        net.stack_b.listen(6881, refuse)
+        reasons = []
+        client = net.stack_a.connect(net.b.ip, 6881)
+        client.on_close = reasons.append
+        net.sim.run(until=0.5)
+        (conn,) = refused
+        assert flags_from_b == [RST | ACK]  # one RST, no SYN-ACK
+        assert not any(flags & SYN for flags in flags_from_b)
+        assert conn.closed
+        assert not conn._rto_timer.armed and not conn._delack_timer.armed
+        assert reasons == ["reset"] and not client.established
