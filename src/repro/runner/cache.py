@@ -1,28 +1,48 @@
 """Content-addressed on-disk result cache for simulation cells.
 
-Each cached entry is one cell result, stored as JSON under a two-level
-fan-out directory keyed by the cell's content digest (spec + cell key +
-seed + :func:`~repro.runner.spec.code_version`).  Properties:
+One SQLite database per cache root (``<root>/cells.sqlite3``), one row per
+cell: its content digest (spec + cell key + seed +
+:func:`~repro.runner.spec.code_version`) and its entry as JSON text.  Filing
+a cell is one ``INSERT``, not a file (docs/PERFORMANCE.md § Campaign cold
+path).  Guarantees, and where each comes from:
 
 * **Correct by construction** — the digest covers every input including
   the library source, so a hit is always equivalent to re-running the
   cell; editing any ``repro`` source file invalidates everything.
-* **Concurrency-safe** — writes go to a temp file and ``os.replace``
-  into place, so parallel workers (or parallel CI jobs sharing a cache
-  volume) never observe torn entries.
-* **Corruption-tolerant** — an unreadable entry is treated as a miss
-  and overwritten, never an error; unlike an absent one it is counted
-  (``ResultCache.corrupt``, ``RunnerStats.cache_corrupt``).
+* **Atomic** — autocommit on a write-ahead log: every ``put`` is its own
+  committed transaction, so a reader sees a whole entry or none and a
+  killed campaign keeps every cell it had filed.
+* **Concurrency-safe** — processes sharing a root on a local filesystem
+  serialise on SQLite's file locks and wait (``BUSY_TIMEOUT_S``) rather
+  than fail.
+* **Corruption-tolerant** — at two levels, both counted
+  (``ResultCache.corrupt``, ``RunnerStats.cache_corrupt``) so a damaged
+  volume does not pass for a cold one.  A *row* that is not usable JSON is
+  a miss the re-executed cell's put replaces.  A database *file* SQLite
+  refuses (not a database, malformed, truncated) is renamed aside to
+  ``cells.sqlite3.corrupt-<n>``, never deleted, and a fresh one started.
+* **Fork-safe** — the connection opens lazily and belongs to the pid that
+  opened it: a cache used after ``fork`` reconnects, and ``Runner.run``
+  closes it before creating its pool, so no worker inherits one.
+
+Not promised: SQLite locking over NFS; durability against power loss
+beyond ``synchronous=NORMAL`` (a lost entry is a cell that runs again).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from typing import Optional, Tuple
+import sqlite3
+from typing import Dict, Optional, Tuple
 
-_MISS = object()
+DB_NAME = "cells.sqlite3"
+BUSY_TIMEOUT_S = 30.0
+# cache_size is in KiB: lookups are by key, a big page cache buys nothing.
+_SETUP = """
+PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-512;
+CREATE TABLE IF NOT EXISTS cells(digest TEXT PRIMARY KEY, entry TEXT) WITHOUT ROWID;
+"""
 
 
 def default_cache_dir() -> str:
@@ -38,52 +58,76 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
+        self._db = os.path.join(self.root, DB_NAME)
+        # By opener's pid: one inherited through fork() stays under its
+        # parent's, so the child neither uses nor closes it (SQLite's rule).
+        self._conns: Dict[int, sqlite3.Connection] = {}
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".json")
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened (and the store created) on first use."""
+        conn = self._conns.get(os.getpid())
+        if conn is None:
+            os.makedirs(self.root, exist_ok=True)
+            conn = sqlite3.connect(self._db, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+            try:
+                conn.executescript(_SETUP)
+            except sqlite3.Error:
+                conn.close()
+                raise
+            self._conns[os.getpid()] = conn
+        return conn
+
+    def _execute(self, sql: str, args: tuple = ()) -> Optional[tuple]:
+        """Run one statement; quarantine a database file SQLite refuses and retry."""
+        try:
+            return self._connection().execute(sql, args).fetchone()
+        except sqlite3.DatabaseError as exc:
+            # Exactly DatabaseError is SQLITE_CORRUPT / SQLITE_NOTADB; its
+            # subclasses (locked, full, read-only...) are not corruption.
+            if type(exc) is not sqlite3.DatabaseError:
+                raise
+        self.close()
+        self.corrupt += 1
+        n = 0
+        while os.path.exists(f"{self._db}.corrupt-{n}"):
+            n += 1
+        for suffix in ("", "-wal", "-shm"):  # a stale log must not meet the fresh file
+            if os.path.exists(self._db + suffix):
+                os.replace(self._db + suffix, f"{self._db}.corrupt-{n}{suffix}")
+        return self._connection().execute(sql, args).fetchone()
+
+    def close(self) -> None:
+        """Close this process's connection, if any; the next use reopens it."""
+        conn = self._conns.pop(os.getpid(), None)
+        if conn is not None:
+            conn.close()
 
     def get(self, digest: str) -> Tuple[bool, object]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
         try:
-            with open(self._path(digest), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            value = entry["value"]
-        except FileNotFoundError:
-            self.misses += 1
-            return False, None
-        except (OSError, ValueError, KeyError, TypeError):
-            # The entry exists but cannot be used: still a miss (the
-            # cell re-executes and its put overwrites it), but a counted
-            # one, so a damaged cache volume does not pass for a cold one.
-            self.misses += 1
-            self.corrupt += 1
-            return False, None
-        self.hits += 1
-        return True, value
+            row = self._execute("SELECT entry FROM cells WHERE digest = ?", (digest,))
+        except (OSError, sqlite3.Error):
+            row = None  # a store that cannot be opened holds nothing
+        if row is not None:
+            try:
+                value = json.loads(row[0])["value"]
+            except (ValueError, KeyError, TypeError):
+                # The row exists but cannot be used: still a miss (the cell
+                # re-executes and its put replaces it), but a counted one.
+                self.corrupt += 1
+            else:
+                self.hits += 1
+                return True, value
+        self.misses += 1
+        return False, None
 
     def put(self, digest: str, value: object, meta: Optional[dict] = None) -> None:
-        """Store ``value`` (must be JSON data) under ``digest`` atomically."""
-        path = self._path(digest)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
+        """Store ``value`` (must be JSON data) under ``digest``, committed on return."""
         payload = json.dumps({"value": value, "meta": meta or {}})
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        self._execute("INSERT OR REPLACE INTO cells VALUES (?, ?)", (digest, payload))
 
     def __len__(self) -> int:
-        """Number of entries on disk (walks the fan-out directories)."""
-        count = 0
-        if not os.path.isdir(self.root):
+        """Number of entries in the store (0, and nothing created, if there is none)."""
+        if not os.path.exists(self._db):
             return 0
-        for dirpath, _, filenames in os.walk(self.root):
-            count += sum(1 for f in filenames if f.endswith(".json"))
-        return count
+        return self._execute("SELECT COUNT(*) FROM cells")[0]

@@ -32,6 +32,7 @@ import importlib
 import json
 import multiprocessing
 import signal
+import sqlite3
 import sys
 import threading
 import time
@@ -110,6 +111,8 @@ class RunnerStats:
     retries: int = 0
     #: Cache entries that existed but could not be read (re-executed).
     cache_corrupt: int = 0
+    #: Values the cache refused to store (computed and returned, not cached).
+    cache_put_errors: int = 0
     elapsed_s: float = 0.0
     cell_seconds: Dict[Cell, float] = field(default_factory=dict)
 
@@ -118,9 +121,13 @@ class RunnerStats:
             f"{self.cache_corrupt} corrupt cache entries, "
             if self.cache_corrupt else ""
         )
+        unfiled = (
+            f"{self.cache_put_errors} cache put errors, "
+            if self.cache_put_errors else ""
+        )
         return (
             f"{self.total_cells} cells: {self.executed} executed, "
-            f"{self.cache_hits} cache hits, {corrupt}{self.failed} failed, "
+            f"{self.cache_hits} cache hits, {corrupt}{unfiled}{self.failed} failed, "
             f"{self.retries} retries [{self.elapsed_s:.1f}s]"
         )
 
@@ -420,7 +427,6 @@ class Runner:
                 else:
                     digests[cell] = digest
                     pending.append(cell)
-            stats.cache_corrupt = self.cache.corrupt - corrupt_before
         else:
             pending = list(cells)
 
@@ -448,48 +454,59 @@ class Runner:
             if jobs == 1:
                 outcomes = map(_execute_cell, payloads)
             else:
+                # SQLite: no open connection across a fork (the puts reopen it).
+                if self.cache is not None:
+                    self.cache.close()
                 pool = _pool_context().Pool(processes=jobs)
                 outcomes = pool.imap_unordered(_execute_cell, payloads)
+            observe = self.metrics.histogram("runner.cell_seconds").observe
+            filed = {"scenario": scn.name, "backend": backend}
             try:
                 for key_list, seed, ok, value, duration, attempts in outcomes:
                     cell = (tuple(key_list), seed)
                     stats.executed += 1
                     stats.retries += attempts - 1
                     stats.cell_seconds[cell] = duration
-                    self.metrics.histogram("runner.cell_seconds").observe(duration)
+                    observe(duration)
                     if ok:
                         values[cell] = value
                         if self.cache is not None:
-                            self.cache.put(
-                                digests[cell],
-                                value,
-                                meta={
-                                    "scenario": scn.name,
-                                    "seed": seed,
-                                    "key": key_list,
-                                    "seconds": duration,
-                                },
-                            )
+                            try:
+                                self.cache.put(digests[cell], value, meta=dict(
+                                    filed, seed=seed, key=key_list,
+                                    seconds=duration, attempts=attempts,
+                                ))
+                            except (OSError, sqlite3.Error) as exc:
+                                # A cache is an optimisation: the value stands, unfiled.
+                                stats.cache_put_errors += 1
+                                if stats.cache_put_errors == 1:
+                                    self._emit_progress(
+                                        f"[{scn.name}] cache put failed: {exc!r}"
+                                    )
                     else:
                         failure = CellFailure(cell[0], seed, value, attempts)
                         failures.append(failure)
                         stats.failed += 1
                         self._emit_progress(f"[{scn.name}] FAILED {failure.summary()}")
                     done += 1
-                    self._emit_progress(
-                        f"[{scn.name}] {done}/{stats.total_cells} cells "
-                        f"({time.perf_counter() - start:.1f}s)"
-                    )
+                    if self.progress is not None:
+                        self.progress(
+                            f"[{scn.name}] {done}/{stats.total_cells} cells "
+                            f"({time.perf_counter() - start:.1f}s)"
+                        )
             finally:
                 if jobs > 1:
                     pool.close()
                     pool.join()
 
+        if self.cache is not None:
+            stats.cache_corrupt = self.cache.corrupt - corrupt_before
         stats.elapsed_s = time.perf_counter() - start
         self.metrics.counter("runner.cells").add(stats.total_cells)
         self.metrics.counter("runner.executed").add(stats.executed)
         self.metrics.counter("runner.cache_hits").add(stats.cache_hits)
         self.metrics.counter("runner.cache_corrupt").add(stats.cache_corrupt)
+        self.metrics.counter("runner.cache_put_errors").add(stats.cache_put_errors)
         self.metrics.counter("runner.failures").add(stats.failed)
         self.metrics.counter("runner.retries").add(stats.retries)
 

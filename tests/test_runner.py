@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +17,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner import (
     ResultCache,
     Runner,
+    RunnerStats,
     Scenario,
     ScenarioSpec,
     UnknownScenarioError,
@@ -23,10 +29,61 @@ from repro.runner import (
     scenario,
     scenario_names,
 )
+from repro.runner import runner as runner_module
+from repro.runner.cache import DB_NAME
 from repro.runner.spec import cell_digest
 
 # Tiny fig2a campaign: 2 BERs x 2 seeds x 2 modes = 8 cells, < 1 s total.
 FAST_FIG2A = {"runs": 2, "duration": 2.0, "bers": [0.0, 1e-5]}
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _spawn_python(script: str, *args: str) -> subprocess.Popen:
+    """Start ``python -c script args`` with the library importable."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, "-c", script, *args], env=env)
+
+
+def _sql(root, statement: str, args: tuple = ()):
+    """One statement on the store through a second connection; its first row."""
+    conn = sqlite3.connect(os.path.join(root, DB_NAME))
+    try:
+        with conn:
+            return conn.execute(statement, args).fetchone()
+    finally:
+        conn.close()
+
+
+# A 400-cell fluid grid whose process kills itself, uncatchably, from the
+# progress callback of cell K: everything filed up to then must survive.
+GRID_400 = {"runs": 20, "dt": 2.0}
+_KILLED_CAMPAIGN = """
+import json, os, signal, sys
+import repro.experiments
+from repro.runner import ResultCache, Runner
+
+root, kill_at, grid = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
+
+def progress(line):
+    if f" {kill_at}/400 cells" in line:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+Runner(cache=ResultCache(root), backend="fluid", progress=progress).run(
+    "figx_scale", grid)
+"""
+
+# One of four concurrent writers: 250 digests of its own, 50 everyone writes.
+_CONCURRENT_WRITER = """
+import sys
+from repro.runner import ResultCache
+
+root, who = sys.argv[1], sys.argv[2]
+cache = ResultCache(root)
+for i in range(300):
+    digest = f"shared-{i:03d}" if i < 50 else f"w{who}-{i:03d}"
+    cache.put(digest, {"i": i}, meta={"writer": who})
+"""
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +224,7 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("ab" * 32, {"v": 1})
-        with open(cache._path("ab" * 32), "w", encoding="utf-8") as handle:
-            handle.write("not json{")
+        _sql(tmp_path, "UPDATE cells SET entry = 'not json{' WHERE digest = ?", ("ab" * 32,))
         hit, value = cache.get("ab" * 32)
         assert not hit and value is None
         assert (cache.misses, cache.corrupt) == (1, 1)
@@ -177,12 +233,11 @@ class TestCache:
         assert (cache.misses, cache.corrupt) == (2, 1)
 
     def test_truncated_entry_reexecutes_and_is_counted(self, tmp_path):
-        # Fault injection: one entry of a warm cache is cut short (a
-        # full disk, a killed writer without the atomic rename).
+        # Fault injection: one entry of a warm cache is cut short.
         cache = ResultCache(str(tmp_path))
         cold = Runner(cache=cache).run("fig2a", FAST_FIG2A)
-        victim = sorted(tmp_path.rglob("*.json"))[0]
-        victim.write_text(victim.read_text()[:10])
+        (victim,) = _sql(tmp_path, "SELECT min(digest) FROM cells")
+        _sql(tmp_path, "UPDATE cells SET entry = substr(entry, 1, 10) WHERE digest = ?", (victim,))
 
         metrics = MetricsRegistry()
         damaged = Runner(cache=cache, metrics=metrics).run("fig2a", FAST_FIG2A)
@@ -192,12 +247,147 @@ class TestCache:
         assert "1 corrupt cache entries" in damaged.stats.summary()
         assert metrics.snapshot()["runner.cache_corrupt"]["total"] == 1
         assert damaged.values == cold.values
-        json.loads(victim.read_text())  # rewritten whole
+        (entry,) = _sql(tmp_path, "SELECT entry FROM cells WHERE digest = ?", (victim,))
+        json.loads(entry)  # rewritten whole
 
         healed = Runner(cache=cache).run("fig2a", FAST_FIG2A)
         assert healed.stats.cache_hits == healed.stats.total_cells
         assert healed.stats.cache_corrupt == 0
         assert "corrupt" not in healed.stats.summary()
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_damaged_database_file_is_quarantined(self, tmp_path, damage):
+        # Fault injection at the file level: the whole store is overwritten
+        # with noise, or loses its second half, between two campaigns.
+        cache = ResultCache(str(tmp_path))
+        cold = Runner(cache=cache).run("fig2a", FAST_FIG2A)
+        cache.close()
+        db = tmp_path / DB_NAME
+        original = db.read_bytes()
+        damaged_bytes = (
+            b"\xde\xad\xbe\xef" * 2048 if damage == "garbage"
+            else original[: len(original) // 2]
+        )
+        db.write_bytes(damaged_bytes)
+
+        rerun = Runner(cache=ResultCache(str(tmp_path))).run("fig2a", FAST_FIG2A)
+        assert rerun.stats.cache_corrupt >= 1
+        assert "corrupt cache entries" in rerun.stats.summary()
+        assert rerun.stats.executed == 8 and not rerun.failures
+        assert rerun.values == cold.values
+        # Quarantined, not deleted: the damaged bytes are still there to look at.
+        quarantined = list(tmp_path.glob(DB_NAME + ".corrupt-*"))
+        assert [q.read_bytes() for q in quarantined] == [damaged_bytes]
+
+        warm = Runner(cache=ResultCache(str(tmp_path))).run("fig2a", FAST_FIG2A)
+        assert warm.stats.cache_hits == 8 and warm.stats.cache_corrupt == 0
+        assert warm.values == cold.values
+
+    def test_unwritable_root_completes_uncached(self, tmp_path):
+        # A cache root that runs through a regular file can never be
+        # created (this fails the same way for root, unlike chmod).
+        (tmp_path / "plainfile").write_text("in the way")
+        cache = ResultCache(str(tmp_path / "plainfile" / "cache"))
+        metrics = MetricsRegistry()
+        lines = []
+        run = Runner(cache=cache, metrics=metrics, progress=lines.append).run(
+            "fig2a", FAST_FIG2A
+        )
+        assert run.values == Runner().run("fig2a", FAST_FIG2A).values
+        assert run.stats.executed == 8 and not run.failures
+        assert run.stats.cache_put_errors == 8
+        assert "8 cache put errors" in run.stats.summary()
+        assert metrics.snapshot()["runner.cache_put_errors"]["total"] == 8
+        # Said once, with the reason, not once per cell.
+        complaints = [line for line in lines if "cache put failed" in line]
+        assert len(complaints) == 1 and "NotADirectoryError" in complaints[0]
+        # A get on such a root is a plain miss, and nothing was counted corrupt.
+        assert cache.get("ab" * 32) == (False, None)
+        assert cache.corrupt == 0 and len(cache) == 0
+        assert "cache put errors" not in RunnerStats().summary()
+
+    def test_sigkilled_campaign_resumes_without_repeating_a_cell(self, tmp_path):
+        # Every put is its own committed transaction: a campaign killed
+        # after cell k has exactly k cells filed.
+        kill_at = 137
+        victim = _spawn_python(
+            _KILLED_CAMPAIGN, str(tmp_path), str(kill_at), json.dumps(GRID_400)
+        )
+        assert victim.wait(timeout=120) == -9
+        rerun = Runner(cache=ResultCache(str(tmp_path)), backend="fluid").run(
+            "figx_scale", GRID_400
+        )
+        assert rerun.stats.total_cells == 400
+        assert rerun.stats.cache_hits == kill_at
+        assert rerun.stats.executed == 400 - kill_at
+        assert rerun.stats.cache_corrupt == 0
+
+    def test_four_processes_share_one_store(self, tmp_path):
+        writers = [
+            _spawn_python(_CONCURRENT_WRITER, str(tmp_path), str(who))
+            for who in range(4)
+        ]
+        assert [w.wait(timeout=120) for w in writers] == [0, 0, 0, 0]
+        cache = ResultCache(str(tmp_path))
+        assert len(cache) == 4 * 250 + 50
+        for i in range(300):
+            names = (
+                [f"shared-{i:03d}"] if i < 50 else [f"w{who}-{i:03d}" for who in range(4)]
+            )
+            for name in names:
+                assert cache.get(name) == (True, {"i": i})
+        assert (cache.hits, cache.misses, cache.corrupt) == (1050, 0, 0)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_is_created_with_no_connection_open(self, tmp_path, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        cache = ResultCache(str(tmp_path))
+        held_at_pool_creation = []
+
+        def pool_context():
+            held_at_pool_creation.append(dict(cache._conns))
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(runner_module, "_pool_context", pool_context)
+        serial = Runner(jobs=1).run("fig2a", FAST_FIG2A)
+        cold = Runner(jobs=2, cache=cache).run("fig2a", FAST_FIG2A)
+        # The probe opened a connection; the pool never saw it.
+        assert held_at_pool_creation == [{}]
+        assert cold.stats.executed == 8 and cold.stats.cache_put_errors == 0
+        warm = Runner(jobs=2, cache=cache).run("fig2a", FAST_FIG2A)
+        assert warm.stats.cache_hits == 8
+        assert held_at_pool_creation == [{}]  # a warm run needs no pool
+        assert serial.values == cold.values == warm.values
+
+    def test_connection_is_not_used_across_fork(self, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        cache = ResultCache(str(tmp_path))
+        cache.put("parent", 1)
+        parent_conn = cache._connection()
+
+        def child(queue):
+            cache.put("child", 2)
+            queue.put((cache._connection() is not parent_conn, cache.get("parent")))
+
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=child, args=(queue,))
+        proc.start()
+        assert queue.get(timeout=60) == (True, (True, 1))
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert cache._connection() is parent_conn  # the parent's was left alone
+        assert cache.get("child") == (True, 2)
+
+    def test_meta_says_what_was_filed(self, tmp_path):
+        Runner(cache=ResultCache(str(tmp_path))).run("fig2a", FAST_FIG2A)
+        entry = json.loads(_sql(tmp_path, "SELECT min(entry) FROM cells")[0])
+        assert set(entry) == {"value", "meta"}
+        meta = entry["meta"]
+        assert set(meta) == {"scenario", "backend", "seed", "key", "seconds", "attempts"}
+        assert (meta["scenario"], meta["backend"], meta["attempts"]) == ("fig2a", "packet", 1)
 
     def test_no_cache_runner_never_touches_disk(self, tmp_path):
         Runner(cache=None).run("fig2a", FAST_FIG2A)
