@@ -9,12 +9,22 @@ impulses, one hybrid co-simulation with its per-coupling boundary
 trace), hashes ``canonical_json(result.to_jsonable())`` of each, and
 compares against ``tests/data/fluid_golden.json``.
 
+Further cases pin the steady-epoch fast-forward of
+:meth:`~repro.scale.fluid.FluidSwarm.advance` (the ``fluid_hybrid``
+benchmark's 10^6-peer cell at ``dt=0.003``, a long steady epoch cut by
+samples, a window edge and crashes, constant boundary terms over
+coupling slices, a chaos-free co-simulation) and the size sums of
+:func:`~repro.cdn.surrogate.cdn_fluid_cell` (three catalog shapes).
+
 The fluid integrator's contract is *the same IEEE operations on the
 same operands in the same order* (docs/PERFORMANCE.md § Fluid
 integrator), so after any change to ``src/repro/scale/fluid.py`` run
-``--check``; ``--record`` only when a result change is intended and
-explained.  ``tests/test_fluid_golden.py`` and the CI ``scale`` job call
-the same :func:`check`.
+``--check``.  ``--record`` only appends the cases the file lacks and
+never re-blesses one: it exits 1, writing nothing, if any recorded case
+drifted.  To re-record a case on purpose (an intended, explained result
+change), delete its entry from the file first.
+``tests/test_fluid_golden.py`` and the CI ``scale`` job call the same
+:func:`check`.
 
 Usage::
 
@@ -41,6 +51,8 @@ from repro.chaos.schedule import (
     PeerCrash,
     TrackerOutage,
 )
+from repro.cdn import cdn_fluid_cell
+from repro.experiments.figx_scale import FigXScale, _fluid_classes
 from repro.runner import canonical_json
 from repro.scale import FluidParams, FluidSwarm, HybridSpec, HybridSwarm, PeerClass
 
@@ -128,8 +140,12 @@ def _overlapping() -> object:
     )))
 
 
-def _hybrid() -> object:
-    # One chaotic co-simulation; the boundary observables after every
+def _boundary(fluid: FluidSwarm) -> List[float]:
+    return [fluid.t, fluid.last_supply, fluid.last_demand, fluid.last_utilization]
+
+
+def _hybrid(chaos: Optional[ChaosSchedule]) -> object:
+    # One co-simulation; the boundary observables after every
     # FluidSwarm.advance() are what the packet side consumes.
     spec = HybridSpec(
         focal_seeds=0, focal_wired=1, focal_mobile=1,
@@ -137,19 +153,62 @@ def _hybrid() -> object:
         background_mobile=200.0, file_size=512 * 1024,
         handoff_interval=40.0, max_time=900.0,
     )
-    swarm = HybridSwarm(spec, seed=3, chaos=preset_schedule("mixed", 2.0, 30.0))
+    swarm = HybridSwarm(spec, seed=3, chaos=chaos)
     fluid = swarm.fluid
     advance = fluid.advance
     boundary: List[List[float]] = []
 
     def recording_advance(until, **kw):
         advance(until, **kw)
-        boundary.append(
-            [fluid.t, fluid.last_supply, fluid.last_demand, fluid.last_utilization]
-        )
+        boundary.append(_boundary(fluid))
 
     fluid.advance = recording_advance
     return {"result": swarm.run().to_jsonable(), "boundary": boundary}
+
+
+def _figx_scale_cell(wp2p: bool) -> object:
+    # The fluid_hybrid benchmark's largest cell: 10^6 peers at a fine
+    # dt, where most steps repeat the one before.
+    p = dict(FigXScale.defaults, dt=0.003)
+    return _fluid(FluidParams(
+        file_size=int(p["file_size_kib"]) * 1024,
+        piece_length=int(p["piece_length"]),
+        classes=tuple(_fluid_classes(1_000_000, 0.221, wp2p, p)),
+        dt=float(p["dt"]), max_time=float(p["max_time"]),
+    ))
+
+
+def _steady_interrupted() -> object:
+    # One long steady epoch cut by everything that must end a steady
+    # run: off-grid sample points, window edges on and off the dt grid,
+    # a transient crash whose pool drains for a while, and a
+    # zero-downtime crash that moves nothing but still fires.
+    params = _params(dt=0.05, sample_interval=0.7, max_time=1_200.0)
+    return _fluid(params, ChaosSchedule((
+        LinkDegradation(start=61.37, duration=30.0, target="wireless",
+                        rate_factor=0.5),
+        PeerCrash(start=120.02, target="mobile", downtime=4.0),
+        PeerCrash(start=100.0, target="wired", downtime=0.0),
+    )))
+
+
+def _external_slices() -> object:
+    # Nonzero boundary terms held constant over 2 s coupling slices:
+    # each advance() call starts a fresh steady run.
+    fluid = FluidSwarm(_params(dt=0.05, max_time=1_200.0))
+    fluid.external_supply = 40_000.0
+    fluid.external_demand = 250_000.0
+    boundary: List[List[float]] = []
+    until = 0.0
+    while not fluid.finished and until < fluid.params.max_time:
+        until += 2.0
+        fluid.advance(until)
+        boundary.append(_boundary(fluid))
+    return {"result": fluid.finish().to_jsonable(), "boundary": boundary}
+
+
+def _cdn(**kw) -> Callable[[], object]:
+    return lambda: cdn_fluid_cell(**kw)
 
 
 def cases() -> Dict[str, Callable[[], object]]:
@@ -165,7 +224,32 @@ def cases() -> Dict[str, Callable[[], object]]:
     out["coded_group_4_6"] = _coded
     out["arrivals_churn"] = _arrivals_churn
     out["overlapping_windows_impulses"] = _overlapping
-    out["hybrid_mixed"] = _hybrid
+    out["hybrid_mixed"] = lambda: _hybrid(preset_schedule("mixed", 2.0, 30.0))
+    out["hybrid_clean"] = lambda: _hybrid(None)
+    out["figx_scale_1e6_default"] = lambda: _figx_scale_cell(False)
+    out["figx_scale_1e6_wp2p"] = lambda: _figx_scale_cell(True)
+    out["steady_interrupted"] = _steady_interrupted
+    out["external_constant_slices"] = _external_slices
+    out["cdn_uniform_1e4"] = _cdn(
+        catalog={"assets": 10_000, "size_kib": 256, "piece_kib": 16},
+        demand="zipf:0.9@50.0",
+        origin={"policy": "pin_top_k", "k": 100, "capacity": 10_000},
+        peers=100_000, mobile_fraction=0.221, horizon=600.0,
+    )
+    out["cdn_sizes_kib"] = _cdn(
+        catalog={"assets": 40,
+                 "sizes_kib": [64 + 97 * (i % 13) for i in range(40)]},
+        demand="zipf:1.1@4.0", origin={"policy": "pin_top_k", "k": 3},
+        peers=50, mobile_fraction=0.5, wp2p=True,
+    )
+    out["cdn_flash_lru"] = _cdn(
+        catalog={"assets": 300, "size_kib": 512},
+        demand={"kind": "zipf", "alpha": 0.8, "rate": 6.0,
+                "flash_crowd": {"at": 60.0, "rank": 7, "size": 40,
+                                "width": 5.0}},
+        origin={"policy": "lru_evict", "capacity": 8},
+        peers=400, mobile_fraction=0.3, horizon=900.0,
+    )
     return out
 
 
@@ -176,16 +260,46 @@ def compute() -> Dict[str, str]:
     }
 
 
+def _recorded(path: pathlib.Path) -> Dict[str, str]:
+    if not path.exists():
+        return {}
+    return json.loads(path.read_text(encoding="utf-8"))["cases"]
+
+
+def _drift(recorded: Dict[str, str], current: Dict[str, str], names) -> List[str]:
+    return [
+        f"{name}: recorded {recorded.get(name)} != current {current.get(name)}"
+        for name in sorted(names)
+        if recorded.get(name) != current.get(name)
+    ]
+
+
 def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
     """One line per case whose hash differs from the recorded one
     (empty when the engine still computes every pinned value)."""
-    recorded = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    recorded = _recorded(path)
     current = compute()
-    return [
-        f"{name}: recorded {recorded.get(name)} != current {current.get(name)}"
-        for name in sorted(set(recorded) | set(current))
-        if recorded.get(name) != current.get(name)
-    ]
+    return _drift(recorded, current, set(recorded) | set(current))
+
+
+def record(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
+    """Append the hashes of cases ``path`` lacks; never rewrite one.
+
+    Returns the drift lines of already-recorded cases (a case dropped
+    from :func:`cases` counts as drifted); if there are any, nothing is
+    written.
+    """
+    recorded = _recorded(path)
+    current = compute()
+    drift = _drift(recorded, current, recorded)
+    if not drift:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps({"cases": {**current, **recorded}}, indent=2,
+                       sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+    return drift
 
 
 def main(argv=None) -> int:
@@ -194,20 +308,16 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare against tests/data/fluid_golden.json")
     mode.add_argument("--record", action="store_true",
-                      help="rewrite tests/data/fluid_golden.json")
+                      help="append the cases tests/data/fluid_golden.json "
+                           "lacks (exits 1 if a recorded case drifted)")
     args = parser.parse_args(argv)
-    if args.record:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(
-            json.dumps({"cases": compute()}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"recorded {len(cases())} cases -> {GOLDEN_PATH}")
-        return 0
-    drift = check()
+    drift = record() if args.record else check()
     for line in drift:
         print(f"DRIFT {line}", file=sys.stderr)
-    print(f"{len(cases()) - len(drift)}/{len(cases())} fluid golden cases match")
+    if args.record:
+        print("nothing written" if drift else f"{len(cases())} cases in {GOLDEN_PATH}")
+    else:
+        print(f"{len(cases()) - len(drift)}/{len(cases())} fluid golden cases match")
     return 1 if drift else 0
 
 

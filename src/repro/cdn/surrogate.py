@@ -15,15 +15,20 @@ duty cycle comes from :meth:`repro.scale.model.PeerClass.availability`
 ``reconnect_cost``), shrinking the peer supply and shifting delivered
 bytes onto the origin — the offload-vs-mobility ordering the CI gate
 asserts on both backends.
+
+Band sizes are integer prefix sums of whole KiB: sums of multiples of
+1024 below 2**63 are exact doubles, so they equal per-asset float sums
+bit for bit.  Zipf weights and expected-active stay order-sensitive loops.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .. import context
 from ..scale.assets import AssetClassParams, asset_class_outcome
-from ..scale.model import PeerClass
+from ..scale.model import EFFICIENCY, STARTUP_DELAY, PeerClass
 from .catalog import normalize_catalog
 from .demand import mean_cycle_factor, normalize_demand, zipf_weights
 from .origin import normalize_origin
@@ -88,13 +93,10 @@ def cdn_fluid_cell(
         raise ValueError("horizon must be > 0")
 
     assets = int(cat["assets"])  # type: ignore[arg-type]
-    sizes = cat.get("sizes_kib")
-    default_size = int(cat["size_kib"]) * 1024  # type: ignore[arg-type]
-
-    def asset_size(rank: int) -> float:
-        if sizes is not None:
-            return float(sizes[rank - 1]) * 1024.0  # type: ignore[index]
-        return float(default_size)
+    # KiB of ranks 1..r at index r (exact integers; module docstring).
+    kib = list(accumulate(
+        cat.get("sizes_kib") or [cat["size_kib"]] * assets, initial=0,  # type: ignore[call-overload]
+    ))
 
     # Demand decomposition: Zipf weights, cycle-averaged rate, and the
     # flash crowd folded onto its target rank's band.
@@ -129,9 +131,9 @@ def cdn_fluid_cell(
     # Shared-uplink dilution: a peer serving several swarms splits one
     # bucket across them.  Expected concurrent fetches per peer sets the
     # slice each asset can count on.
-    mean_size = sum(asset_size(r) for r in range(1, assets + 1)) / assets
+    mean_size = float(kib[assets] * 1024) / assets
     total_rate = base_rate + flash_rate
-    rough_latency = 3.0 + mean_size / max(download * 0.60, 1e-9)
+    rough_latency = STARTUP_DELAY + mean_size / max(download * EFFICIENCY, 1e-9)
     seed_dwell = horizon / 2.0
     swarms_per_peer = total_rate * (rough_latency + seed_dwell) / peers
     uplink_share = 1.0 / max(1.0, swarms_per_peer)
@@ -163,7 +165,7 @@ def cdn_fluid_cell(
         if flash_rank is not None and first <= flash_rank <= last:
             band_rate += flash_rate
         per_asset_rate = band_rate / n_assets
-        size = sum(asset_size(r) for r in range(first, last + 1)) / n_assets
+        size = float((kib[last] - kib[first - 1]) * 1024) / n_assets
         outcome = asset_class_outcome(
             AssetClassParams(
                 size=size,

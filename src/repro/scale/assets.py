@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import EFFICIENCY, STARTUP_DELAY
+
 _FIXED_POINT_ITERATIONS = 24
 
 
@@ -55,8 +57,8 @@ class AssetClassParams:
     origin_rate: float = 0.0  # origin uplink slice for this asset
     pinned: bool = False  # seeded from t=0 (no activation delay)
     activation_delay: float = 3.0
-    efficiency: float = 0.60
-    startup_delay: float = 3.0
+    efficiency: float = EFFICIENCY
+    startup_delay: float = STARTUP_DELAY
     warm_upload: float = 0.5
 
     def __post_init__(self) -> None:

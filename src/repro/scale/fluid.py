@@ -28,7 +28,7 @@ a million-peer swarm integrates in the same milliseconds as a ten-peer
 one — and results are bit-identical wherever they run.
 
 A step does only state-dependent arithmetic.  What the step needs falls
-into three lifetimes:
+into four lifetimes:
 
 * **run-constant** — ``float(file_size)``, the warm threshold, whether a
   content mode is on, each class's arrival rate and wireless coupling:
@@ -41,7 +41,13 @@ into three lifetimes:
   only when ``t`` crosses the next window ``start``/``end``; a
   chaos-free swarm is the one-epoch case of the same code;
 * **per-step** — pools, departures, arrivals, the warm-up ramp, supply,
-  demand, utilization, progress.
+  demand, utilization, progress;
+* **steady-epoch** — a step whose inputs equal the step before's in one
+  ``advance()`` call (no pools, arrivals, live departures, plan rebuild
+  or content mode; warm ramps saturated or ``t < startup_delay``) adds
+  one constant each to ``t``, ``progress``, ``steps`` and the utilization
+  sum: :meth:`FluidSwarm._fast_forward` does those exact additions with
+  ``itertools.accumulate`` (never ``sum()``, compensated from 3.12).
 
 Termination is an O(1) read of a counter of incomplete leecher classes
 (a class with no peers and no arrivals is *vacuous* and never counted).
@@ -62,8 +68,10 @@ the bus picks up globally installed sinks exactly like a packet-level
 from __future__ import annotations
 
 import time as _time
-from bisect import bisect_right
-from functools import lru_cache
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from ..chaos.schedule import ChaosSchedule
@@ -78,6 +86,21 @@ from .model import (
     content_rate_factor,
     playability_surrogate,
 )
+
+
+#: Most steps one fast-forward takes: bounds the sequences it builds.
+_CHUNK = 4096
+
+
+def _first_sample(ts: List[float], next_sample: float, lo: int, hi: int) -> int:
+    """First ``j`` in ``[lo, hi)`` with ``ts[j] + 1e-12 >= next_sample``
+    (``advance``'s sample test, monotone in ``j``), else ``hi``."""
+    j = bisect_left(ts, next_sample - 1e-12, lo, hi)
+    while j > lo and ts[j - 1] + 1e-12 >= next_sample:
+        j -= 1
+    while j < hi and not ts[j] + 1e-12 >= next_sample:
+        j += 1
+    return j
 
 
 class _ClassState:
@@ -241,6 +264,7 @@ class FluidSwarm:
         finished = self._finished
         started = _time.perf_counter()
         t = self.t
+        increments = None  # of the last step of *this* call, if repeatable
         while t < until:
             if stop_when_finished and finished():
                 break
@@ -251,11 +275,15 @@ class FluidSwarm:
             ):
                 self._fire_impulse(impulses[self._next_impulse])
                 self._next_impulse += 1
+                increments = None
+            if increments is not None and self._fast_forward(until, increments):
+                t = self.t
+                continue
             if t + 1e-12 >= self._next_sample:
                 for state in states:
                     state.samples.append((t, state.progress))
                 self._next_sample += sample_interval
-            step(dt)
+            increments = step(dt)
             self.t = t = t + dt
             self.steps += 1
         self.wall_seconds += _time.perf_counter() - started
@@ -404,8 +432,60 @@ class FluidSwarm:
         )
         self.plan_rebuilds += 1
 
-    def _step(self, dt: float) -> None:
+    def _fast_forward(
+        self, until: float, increments: List[Tuple[_ClassState, float]]
+    ) -> bool:
+        """Repeat the steady step just taken (its ``increments``) up to
+        :data:`_CHUNK` times: ``accumulate`` chains exactly its additions,
+        in order.  Stops before a step that is not steady; False if none."""
+        params = self.params
+        dt, t = params.dt, self.t
+        limit = min(until, self._plan_until)
+        inf = float("inf")
+        settled = params.startup_delay if t < params.startup_delay else inf
+        pending = self.impulses[self._next_impulse:self._next_impulse + 1]
+        impulse = pending[0].t if pending else inf
+        n = int(min(_CHUNK, (min(limit, settled, impulse) - t) / dt + 2.0,
+                    *((1.0 - st.progress) / dp + 2.0 for st, dp in increments)))
+        ts = list(accumulate(repeat(dt, n), initial=t))
+        # Step j starts at ts[j] < limit and ends at ts[j] + dt == ts[j + 1],
+        # before settling ends (the step ending it is _step's) and not past
+        # the impulse; n reaches past the nearest stop (+2 for rounding).
+        m = min(n, bisect_left(ts, limit), bisect_left(ts, settled) - 1,
+                bisect_right(ts, impulse) - 1)
+        lanes = {}
+        for state, dp in increments:
+            lanes[state] = lane = list(accumulate(repeat(dp, m), initial=state.progress))
+            m = min(m, bisect_left(lane, 1.0) - 1)  # stop before completing
+        if m <= 0:
+            return False
+        next_sample = self._next_sample
+        j = _first_sample(ts, next_sample, 0, m)
+        while j < m:
+            for state in self._states:
+                lane = lanes.get(state)
+                state.samples.append((ts[j], lane[j] if lane else state.progress))
+            next_sample += params.sample_interval
+            j = _first_sample(ts, next_sample, j + 1, m)
+        self._next_sample = next_sample
+        for state, lane in lanes.items():
+            state.progress = lane[m]
+        if self.last_demand > 0.0:
+            self._utilization_sum = reduce(
+                add, repeat(self.last_utilization, m), self._utilization_sum
+            )
+            self._utilization_steps += m
+        self.t = ts[m]
+        self.steps += m
+        self.metrics.counter("scale.steps_fast_forwarded").add(m)
+        return True
+
+    def _step(self, dt: float) -> Optional[List[Tuple[_ClassState, float]]]:
+        """One explicit-Euler step.  Returns its ``(state, dp)`` increments
+        if the next step repeats it exactly (steady, completing nothing,
+        not ending settling), else None."""
         t = self.t
+        params = self.params
         if t >= self._plan_until:
             self._rebuild_plan()
         freeze_rejoin = self._freeze_rejoin
@@ -420,23 +500,27 @@ class FluidSwarm:
         demand_total = 0.0
         holder_online = 0.0
         holder_total = 0.0
+        steady = not content_on
 
         for state in states:
-            # Rejoins (stalled entirely while the tracker is dark).
-            if state.pools and not freeze_rejoin:
-                remaining: List[List[float]] = []
-                for pool in state.pools:
-                    amount, rate = pool
-                    drained = amount * min(1.0, rate * dt)
-                    state.online += drained
-                    amount -= drained
-                    if amount > 1e-9:
-                        remaining.append([amount, rate])
-                state.pools = remaining
+            if state.pools:
+                steady = False
+                # Rejoins (stalled entirely while the tracker is dark).
+                if not freeze_rejoin:
+                    remaining: List[List[float]] = []
+                    for pool in state.pools:
+                        amount, rate = pool
+                        drained = amount * min(1.0, rate * dt)
+                        state.online += drained
+                        amount -= drained
+                        if amount > 1e-9:
+                            remaining.append([amount, rate])
+                    state.pools = remaining
 
             # Churn departures into a pool that rejoins at the window's rate.
             departure_rate = state.departure_rate
             if departure_rate > 0.0 and state.online > 0.0:
+                steady = False
                 departed = state.online * min(1.0, departure_rate * dt)
                 state.online -= departed
                 if state.churn_rejoin_rate > 0.0:
@@ -447,6 +531,7 @@ class FluidSwarm:
             # Arrivals enter at zero progress, diluting the class mean.
             arrival_rate = state.arrival_rate
             if arrival_rate > 0.0:
+                steady = False
                 joined = arrival_rate * dt
                 old_alive = state.alive
                 state.online += joined
@@ -467,6 +552,8 @@ class FluidSwarm:
                 ramp = state.progress / warm
                 if not ramp < 1.0:
                     ramp = 1.0
+                elif t >= params.startup_delay:
+                    steady = False  # progress moves the ramp
             u_used = state.u_cap * ramp
             supply_total += online * availability * u_used
             if complete:
@@ -501,7 +588,6 @@ class FluidSwarm:
         self.last_demand = demand_total
         self.last_utilization = utilization if demand_total > 0.0 else 1.0
 
-        params = self.params
         content_factor = 1.0
         if content_on:
             # No dedicated holder mass (all seeds gone): fall back to the
@@ -517,10 +603,12 @@ class FluidSwarm:
             )
 
         if t < params.startup_delay:
-            return
+            # Nothing downloads; the step after the last settling one does.
+            return [] if steady and t + dt < params.startup_delay else None
 
         efficiency = params.efficiency
         file_size = self._file_size
+        applied = []
         for state in states:
             if state.complete:
                 continue
@@ -541,6 +629,7 @@ class FluidSwarm:
                 continue
             new_progress = state.progress + dp
             if new_progress >= 1.0:
+                steady = False
                 overshoot = (1.0 - state.progress) / dp
                 state.completion_time = t + overshoot * dt
                 state.progress = 1.0
@@ -556,6 +645,8 @@ class FluidSwarm:
                     )
             else:
                 state.progress = new_progress
+                applied.append((state, dp))
+        return applied if steady else None
 
     # ------------------------------------------------------------------
     def _result(self) -> FluidResult:

@@ -29,6 +29,10 @@ SELECTION_POLICIES = ("rarest", "inorder")
 #: ``"group"`` models k-of-n erasure groups.
 CONTENT_MODES = ("", "replication", "group")
 
+#: The calibration constants of :class:`FluidParams`, shared by the CDN tier.
+EFFICIENCY = 0.60
+STARTUP_DELAY = 3.0
+
 
 @dataclass(frozen=True)
 class PeerClass:
@@ -117,8 +121,8 @@ class FluidParams:
     classes: Tuple[PeerClass, ...]
     dt: float = 0.25
     max_time: float = 86_400.0
-    efficiency: float = 0.60
-    startup_delay: float = 3.0
+    efficiency: float = EFFICIENCY
+    startup_delay: float = STARTUP_DELAY
     #: Leecher departure (abort) rate per online peer per second.
     departure_rate: float = 0.0
     #: Progress fraction at which a leecher becomes a useful uploader.

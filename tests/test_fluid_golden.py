@@ -1,9 +1,11 @@
 """Fluid-tier results are pinned by value, not just by spec digest.
 
-The hashes in ``tests/data/fluid_golden.json`` were recorded at the
-commit *before* the integrator's hot path was rewritten around a
-per-epoch rate plan; this is the same check ``scripts/fluid_golden.py
---check`` and the CI ``scale`` job run.
+The first twelve hashes in ``tests/data/fluid_golden.json`` were
+recorded at the commit *before* the integrator's hot path was rewritten
+around a per-epoch rate plan, the other eight at the commit before the
+steady-epoch fast-forward and the integer CDN size sums; this is the
+same check ``scripts/fluid_golden.py --check`` and the CI ``scale`` job
+run.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ impulses, and ``advance()`` in uneven slices with the boundary source
 terms changed in between.  State must be bit-equal after every slice and
 ``to_jsonable()`` bit-equal at the end.
 
+The reference has no steady-epoch fast-forward, so it also pins that
+path; a quiet-scenario family (no arrivals or departures, at most two
+windows, ``dt`` down to 0.003) makes sure the engine actually takes it.
+
 Generated classes all have ``count > 0``: an empty leecher class is the
 one place the engine differs from this model by design (it no longer
 holds the swarm open), and ``tests/test_scale.py`` covers it.
@@ -19,6 +23,8 @@ holds the swarm open), and ``tests/test_scale.py`` covers it.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time as _time
 from typing import List, Tuple
 from unittest import mock
@@ -236,6 +242,7 @@ class _ReferenceSwarm(FluidSwarm):
 # Generators
 # ----------------------------------------------------------------------
 DTS = (0.5, 0.25, 0.1, 0.3)
+QUIET_DTS = (0.003, 0.01, 0.25)
 TARGETS = ("*", "wired", "mobile", "wireless", "seeds")
 
 
@@ -361,6 +368,27 @@ def _snapshot(swarm: FluidSwarm) -> str:
     ))
 
 
+@st.composite
+def quiet_scenarios(draw):
+    """Long steady epochs: no arrivals, departures or content mode, at
+    most two windows (none with churn), cut by impulses and samples."""
+    dt = draw(st.sampled_from(QUIET_DTS))
+    params = draw(fluid_params(dt))
+    params = dataclasses.replace(
+        params, departure_rate=0.0, content_mode="", max_time=40.0,
+        classes=tuple(
+            dataclasses.replace(c, arrival_rate=0.0) for c in params.classes
+        ),
+    )
+    windows = draw(st.lists(
+        rate_windows(dt, 60.0).map(
+            lambda w: dataclasses.replace(w, departure_rate=0.0)
+        ),
+        max_size=2,
+    ))
+    return params, windows, draw(crash_impulses(dt, 60.0))
+
+
 def _boundaries_up_to(windows, t: float) -> int:
     return len({b for w in windows for b in (w.start, w.end) if b <= t})
 
@@ -405,6 +433,65 @@ def test_run_to_completion_is_bit_equal(scenario):
     assert repr(got.to_jsonable()) == repr(want.to_jsonable())
     assert got.leecher_completion_time() == want.leecher_completion_time()
     assert engine.plan_rebuilds <= 1 + _boundaries_up_to(windows, engine.t)
+
+
+def test_quiet_scenarios_are_bit_equal_and_fast_forwarded():
+    forwarded = []
+
+    @given(
+        quiet_scenarios(),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 20.0, allow_nan=False),
+                st.sampled_from([0.0, 40_000.0]),
+                st.sampled_from([0.0, 80_000.0]),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def lockstep(scenario, slices):
+        params, windows, impulses = scenario
+        engine, reference = _pair(params, windows, impulses)
+        until = 0.0
+        for delta, supply, demand in slices:
+            until += delta
+            for swarm in (engine, reference):
+                swarm.external_supply = supply
+                swarm.external_demand = demand
+                swarm.advance(until)
+            assert _snapshot(engine) == _snapshot(reference)
+        for swarm in (engine, reference):
+            swarm.advance(params.max_time, stop_when_finished=True)
+        assert _snapshot(engine) == _snapshot(reference)
+        assert repr(engine.finish().to_jsonable()) == repr(
+            reference.finish().to_jsonable()
+        )
+        forwarded.append(
+            engine.metrics.counter("scale.steps_fast_forwarded").total
+        )
+
+    lockstep()
+    assert sum(forwarded) > 0
+
+
+def test_fast_forward_sample_search_is_advances_test():
+    # The fast path finds sample points by bisect + nudge (bisect's key=
+    # needs Python 3.10).  ``ts >= s - 1e-12`` and ``ts + 1e-12 >= s``
+    # round apart where ts crosses a power of two, so look there.
+    for power in (32.0, 256.0, 4096.0):
+        ts = [power]
+        for _ in range(200):
+            ts.insert(0, math.nextafter(ts[0], 0.0))
+            ts.append(math.nextafter(ts[-1], math.inf))
+        target = ts[0] - 1e-12
+        while target < ts[-1] + 2e-12:
+            want = next(
+                (j for j, t in enumerate(ts) if t + 1e-12 >= target), len(ts)
+            )
+            for lo in (0, max(0, want - 1)):
+                assert fluid_module._first_sample(ts, target, lo, len(ts)) == want
+            target = math.nextafter(target, math.inf)
 
 
 @given(

@@ -1,4 +1,6 @@
-"""A frame budget for the per-packet path — a count, so it repeats exactly.
+"""Budgets for the two hot paths — counts, so they repeat exactly.
+
+**Packet tier: a frame budget for the per-packet path.**
 
 One ``--quick``-size ``packet_swarm`` cell runs under ``sys.setprofile``
 and the Python ``call`` events are divided by the kernel events it
@@ -9,16 +11,27 @@ Python frames per kernel event; flattening the pass-through frames
 Simulator.cancel -> EventQueue.cancel -> Event.cancel``, a
 ``pop_due()`` call per event) brought it under the bound below.  A
 wrapper re-added on the per-packet path turns this test red.
+
+**Fluid tier: a stepper budget.**  A clean ``figx_scale`` fluid cell at
+``dt=0.003`` spends most of its steps in steady epochs, which
+:meth:`FluidSwarm.advance` fast-forwards without calling
+:meth:`FluidSwarm._step`.  The 10^6-peer cell stepped 40 % of its steps
+when the fast-forward was introduced (the 10^2-peer cell 23 %); a change
+that breaks a steady epoch for nothing turns this test red.
 """
 
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
-from repro.experiments.figx_scale import FigXScale, packet_cell
+from repro.experiments.figx_scale import FigXScale, fluid_cell, packet_cell
+from repro.scale import FluidSwarm
 
 #: ~10 % above what the hot path achieves today.
 MAX_FRAMES_PER_EVENT = 8.0
+#: Share of a fine-dt fluid cell's steps that may run through ``_step``.
+MAX_STEPPED_SHARE = 0.45
 
 
 def test_python_frames_per_kernel_event_stay_within_budget():
@@ -41,4 +54,25 @@ def test_python_frames_per_kernel_event_stay_within_budget():
     assert per_event <= MAX_FRAMES_PER_EVENT, (
         f"{per_event:.2f} Python frames per kernel event "
         f"({calls} calls / {events} events) exceeds {MAX_FRAMES_PER_EVENT}"
+    )
+
+
+def test_fluid_steady_epochs_skip_the_stepper():
+    calls = 0
+    step = FluidSwarm._step
+
+    def counting_step(self, dt):
+        nonlocal calls
+        calls += 1
+        return step(self, dt)
+
+    params = dict(FigXScale.defaults, dt=0.003)
+    with mock.patch.object(FluidSwarm, "_step", counting_step):
+        value = fluid_cell(1_000_000, 0.221, False, params)
+    steps = int(value["steps"])
+    assert steps == 103_666
+    share = calls / steps
+    assert share <= MAX_STEPPED_SHARE, (
+        f"_step ran for {share:.1%} of {steps} steps "
+        f"(budget {MAX_STEPPED_SHARE:.0%})"
     )
