@@ -190,6 +190,7 @@ def _result_payload(run) -> Dict[str, object]:
     payload["stats"] = {
         "total_cells": run.stats.total_cells,
         "executed": run.stats.executed,
+        "shared": run.stats.shared,
         "cache_hits": run.stats.cache_hits,
         "failed": run.stats.failed,
         "retries": run.stats.retries,

@@ -35,6 +35,10 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 #: (:mod:`repro.scale.hybrid`).
 BACKENDS: Tuple[str, ...] = ("packet", "fluid", "hybrid")
 
+#: Backends whose cells never read their seed: the runner computes one
+#: value per cell key and gives it to every seed of that key.
+SEED_FREE_BACKENDS: Tuple[str, ...] = ("fluid",)
+
 # Names an axis cannot take: the other keys of the spec-hash and
 # cell-digest bodies, and the run context's non-axis entries.
 _RESERVED = (

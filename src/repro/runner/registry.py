@@ -124,6 +124,8 @@ class Scenario:
         Only scenarios listing ``"fluid"`` in :attr:`backends` implement
         this; the result must be plain data of the same shape
         :meth:`run_cell` returns so :meth:`assemble` works unchanged.
+        It must not depend on ``seed``: the runner computes it once per
+        key and gives that value to every seed.
         """
         raise NotImplementedError(
             f"scenario {self.name!r} has no fluid backend "

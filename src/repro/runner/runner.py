@@ -8,6 +8,10 @@ for ``jobs=N`` — then hands the collected values to the scenario's
 * **Caching** — give the runner a :class:`~repro.runner.cache.ResultCache`
   and every cell is looked up by content digest before it is simulated;
   a warm cache re-run executes zero simulations.
+* **Seed-free sharing** — on a backend in
+  :data:`~repro.runner.axes.SEED_FREE_BACKENDS` a cell is identified by
+  its key alone: the key's first seed is computed and cached once, and
+  every other seed of that key gets the same value object.
 * **Failure capture** — a cell that raises is retried once (in the same
   worker) and, if it dies again, recorded as a :class:`CellFailure`
   with its traceback; the campaign continues and ``assemble`` aggregates
@@ -50,7 +54,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 from .. import context
 from ..obs.metrics import MetricsRegistry
 from ..obs import tracing
-from .axes import AXES, activate, normalize_axes
+from .axes import AXES, SEED_FREE_BACKENDS, activate, normalize_axes
 from .cache import ResultCache
 from .registry import Cell, CellKey, CellValues, Scenario, get_scenario
 from .spec import ScenarioSpec, cell_digest, code_version
@@ -113,8 +117,12 @@ class RunnerStats:
     """What one :meth:`Runner.run` actually did."""
 
     total_cells: int = 0
+    #: Computations run (a seed-free group counts once).
     executed: int = 0
+    #: Cells served from the cache, every member of a cached group.
     cache_hits: int = 0
+    #: Cells given a value computed for another seed of their key.
+    shared: int = 0
     failed: int = 0
     retries: int = 0
     #: Cache entries that existed but could not be read (re-executed).
@@ -133,8 +141,9 @@ class RunnerStats:
             f"{self.cache_put_errors} cache put errors, "
             if self.cache_put_errors else ""
         )
+        shared = f"{self.shared} shared, " if self.shared else ""
         return (
-            f"{self.total_cells} cells: {self.executed} executed, "
+            f"{self.total_cells} cells: {self.executed} executed, {shared}"
             f"{self.cache_hits} cache hits, {corrupt}{unfiled}{self.failed} failed, "
             f"{self.retries} retries [{self.elapsed_s:.1f}s]"
         )
@@ -301,27 +310,40 @@ class Runner:
 
         start = time.perf_counter()
         stats = RunnerStats(total_cells=len(cells))
-        values: CellValues = {}
+        got: Dict[Cell, object] = {}  # group representative -> value
         failures: List[CellFailure] = []
 
-        # Cache probe: anything already known is served without simulating.
-        # A missed cell's digest is kept for its put.
+        # Groups, each computed once by its representative (its first cell):
+        # on a seed-free backend all cells of one key, else each cell alone.
+        seed_free = spec.backend in SEED_FREE_BACKENDS
+        firsts: Dict[CellKey, Cell] = {}
+        group_of = {
+            cell: firsts.setdefault(cell[0], cell) if seed_free else cell
+            for cell in cells
+        }
+        members: Dict[Cell, List[Cell]] = {}
+        for cell in cells:
+            members.setdefault(group_of[cell], []).append(cell)
+
+        # Cache probe, one per group under its representative's digest:
+        # anything already known is served without simulating.  A missed
+        # group's digest is kept for its put.
         pending: List[Cell] = []
         digests: Dict[Cell, str] = {}
         if self.cache is not None:
             code = code_version()
             corrupt_before = self.cache.corrupt
-            for cell in cells:
-                digest = cell_digest(spec, cell[0], cell[1], code)
+            for rep, group in members.items():
+                digest = cell_digest(spec, rep[0], rep[1], code)
                 hit, value = self.cache.get(digest)
                 if hit:
-                    values[cell] = value
-                    stats.cache_hits += 1
+                    got[rep] = value
+                    stats.cache_hits += len(group)
                 else:
-                    digests[cell] = digest
-                    pending.append(cell)
+                    digests[rep] = digest
+                    pending.append(rep)
         else:
-            pending = list(cells)
+            pending = list(members)
 
         jobs = min(self.jobs, max(len(pending), 1))
         if jobs > 1 and tracing.installed():
@@ -357,13 +379,14 @@ class Runner:
             try:
                 for key_list, seed, ok, value, duration, attempts, names in outcomes:
                     cell = (tuple(key_list), seed)
+                    group = members[cell]
                     stats.executed += 1
                     read.update(names)
                     stats.retries += attempts - 1
                     stats.cell_seconds[cell] = duration
                     observe(duration)
                     if ok:
-                        values[cell] = value
+                        got[cell] = value
                         if self.cache is not None:
                             try:
                                 self.cache.put(digests[cell], value, meta=dict(
@@ -378,11 +401,12 @@ class Runner:
                                         f"[{scn.name}] cache put failed: {exc!r}"
                                     )
                     else:
-                        failure = CellFailure(cell[0], seed, value, attempts)
-                        failures.append(failure)
-                        stats.failed += 1
-                        self._emit_progress(f"[{scn.name}] FAILED {failure.summary()}")
-                    done += 1
+                        for member_key, member_seed in group:
+                            failure = CellFailure(member_key, member_seed, value, attempts)
+                            failures.append(failure)
+                            self._emit_progress(f"[{scn.name}] FAILED {failure.summary()}")
+                        stats.failed += len(group)
+                    done += len(group)
                     if self.progress is not None:
                         self.progress(
                             f"[{scn.name}] {done}/{stats.total_cells} cells "
@@ -399,11 +423,17 @@ class Runner:
                         f"no cell read it"
                     )
 
+        # Every member gets its group's value object, in cell order.
+        values: CellValues = {
+            cell: got[group_of[cell]] for cell in cells if group_of[cell] in got
+        }
         if self.cache is not None:
             stats.cache_corrupt = self.cache.corrupt - corrupt_before
+        stats.shared = stats.total_cells - stats.executed - stats.cache_hits
         stats.elapsed_s = time.perf_counter() - start
         self.metrics.counter("runner.cells").add(stats.total_cells)
         self.metrics.counter("runner.executed").add(stats.executed)
+        self.metrics.counter("runner.shared").add(stats.shared)
         self.metrics.counter("runner.cache_hits").add(stats.cache_hits)
         self.metrics.counter("runner.cache_corrupt").add(stats.cache_corrupt)
         self.metrics.counter("runner.cache_put_errors").add(stats.cache_put_errors)

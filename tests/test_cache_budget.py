@@ -22,8 +22,14 @@ import sqlite3
 import repro.experiments  # noqa: F401  — registers the figure scenarios
 from repro.runner import ResultCache, Runner
 
-# 20 grid points x 10 seeds of the fluid figx_scale sweep.
-GRID_200 = {"runs": 10, "dt": 2.0}
+# 200 distinct grid points of the fluid figx_scale sweep (2 variants x 10
+# sizes x 10 mobile fractions), one seed each: fluid seeds of one key
+# share a single entry, so only distinct keys fill the store.
+GRID_200 = {
+    "runs": 1, "dt": 2.0,
+    "swarm_sizes": [100 * i for i in range(1, 11)],
+    "mobile_fractions": [i / 20 for i in range(1, 11)],
+}
 
 FILE_BUDGET = 3  # database, -wal, -shm
 

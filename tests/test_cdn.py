@@ -449,8 +449,11 @@ class TestFigxCdn:
     def test_warm_cache_rerun_executes_zero_sims(self, capsys, tmp_path):
         from repro.experiments.__main__ import main
 
+        # 8 distinct keys at one run each: fluid seeds of one key share
+        # a single computation, so they would not count as executed.
         argv = ["run", "figx_cdn", "--backend", "fluid", "--quiet",
-                "--json", "--cache-dir", str(tmp_path), *QUICK_FIGX]
+                "--json", "--cache-dir", str(tmp_path),
+                "--set", 'mobile_fractions=[0.0,0.2,0.4,0.6]', "--set", 'runs=1']
         main(argv)
         cold = json.loads(capsys.readouterr().out)
         assert cold["stats"]["executed"] == 8

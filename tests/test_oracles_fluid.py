@@ -25,6 +25,12 @@ tolerances before they were first run.
   below as a strict ``xfail``.  The fix moves fluid digests, so it
   waits for the results-change protocol (ROADMAP item 5); see
   docs/IMPLEMENTATION_NOTES.md § Fluid tier vs Kumar–Ross.
+* **The seed is not an input.**  The runner computes a fluid cell once
+  per key and hands that one value object to every seed of the key
+  (``SEED_FREE_BACKENDS``).  That is sound only while every scenario's
+  ``run_cell_fluid`` returns the same value under any seed, clean or
+  under a chaos preset, and ``assemble`` leaves the shared values alone.
+  A fluid cell that starts reading its seed fails here first.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ import itertools
 
 import pytest
 
+import repro.experiments  # noqa: F401  — registers the figure scenarios
+from repro import context
+from repro.runner import canonical_json, get_scenario, scenario_names
+from repro.runner.axes import SEED_FREE_BACKENDS, activate, normalize_axes
 from repro.scale import FluidParams, FluidSwarm, PeerClass
 
 MIB = 1 << 20
@@ -140,3 +150,49 @@ def test_completion_respects_the_seed_upload_bound():
         1, seed_up, 10, 48_000.0, 500_000.0, size,
     )).run().leecher_completion_time()
     assert done >= (1.0 - ROUNDING) * size / seed_up
+
+
+FLUID_SCENARIOS = [
+    name for name in scenario_names() if "fluid" in get_scenario(name).backends
+]
+
+
+def _keys(scn, params):
+    """Every distinct cell key, in enumeration order, and its first seed."""
+    firsts = {}
+    for key, seed in scn.cells(params):
+        firsts.setdefault(tuple(key), seed)
+    return firsts
+
+
+def test_fluid_is_the_seed_free_backend():
+    assert SEED_FREE_BACKENDS == ("fluid",)
+    assert FLUID_SCENARIOS, "no scenario offers the fluid backend"
+
+
+@pytest.mark.parametrize("chaos", [None, "churn"])
+@pytest.mark.parametrize("name", FLUID_SCENARIOS)
+def test_fluid_cells_return_the_same_value_under_any_seed(name, chaos):
+    scn = get_scenario(name)
+    params = scn.params()
+    with context.scope(**activate(normalize_axes({"chaos": chaos}))):
+        for key, seed in _keys(scn, params).items():
+            first = canonical_json(scn.run_cell_fluid(key, seed, params))
+            other = canonical_json(scn.run_cell_fluid(key, seed + 7919, params))
+            assert first == other, key
+
+
+@pytest.mark.parametrize("name", FLUID_SCENARIOS)
+def test_assemble_leaves_shared_values_unmodified(name):
+    scn = get_scenario(name)
+    params = scn.params()
+    shared = {
+        key: scn.run_cell_fluid(key, seed, params)
+        for key, seed in _keys(scn, params).items()
+    }
+    # One value object per key, given to every seed, as the runner does.
+    values = {(tuple(key), seed): shared[tuple(key)] for key, seed in scn.cells(params)}
+    before = canonical_json(sorted(map(list, values.items()), key=repr))
+    scn.assemble(params, values, [])
+    assert canonical_json(sorted(map(list, values.items()), key=repr)) == before
+    assert all(values[cell] is shared[cell[0]] for cell in values)

@@ -62,7 +62,13 @@ def _sql(root, statement: str, args: tuple = ()):
 
 # A 400-cell fluid grid whose process kills itself, uncatchably, from the
 # progress callback of cell K: everything filed up to then must survive.
-GRID_400 = {"runs": 20, "dt": 2.0}
+# 400 distinct keys (2 variants x 20 sizes x 10 mobile fractions) at one
+# seed each, since fluid seeds of one key share a single computation.
+GRID_400 = {
+    "runs": 1, "dt": 2.0,
+    "swarm_sizes": [100 * i for i in range(1, 21)],
+    "mobile_fractions": [i / 20 for i in range(1, 11)],
+}
 _KILLED_CAMPAIGN = """
 import json, os, signal, sys
 import repro.experiments
@@ -457,6 +463,82 @@ class TestFailures:
             Runner(jobs=0)
         with pytest.raises(ValueError):
             Runner(retries=-1)
+
+
+# ----------------------------------------------------------------------
+# Seed-free sharing: a fluid cell is identified by its key alone
+# ----------------------------------------------------------------------
+# 20 distinct keys x 10 seeds of the fluid figx_scale sweep.
+FLUID_GRID = {"runs": 10, "dt": 2.0}
+
+
+class TestSeedFreeSharing:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_key_is_computed_and_filed_once(self, tmp_path, jobs):
+        cache = ResultCache(str(tmp_path))
+        metrics = MetricsRegistry()
+        cold = Runner(jobs=jobs, cache=cache, backend="fluid", metrics=metrics).run(
+            "figx_scale", FLUID_GRID)
+        # By hand: one run_cell_fluid call per (key, seed).
+        scn = get_scenario("figx_scale")
+        params = scn.params(FLUID_GRID)
+        expected = {
+            (tuple(key), seed): json.loads(json.dumps(scn.run_cell_fluid(key, seed, params)))
+            for key, seed in scn.cells(params)
+        }
+        keys = {key for key, _ in expected}
+        assert (cold.stats.total_cells, len(keys)) == (200, 20)
+        assert cold.stats.executed == len(keys) == len(cold.stats.cell_seconds)
+        assert cold.stats.shared == 200 - len(keys)
+        assert cold.stats.cache_hits == 0 and not cold.failures
+        assert f"{len(keys)} executed, 180 shared, 0 cache hits" in cold.stats.summary()
+        assert metrics.counter("runner.shared").total == 180
+        assert len(cache) == len(keys)
+        assert cold.values == expected
+        assert list(cold.values) == list(expected)  # filled in cell order
+        for key in keys:
+            group = [value for (k, _), value in cold.values.items() if k == key]
+            assert all(value is group[0] for value in group)
+        # Each entry is filed under, and names, its key's first seed.
+        assert _sql(tmp_path, "SELECT group_concat(DISTINCT "
+                    "json_extract(entry, '$.meta.seed')) FROM cells") == ("1500",)
+
+        warm = Runner(jobs=jobs, cache=cache, backend="fluid").run("figx_scale", FLUID_GRID)
+        assert warm.stats.cache_hits == warm.stats.total_cells == 200
+        assert (warm.stats.executed, warm.stats.shared) == (0, 0)
+        assert warm.values == cold.values
+        assert [s.y for s in warm.result.series] == [s.y for s in cold.result.series]
+
+    def test_a_failing_key_fails_every_member_alike(self, monkeypatch):
+        def boom(self, key, seed, p):
+            raise RuntimeError(f"fluid cell {key!r} refused")
+
+        monkeypatch.setattr(type(get_scenario("figx_scale")), "run_cell_fluid", boom)
+        run = Runner(backend="fluid").run("figx_scale", {"runs": 3, "dt": 2.0})
+        assert run.stats.total_cells == run.stats.failed == len(run.failures) == 60
+        assert (run.stats.executed, run.stats.shared, run.stats.retries) == (20, 40, 20)
+        assert run.values == {}
+        for key in {f.key for f in run.failures}:
+            group = [f for f in run.failures if f.key == key]
+            assert [f.seed for f in group] == [1500, 1501, 1502]
+            assert len({f.error for f in group}) == 1
+            assert f"fluid cell {key!r} refused" in group[0].error
+
+    def test_seeded_backends_keep_one_computation_per_cell(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cold = Runner(cache=cache).run("fig2a", FAST_FIG2A)
+        assert (cold.stats.executed, cold.stats.shared, len(cache)) == (8, 0, 8)
+        assert "shared" not in cold.stats.summary()
+        warm = Runner(cache=cache).run("fig2a", FAST_FIG2A)
+        assert (warm.stats.cache_hits, warm.stats.executed, warm.stats.shared) == (8, 0, 0)
+
+    def test_cli_json_stats_count_shared_cells(self, capsys):
+        from repro.experiments.__main__ import main
+
+        main(["run", "figx_scale", "--no-cache", "--quiet", "--json",
+              "--set", "runs=3", "--set", "dt=2.0"])
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert (stats["executed"], stats["shared"], stats["total_cells"]) == (20, 40, 60)
 
 
 # ----------------------------------------------------------------------
