@@ -155,12 +155,9 @@ def test_cdn_fluid_10k_assets(benchmark):
 
 def test_figx_scale_fluid_sweep(benchmark):
     """The full figx_scale sweep (up to 100k peers, 20% and 50% mobile)
-    on the fluid backend — the acceptance budget is < 60 s."""
+    on the fluid backend — the acceptance budget is < 60 s; the scenario's
+    own claims are checked by ``run_figure``."""
     result = run_figure(benchmark, "figx_scale")
     benchmark.extra_info["events"] = result.parameters["engine_steps"]
     benchmark.extra_info["peak_swarm"] = result.parameters["peak_swarm_size"]
     assert result.parameters["peak_swarm_size"] >= 100_000
-    # wP2P stays ahead of the default client at the headline fraction.
-    default = result.get("Default P2P (20% mobile)")
-    wp2p = result.get("wP2P (20% mobile)")
-    assert all(w < d for w, d in zip(wp2p.y, default.y))

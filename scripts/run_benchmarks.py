@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Execute the ``benchmarks/`` suite and consolidate ``BENCH_scale.json``.
 
-Drives pytest-benchmark over the benchmark suite (every figure
-reproduction plus the fluid-tier benches) and distils its verbose JSON
+Drives pytest-benchmark over the benchmark suite (per-subsystem
+microbenchmarks plus the engine and scale benches) and distils its verbose JSON
 into one small report at the repo root: per-benchmark wall-clock,
-events per second (simulation events for packet figures, integration
+events per second (simulation events for packet cells, integration
 steps for fluid ones — whatever the bench attached as ``events``), and
 the peak swarm size exercised.
 
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
                         default=os.path.join(REPO_ROOT, "BENCH_scale.json"),
                         help="consolidated report path (default: repo root)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="REPRO_BENCH_JOBS for the figure campaigns")
+                        help="REPRO_BENCH_JOBS for the scenario campaigns")
     parser.add_argument("--baseline", default=None,
                         help="recorded BENCH_scale-format JSON to compare "
                              "events/sec against (e.g. benchmarks/BASELINE.json); "

@@ -11,6 +11,7 @@ from .stats import (
     Summary,
     clearly_greater,
     describe,
+    point_estimate,
     relative_gain,
     summarize,
     t_critical_95,
@@ -31,6 +32,7 @@ __all__ = [
     "Summary",
     "clearly_greater",
     "describe",
+    "point_estimate",
     "relative_gain",
     "summarize",
     "t_critical_95",

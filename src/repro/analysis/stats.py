@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 # Two-sided t critical values at 95% for small samples (df 1..30).
 _T95 = [
@@ -67,6 +67,19 @@ def summarize(values: Sequence[float]) -> Summary:
     stdev = math.sqrt(var)
     ci95 = t_critical_95(n - 1) * stdev / math.sqrt(n)
     return Summary(n, mean, stdev, ci95)
+
+
+def point_estimate(values: Sequence[float], scale: float = 1.0) -> Tuple[float, float]:
+    """``(mean, ci95)`` of one sweep point's per-seed values, divided by ``scale``.
+
+    The one rule for a grid point that lost every seed: it is NaN (mean
+    and spread), so the campaign still assembles and a claim about the
+    point fails instead of the assembly raising.
+    """
+    vals = list(values)
+    if not vals:
+        return math.nan, math.nan
+    return sum(vals) / len(vals) / scale, summarize([v / scale for v in vals]).ci95
 
 
 def describe(values: Sequence[float]) -> dict:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..net.host import Host
-from ..sim import RateMeter, Simulator
+from ..obs.metrics import WindowRateMeter
+from ..sim import Simulator
 from ..tcp.connection import TCPConnection
 from ..tcp.stack import TCPStack
 
@@ -105,7 +106,7 @@ class ForegroundDownload:
         self.host = host
         stack = host.transport
         self.stack: TCPStack = stack if isinstance(stack, TCPStack) else TCPStack(sim, host)
-        self.meter = RateMeter(sim, window=rate_window)
+        self.meter = WindowRateMeter(clock=lambda: sim.now, window=rate_window)
         self.bytes_received = 0
         self.conn = self.stack.connect(server_ip, server_port)
         self.conn.on_message = self._on_message

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..sim import RateMeter
+from ..obs.metrics import WindowRateMeter
 from ..tcp.connection import TCPConnection
 from .bitfield import Bitfield
 from .messages import (
@@ -81,19 +81,20 @@ class PeerConnection:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _new_meter(self) -> RateMeter:
+    def _new_meter(self) -> WindowRateMeter:
         """A connection that dies in the handshake never needs one."""
-        return RateMeter(self.sim, window=self.client.config.rate_window)
+        sim = self.sim
+        return WindowRateMeter(clock=lambda: sim.now, window=self.client.config.rate_window)
 
     @property
-    def download_meter(self) -> RateMeter:
+    def download_meter(self) -> WindowRateMeter:
         """Sliding-window rate of blocks received from this peer."""
         if self._download_meter is None:
             self._download_meter = self._new_meter()
         return self._download_meter
 
     @property
-    def upload_meter(self) -> RateMeter:
+    def upload_meter(self) -> WindowRateMeter:
         """Sliding-window rate of blocks sent to this peer."""
         if self._upload_meter is None:
             self._upload_meter = self._new_meter()

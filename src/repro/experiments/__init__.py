@@ -1,26 +1,21 @@
 """Experiment reproductions — one registered scenario per figure.
 
 Importing this package registers every figure of the paper (``fig2a`` …
-``fig9c``) and every extension sweep (``figx_*``) with
-:mod:`repro.runner`; ``python -m repro.experiments list`` prints them
-with their descriptions.  Run one with
-``repro.runner.run_scenario(name, overrides)`` (serial, uncached),
-``Runner.run`` (parallel, cached) or ``python -m repro.experiments run``.
+``fig9c``), every extension sweep (``figx_*``) and the design-choice
+ablations (``ablation_*``) with :mod:`repro.runner`;
+``python -m repro.experiments list`` prints them with their
+descriptions.  Run one with ``repro.runner.run_scenario(name,
+overrides)`` (serial, uncached), ``Runner.run`` (parallel, cached) or
+``python -m repro.experiments run``.
 
 Each run returns an :class:`repro.analysis.ExperimentResult` whose ``table()``
 prints the same rows/series the paper plots, alongside the paper's
-qualitative expectation.
+qualitative expectation; each scenario's ``check()`` states the paper's
+claims about it as verdicts (``run NAME --check``).
 """
 
-from .base import (
-    BulkSender,
-    Payload,
-    TransferStats,
-    WirelessPairTopology,
-    mean_over_seeds,
-    random_piece_subset,
-    run_transfer,
-)
+from ..apps.bulk import BulkSender, Payload
+from .base import TransferStats, WirelessPairTopology, random_piece_subset, run_transfer
 from .fig2_bitcp import (
     cluster_drops,
     drop_response_ratio,
@@ -36,13 +31,13 @@ from .figx_chaos import chaos_run
 from .figx_erasure import erasure_run, erasure_schedule
 from .figx_hybrid import hybrid_cell
 from .figx_scale import fluid_cell, packet_cell
+from . import ablations  # noqa: F401  (registers the ablation_* scenarios)
 
 __all__ = [
     "BulkSender",
     "Payload",
     "TransferStats",
     "WirelessPairTopology",
-    "mean_over_seeds",
     "random_piece_subset",
     "run_transfer",
     "cluster_drops",

@@ -8,6 +8,7 @@ Usage (the scenario registry + parallel runner)::
     python -m repro.experiments run fig4bc --num-pieces 400 --json
     python -m repro.experiments run all --jobs 8 --no-cache
     python -m repro.experiments run fig3a --set runs=2 --set duration=10
+    python -m repro.experiments run fig8c --check    # PASS/FAIL per claim
 
 ``run`` caches each simulated cell on disk keyed by (scenario, params,
 seed, scenario axes, code version); a re-run with nothing changed
@@ -15,7 +16,9 @@ executes zero simulations.  The axis flags (``--backend``, ``--chaos*``,
 ``--strategy``/``--strategy-mix``, ``--content``, ``--catalog``/
 ``--demand``) map onto :data:`repro.runner.axes.AXES`.  ``--trace``
 puts a JSONL trace sink in the run context, which forces serial
-execution (the sink lives in this process).
+execution (the sink lives in this process).  ``--check`` evaluates each
+scenario's claims (``Scenario.check``): one PASS/FAIL line per verdict,
+``verdicts`` in the ``--json`` payload, and exit status 1 if any fails.
 """
 
 from __future__ import annotations
@@ -241,10 +244,10 @@ def _cmd_run(args) -> None:
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         raise SystemExit(f"error: {message}") from None
-    failed_cells = 0
+    failed_cells = failed_verdicts = 0
 
     def run_all() -> None:
-        nonlocal failed_cells
+        nonlocal failed_cells, failed_verdicts
         payloads = []
         for name in names:
             start = time.time()
@@ -258,8 +261,13 @@ def _cmd_run(args) -> None:
             except ValueError as exc:
                 raise SystemExit(f"error: {exc}") from None
             failed_cells += len(run.failures)
+            verdicts = get_scenario(name).check(run) if args.check else []
+            failed_verdicts += sum(not v.ok for v in verdicts)
             if args.json:
-                payloads.append(_result_payload(run))
+                payload = _result_payload(run)
+                if args.check:
+                    payload["verdicts"] = [asdict(v) for v in verdicts]
+                payloads.append(payload)
             else:
                 print(run.result.table())
                 if args.chart:
@@ -270,6 +278,10 @@ def _cmd_run(args) -> None:
                 for failure in run.failures:
                     print(f"warning: {failure.summary()}", file=sys.stderr)
                 print(f"[{run.stats.summary()} | {time.time() - start:.1f}s]")
+            for verdict in verdicts:
+                print(f"[{name}] {verdict.line()}",
+                      file=sys.stderr if args.json else sys.stdout)
+            if not args.json:
                 print()
         if args.json:
             out = payloads[0] if len(payloads) == 1 else payloads
@@ -288,9 +300,10 @@ def _cmd_run(args) -> None:
     else:
         run_all()
 
-    if args.audit and failed_cells:
+    if (args.audit and failed_cells) or failed_verdicts:
         # Under --audit a failed cell is (almost always) an invariant
-        # violation; make the run's exit status reflect it for CI.
+        # violation; make the run's exit status reflect it for CI, as a
+        # failed claim does under --check.
         raise SystemExit(1)
 
 
@@ -335,6 +348,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="check cross-layer invariants (repro.audit) in "
                              "every simulated cell; violations fail the cell "
                              "and the run exits non-zero (disables the cache)")
+    parser.add_argument("--check", action="store_true",
+                        help="evaluate each scenario's claims: print one "
+                             "PASS/FAIL line per verdict, add 'verdicts' to "
+                             "--json, and exit 1 if any verdict fails")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-cell wall-clock budget; a cell exceeding it "

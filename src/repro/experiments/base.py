@@ -1,7 +1,7 @@
 """Shared experiment machinery.
 
-Raw-TCP topologies and bulk-transfer apps for the transport-level figures
-(Figure 2, Figure 8(a) uses BitTorrent), plus multi-run averaging helpers.
+Raw-TCP topologies for the transport-level figures (Figure 2, Figure
+8(a) uses BitTorrent); the bulk-transfer apps are :mod:`repro.apps.bulk`'s.
 
 Scaling: every experiment accepts its paper parameters but defaults to
 scaled-down values chosen so a full bench run finishes in seconds; the
@@ -11,8 +11,9 @@ scale factors are recorded in each result's ``parameters``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
+from ..apps.bulk import BulkSender
 from ..net import (
     AddressAllocator,
     Host,
@@ -24,51 +25,6 @@ from ..net import (
 from ..obs.tracing import JSONLSink, TraceSink
 from ..sim import Simulator
 from ..tcp import TCPConfig, TCPConnection, TCPStack
-
-
-class Payload:
-    """A generic application message for raw-TCP experiments."""
-
-    __slots__ = ("wire_length",)
-
-    def __init__(self, wire_length: int) -> None:
-        self.wire_length = wire_length
-
-
-class BulkSender:
-    """Keeps a TCP connection's send buffer topped up (bulk transfer)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        conn: TCPConnection,
-        chunk: int = 1460,
-        window: int = 64 * 1024,
-        poll: float = 0.05,
-    ) -> None:
-        self.sim = sim
-        self.conn = conn
-        self.chunk = chunk
-        self.window = window
-        self.poll = poll
-        self.running = False
-        self.bytes_queued = 0
-
-    def start(self) -> None:
-        self.running = True
-        self._pump()
-
-    def stop(self) -> None:
-        self.running = False
-
-    def _pump(self) -> None:
-        if not self.running or self.conn.closed:
-            return
-        if self.conn.established:
-            while self.conn.send_buffer_bytes < self.window:
-                self.conn.send_message(Payload(self.chunk))
-                self.bytes_queued += self.chunk
-        self.sim.schedule(self.poll, self._pump)
 
 
 class WirelessPairTopology:
@@ -172,14 +128,6 @@ def run_transfer(
         if topo.trace_sink is not None:
             topo.trace_sink.close()
     return TransferStats(delivered_down, delivered_up, duration)
-
-
-def mean_over_seeds(
-    fn: Callable[[int], float], runs: int, base_seed: int = 0
-) -> float:
-    """Average ``fn(seed)`` over ``runs`` distinct seeds."""
-    values = [fn(base_seed + i) for i in range(runs)]
-    return sum(values) / len(values)
 
 
 def random_piece_subset(

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis import ExperimentResult, Series, summarize
-from ..runner import Scenario, collect, scenario
-from ..sim import mean
+from ..analysis import ExperimentResult, Series, point_estimate
+from ..obs.metrics import mean
+from ..runner import Scenario, Verdict, collect, scenario
 from .base import BulkSender, WirelessPairTopology, run_transfer
 
 DEFAULT_BERS: Tuple[float, ...] = (0.0, 5e-6, 1e-5, 1.5e-5, 2e-5)
@@ -56,9 +56,9 @@ class Fig2A(Scenario):
             ys: List[float] = []
             errs: List[float] = []
             for ber in p["bers"]:
-                vals = collect(values, (mode, ber))
-                ys.append(sum(vals) / len(vals))
-                errs.append(summarize(vals).ci95)
+                y, err = point_estimate(collect(values, (mode, ber)))
+                ys.append(y)
+                errs.append(err)
             label = "Bi-TCP" if mode == "bi" else "Uni-TCP"
             return Series(label, list(p["bers"]), ys, y_err=errs)
 
@@ -77,6 +77,17 @@ class Fig2A(Scenario):
                 "channel_Bps": p["rate"],
             },
         )
+
+    def check(self, run):
+        bi, uni = run.result.get("Bi-TCP"), run.result.get("Uni-TCP")
+        return [
+            Verdict("uni_above_bi_at_every_ber",
+                    all(uni.y_at(x) >= bi.y_at(x) for x in uni.x),
+                    {"uni": uni.y, "bi": bi.y}),
+            Verdict("both_decline_with_ber",
+                    uni.y[-1] < uni.y[0] and bi.y[-1] < bi.y[0],
+                    {"uni": [uni.y[0], uni.y[-1]], "bi": [bi.y[0], bi.y[-1]]}),
+        ]
 
 
 def _packets_and_drops(
@@ -171,6 +182,24 @@ class Fig2BC(Scenario):
                 "bucket_s": p["bucket"],
             },
         )
+
+    def check(self, run):
+        r = run.result
+        uni, bi = r.get("Uni-directional"), r.get("Bi-directional")
+        bi_drops = r.parameters["bi_drop_times"]
+        uni_starved = post_congestion_starvation(uni, r.parameters["uni_drop_times"])
+        bi_starved = post_congestion_starvation(bi, bi_drops)
+        bi_ratio = drop_response_ratio(bi, bi_drops)
+        starved = {"uni_starved": uni_starved, "bi_starved": bi_starved}
+        measured = uni_starved is not None and bi_starved is not None
+        return [
+            Verdict("uni_starves_more_than_bi",
+                    measured and uni_starved > bi_starved, starved),
+            Verdict("bi_rarely_starves", measured and bi_starved <= 0.25, starved),
+            Verdict("bi_load_level_through_congestion",
+                    bi_ratio is not None and 0.8 <= bi_ratio <= 1.2,
+                    {"bi_post_pre_ratio": bi_ratio}),
+        ]
 
 
 def cluster_drops(drop_times: Sequence[float], min_gap: float = 1.0) -> List[float]:

@@ -22,10 +22,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis import ExperimentResult, Series, average_runs, summarize
+from ..analysis import ExperimentResult, Series, average_runs, point_estimate
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, scenario
+from ..obs.metrics import mean
+from ..runner import Scenario, Verdict, collect, scenario
 from .base import random_piece_subset
 
 UPLOAD_FRACTIONS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -124,9 +125,9 @@ class _UploadSweepScenario(Scenario):
         ys: List[float] = []
         errs: List[float] = []
         for frac in p["fractions"]:
-            vals = collect(values, (frac,))
-            ys.append(sum(vals) / len(vals) / 1000.0)  # KB/s
-            errs.append(summarize([v / 1000.0 for v in vals]).ci95)
+            y, err = point_estimate(collect(values, (frac,)), 1000.0)  # KB/s
+            ys.append(y)
+            errs.append(err)
         series = Series(label, [100 * f for f in p["fractions"]], ys, y_err=errs)
         parameters = {"runs": p["runs"], "duration_s": p["duration"]}
         if self.wireless:
@@ -162,6 +163,13 @@ class Fig3A(_UploadSweepScenario):
         "channel_rate": 0.0,
     }
 
+    def check(self, run):
+        s = run.result.get("Wired")
+        low = mean(y for x, y in zip(s.x, s.y) if x <= 30)
+        high = mean(y for x, y in zip(s.x, s.y) if x >= 50)
+        return [Verdict("more_upload_buys_more_download", high > low,
+                        {"low_cap_mean": low, "high_cap_mean": high})]
+
 
 @scenario
 class Fig3B(_UploadSweepScenario):
@@ -185,6 +193,16 @@ class Fig3B(_UploadSweepScenario):
         "reference_rate": 100_000.0,
         "channel_rate": 100_000.0,
     }
+
+    def check(self, run):
+        s = run.result.get("Wireless")
+        peak_y = max(s.y)
+        return [
+            Verdict("peak_well_below_wired", s.peak_x <= 60, {"peak_x": s.peak_x}),
+            Verdict("rises_then_falls",
+                    s.y_at(10.0) < peak_y and s.y_at(90.0) < peak_y,
+                    {"y_10": s.y_at(10.0), "peak_y": peak_y, "y_90": s.y_at(90.0)}),
+        ]
 
 
 # "Uploading" is capped at the competitors' class of rate (60 KB/s):
@@ -266,6 +284,20 @@ class Fig3C(Scenario):
                 "file_mb": p["file_mb"],
             },
         )
+
+    def check(self, run):
+        nm_up, nm_noup, m_up, m_noup = (
+            run.result.get(label).y[-1] for label, _, _ in FIG3C_CASES
+        )
+        final = {"nomob_up": nm_up, "nomob_noup": nm_noup,
+                 "mob_up": m_up, "mob_noup": m_noup}
+        return [
+            Verdict("incentives_work_when_static", nm_up > nm_noup, final),
+            Verdict("mobility_erases_the_upload_advantage",
+                    abs(m_up - m_noup) < (nm_up - nm_noup), final),
+            Verdict("mobility_ends_below_best_static",
+                    m_up < nm_up and m_noup < nm_up, final),
+        ]
 
 
 def _fig3c_run(

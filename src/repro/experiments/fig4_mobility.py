@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..analysis import ExperimentResult, Series, summarize
+from ..analysis import ExperimentResult, Series, point_estimate
 from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.selection import PieceSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves, playability_curve
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 
 MOBILITY_INTERVALS: Sequence[Optional[float]] = (None, 120.0, 90.0, 60.0, 30.0)
 MOBILITY_LABELS = ("No mobility", "Every 2 min", "Every 1.5 min", "Every 1 min", "Every 0.5 min")
@@ -97,9 +97,9 @@ class Fig4A(Scenario):
             ys: List[float] = []
             errs: List[float] = []
             for interval in p["intervals"]:
-                vals = collect(values, (series, interval))
-                ys.append(sum(vals) / len(vals) / 1000.0)
-                errs.append(summarize([v / 1000.0 for v in vals]).ci95)
+                y, err = point_estimate(collect(values, (series, interval)), 1000.0)
+                ys.append(y)
+                errs.append(err)
             return Series(label, list(range(len(p["intervals"]))), ys, y_err=errs)
 
         return ExperimentResult(
@@ -122,6 +122,16 @@ class Fig4A(Scenario):
                 "duration_s": p["duration"],
             },
         )
+
+    def check(self, run):
+        one = run.result.get("One peer is mobile").y
+        all_m = run.result.get("All peers are mobile").y
+        ends = {"one_mobile": [one[0], one[-1]], "all_mobile": [all_m[0], all_m[-1]]}
+        return [
+            Verdict("mobility_lowers_throughput",
+                    one[0] > one[-1] and all_m[0] > all_m[-1], ends),
+            Verdict("all_mobile_worse_than_one", all_m[-1] < one[-1], ends),
+        ]
 
 
 def playability_run(
@@ -216,3 +226,19 @@ class Fig4BC(Scenario):
             ),
             parameters={"num_pieces": num_pieces, "runs": p["runs"]},
         )
+
+    def check(self, run):
+        s = run.result.series[0]
+        num_pieces = run.spec.params["num_pieces"]
+        verdicts = [Verdict("completed_download_is_playable", s.y_at(100.0) == 100.0,
+                            {"playable_at_100": s.y_at(100.0)})]
+        if num_pieces == 20:
+            verdicts.append(Verdict("mostly_unplayable_at_60pct", s.y_at(60.0) <= 25.0,
+                                    {"playable_at_60": s.y_at(60.0)}))
+        elif num_pieces == 400:
+            verdicts.append(Verdict(
+                "unplayable_until_nearly_complete",
+                s.y_at(60.0) <= 5.0 and s.y_at(90.0) <= 30.0,
+                {"playable_at_60": s.y_at(60.0), "playable_at_90": s.y_at(90.0)},
+            ))
+        return verdicts

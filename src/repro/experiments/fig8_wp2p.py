@@ -17,14 +17,15 @@ remain as serial front doors over the runner.
 
 from __future__ import annotations
 
+import math
 import random as _random
 from typing import List, Tuple
 
-from ..analysis import ExperimentResult, Series, average_runs, summarize
+from ..analysis import ExperimentResult, Series, average_runs, point_estimate
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, scenario
-from ..wp2p import WP2PClient, WP2PConfig
+from ..runner import Scenario, Verdict, collect, scenario
+from ..wp2p import DEFAULT_GAMMA_BYTES, WP2PClient, WP2PConfig
 from .base import random_piece_subset
 
 AM_BERS: Tuple[float, ...] = (1e-6, 5e-6, 1e-5, 1.5e-5, 3e-5)
@@ -60,13 +61,18 @@ def ia_config(**overrides) -> WP2PConfig:
     return cfg
 
 
-def _fig8a_run(seed: int, ber: float, duration: float) -> Tuple[float, float]:
+def _fig8a_run(
+    seed: int, ber: float, duration: float,
+    am_gamma_bytes: int = DEFAULT_GAMMA_BYTES,
+) -> Tuple[float, float]:
     """One run: (default, wP2P) download rates in bytes/s.
 
     Replicates the paper's setup: a seed populates two wireless leeches
     with disjoint halves (modelled directly as complementary initial
     pieces, i.e. the state after the paper removes the seed); thereafter
     all transfer is leech<->leech over one bi-directional TCP connection.
+    ``am_gamma_bytes`` is AM's ACK-decoupling threshold γ (the AM γ
+    ablation sweeps it).
     """
     sc = SwarmScenario(seed=seed, file_size=6 * 1024 * 1024, piece_length=65_536)
     n = sc.torrent.num_pieces
@@ -77,7 +83,8 @@ def _fig8a_run(seed: int, ber: float, duration: float) -> Tuple[float, float]:
     )
     wp2p = sc.add_wireless_peer(
         "wp2p", rate=100_000, ber=ber, initial_pieces=odd,
-        client_factory=WP2PClient, config=am_only_config(),
+        client_factory=WP2PClient,
+        config=am_only_config(am_gamma_bytes=am_gamma_bytes),
     )
     sc.start_all()
     warmup = 5.0
@@ -121,8 +128,9 @@ class Fig8A(Scenario):
             errs: List[float] = []
             for ber in p["bers"]:
                 vals = [pair[which] for pair in collect(values, (ber,))]
-                ys.append(sum(vals) / len(vals) / 1000.0)
-                errs.append(summarize([v / 1000.0 for v in vals]).ci95)
+                y, err = point_estimate(vals, 1000.0)
+                ys.append(y)
+                errs.append(err)
             return Series(label, list(p["bers"]), ys, y_err=errs)
 
         return ExperimentResult(
@@ -134,6 +142,18 @@ class Fig8A(Scenario):
             paper_expectation="wP2P outperforms the default client at all BERs (~20%)",
             parameters={"runs": p["runs"], "duration_s": p["duration"]},
         )
+
+    def check(self, run):
+        d, w = run.result.get("Default P2P"), run.result.get("wP2P")
+        return [
+            Verdict("wp2p_clearly_ahead_at_highest_ber", w.y[-1] > d.y[-1] * 1.15,
+                    {"ratio": w.y[-1] / d.y[-1] if d.y[-1] else math.nan}),
+            Verdict("wp2p_never_materially_worse",
+                    all(w.y_at(x) > d.y_at(x) * 0.9 for x in d.x),
+                    {"default": d.y, "wp2p": w.y}),
+            Verdict("both_decline_with_ber", d.y[-1] < d.y[0] and w.y[-1] < w.y[0],
+                    {"default": [d.y[0], d.y[-1]], "wp2p": [w.y[0], w.y[-1]]}),
+        ]
 
 
 def _fig8b_swarm(seed: int, handoff_interval: float):
@@ -223,9 +243,27 @@ class Fig8B(Scenario):
             },
         )
 
+    def check(self, run):
+        d, w = run.result.get("Default P2P").y, run.result.get("wP2P").y
+        back_half = len(w) // 2
+        wins = sum(1 for dy, wy in zip(d[back_half:], w[back_half:]) if wy >= dy)
+        return [
+            Verdict("wp2p_ends_ahead", w[-1] > d[-1],
+                    {"default_mb": d[-1], "wp2p_mb": w[-1]}),
+            Verdict("wp2p_ahead_over_back_half", wins >= (len(w) - back_half) * 0.7,
+                    {"wins": wins, "samples": len(w) - back_half}),
+        ]
 
-def _fig8c_run(seed: int, bandwidth: float, use_lihd: bool, duration: float) -> float:
-    """One run: the mobile leech's download rate (bytes/s)."""
+
+def _fig8c_run(
+    seed: int, bandwidth: float, use_lihd: bool, duration: float,
+    lihd_alpha: float = 10_240.0, lihd_beta: float = 10_240.0,
+) -> float:
+    """One run: the mobile leech's download rate (bytes/s).
+
+    ``lihd_alpha``/``lihd_beta`` are LIHD's increase/decrease steps (the
+    LIHD α/β ablation sweeps them; α = β = 10 KB/s is the paper's).
+    """
     sc = SwarmScenario(seed=seed, file_size=8 * 1024 * 1024, piece_length=65_536)
     n = sc.torrent.num_pieces
 
@@ -250,6 +288,8 @@ def _fig8c_run(seed: int, bandwidth: float, use_lihd: bool, duration: float) -> 
             identity_retention=False,
             role_reversal=False,
             lihd_u_max=bandwidth,
+            lihd_alpha=lihd_alpha,
+            lihd_beta=lihd_beta,
             lihd_interval=5.0,
             unchoke_slots=6,
             choke_interval=5.0,
@@ -300,9 +340,9 @@ class Fig8C(Scenario):
             ys: List[float] = []
             errs: List[float] = []
             for bw in p["bandwidths"]:
-                vals = collect(values, (variant, bw))
-                ys.append(sum(vals) / len(vals) / 1000.0)
-                errs.append(summarize([v / 1000.0 for v in vals]).ci95)
+                y, err = point_estimate(collect(values, (variant, bw)), 1000.0)
+                ys.append(y)
+                errs.append(err)
             return Series(label, [bw / 1000 for bw in p["bandwidths"]], ys, y_err=errs)
 
         return ExperimentResult(
@@ -318,3 +358,16 @@ class Fig8C(Scenario):
             ),
             parameters={"runs": p["runs"], "duration_s": p["duration"]},
         )
+
+    def check(self, run):
+        d, w = run.result.get("Default P2P"), run.result.get("wP2P")
+        gains = [w.y_at(x) / max(d.y_at(x), 1e-9) for x in d.x]
+        return [
+            Verdict("wp2p_matches_default_everywhere",
+                    all(w.y_at(x) >= d.y_at(x) * 0.9 for x in d.x),
+                    {"default": d.y, "wp2p": w.y}),
+            Verdict("wp2p_clearly_wins_where_contention_binds", max(gains) > 1.3,
+                    {"best_gain": max(gains)}),
+            Verdict("both_rise_with_bandwidth", w.y[-1] > w.y[0] and d.y[-1] > d.y[0],
+                    {"default": [d.y[0], d.y[-1]], "wp2p": [w.y[0], w.y[-1]]}),
+        ]

@@ -20,7 +20,7 @@ from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 from ..wp2p import WP2PClient, WP2PConfig
 from .fig4_mobility import GRID, playability_run
 
@@ -119,6 +119,23 @@ class Fig9AB(Scenario):
             parameters={"num_pieces": num_pieces, "runs": p["runs"]},
         )
 
+    def check(self, run):
+        d, w = run.result.get("Default P2P"), run.result.get("wP2P")
+        at_half = {"default_at_50": d.y_at(50.0), "wp2p_at_50": w.y_at(50.0)}
+        verdicts = [Verdict("wp2p_far_more_playable_at_half",
+                            w.y_at(50.0) >= d.y_at(50.0) + 10.0, at_half)]
+        num_pieces = run.spec.params["num_pieces"]
+        if num_pieces == 20:
+            verdicts.append(Verdict(
+                "wp2p_at_least_as_playable_everywhere",
+                all(w.y_at(float(x)) >= d.y_at(float(x)) - 5.0 for x in range(10, 100, 10)),
+                {"default": d.y, "wp2p": w.y},
+            ))
+        elif num_pieces == 400:
+            verdicts.append(Verdict("rarest_first_unplayable_at_half",
+                                    d.y_at(50.0) <= 10.0, at_half))
+        return verdicts
+
 
 ROLE_REVERSAL_INTERVALS: Sequence[float] = (180.0, 120.0, 60.0)
 ROLE_REVERSAL_LABELS = ("Every 6 min", "Every 4 min", "Every 2 min")
@@ -130,13 +147,18 @@ def _fig9c_run(
     interval: float,
     wp2p: bool,
     duration: float,
+    tracker_interval: float = 60.0,
 ) -> float:
-    """One run: aggregate upload throughput of the two mobile seeds."""
+    """One run: aggregate upload throughput of the two mobile seeds.
+
+    ``tracker_interval`` is the announce period (the role reversal vs
+    tracker refresh ablation shortens it for the default client).
+    """
     sc = SwarmScenario(
         seed=seed,
         file_size=256 * 1024 * 1024,
         piece_length=131_072,
-        tracker_interval=60.0,
+        tracker_interval=tracker_interval,
     )
     leech_cfg = ClientConfig(unchoke_slots=3, choke_interval=5.0)
     for i in range(4):
@@ -215,3 +237,16 @@ class Fig9C(Scenario):
                 "duration_s": p["duration"],
             },
         )
+
+    def check(self, run):
+        d, w = run.result.get("Default P2P").y, run.result.get("wP2P").y
+        gain_slow = w[0] / max(d[0], 1e-9)
+        gain_fast = w[-1] / max(d[-1], 1e-9)
+        return [
+            Verdict("wp2p_ahead_at_every_rate", all(wy >= dy for dy, wy in zip(d, w)),
+                    {"default": d, "wp2p": w}),
+            Verdict("advantage_grows_with_mobility", gain_fast > gain_slow,
+                    {"gain_slow": gain_slow, "gain_fast": gain_fast}),
+            Verdict("default_degrades_with_mobility", d[-1] < d[0],
+                    {"default": [d[0], d[-1]]}),
+        ]

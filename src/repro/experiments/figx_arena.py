@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 from ..strategy import MixAssigner, get_strategy
 from ..wp2p import WP2PClient, WP2PConfig
 from .base import random_piece_subset
@@ -402,3 +402,16 @@ class FigXArena(Scenario):
                 "engine_events": total_events,
             },
         )
+
+    def check(self, run):
+        p = run.result.parameters
+        penalty, eff = p["freerider_penalty"], p["tyrant_efficiency"]
+        robust, reference = eff.get("robust"), eff.get("reference")
+        return [
+            Verdict("freeriders_pay", penalty is not None and penalty > 1.05,
+                    {"freerider_penalty": penalty}),
+            Verdict("propshare_taxes_the_tyrant",
+                    robust is not None and reference is not None
+                    and robust < reference - 0.05,
+                    {"tyrant_efficiency": eff}),
+        ]

@@ -16,8 +16,8 @@ per-host netfilter state and stays off in multi-swarm use) come back in
 
 Expectation: offload decreases monotonically with the mobile fraction
 under default clients, and wP2P recovers at least half of the lost
-offload at every nonzero fraction — the CI ``cdn`` gate, asserted on
-both backends.
+offload at every nonzero fraction — the offload gate
+:meth:`FigXCdn.check` states for both backends.
 
 The fluid backend maps the same axes through
 :func:`repro.cdn.surrogate.cdn_fluid_cell`: popularity bands become
@@ -33,14 +33,10 @@ from typing import Dict, List, Sequence
 
 from ..analysis import ExperimentResult, Series
 from ..cdn import CdnScenario, cdn_fluid_cell
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 
 CLIENTS: Sequence[str] = ("default", "wp2p")
 MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.4, 0.8)
-
-#: Tolerance for the monotonicity check: offload values are means over a
-#: handful of seeded runs, so "decreases" must absorb float noise.
-GATE_EPSILON = 1e-6
 
 
 def cdn_run(
@@ -158,27 +154,12 @@ class FigXCdn(Scenario):
             default_off = offload["default"]
             wp2p_off = offload["wp2p"]
             baseline = default_off[0]
-            gaps = [baseline - d for d in default_off]
-            recovered = [w - d for w, d in zip(wp2p_off, default_off)]
-            monotone = all(
-                later <= earlier + GATE_EPSILON
-                for earlier, later in zip(default_off, default_off[1:])
-            )
-            # wP2P must win back >= half the offload mobility cost at
-            # every fraction where there is a cost to win back.
-            recovers = all(
-                rec >= 0.5 * gap - GATE_EPSILON
-                for gap, rec in zip(gaps, recovered)
-                if gap > GATE_EPSILON
-            )
             gate = {
                 "mobile_fractions": fractions,
                 "default_offload": default_off,
                 "wp2p_offload": wp2p_off,
-                "gaps": gaps,
-                "recovered": recovered,
-                "offload_monotone_decreasing": monotone,
-                "wp2p_recovers_half_gap": recovers,
+                "gaps": [baseline - d for d in default_off],
+                "recovered": [w - d for w, d in zip(wp2p_off, default_off)],
             }
 
         labels = {"default": "Default clients", "wp2p": "wP2P mobile clients"}
@@ -221,3 +202,29 @@ class FigXCdn(Scenario):
                 "gate": gate,
             },
         )
+
+    def check(self, run):
+        gate = run.result.parameters["gate"]
+        if not gate:  # the grid lacks the default or the wP2P clients
+            return [Verdict("offload_gate_measured", False)]
+        # Offload values are means over a handful of seeded runs, so
+        # "decreases" must absorb float noise.
+        eps = 1e-6
+        default_off = gate["default_offload"]
+        monotone = all(
+            later <= earlier + eps
+            for earlier, later in zip(default_off, default_off[1:])
+        )
+        # wP2P must win back >= half the offload mobility cost at every
+        # fraction where there is a cost to win back.
+        recovers = all(
+            rec >= 0.5 * gap - eps
+            for gap, rec in zip(gate["gaps"], gate["recovered"])
+            if gap > eps
+        )
+        offload = {"default_offload": default_off, "wp2p_offload": gate["wp2p_offload"]}
+        return [
+            Verdict("offload_monotone_decreasing", monotone, offload),
+            Verdict("wp2p_recovers_half_gap", recovers,
+                    {"gaps": gate["gaps"], "recovered": gate["recovered"]}),
+        ]

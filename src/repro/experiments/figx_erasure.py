@@ -30,7 +30,8 @@ Expectation: leecher survival (fraction complete by the deadline) falls
 with chaos intensity for every variant, and the coded swarm holds a
 survival advantage over replication at every nonzero intensity — at the
 pinned gate intensity replication misses the deadline outright while
-the coded swarm still completes (the CI survival gate).
+the coded swarm still completes (the survival gate
+:meth:`FigXErasure.check` states for both backends).
 
 The fluid backend maps the same axes through the
 :func:`repro.scale.model.content_rate_factor` coded-availability
@@ -48,7 +49,7 @@ from ..bittorrent.selection import make_selector
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import ChaosSchedule, preset_schedule
 from ..coding import coded_file_size
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..wp2p import WP2PClient
 from .fig9_wp2p import mf_only_config
@@ -370,3 +371,24 @@ class FigXErasure(Scenario):
                 "gate": gate,
             },
         )
+
+    def check(self, run):
+        gate = run.result.parameters["gate"]
+        if not gate:  # the grid lacks the replication or the coded variant
+            return [Verdict("survival_gate_measured", False)]
+        adv = gate["advantage"]
+        at_gate = {key: gate[key] for key in
+                   ("gate_intensity", "replication_at_gate", "coded_at_gate")}
+        rep_at, coded_at = gate["replication_at_gate"], gate["coded_at_gate"]
+        verdicts = [
+            Verdict("coded_has_no_edge_without_chaos", adv[0] == 0.0, {"advantage": adv}),
+            Verdict("survival_advantage_monotone",
+                    all(b >= a for a, b in zip(adv, adv[1:])), {"advantage": adv}),
+        ]
+        if run.spec.backend == "fluid":
+            verdicts.append(Verdict("coded_beats_replication_at_gate",
+                                    coded_at > rep_at, at_gate))
+        else:
+            verdicts.append(Verdict("replication_fails_at_gate", rep_at < 1.0, at_gate))
+            verdicts.append(Verdict("coded_survives_at_gate", coded_at == 1.0, at_gate))
+        return verdicts

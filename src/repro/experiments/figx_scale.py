@@ -28,7 +28,7 @@ from .. import context
 from ..analysis import ExperimentResult, Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
-from ..runner import Scenario, collect, scenario
+from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
@@ -329,3 +329,11 @@ class FigXScale(Scenario):
                 "peak_swarm_size": peak_swarm,
             },
         )
+
+    def check(self, run):
+        default, wp2p = run.result.series[-2:]
+        return [Verdict(
+            "wp2p_ahead_at_every_size",
+            all(w < d for w, d in zip(wp2p.y, default.y)),
+            {"completion_ratio": [w / d for w, d in zip(wp2p.y, default.y)]},
+        )]

@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from ..sim import Simulator, TimeSeries
+from ..obs.metrics import TimeSeries
+from ..sim import Simulator
 from .internet import Internet
 from .host import Host
 from .packet import DropRecord, Packet, loss_probability

@@ -4,9 +4,8 @@ This package is the single instrumentation spine of the library.  Three
 concerns, one home:
 
 * **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, histograms,
-  and rate meters behind a get-or-create :class:`MetricsRegistry`.  The
-  legacy probes in :mod:`repro.sim.probes` are thin compatibility shims
-  over these classes.
+  and rate meters behind a get-or-create :class:`MetricsRegistry`;
+  protocol code binds them to the simulator clock (``lambda: sim.now``).
 * **Tracing** (:mod:`repro.obs.tracing`) — a structured cross-layer
   event bus (``sim.trace.event(layer, name, **fields)``) with pluggable
   sinks (ring buffer, JSONL file, null).  Wired into the sim kernel, TCP

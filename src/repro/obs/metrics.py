@@ -17,8 +17,8 @@ This module is the measurement half of the observability layer
 
 All instruments are clock-agnostic: they take a ``clock`` callable
 (usually ``lambda: sim.now``) instead of importing the simulation kernel,
-so :mod:`repro.sim.probes` can shim over them without an import cycle and
-unit tests can drive them with plain floats.
+so the kernel can own a registry without an import cycle and unit tests
+can drive them with plain floats.
 
 :class:`MetricsRegistry` is the get-or-create front door: one registry
 per :class:`~repro.sim.kernel.Simulator` (``sim.metrics``) names every

@@ -10,7 +10,9 @@ system.  Three pieces cooperate:
   cache;
 * :mod:`repro.runner.registry` — the :class:`Scenario` base class and the
   :func:`scenario` class decorator that registers every experiment under
-  a name (``repro.experiments`` registers one scenario per paper figure);
+  a name (``repro.experiments`` registers one scenario per paper figure),
+  plus :class:`Verdict`, what a scenario's ``check()`` returns about a
+  finished run;
 * :mod:`repro.runner.runner` — the :class:`Runner`, which fans a
   scenario's independent simulation cells out over ``multiprocessing``
   workers, captures per-cell failures (retry once, then report — a dead
@@ -36,6 +38,7 @@ from .cache import ResultCache, default_cache_dir
 from .registry import (
     Scenario,
     UnknownScenarioError,
+    Verdict,
     collect,
     get_scenario,
     scenario,
@@ -65,6 +68,7 @@ __all__ = [
     "ScenarioRun",
     "ScenarioSpec",
     "UnknownScenarioError",
+    "Verdict",
     "canonical_json",
     "code_version",
     "collect",

@@ -1,14 +1,18 @@
 """The scenario base class and the ``@scenario`` registry.
 
 A *scenario* is one declarative experiment: a name, a description, a
-defaults mapping, and three methods —
+defaults mapping, and four methods —
 
 * :meth:`Scenario.cells` enumerates the independent simulation cells
   (``(key, seed)`` pairs) the experiment consists of;
 * :meth:`Scenario.run_cell` runs exactly one cell (one seeded
   simulation) and returns a plain-data value;
 * :meth:`Scenario.assemble` folds the per-cell values back into an
-  :class:`~repro.analysis.series.ExperimentResult`.
+  :class:`~repro.analysis.series.ExperimentResult`;
+* :meth:`Scenario.check` states the scenario's claims about a finished
+  run as named :class:`Verdict` objects — the one place a paper claim or
+  CI gate is decided (``run NAME --check``, tests, CI and the
+  EXPERIMENTS.md generator all call it).
 
 Because every cell is self-contained (the sim kernel's ``RngRegistry``
 derives all randomness from the cell's seed), the
@@ -23,13 +27,49 @@ time, so ``import repro.experiments`` populates the registry.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Type,
+)
 
 from .spec import ScenarioSpec, freeze_params
+
+if TYPE_CHECKING:
+    from .runner import ScenarioRun
 
 CellKey = Tuple[object, ...]
 Cell = Tuple[CellKey, int]
 CellValues = Dict[Cell, object]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One named pass/fail decision about a run, with the numbers behind it.
+
+    ``observed`` holds plain data (JSON-serialisable) so a verdict can be
+    printed, shipped in ``--json`` output and quoted in EXPERIMENTS.md.
+    """
+
+    name: str
+    ok: bool
+    observed: Dict[str, object] = field(default_factory=dict)
+
+    def line(self) -> str:
+        """``PASS name: key=value, ...`` (``FAIL`` when not ``ok``)."""
+        numbers = ", ".join(f"{k}={_fmt(v)}" for k, v in self.observed.items())
+        return f"{'PASS' if self.ok else 'FAIL'} {self.name}" + (
+            f": {numbers}" if numbers else ""
+        )
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
+    return str(value)
 
 
 class UnknownScenarioError(KeyError):
@@ -169,6 +209,17 @@ class Scenario:
         implementations aggregate over whatever survived.
         """
         raise NotImplementedError
+
+    def check(self, run: "ScenarioRun") -> List[Verdict]:
+        """The scenario's claims about a finished run, one verdict each.
+
+        ``run`` carries the spec (``run.spec.backend``,
+        ``run.spec.params``) and the assembled result, so one function
+        states the threshold of a claim on every backend.  A claim whose
+        numbers are missing or NaN (a grid point that lost every seed)
+        fails rather than raising.  The default states no claims.
+        """
+        return []
 
 
 class CellFailureLike:

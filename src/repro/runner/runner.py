@@ -301,6 +301,8 @@ class Runner:
         )
         params = scn.params(overrides)
         cells: List[Cell] = [(tuple(key), seed) for key, seed in scn.cells(params)]
+        if not cells:
+            raise ValueError(f"scenario {scn.name!r} has no cells at these parameters")
         spec = ScenarioSpec.create(
             scn.name, params,
             seeds=sorted({seed for _, seed in cells}),

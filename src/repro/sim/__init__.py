@@ -1,8 +1,11 @@
-"""Discrete-event simulation kernel: clock, events, timers, RNG, probes."""
+"""Discrete-event simulation kernel: clock, events, timers, RNG.
+
+Measurement (counters, rate meters, time series) lives in
+:mod:`repro.obs.metrics`; components bind those to ``sim.now``.
+"""
 
 from .events import Event, EventQueue
 from .kernel import SimulationError, Simulator
-from .probes import Counter, RateMeter, TimeSeries, mean
 from .randomness import RngRegistry, derive_seed
 from .timers import PeriodicTask, Timer
 
@@ -11,10 +14,6 @@ __all__ = [
     "EventQueue",
     "SimulationError",
     "Simulator",
-    "Counter",
-    "RateMeter",
-    "TimeSeries",
-    "mean",
     "RngRegistry",
     "derive_seed",
     "PeriodicTask",

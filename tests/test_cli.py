@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.experiments.__main__ import ALL_ORDER, main
-from repro.runner import scenario_names
+from repro.runner import Verdict, get_scenario, scenario_names
 
 FIGURES = {
     "fig2a", "fig2bc", "fig3a", "fig3b", "fig3c", "fig4a",
@@ -83,6 +83,52 @@ class TestRunCommand:
     def test_bad_set_syntax_exits(self):
         with pytest.raises(SystemExit):
             main(["run", "fig2bc", "--no-cache", "--quiet", "--set", "duration"])
+
+    def test_a_campaign_with_no_cells_is_an_error(self):
+        with pytest.raises(SystemExit, match="error: scenario 'fig2a' has no cells"):
+            main(["run", "fig2a", "--no-cache", "--quiet", "--set", "runs=0"])
+
+
+class TestCheckFlag:
+    """``--check``: PASS/FAIL per verdict, ``verdicts`` in --json, exit 1 on FAIL."""
+
+    QUICK = ["run", "fig2bc", "--no-cache", "--quiet", "--check", "--set", "duration=5.0"]
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """fig2bc's check() replaced by one returning the listed verdicts."""
+        stated = []
+        monkeypatch.setattr(type(get_scenario("fig2bc")), "check",
+                            lambda self, run: list(stated))
+        return stated
+
+    def test_passing_verdicts_exit_zero(self, capsys, verdicts):
+        verdicts.append(Verdict("fine", True, {"x": 2.0}))
+        main(self.QUICK)
+        assert "[fig2bc] PASS fine: x=2" in capsys.readouterr().out
+
+    def test_a_failing_verdict_exits_one(self, capsys, verdicts):
+        verdicts.extend([Verdict("fine", True), Verdict("doomed", False, {"x": 1.5})])
+        with pytest.raises(SystemExit) as exc:
+            main(self.QUICK)
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        assert "[fig2bc] PASS fine" in out and "[fig2bc] FAIL doomed: x=1.5" in out
+
+    def test_json_carries_verdicts(self, capsys, verdicts):
+        verdicts.append(Verdict("fine", True, {"x": 2.0}))
+        main([*self.QUICK, "--json"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["verdicts"] == [{"name": "fine", "ok": True, "observed": {"x": 2.0}}]
+        assert "[fig2bc] PASS fine" in captured.err
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--json", "--set", "duration=5.0"])
+        assert "verdicts" not in json.loads(capsys.readouterr().out)
+
+    def test_real_claims_pass_at_their_parameters(self, capsys):
+        main(["run", "fig2bc", "--no-cache", "--quiet", "--check", "--set", "duration=30.0"])
+        out = capsys.readouterr().out
+        assert out.count("[fig2bc] PASS") == 3 and "FAIL" not in out
 
 
 class TestOverrideConflicts:

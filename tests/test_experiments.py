@@ -1,8 +1,9 @@
 """Smoke/shape tests for the experiment harness (fast variants).
 
-The full campaigns with paper-shaped assertions live in ``benchmarks/``;
-these tests check that every experiment runs end-to-end at reduced scale
-and produces structurally sound results.
+The paper's claims about the full campaigns are each scenario's
+``check()`` (asserted where EXPERIMENTS.md is generated); these tests
+check that every experiment runs end-to-end at reduced scale and
+produces structurally sound results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.experiments import (
     playability_run,
     run_transfer,
 )
-from repro.runner import run_scenario
+from repro.runner import Runner, get_scenario, run_scenario
 
 
 class TestSeriesContainers:
@@ -136,20 +137,16 @@ class TestFigXErasureMini:
             assert cell["faults"] == 0.0
 
     def test_fluid_sweep_gate_shape(self):
-        import repro.experiments  # noqa: F401
-
-        from repro.runner import run_scenario
-
-        result = run_scenario(
-            "figx_erasure", {"runs": 1}, backend="fluid",
-        )
-        gate = result.parameters["gate"]
-        assert gate["intensities"][0] == 0.0
-        assert gate["advantage"][0] == 0.0
-        advantage = gate["advantage"]
-        assert all(b >= a for a, b in zip(advantage, advantage[1:]))
-        assert gate["coded_at_gate"] >= gate["replication_at_gate"]
-        assert len(result.series) == 3
+        # The survival gate at the full default grid, through check().
+        run = Runner(backend="fluid").run("figx_erasure")
+        verdicts = get_scenario("figx_erasure").check(run)
+        assert [v.name for v in verdicts] == [
+            "coded_has_no_edge_without_chaos", "survival_advantage_monotone",
+            "coded_beats_replication_at_gate",
+        ]
+        assert all(v.ok for v in verdicts), [v.line() for v in verdicts]
+        assert run.result.parameters["gate"]["intensities"][0] == 0.0
+        assert len(run.result.series) == 3
 
     def test_unknown_variant_rejected(self):
         from repro.experiments.figx_erasure import erasure_run
@@ -159,3 +156,24 @@ class TestFigXErasureMini:
                 seed=1, variant="parity", intensity=0.0,
                 mobile_fraction=0.5, duration=10.0, horizon=10.0,
             )
+
+
+#: Each ablation at a tiny size: one point, one run, a short horizon.
+TINY_ABLATIONS = {
+    "ablation_am_gamma": {"gammas": [8760], "runs": 1, "duration": 5.0},
+    "ablation_mf_schedule": {"runs": 1, "num_pieces": 8},
+    "ablation_lihd": {"runs": 1, "duration": 5.0},
+    "ablation_rr_vs_tracker": {"tracker_intervals": [60.0], "runs": 1, "duration": 20.0},
+    "ablation_sack": {"bers": [1e-5], "runs": 1, "duration": 5.0},
+}
+
+
+class TestAblations:
+    @pytest.mark.parametrize("name", sorted(TINY_ABLATIONS))
+    def test_runs_at_a_tiny_size(self, name):
+        run = Runner().run(name, TINY_ABLATIONS[name])
+        assert not run.failures
+        assert run.result.figure.startswith("Ablation: ")
+        assert all(len(s.x) == len(s.y) > 0 for s in run.result.series)
+        verdicts = get_scenario(name).check(run)
+        assert verdicts and all(isinstance(v.ok, bool) for v in verdicts)

@@ -186,27 +186,8 @@ class TestWindowRateMeter:
         assert m.total_bytes == 2000
 
 
-class TestProbesCompatShims:
-    """sim.probes must remain a thin facade over the obs layer."""
-
-    def test_probe_classes_are_obs_backed(self):
-        from repro import obs
-        from repro.sim import probes
-
-        assert issubclass(probes.Counter, obs.Counter)
-        assert issubclass(probes.RateMeter, obs.WindowRateMeter)
-        assert probes.TimeSeries is obs.TimeSeries
-        assert probes.mean is obs.mean
-
-    def test_probe_counter_tracks_sim_clock(self):
-        from repro.sim import Counter, Simulator
-
-        sim = Simulator()
-        c = Counter(sim, "x", record_history=True)
-        sim.schedule(2.5, lambda: c.add(7))
-        sim.run()
-        assert c.history == [(2.5, 7.0)]
-        assert c.name == "x"
+class TestSimClock:
+    """The simulator's registry reads the virtual clock."""
 
     def test_sim_metrics_registry_shares_clock(self):
         from repro.sim import Simulator

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pathlib
@@ -452,6 +453,30 @@ class TestFailures:
     def test_zero_retries_fails_immediately(self):
         run = Runner(retries=0).run("test-flaky", {"seeds": [2]})
         assert run.failures[0].attempts == 1
+
+    def test_a_point_that_lost_every_seed_is_nan_not_fatal(self, monkeypatch):
+        scn = get_scenario("fig2a")
+        run_cell = type(scn).run_cell
+
+        def refuse_ber_zero(self, key, seed, p):
+            if key[1] == 0.0:
+                raise RuntimeError("BER 0 refused")
+            return run_cell(self, key, seed, p)
+
+        monkeypatch.setattr(type(scn), "run_cell", refuse_ber_zero)
+        run = Runner(retries=0).run("fig2a", FAST_FIG2A)
+        assert len(run.failures) == 4  # both modes x both seeds at BER 0
+        assert all("BER 0 refused" in f.error for f in run.failures)
+        for label in ("Bi-TCP", "Uni-TCP"):
+            series = run.result.get(label)
+            assert math.isnan(series.y_at(0.0)) and math.isnan(series.err_at(0.0))
+            assert series.y_at(1e-5) > 0
+        verdicts = scn.check(run)
+        assert verdicts and not any(v.ok for v in verdicts)
+
+    def test_a_spec_with_no_cells_is_rejected(self):
+        with pytest.raises(ValueError, match="'fig2a' has no cells"):
+            Runner().run("fig2a", {"runs": 0})
 
     def test_failed_cells_are_not_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path))

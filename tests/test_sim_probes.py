@@ -1,22 +1,28 @@
-"""Unit tests for measurement probes."""
+"""Measurement on the simulator clock.
+
+The :mod:`repro.obs.metrics` counters, rate meters and time series as
+the protocol layers build them: bound to ``sim.now`` and advanced by
+scheduled events rather than a hand-set clock.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Counter, RateMeter, Simulator, TimeSeries, mean
+from repro.obs.metrics import Counter, TimeSeries, WindowRateMeter, mean
+from repro.sim import Simulator
 
 
 class TestCounter:
     def test_accumulates(self, sim):
-        c = Counter(sim, "bytes")
+        c = Counter("bytes", clock=lambda: sim.now)
         c.add(10)
         c.add(5)
         assert c.total == 15
 
     def test_history_recording(self):
         sim = Simulator()
-        c = Counter(sim, "dl", record_history=True)
+        c = Counter("dl", clock=lambda: sim.now, record_history=True)
         sim.schedule(1.0, lambda: c.add(100))
         sim.schedule(2.0, lambda: c.add(50))
         sim.run()
@@ -26,12 +32,12 @@ class TestCounter:
         assert c.value_at(5.0) == 150
 
     def test_value_at_requires_history(self, sim):
-        c = Counter(sim, "x")
+        c = Counter("x", clock=lambda: sim.now)
         with pytest.raises(ValueError):
             c.value_at(0)
 
     def test_reset(self, sim):
-        c = Counter(sim, "x", record_history=True)
+        c = Counter("x", clock=lambda: sim.now, record_history=True)
         c.add(1)
         c.reset()
         assert c.total == 0
@@ -79,7 +85,7 @@ class TestTimeSeries:
 class TestRateMeter:
     def test_rate_over_window(self):
         sim = Simulator()
-        meter = RateMeter(sim, window=10.0)
+        meter = WindowRateMeter(clock=lambda: sim.now, window=10.0)
         sim.schedule(0.0, lambda: meter.add(1000))
         sim.schedule(5.0, lambda: meter.add(1000))
         sim.schedule(10.0, sim.stop)
@@ -89,7 +95,7 @@ class TestRateMeter:
 
     def test_old_samples_expire(self):
         sim = Simulator()
-        meter = RateMeter(sim, window=5.0)
+        meter = WindowRateMeter(clock=lambda: sim.now, window=5.0)
         sim.schedule(0.0, lambda: meter.add(5000))
         sim.run(until=100.0)
         assert meter.rate() == 0.0
@@ -97,7 +103,7 @@ class TestRateMeter:
 
     def test_young_meter_uses_observed_span(self):
         sim = Simulator()
-        meter = RateMeter(sim, window=20.0)
+        meter = WindowRateMeter(clock=lambda: sim.now, window=20.0)
         sim.schedule(0.0, lambda: meter.add(100))
         sim.schedule(1.0, lambda: meter.add(100))
         sim.run(until=1.0)
@@ -107,7 +113,7 @@ class TestRateMeter:
     def test_invalid_window(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            RateMeter(sim, window=0)
+            WindowRateMeter(clock=lambda: sim.now, window=0)
 
 
 def test_mean():
