@@ -1,8 +1,8 @@
-"""Per-subsystem microbenchmarks for the packet-kernel hot path.
+"""Per-subsystem drivers for the packet-kernel hot path.
 
-The end-to-end figure benches (``bench_scale.py``) tell you *whether*
-the engine got slower; these tell you *where*.  Each bench isolates one
-subsystem the speed campaign optimised (see ``docs/PERFORMANCE.md``):
+The committed benchmark (``perfbench/``) times these as its kernel
+per-layer metrics; each isolates one subsystem the speed campaign
+optimised (see ``docs/PERFORMANCE.md``) and returns its operation count:
 
 * event-queue churn — push/cancel/pop through the kernel's queue;
 * wireless-channel arbitration — the shared-medium FIFO-by-arrival
@@ -11,10 +11,6 @@ subsystem the speed campaign optimised (see ``docs/PERFORMANCE.md``):
   exercising output, ACK clocking, and reassembly;
 * observability-off overhead — tracing and metrics calls with no sink
   attached must cost (close to) nothing.
-
-Every bench attaches ``events`` extra-info so
-``scripts/run_benchmarks.py`` folds an events-per-second trajectory
-into ``BENCH_scale.json``.
 """
 
 from __future__ import annotations
@@ -65,14 +61,6 @@ def _queue_churn(_ignored: object = None) -> int:
     return ops
 
 
-def test_queue_churn(benchmark):
-    """push/cancel/pop throughput of the event queue."""
-    ops = benchmark.pedantic(_queue_churn, rounds=1, iterations=1)
-    assert ops == QUEUE_OPS
-    benchmark.extra_info["events"] = ops
-    benchmark.extra_info["subsystem"] = "event_queue"
-
-
 # ----------------------------------------------------------------------
 # Wireless arbitration
 # ----------------------------------------------------------------------
@@ -109,15 +97,9 @@ def _wireless_saturation() -> int:
 
     sim.schedule(0.0, offer)
     sim.run(until=10.0)
-    return channel.frames_up + channel.frames_down
-
-
-def test_wireless_arbitration(benchmark):
-    """FIFO-by-arrival arbitration under sustained two-way load."""
-    frames = benchmark.pedantic(_wireless_saturation, rounds=1, iterations=1)
+    frames = channel.frames_up + channel.frames_down
     assert frames > 10_000
-    benchmark.extra_info["events"] = frames
-    benchmark.extra_info["subsystem"] = "wireless"
+    return frames
 
 
 # ----------------------------------------------------------------------
@@ -151,13 +133,6 @@ def _tcp_bulk_transfer() -> int:
     return sim.events_processed
 
 
-def test_tcp_segment_pump(benchmark):
-    """Bulk-transfer throughput of the TCP output/ACK path."""
-    events = benchmark.pedantic(_tcp_bulk_transfer, rounds=1, iterations=1)
-    benchmark.extra_info["events"] = events
-    benchmark.extra_info["subsystem"] = "tcp"
-
-
 # ----------------------------------------------------------------------
 # Observability-off overhead
 # ----------------------------------------------------------------------
@@ -175,10 +150,3 @@ def _obs_off_calls() -> int:
         counter.add(1.0)
     return OBS_CALLS
 
-
-def test_obs_off_overhead(benchmark):
-    """Emitting observability with no sink must stay near-free (the
-    no-op fast path rebinds ``TraceBus.event`` — see repro.obs.tracing)."""
-    calls = benchmark.pedantic(_obs_off_calls, rounds=1, iterations=1)
-    benchmark.extra_info["events"] = calls
-    benchmark.extra_info["subsystem"] = "obs"

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..summation import left_sum
+
 TraceRecord = Mapping[str, object]
 
 #: Rendering order for the library's layers; unknown layers sort after.
@@ -177,7 +179,7 @@ def render_report(
             "## Fault recovery (MTTR)",
             "",
             f"- **Recovered faults:** {len(recovered)}",
-            f"- **Mean MTTR:** {sum(mttrs) / len(mttrs):.4f}s",
+            f"- **Mean MTTR:** {left_sum(mttrs) / len(mttrs):.4f}s",
             f"- **Max MTTR:** {max(mttrs):.4f}s",
             "",
             "| recovered at (s) | fault | target | baseline (B/s) | MTTR (s) |",

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..summation import left_sum
+
 
 @dataclass
 class Series:
@@ -61,7 +63,7 @@ class Series:
         return self.x[best]
 
     def mean_y(self) -> float:
-        return sum(self.y) / len(self.y) if self.y else 0.0
+        return left_sum(self.y) / len(self.y) if self.y else 0.0
 
 
 @dataclass
@@ -143,4 +145,4 @@ def average_runs(run_values: Sequence[Sequence[float]]) -> List[float]:
     length = len(runs[0])
     if any(len(r) != length for r in runs):
         raise ValueError("runs have differing lengths")
-    return [sum(r[i] for r in runs) / len(runs) for i in range(length)]
+    return [left_sum(r[i] for r in runs) / len(runs) for i in range(length)]

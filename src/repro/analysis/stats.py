@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..summation import left_sum
+
 # Two-sided t critical values at 95% for small samples (df 1..30).
 _T95 = [
     12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
@@ -60,10 +62,10 @@ def summarize(values: Sequence[float]) -> Summary:
     if not vals:
         raise ValueError("cannot summarize an empty sample")
     n = len(vals)
-    mean = sum(vals) / n
+    mean = left_sum(vals) / n
     if n == 1:
         return Summary(1, mean, 0.0, 0.0)
-    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+    var = left_sum((v - mean) ** 2 for v in vals) / (n - 1)
     stdev = math.sqrt(var)
     ci95 = t_critical_95(n - 1) * stdev / math.sqrt(n)
     return Summary(n, mean, stdev, ci95)
@@ -79,7 +81,7 @@ def point_estimate(values: Sequence[float], scale: float = 1.0) -> Tuple[float, 
     vals = list(values)
     if not vals:
         return math.nan, math.nan
-    return sum(vals) / len(vals) / scale, summarize([v / scale for v in vals]).ci95
+    return left_sum(vals) / len(vals) / scale, summarize([v / scale for v in vals]).ci95
 
 
 def describe(values: Sequence[float]) -> dict:

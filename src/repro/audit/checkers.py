@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..summation import left_sum
+
 #: Absolute slack for float byte/second accounting.
 EPS = 1e-6
 
@@ -97,7 +99,7 @@ def check_channel(ch) -> Iterator[str]:
             f"channel {ch.name}: dequeued={uq.dequeued + dq.dequeued} != "
             f"frames_tx={frames} + in_flight={in_flight}"
         )
-    lost_bytes = sum(r.size_bytes for r in ch.loss_records)
+    lost_bytes = left_sum(r.size_bytes for r in ch.loss_records)
     if ch.frames_lost != len(ch.loss_records):
         yield (
             f"channel {ch.name}: frames_lost={ch.frames_lost} != "
@@ -229,7 +231,7 @@ def check_client(client, received_from) -> Iterator[str]:
     manager = client.manager
     bitfield = manager.bitfield
 
-    expected_bytes = sum(
+    expected_bytes = left_sum(
         client.torrent.piece_size(i) for i in bitfield.indices()
     )
     if manager.bytes_completed != expected_bytes:
@@ -304,10 +306,10 @@ def check_client(client, received_from) -> Iterator[str]:
                 f"client {name}: decodable flags {manager._decodable} "
                 f"disagree with recount {decodable}"
             )
-        if manager._decodable_count != sum(decodable):
+        if manager._decodable_count != left_sum(decodable):
             yield (
                 f"client {name}: _decodable_count="
-                f"{manager._decodable_count} but {sum(decodable)} groups "
+                f"{manager._decodable_count} but {left_sum(decodable)} groups "
                 f"are decodable"
             )
         if manager.complete != codec.is_complete(bitfield):

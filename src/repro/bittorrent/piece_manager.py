@@ -12,6 +12,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..coding.codec import ReplicationCodec
+from ..summation import left_sum
 from .bitfield import Bitfield
 from .metainfo import Torrent
 from .selection import PieceSelector, SelectionContext
@@ -78,7 +79,7 @@ class PieceManager:
         self._partials: Dict[int, _PartialPiece] = {}
         self.corrupt_probability = corrupt_probability
         self._rng = rng or random.Random(0)
-        self.bytes_completed = sum(
+        self.bytes_completed = left_sum(
             torrent.piece_size(i) for i in self.bitfield.indices()
         )
         self.duplicate_blocks = 0
@@ -100,8 +101,8 @@ class PieceManager:
                 count >= self._grouped.required(group)
                 for group, count in enumerate(counts)
             ]
-            self._decodable_count = sum(self._decodable)
-            self.source_bytes_decoded = sum(
+            self._decodable_count = left_sum(self._decodable)
+            self.source_bytes_decoded = left_sum(
                 self._grouped.group_source_bytes(group)
                 for group, ok in enumerate(self._decodable)
                 if ok

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bittorrent.metainfo import BLOCK_LENGTH, Torrent
+from ..summation import left_sum
 
 #: Catalogs above this are rejected on the packet backend by scenarios
 #: (one swarm per asset would melt the event kernel); the fluid
@@ -217,7 +218,7 @@ class Catalog:
 
     @property
     def total_bytes(self) -> int:
-        return sum(a.size for a in self._assets)
+        return left_sum(a.size for a in self._assets)
 
     def torrent(
         self, asset_or_rank: Union[Asset, int], tracker_ip: str, tracker_port: int

@@ -25,6 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Union
 
+from ..summation import left_sum
 from .catalog import _require_number
 
 DemandSpec = Union[str, Mapping[str, object], None]
@@ -49,7 +50,7 @@ def zipf_weights(assets: int, alpha: float) -> List[float]:
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     raw = [rank ** -alpha for rank in range(1, assets + 1)]
-    total = sum(raw)
+    total = left_sum(raw)
     return [w / total for w in raw]
 
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Union
 from ..bittorrent.client import BitTorrentClient, ClientConfig
 from ..net import AddressAllocator, Host, Internet, attach_wired_host
 from ..sim import Simulator
+from ..summation import left_sum
 from ..tcp.stack import TCPStack
 from .catalog import Catalog, _require_int, _require_number  # noqa: F401
 
@@ -186,7 +187,7 @@ class Origin:
     # ------------------------------------------------------------------
     def uploaded_bytes(self) -> float:
         """Total bytes the origin served, across all assets ever active."""
-        return float(sum(c.uploaded.total for c in self.clients.values()))
+        return float(left_sum(c.uploaded.total for c in self.clients.values()))
 
     def active_ranks(self) -> List[int]:
         return sorted(self.active)

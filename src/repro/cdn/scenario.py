@@ -37,6 +37,7 @@ from ..net import (
     attach_wireless_host,
 )
 from ..sim import PeriodicTask, Simulator
+from ..summation import left_sum
 from ..tcp.stack import TCPStack
 from .catalog import PACKET_CATALOG_LIMIT, Catalog
 from .demand import Request, ZipfDemand
@@ -73,10 +74,10 @@ class CdnPeer:
     clients: Dict[int, BitTorrentClient] = field(default_factory=dict)
 
     def uploaded_bytes(self) -> float:
-        return float(sum(c.uploaded.total for c in self.clients.values()))
+        return float(left_sum(c.uploaded.total for c in self.clients.values()))
 
     def downloaded_bytes(self) -> float:
-        return float(sum(c.downloaded.total for c in self.clients.values()))
+        return float(left_sum(c.downloaded.total for c in self.clients.values()))
 
 
 class CdnScenario:
@@ -283,7 +284,7 @@ class CdnScenario:
         """Aggregate CDN outcomes (JSON-friendly, deterministic order)."""
         self._sweep_completions()  # pick up completions since the last tick
         total = len(self.pending)
-        served = sum(1 for e in self.pending if e.latency is not None)
+        served = left_sum(1 for e in self.pending if e.latency is not None)
         latencies = [
             e.latency if e.latency is not None else self.horizon - e.time
             for e in self.pending
@@ -298,17 +299,17 @@ class CdnScenario:
                 "requests": len(entries),
                 "completed": len(done),
                 "mean_latency": (
-                    sum(e.latency for e in done) / len(done) if done else None
+                    left_sum(e.latency for e in done) / len(done) if done else None
                 ),
             }
         origin_bytes = self.origin.uploaded_bytes()
-        peer_bytes = sum(p.uploaded_bytes() for p in self.peers)
+        peer_bytes = left_sum(p.uploaded_bytes() for p in self.peers)
         delivered = origin_bytes + peer_bytes
         return {
             "requests": total,
             "served": served,
             "catalog_completion": served / total if total else 1.0,
-            "mean_latency": sum(latencies) / total if total else 0.0,
+            "mean_latency": left_sum(latencies) / total if total else 0.0,
             "origin_bytes": origin_bytes,
             "peer_bytes": peer_bytes,
             "offload": peer_bytes / delivered if delivered > 0 else 1.0,

@@ -18,7 +18,8 @@ asserts on both backends.
 
 Band sizes are integer prefix sums of whole KiB: sums of multiples of
 1024 below 2**63 are exact doubles, so they equal per-asset float sums
-bit for bit.  Zipf weights and expected-active stay order-sensitive loops.
+bit for bit.  Only the band solves are O(log assets): the Zipf weights
+and the origin's expected active set stay order-sensitive O(assets) loops.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import context
 from ..scale.assets import AssetClassParams, asset_class_outcome
 from ..scale.model import EFFICIENCY, STARTUP_DELAY, PeerClass
+from ..summation import left_sum
 from .catalog import normalize_catalog
 from .demand import mean_cycle_factor, normalize_demand, zipf_weights
 from .origin import normalize_origin
@@ -144,10 +146,11 @@ def cdn_fluid_cell(
     pinned_k = min(pinned_k, assets)
     expected_active = float(pinned_k)
     for rank in range(pinned_k + 1, assets + 1):
-        rank_rate = base_rate * weights[rank - 1] + (
+        active = (base_rate * weights[rank - 1] + (
             flash_rate if rank == flash_rank else 0.0
-        )
-        expected_active += min(1.0, rank_rate * horizon)
+        )) * horizon
+        # min(1.0, active), bit for bit, without a builtin call per asset
+        expected_active += active if active < 1.0 else 1.0
     if org["policy"] in ("pin_top_k", "lru_evict"):
         expected_active = min(expected_active, float(org["capacity"]))  # type: ignore[arg-type]
     origin_slice = float(org["up_rate"]) / max(expected_active, 1.0)  # type: ignore[arg-type]
@@ -161,7 +164,7 @@ def cdn_fluid_cell(
     origin_bytes = 0.0
     for first, last in bands:
         n_assets = last - first + 1
-        band_rate = base_rate * sum(weights[first - 1:last])
+        band_rate = base_rate * left_sum(weights[first - 1:last])
         if flash_rank is not None and first <= flash_rank <= last:
             band_rate += flash_rate
         per_asset_rate = band_rate / n_assets

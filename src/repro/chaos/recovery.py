@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..sim.timers import PeriodicTask
+from ..summation import left_sum
 
 
 @dataclass
@@ -157,7 +158,7 @@ class RecoveryTracker:
         """Mean recovery time over completed recoveries (None if none)."""
         if not self.recoveries:
             return None
-        return sum(r.mttr for r in self.recoveries) / len(self.recoveries)
+        return left_sum(r.mttr for r in self.recoveries) / len(self.recoveries)
 
     def summary(self) -> dict:
         return {

@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
+from ..summation import left_sum
+
 #: Default k-of-n geometry when a spec says just ``"group"``.
 DEFAULT_K = 4
 DEFAULT_N = 6
@@ -192,9 +194,9 @@ class GroupCodec:
             # All pieces are piece_length except possibly the very last,
             # so summing the first `required` in-group sizes is exact.
             self._source_bytes.append(
-                sum(torrent.piece_size(i) for i in range(lo, lo + required))
+                left_sum(torrent.piece_size(i) for i in range(lo, lo + required))
             )
-        self.source_size = sum(self._source_bytes)
+        self.source_size = left_sum(self._source_bytes)
 
     # -- geometry ------------------------------------------------------
     def group_of(self, index: int) -> int:
@@ -240,7 +242,7 @@ class GroupCodec:
 
     def decoded_bytes(self, bitfield) -> int:
         """Source payload recoverable from ``bitfield`` right now."""
-        return sum(
+        return left_sum(
             size
             for size, ok in zip(self._source_bytes, self.decodable_groups(bitfield))
             if ok

@@ -41,6 +41,7 @@ from ..runner import (
     print_progress,
     scenario_names,
 )
+from ..summation import left_sum
 
 # `run all` order (the simple figures first, then the piecewise ones);
 # kept stable so logs remain comparable.
@@ -262,7 +263,7 @@ def _cmd_run(args) -> None:
                 raise SystemExit(f"error: {exc}") from None
             failed_cells += len(run.failures)
             verdicts = get_scenario(name).check(run) if args.check else []
-            failed_verdicts += sum(not v.ok for v in verdicts)
+            failed_verdicts += left_sum(not v.ok for v in verdicts)
             if args.json:
                 payload = _result_payload(run)
                 if args.check:

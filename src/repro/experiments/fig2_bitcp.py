@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..analysis import ExperimentResult, Series, point_estimate
 from ..obs.metrics import mean
 from ..runner import Scenario, Verdict, collect, scenario
+from ..summation import left_sum
 from .base import BulkSender, WirelessPairTopology, run_transfer
 
 DEFAULT_BERS: Tuple[float, ...] = (0.0, 5e-6, 1e-5, 1.5e-5, 2e-5)
@@ -283,4 +284,4 @@ def post_congestion_starvation(
             outcomes.append(min(after) <= threshold * mean(before))
     if not outcomes:
         return None
-    return sum(outcomes) / len(outcomes)
+    return left_sum(outcomes) / len(outcomes)

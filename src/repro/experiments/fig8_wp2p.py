@@ -25,6 +25,7 @@ from ..analysis import ExperimentResult, Series, average_runs, point_estimate
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
+from ..summation import left_sum
 from ..wp2p import DEFAULT_GAMMA_BYTES, WP2PClient, WP2PConfig
 from .base import random_piece_subset
 
@@ -246,7 +247,7 @@ class Fig8B(Scenario):
     def check(self, run):
         d, w = run.result.get("Default P2P").y, run.result.get("wP2P").y
         back_half = len(w) // 2
-        wins = sum(1 for dy, wy in zip(d[back_half:], w[back_half:]) if wy >= dy)
+        wins = left_sum(1 for dy, wy in zip(d[back_half:], w[back_half:]) if wy >= dy)
         return [
             Verdict("wp2p_ends_ahead", w[-1] > d[-1],
                     {"default_mb": d[-1], "wp2p_mb": w[-1]}),

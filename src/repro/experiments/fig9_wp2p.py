@@ -21,6 +21,7 @@ from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
+from ..summation import left_sum
 from ..wp2p import WP2PClient, WP2PConfig
 from .fig4_mobility import GRID, playability_run
 
@@ -182,7 +183,7 @@ def _fig9c_run(
         sc.add_mobility(handle, interval=interval, downtime=2.0, jitter=interval * 0.2)
     sc.start_all()
     sc.run(until=duration)
-    uploaded = sum(h.client.uploaded.total for h in seeds)
+    uploaded = left_sum(h.client.uploaded.total for h in seeds)
     return uploaded / duration / 2.0  # per-seed average
 
 
@@ -216,7 +217,7 @@ class Fig9C(Scenario):
             ys: List[float] = []
             for interval in p["intervals"]:
                 vals = collect(values, (variant, interval))
-                ys.append(sum(vals) / runs / 1000.0)
+                ys.append(left_sum(vals) / runs / 1000.0)
             return Series(label, list(range(len(p["intervals"]))), ys)
 
         return ExperimentResult(

@@ -41,6 +41,7 @@ from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
 from ..strategy import MixAssigner, get_strategy
+from ..summation import left_sum
 from ..wp2p import WP2PClient, WP2PConfig
 from .base import random_piece_subset
 
@@ -194,7 +195,7 @@ def arena_run(
 
 def _group(peers: Sequence[Mapping[str, object]], field: str) -> Optional[float]:
     values = [float(peer[field]) for peer in peers]
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 @scenario
@@ -288,7 +289,7 @@ class FigXArena(Scenario):
                             "goodput": _group(members, "goodput"),
                             "uploaded": _group(members, "uploaded"),
                             "downloaded": _group(members, "downloaded"),
-                            "finished": sum(
+                            "finished": left_sum(
                                 1 for m in members if m["finished"]
                             ),
                         }
@@ -300,7 +301,7 @@ class FigXArena(Scenario):
                             "goodput": _group(mobile_members, "goodput"),
                             "uploaded": _group(mobile_members, "uploaded"),
                             "downloaded": _group(mobile_members, "downloaded"),
-                            "finished": sum(
+                            "finished": left_sum(
                                 1 for m in mobile_members if m["finished"]
                             ),
                         }
@@ -337,8 +338,8 @@ class FigXArena(Scenario):
                 peer for peer in cell_peers(mix, base_fraction, "default")
                 if peer["strategy"] == "tyrant"
             ]
-            down = sum(float(peer["downloaded"]) for peer in tyrants)
-            up = sum(float(peer["uploaded"]) for peer in tyrants)
+            down = left_sum(float(peer["downloaded"]) for peer in tyrants)
+            up = left_sum(float(peer["uploaded"]) for peer in tyrants)
             return down / up if up > 0 else None
 
         freerider_penalty = (

@@ -34,6 +34,7 @@ from typing import Dict, List, Sequence
 from ..analysis import ExperimentResult, Series
 from ..cdn import CdnScenario, cdn_fluid_cell
 from ..runner import Scenario, Verdict, collect, scenario
+from ..summation import left_sum
 
 CLIENTS: Sequence[str] = ("default", "wp2p")
 MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.4, 0.8)
@@ -141,7 +142,7 @@ class FigXCdn(Scenario):
             for fraction in fractions:
                 vals = collect(values, (client, fraction))
                 out.append(
-                    sum(float(v[field]) for v in vals) / max(len(vals), 1)
+                    left_sum(float(v[field]) for v in vals) / max(len(vals), 1)
                 )
             return out
 

@@ -28,6 +28,7 @@ from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
 from ..runner import Scenario, collect, scenario
+from ..summation import left_sum
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
 
@@ -134,7 +135,7 @@ class FigXChaos(Scenario):
             out: List[float] = []
             for intensity in p["intensities"]:
                 vals = collect(values, (variant, intensity))
-                out.append(sum(v[field] for v in vals) / max(len(vals), 1))
+                out.append(left_sum(v[field] for v in vals) / max(len(vals), 1))
             return out
 
         mean_faults = {

@@ -51,6 +51,7 @@ from ..chaos import ChaosSchedule, preset_schedule
 from ..coding import coded_file_size
 from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
+from ..summation import left_sum
 from ..wp2p import WP2PClient
 from .fig9_wp2p import mf_only_config
 
@@ -157,7 +158,7 @@ def erasure_run(
     sc.start_all()
     sc.run_until_complete(names=names, timeout=duration)
     completions = [sc[n].client.completion_time for n in names]
-    survivors = sum(1 for t in completions if t is not None)
+    survivors = left_sum(1 for t in completions if t is not None)
     recovery = sc.chaos.recovery if sc.chaos is not None else None
     return {
         "survival": survivors / max(len(names), 1),
@@ -166,7 +167,7 @@ def erasure_run(
             if survivors == len(names)
             else None
         ),
-        "mean_completion": sum(
+        "mean_completion": left_sum(
             t if t is not None else duration for t in completions
         ) / max(len(names), 1),
         "faults": float(sc.chaos.faults_injected if sc.chaos is not None else 0),
@@ -309,7 +310,7 @@ class FigXErasure(Scenario):
             for intensity in intensities:
                 vals = collect(values, (variant, intensity, headline))
                 out.append(
-                    sum(float(v[field]) for v in vals) / max(len(vals), 1)
+                    left_sum(float(v[field]) for v in vals) / max(len(vals), 1)
                 )
             return out
 

@@ -26,6 +26,7 @@ from .. import context
 from ..analysis import ExperimentResult, Series
 from ..runner import Scenario, collect, scenario
 from ..scale import HybridSpec, run_hybrid
+from ..summation import left_sum
 
 BACKGROUND_SIZES: Sequence[int] = (1_000, 10_000, 100_000)
 FOCAL_MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.5, 1.0)
@@ -79,7 +80,7 @@ def hybrid_cell(
             if attr == "completion_time" and value is None:
                 value = spec.max_time
             vals.append(value)
-        return sum(vals) / len(vals) if vals else None
+        return left_sum(vals) / len(vals) if vals else None
 
     wired_names = [f"w{i}" for i in range(wired)]
     mobile_names = [f"m{i}" for i in range(mobile)]
@@ -159,7 +160,7 @@ class FigXHybrid(Scenario):
                 v["completion"] if v["completion"] is not None else max_time
                 for v in vals
             ]
-            return sum(times) / len(times)
+            return left_sum(times) / len(times)
 
         series = [
             Series(

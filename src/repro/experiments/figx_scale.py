@@ -30,6 +30,7 @@ from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
+from ..summation import left_sum
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
 
@@ -180,7 +181,7 @@ def packet_cell(
                 rates.append(
                     client.manager.bytes_completed / client.completion_time
                 )
-        return sum(rates) / len(rates) if rates else None
+        return left_sum(rates) / len(rates) if rates else None
 
     wired_names = [f"w{i}" for i in range(wired)]
     mobile_names = [f"m{i}" for i in range(mobile)]
@@ -265,7 +266,7 @@ class FigXScale(Scenario):
                 v["completion"] if v["completion"] is not None else max_time
                 for v in vals
             ]
-            return sum(times) / len(times)
+            return left_sum(times) / len(times)
 
         series = [
             Series(

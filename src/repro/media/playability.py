@@ -14,6 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from ..bittorrent.bitfield import Bitfield
 from ..bittorrent.metainfo import Torrent
+from ..summation import left_sum
 
 
 def playable_prefix_pieces(bitfield: Bitfield) -> int:
@@ -41,7 +42,7 @@ def playable_fraction(torrent: Torrent, bitfield: Bitfield) -> float:
 
 def downloaded_fraction(torrent: Torrent, bitfield: Bitfield) -> float:
     """Complete-piece bytes as a fraction of the file size."""
-    total = sum(torrent.piece_size(i) for i in bitfield.indices())
+    total = left_sum(torrent.piece_size(i) for i in bitfield.indices())
     return total / torrent.total_size
 
 
@@ -88,7 +89,7 @@ def decodable_prefix_groups(codec, bitfield: Bitfield) -> int:
 def coded_playable_bytes(codec, bitfield: Bitfield) -> int:
     """Source bytes of the in-order decodable prefix."""
     prefix = decodable_prefix_groups(codec, bitfield)
-    return sum(codec.group_source_bytes(g) for g in range(prefix))
+    return left_sum(codec.group_source_bytes(g) for g in range(prefix))
 
 
 def coded_playable_fraction(codec, bitfield: Bitfield) -> float:
@@ -141,5 +142,5 @@ def average_curves(
     out: List[Tuple[float, float]] = []
     for g in grid:
         values = [playable_percentage_at(c, g) for c in curves]
-        out.append((g, sum(values) / len(values)))
+        out.append((g, left_sum(values) / len(values)))
     return out

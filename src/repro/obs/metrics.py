@@ -33,6 +33,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..summation import left_sum
+
 Clock = Callable[[], float]
 
 
@@ -404,7 +406,7 @@ class TimeSeries:
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; 0.0 for an empty iterable."""
     vals = list(values)
-    return sum(vals) / len(vals) if vals else 0.0
+    return left_sum(vals) / len(vals) if vals else 0.0
 
 
 class MetricsRegistry:

@@ -10,8 +10,8 @@ guesswork without a cheap answer to three questions:
 :class:`KernelProfiler` answers all three.  It is armed per simulator via
 :meth:`~repro.sim.kernel.Simulator.enable_profiling`; while armed, the
 kernel times every callback dispatch and feeds it here.  Unarmed (the
-default) the kernel pays a single ``is None`` test per event, which keeps
-the tier-1 benchmarks inside their regression budget.
+default, and with no auditor attached) the kernel's one dispatch loop
+pays a single boolean test per event.
 
 >>> sim = Simulator()                      # doctest: +SKIP
 >>> prof = sim.enable_profiling()          # doctest: +SKIP

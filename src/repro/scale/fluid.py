@@ -47,7 +47,8 @@ into four lifetimes:
   or content mode; warm ramps saturated or ``t < startup_delay``) adds
   one constant each to ``t``, ``progress``, ``steps`` and the utilization
   sum: :meth:`FluidSwarm._fast_forward` does those exact additions with
-  ``itertools.accumulate`` (never ``sum()``, compensated from 3.12).
+  ``itertools.accumulate`` (sums go through
+  :func:`repro.summation.left_sum`: builtin ``sum()`` is compensated from 3.12).
 
 Termination is an O(1) read of a counter of incomplete leecher classes
 (a class with no peers and no arrivals is *vacuous* and never counted).
@@ -77,6 +78,7 @@ from typing import Dict, List, Optional, Tuple
 from ..chaos.schedule import ChaosSchedule
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
+from ..summation import left_sum
 from .chaosmap import CrashImpulse, RateWindow, class_matches, schedule_modifiers
 from .model import (
     ClassResult,
@@ -146,7 +148,7 @@ class _ClassState:
     def offline(self) -> float:
         if not self.pools:
             return 0.0
-        return sum(amount for amount, _ in self.pools)
+        return left_sum(amount for amount, _ in self.pools)
 
 
 @lru_cache(maxsize=128)
@@ -199,7 +201,7 @@ class FluidSwarm:
         # arrivals keep the swarm open forever.  A leecher class with no
         # peers and no arrivals is vacuous — it has nothing to complete,
         # so it is never counted and cannot hold the swarm open.
-        self._incomplete = sum(
+        self._incomplete = left_sum(
             1 for c in params.classes
             if not c.seed and (c.count > 0 or c.arrival_rate > 0.0)
         )
@@ -680,7 +682,7 @@ class FluidSwarm:
             classes=classes,
             steps=self.steps,
             horizon=self.t,
-            peak_population=sum(s.alive for s in self._states),
+            peak_population=left_sum(s.alive for s in self._states),
             utilization_mean=utilization_mean,
         )
 

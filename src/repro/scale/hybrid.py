@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import PeerHandle, SwarmScenario
 from ..chaos.schedule import ChaosSchedule
+from ..summation import left_sum
 from .fluid import FluidSwarm
 from .model import FluidParams, FluidResult, PeerClass
 
@@ -211,11 +212,11 @@ class HybridResult:
             fr.completion_time if fr.completion_time is not None else self.max_time
             for fr in self.focal.values() if not fr.seed
         ]
-        return sum(times) / len(times) if times else 0.0
+        return left_sum(times) / len(times) if times else 0.0
 
     def focal_mean_goodput(self) -> float:
         rates = [fr.mean_goodput for fr in self.focal.values() if not fr.seed]
-        return sum(rates) / len(rates) if rates else 0.0
+        return left_sum(rates) / len(rates) if rates else 0.0
 
 
 class HybridSwarm:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..summation import left_sum
+
 #: Piece-selection surrogates used for the analytic playability curve.
 SELECTION_POLICIES = ("rarest", "inorder")
 
@@ -170,7 +172,7 @@ class FluidParams:
 
     @property
     def total_peers(self) -> float:
-        return sum(c.count for c in self.classes)
+        return left_sum(c.count for c in self.classes)
 
 
 def coded_fetchability(availability: float, k: int, n: int) -> float:

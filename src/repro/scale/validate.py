@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
+from ..summation import left_sum
 from ..wp2p import WP2PClient
 from .fluid import FluidSwarm
 from .hybrid import HybridSpec, run_hybrid
@@ -115,13 +116,13 @@ class MatchedScenario:
     def fluid_observation(self) -> Observation:
         result = FluidSwarm(self.fluid_params()).run()
         leechers = [cr for cr in result.classes.values() if not cr.seed]
-        weight = sum(cr.peak_online for cr in leechers) or 1.0
-        completion = sum(
+        weight = left_sum(cr.peak_online for cr in leechers) or 1.0
+        completion = left_sum(
             (cr.completion_time if cr.completion_time is not None
              else self.max_time) * cr.peak_online
             for cr in leechers
         ) / weight
-        goodput = sum(
+        goodput = left_sum(
             cr.mean_goodput * cr.peak_online for cr in leechers
         ) / weight
         return Observation(completion_time=completion, mean_goodput=goodput)
@@ -171,8 +172,8 @@ class MatchedScenario:
             if t > 0:
                 rates.append(client.manager.bytes_completed / t)
         return Observation(
-            completion_time=sum(times) / len(times),
-            mean_goodput=sum(rates) / len(rates) if rates else 0.0,
+            completion_time=left_sum(times) / len(times),
+            mean_goodput=left_sum(rates) / len(rates) if rates else 0.0,
         )
 
 
@@ -320,9 +321,9 @@ def cross_validate(
     for ms in scenarios:
         packet_obs = [ms.packet_observation(seed) for seed in seeds]
         packet = Observation(
-            completion_time=(sum(o.completion_time for o in packet_obs)
+            completion_time=(left_sum(o.completion_time for o in packet_obs)
                              / len(packet_obs)),
-            mean_goodput=(sum(o.mean_goodput for o in packet_obs)
+            mean_goodput=(left_sum(o.mean_goodput for o in packet_obs)
                           / len(packet_obs)),
         )
         fluid = ms.fluid_observation()
@@ -432,9 +433,9 @@ HYBRID_EMBEDDINGS: Tuple[HybridEmbedding, ...] = (
 
 def _mean_observation(observations: Sequence[Observation]) -> Observation:
     return Observation(
-        completion_time=(sum(o.completion_time for o in observations)
+        completion_time=(left_sum(o.completion_time for o in observations)
                          / len(observations)),
-        mean_goodput=(sum(o.mean_goodput for o in observations)
+        mean_goodput=(left_sum(o.mean_goodput for o in observations)
                       / len(observations)),
     )
 

@@ -108,7 +108,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or stop().
 
         Returns the simulated time at which the run stopped.  If ``until``
@@ -123,6 +123,7 @@ class Simulator:
         processed = 0
         profiler = self._profiler
         auditor = self.audit
+        observed = profiler is not None or auditor is not None
         trace = self.trace
         if trace.enabled:
             trace.event(
@@ -131,48 +132,36 @@ class Simulator:
         run_started_wall = perf_counter() if profiler is not None else 0.0
         run_started_sim = self._now
         queue = self._queue
+        # The loop pops the heap itself, observed or not; the auditor and
+        # the profiler are the only difference.  Callbacks push into, and
+        # cancel() compacts, this list.
+        heap = queue._heap
+        horizon = float("inf") if until is None else until
         try:
-            if auditor is None and profiler is None and max_events is None:
-                # Fast path: the common unobserved bulk run pops the heap
-                # itself — no queue call, no per-event feature checks.
-                # Callbacks push into, and cancel() compacts, this list.
-                heap = queue._heap
-                horizon = float("inf") if until is None else until
-                while heap and heap[0][0] <= horizon:
-                    time, seq, callback, args = heappop(heap)
-                    if args is None:  # a handle in the third field
-                        handle = callback
-                        if handle._live != seq:  # stale: cancelled or re-armed
-                            queue._dead -= 1
-                            continue
-                        handle._live = None  # spent: a late cancel is a no-op
-                        callback = handle.callback
-                        args = handle.args
+            while heap and heap[0][0] <= horizon:
+                time, seq, callback, args = heappop(heap)
+                if args is None:  # a handle in the third field
+                    handle = callback
+                    if handle._live != seq:  # stale: cancelled or re-armed
+                        queue._dead -= 1
+                        continue
+                    handle._live = None  # spent: a late cancel is a no-op
+                    callback = handle.callback
+                    args = handle.args
+                if observed:
+                    if auditor is not None:
+                        auditor.before_event(time)
+                    self._now = time
+                    started = perf_counter()
+                    callback(*args)
+                    if profiler is not None:
+                        profiler.record(callback, perf_counter() - started)
+                else:
                     self._now = time
                     callback(*args)
-                    processed += 1
-                    if self._stopped:
-                        break
-            else:
-                pop_due = queue.pop_due
-                while True:
-                    event = pop_due(until)
-                    if event is None:
-                        break
-                    if auditor is not None:
-                        auditor.before_event(event.time)
-                    self._now = event.time
-                    if profiler is not None:
-                        started = perf_counter()
-                        event.callback(*event.args)
-                        profiler.record(event.callback, perf_counter() - started)
-                    else:
-                        event.callback(*event.args)
-                    processed += 1
-                    if self._stopped:
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
+                processed += 1
+                if self._stopped:
+                    break
         finally:
             self._running = False
             self.events_processed += processed
@@ -214,8 +203,8 @@ class Simulator:
 
         While armed, every event dispatch is wall-clock timed and
         aggregated per handler (see
-        :class:`~repro.obs.profiling.KernelProfiler`).  Unarmed runs pay
-        only an ``is None`` check per event.
+        :class:`~repro.obs.profiling.KernelProfiler`).  Runs with neither
+        a profiler nor an auditor pay one boolean test per event.
         """
         if self._profiler is None:
             self._profiler = KernelProfiler()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Union
 
+from ..summation import left_sum
 from .registry import get_strategy
 
 #: Populations a mix may address.  ``"all"`` is the fallback for any
@@ -125,7 +126,7 @@ class MixAssigner:
         """Effective weights (remainder folded into ``reference``)."""
         key = self._resolve(population)
         weights = dict(self.mix.get(key, {}))
-        explicit = sum(weights.values())
+        explicit = left_sum(weights.values())
         if explicit < 1.0 - _EPS:
             weights[DEFAULT_STRATEGY] = (
                 weights.get(DEFAULT_STRATEGY, 0.0) + (1.0 - explicit)

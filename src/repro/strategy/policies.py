@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Sequence, Set
 
+from ..summation import left_sum
 from .base import ChokerPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,7 +145,7 @@ class PropSharePolicy(ChokerPolicy):
         weights = [self.rank(client, p) for p in pool]
         chosen: Set["PeerConnection"] = set()
         while pool and len(chosen) < slots:
-            total = sum(weights)
+            total = left_sum(weights)
             draw = rng.random() * total
             acc = 0.0
             winner = len(pool) - 1  # float-sum slack lands on the last

@@ -15,6 +15,8 @@ import heapq
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..summation import left_sum
+
 
 class SendStream:
     """Outgoing stream state: una / nxt / end pointers plus message ranges."""
@@ -178,7 +180,7 @@ class ReceiveStream:
 
     @property
     def out_of_order_bytes(self) -> int:
-        return sum(e - s for s, e in self._segments)
+        return left_sum(e - s for s, e in self._segments)
 
     @property
     def has_gap(self) -> bool:

@@ -19,6 +19,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import context
 from repro.cdn import (
@@ -34,6 +36,7 @@ from repro.cdn import (
     zipf_weights,
 )
 from repro.cdn.demand import cycle_factor, mean_cycle_factor
+from repro.cdn.origin import POLICIES
 from repro.runner import Runner
 from repro.runner.spec import ScenarioSpec, canonical_json, cell_digest
 from repro.scale.assets import AssetClassParams, asset_class_outcome
@@ -385,6 +388,72 @@ class TestFluidSurrogate:
         )
         assert idle.requests == 0.0
         assert idle.offload == 1.0
+
+
+def _reference_expected_active(cat, dem, org, horizon):
+    """The origin's expected active set as the loop computed it with
+    builtin ``min()``, before it became a comparison."""
+    assets = int(cat["assets"])
+    weights = zipf_weights(assets, float(dem["alpha"]))
+    base_rate = float(dem["rate"]) * mean_cycle_factor(dem.get("daily_cycle"))
+    flash = dem.get("flash_crowd")
+    flash_rank = min(int(flash["rank"]), assets) if flash is not None else None
+    flash_rate = float(flash["size"]) / horizon if flash is not None else 0.0
+    pinned_k = int(org["k"]) if org["policy"] == "pin_top_k" else 0
+    pinned_k = min(pinned_k, assets)
+    expected_active = float(pinned_k)
+    for rank in range(pinned_k + 1, assets + 1):
+        rank_rate = base_rate * weights[rank - 1] + (
+            flash_rate if rank == flash_rank else 0.0
+        )
+        expected_active += min(1.0, rank_rate * horizon)
+    if org["policy"] in ("pin_top_k", "lru_evict"):
+        expected_active = min(expected_active, float(org["capacity"]))
+    return expected_active
+
+
+_flash = st.none() | st.fixed_dictionaries({
+    "at": st.floats(0.0, 500.0), "rank": st.integers(1, 400),
+    "size": st.integers(1, 60), "width": st.floats(0.1, 30.0),
+})
+_cycle = st.none() | st.fixed_dictionaries({
+    "period": st.floats(1.0, 2000.0), "depth": st.floats(0.0, 0.99),
+    "phase": st.floats(0.0, 1000.0),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    assets=st.integers(1, 300),
+    size_kib=st.integers(1, 512),
+    alpha=st.floats(0.05, 2.5),
+    rate=st.floats(1e-4, 60.0),
+    flash=_flash,
+    cycle=_cycle,
+    policy=st.sampled_from(POLICIES),
+    capacity=st.integers(1, 400),
+    k_share=st.floats(0.0, 1.0),
+    horizon=st.floats(1.0, 3000.0),
+)
+def test_origin_active_set_is_bit_identical_to_the_min_loop(
+    assets, size_kib, alpha, rate, flash, cycle, policy, capacity, k_share,
+    horizon,
+):
+    demand = {"alpha": alpha, "rate": rate}
+    if flash is not None:
+        demand["flash_crowd"] = flash
+    if cycle is not None:
+        demand["daily_cycle"] = cycle
+    origin = {"policy": policy, "capacity": capacity,
+              "k": int(k_share * capacity)}
+    catalog = {"assets": assets, "size_kib": size_kib}
+    got = cdn_fluid_cell(catalog=catalog, demand=demand, origin=origin,
+                         peers=50, mobile_fraction=0.3, horizon=horizon)
+    want = _reference_expected_active(
+        normalize_catalog(catalog), normalize_demand(demand),
+        normalize_origin(origin), horizon,
+    )
+    assert got["origin_activations"].hex() == want.hex()
 
 
 # ----------------------------------------------------------------------

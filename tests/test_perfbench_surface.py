@@ -26,7 +26,8 @@ def test_perfbench_import_and_patch_surface(monkeypatch):
         assert callable(getattr(owner, attr)), name
 
     bench_micro = importlib.import_module("bench_micro")
-    for driver in ("_wireless_saturation", "_tcp_bulk_transfer", "_obs_off_calls"):
-        assert callable(getattr(bench_micro, driver))
+    for driver in ("_queue_churn", "_wireless_saturation", "_tcp_bulk_transfer",
+                   "_obs_off_calls"):
+        assert callable(getattr(bench_micro, driver)), driver
     monkeypatch.setattr(bench_micro, "QUEUE_OPS", 100)
     assert bench_micro._queue_churn(None) == 100
