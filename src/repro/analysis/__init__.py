@@ -14,6 +14,7 @@ from .stats import (
     point_estimate,
     relative_gain,
     summarize,
+    sweep,
     t_critical_95,
 )
 from .series import ExperimentResult, Series, average_runs
@@ -35,5 +36,6 @@ __all__ = [
     "point_estimate",
     "relative_gain",
     "summarize",
+    "sweep",
     "t_critical_95",
 ]

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..summation import left_sum
+from .series import Series
 
 # Two-sided t critical values at 95% for small samples (df 1..30).
 _T95 = [
@@ -82,6 +83,31 @@ def point_estimate(values: Sequence[float], scale: float = 1.0) -> Tuple[float, 
     if not vals:
         return math.nan, math.nan
     return left_sum(vals) / len(vals) / scale, summarize([v / scale for v in vals]).ci95
+
+
+def sweep(
+    label: str,
+    xs: Iterable[float],
+    points: Iterable[Sequence[object]],
+    field: Optional[str] = None,
+    scale: float = 1.0,
+    spread: bool = True,
+) -> Series:
+    """One curve of a sweep: the :func:`point_estimate` of each x's values.
+
+    ``points`` holds, per x, the surviving seeds' values (their ``field``
+    when the values are dicts); each point is their mean over ``scale``,
+    with the 95% half-width as ``y_err`` unless ``spread`` is off.
+    """
+    ys: List[float] = []
+    errs: List[float] = []
+    for vals in points:
+        y, err = point_estimate(
+            [float(v[field]) for v in vals] if field else vals, scale
+        )
+        ys.append(y)
+        errs.append(err)
+    return Series(label, list(xs), ys, y_err=errs if spread else None)
 
 
 def describe(values: Sequence[float]) -> dict:

@@ -5,7 +5,7 @@ Usage (the scenario registry + parallel runner)::
     python -m repro.experiments list                 # what can I run?
     python -m repro.experiments list --json
     python -m repro.experiments run fig2a --jobs 4   # parallel, cached
-    python -m repro.experiments run fig4bc --num-pieces 400 --json
+    python -m repro.experiments run fig4bc --set num_pieces=400 --json
     python -m repro.experiments run all --jobs 8 --no-cache
     python -m repro.experiments run fig3a --set runs=2 --set duration=10
     python -m repro.experiments run fig8c --check    # PASS/FAIL per claim
@@ -53,51 +53,13 @@ ALL_ORDER: List[str] = [
 ]
 
 
-def _overrides_for(name: str, num_pieces: Optional[int],
-                   sets: Optional[Dict[str, object]] = None,
-                   swarm_size: Optional[int] = None,
-                   focal_hosts: Optional[int] = None) -> Dict[str, object]:
-    """Merge --num-pieces / --swarm-size / --focal-hosts / --set into
-    accepted overrides.
-
-    A dedicated flag and a ``--set`` spelling of the same key is a
-    contradiction, not a precedence question: erroring out beats
-    silently ignoring one of the two values the user asked for.
-    """
-    overrides: Dict[str, object] = dict(sets or {})
-    defaults = get_scenario(name).defaults
-
-    def put(key: str, value: object, flag: str) -> None:
-        if key in overrides:
-            raise SystemExit(
-                f"error: {flag} conflicts with --set {key}=...; "
-                f"pass one or the other"
-            )
-        overrides[key] = value
-
-    if num_pieces is not None and "num_pieces" in defaults:
-        put("num_pieces", num_pieces, "--num-pieces")
-    if swarm_size is not None:
-        # figx_scale sweeps a list of sizes; a single --swarm-size pins
-        # it (figx_hybrid's equivalent axis is the background size).
-        if "swarm_sizes" in defaults:
-            put("swarm_sizes", [swarm_size], "--swarm-size")
-        elif "background_sizes" in defaults:
-            put("background_sizes", [swarm_size], "--swarm-size")
-        elif "swarm_size" in defaults:
-            put("swarm_size", swarm_size, "--swarm-size")
-    if focal_hosts is not None and "focal_hosts" in defaults:
-        put("focal_hosts", focal_hosts, "--focal-hosts")
-    return overrides
-
-
 def _axes_from_flags(args, sets: Dict[str, object]) -> Dict[str, object]:
     """One raw value per scenario axis, from the flags its Axis declares.
 
     A flag that stands for a scenario parameter (``--catalog``) and a
     ``--set`` spelling of the same key is a contradiction — the axis
     beats the parameter, so one of the two values would be silently
-    discarded — and, as in :func:`_overrides_for`, an error.
+    discarded — and an error.
     """
     axes: Dict[str, object] = {}
     for axis in AXES.values():
@@ -253,12 +215,7 @@ def _cmd_run(args) -> None:
         for name in names:
             start = time.time()
             try:
-                run = runner.run(
-                    name,
-                    _overrides_for(name, args.num_pieces, sets,
-                                   swarm_size=args.swarm_size,
-                                   focal_hosts=args.focal_hosts),
-                )
+                run = runner.run(name, sets)
             except ValueError as exc:
                 raise SystemExit(f"error: {exc}") from None
             failed_cells += len(run.failures)
@@ -323,8 +280,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "repeatable")
     parser.add_argument("--quiet", "-q", action="store_true",
                         help="suppress per-cell progress lines on stderr")
-    parser.add_argument("--num-pieces", type=int, default=None,
-                        help="piece count for fig4bc/fig9ab (20 or 400)")
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
                         help="simulation tier: 'packet' (event-level ground "
                              "truth), 'fluid' (repro.scale mean-field "
@@ -332,13 +287,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "(packet-level focal hosts inside a fluid "
                              "background); default: the scenario's "
                              "preferred backend")
-    parser.add_argument("--swarm-size", type=int, default=None, metavar="N",
-                        help="pin the swarm size for scenarios that sweep it "
-                             "(figx_scale: replaces the size grid with [N]; "
-                             "figx_hybrid: pins the background size)")
-    parser.add_argument("--focal-hosts", type=int, default=None, metavar="N",
-                        help="number of packet-level focal hosts for "
-                             "hybrid-backend scenarios (figx_hybrid)")
     parser.add_argument("--chart", action="store_true",
                         help="also render an ASCII chart of the series")
     parser.add_argument("--trace", metavar="PATH", default=None,

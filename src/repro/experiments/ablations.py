@@ -20,7 +20,7 @@ They are registered scenarios like the figures (cached, parallel,
 
 from __future__ import annotations
 
-from ..analysis import ExperimentResult, Series, point_estimate
+from ..analysis import Series, sweep
 from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
 from ..tcp import TCPConfig
@@ -29,10 +29,6 @@ from .base import BulkSender, WirelessPairTopology
 from .fig4_mobility import playability_run
 from .fig8_wp2p import _fig8a_run, _fig8c_run
 from .fig9_wp2p import _fig9c_run, mf_only_config
-
-
-def _mean(values) -> float:
-    return point_estimate(values)[0]
 
 
 @scenario
@@ -48,25 +44,23 @@ class AblationAmGamma(Scenario):
         "base_seed": 4000,
     }
 
-    def cells(self, p):
-        for gamma in p["gammas"]:
-            for r in range(p["runs"]):
-                yield (gamma,), p["base_seed"] + r
+    figure = "Ablation: AM γ"
+    title = "ACK-decoupling threshold sensitivity (BER 1.5e-5)"
+    x_label = "γ (bytes; 2/6/12 MSS)"
+    y_label = "wP2P throughput (KB/s)"
+    paper_expectation = "the paper picks γ=6 MSS (~9 KB) per [10]"
+
+    def grid(self, p):
+        return [(gamma,) for gamma in p["gammas"]]
 
     def run_cell(self, key, seed, p):
         _, wp2p_rate = _fig8a_run(seed, 1.5e-5, p["duration"], am_gamma_bytes=key[0])
         return wp2p_rate / 1000.0
 
-    def assemble(self, p, values, failures):
-        gammas = list(p["gammas"])
-        return ExperimentResult(
-            figure="Ablation: AM γ",
-            title="ACK-decoupling threshold sensitivity (BER 1.5e-5)",
-            x_label="γ (bytes; 2/6/12 MSS)",
-            y_label="wP2P throughput (KB/s)",
-            series=[Series("wP2P", gammas, [_mean(collect(values, (g,))) for g in gammas])],
-            paper_expectation="the paper picks γ=6 MSS (~9 KB) per [10]",
-        )
+    def series(self, p, values):
+        gammas = p["gammas"]
+        return [sweep("wP2P", gammas, (collect(values, (g,)) for g in gammas),
+                      spread=False)]
 
     def check(self, run):
         ys = run.result.series[0].y
@@ -96,10 +90,17 @@ class AblationMfSchedule(Scenario):
         "base_seed": 4100,
     }
 
-    def cells(self, p):
-        for label in MF_SCHEDULES:
-            for r in range(p["runs"]):
-                yield (label,), p["base_seed"] + r
+    figure = "Ablation: MF pr schedule"
+    title = "Playability under different altruism schedules"
+    x_label = "Downloaded percentage (%)"
+    y_label = "Playable percentage (%)"
+    paper_expectation = (
+        "more sequential bias -> more playable mid-download; the linear "
+        "schedule is what the paper evaluates"
+    )
+
+    def grid(self, p):
+        return [(label,) for label in MF_SCHEDULES]
 
     def run_cell(self, key, seed, p):
         schedule = MF_SCHEDULES[key[0]]
@@ -112,23 +113,12 @@ class AblationMfSchedule(Scenario):
         curve = playability_run(seed, p["num_pieces"], client_factory=factory)
         return [[d, play] for d, play in curve]
 
-    def assemble(self, p, values, failures):
+    def series(self, p, values):
         series = []
         for label in MF_SCHEDULES:
-            curves = [[(d, play) for d, play in c] for c in collect(values, (label,))]
-            avg = average_curves(curves, p["grid"])
+            avg = average_curves(collect(values, (label,)), p["grid"])
             series.append(Series(label, [g for g, _ in avg], [y for _, y in avg]))
-        return ExperimentResult(
-            figure="Ablation: MF pr schedule",
-            title="Playability under different altruism schedules",
-            x_label="Downloaded percentage (%)",
-            y_label="Playable percentage (%)",
-            series=series,
-            paper_expectation=(
-                "more sequential bias -> more playable mid-download; the linear "
-                "schedule is what the paper evaluates"
-            ),
-        )
+        return series
 
     def check(self, run):
         constant = run.result.get("constant 0.2").y_at(50.0)
@@ -152,27 +142,24 @@ class AblationLihd(Scenario):
     description = "Ablation: LIHD α/β aggressiveness (Figure 8(c) setup, 100 KB/s)"
     defaults = {"runs": 2, "duration": 50.0, "base_seed": 4200}
 
-    def cells(self, p):
-        for alpha, beta in LIHD_PAIRS:
-            for r in range(p["runs"]):
-                yield (alpha, beta), p["base_seed"] + r
+    figure = "Ablation: LIHD α/β"
+    title = "LIHD aggressiveness at 100 KB/s channel"
+    x_label = "(α, β) setting"
+    y_label = "Download throughput (KB/s)"
+    notes = "x axis: " + ", ".join(LIHD_LABELS)
+    paper_expectation = "α = β = 10 KB/s is the paper's Figure 8(c) setting"
+
+    def grid(self, p):
+        return LIHD_PAIRS
 
     def run_cell(self, key, seed, p):
         alpha, beta = key
         return _fig8c_run(seed, 100_000.0, use_lihd=True, duration=p["duration"],
                           lihd_alpha=alpha, lihd_beta=beta) / 1000.0
 
-    def assemble(self, p, values, failures):
-        ys = [_mean(collect(values, pair)) for pair in LIHD_PAIRS]
-        return ExperimentResult(
-            figure="Ablation: LIHD α/β",
-            title="LIHD aggressiveness at 100 KB/s channel",
-            x_label="(α, β) setting",
-            y_label="Download throughput (KB/s)",
-            series=[Series("wP2P", list(range(len(LIHD_PAIRS))), ys)],
-            notes="x axis: " + ", ".join(LIHD_LABELS),
-            paper_expectation="α = β = 10 KB/s is the paper's Figure 8(c) setting",
-        )
+    def series(self, p, values):
+        return [sweep("wP2P", range(len(LIHD_PAIRS)),
+                      (collect(values, pair) for pair in LIHD_PAIRS), spread=False)]
 
     def check(self, run):
         ys = run.result.series[0].y
@@ -195,11 +182,17 @@ class AblationRrVsTracker(Scenario):
         "base_seed": 4300,
     }
 
-    def cells(self, p):
-        for r in range(p["runs"]):
-            for tracker_interval in p["tracker_intervals"]:
-                yield ("default", tracker_interval), p["base_seed"] + r
-            yield ("wp2p",), p["base_seed"] + r
+    figure = "Ablation: RR vs tracker refresh"
+    title = "Role reversal vs shorter tracker intervals (default client)"
+    x_label = "Tracker interval (s)"
+    y_label = "Mobile-seed upload throughput (KB/s)"
+    paper_expectation = (
+        "faster tracker refresh helps the default client but cannot match "
+        "immediate client-side re-initiation"
+    )
+
+    def grid(self, p):
+        return [("default", t) for t in p["tracker_intervals"]] + [("wp2p",)]
 
     def run_cell(self, key, seed, p):
         if key[0] == "wp2p":
@@ -207,25 +200,14 @@ class AblationRrVsTracker(Scenario):
         return _fig9c_run(seed, 60.0, wp2p=False, duration=p["duration"],
                           tracker_interval=key[1])
 
-    def assemble(self, p, values, failures):
-        xs = list(p["tracker_intervals"])
-        wp2p = point_estimate(collect(values, ("wp2p",)), 1000.0)[0]
-        return ExperimentResult(
-            figure="Ablation: RR vs tracker refresh",
-            title="Role reversal vs shorter tracker intervals (default client)",
-            x_label="Tracker interval (s)",
-            y_label="Mobile-seed upload throughput (KB/s)",
-            series=[
-                Series("Default P2P", xs, [
-                    point_estimate(collect(values, ("default", x)), 1000.0)[0] for x in xs
-                ]),
-                Series("wP2P role reversal", xs, [wp2p] * len(xs)),
-            ],
-            paper_expectation=(
-                "faster tracker refresh helps the default client but cannot match "
-                "immediate client-side re-initiation"
-            ),
-        )
+    def series(self, p, values):
+        xs = p["tracker_intervals"]
+        wp2p = collect(values, ("wp2p",))
+        return [
+            sweep("Default P2P", xs, (collect(values, ("default", x)) for x in xs),
+                  scale=1000.0, spread=False),
+            sweep("wP2P role reversal", xs, [wp2p] * len(xs), scale=1000.0, spread=False),
+        ]
 
     def check(self, run):
         wp2p = run.result.get("wP2P role reversal").y[0]
@@ -264,34 +246,29 @@ class AblationSack(Scenario):
         "base_seed": 4400,
     }
 
-    def cells(self, p):
-        for ber in p["bers"]:
-            for flavour in ("newreno", "sack"):
-                for r in range(p["runs"]):
-                    yield (flavour, ber), p["base_seed"] + r
+    figure = "Ablation: SACK"
+    title = "NewReno vs SACK-lite under random wireless losses"
+    x_label = "BER"
+    y_label = "Download throughput (KB/s)"
+    paper_expectation = (
+        "not in the paper; selective acknowledgments recover multi-loss "
+        "windows without go-back-N, helping most at high BER"
+    )
+    reports = {"runs": "runs", "duration_s": "duration"}
+
+    def grid(self, p):
+        return [(flavour, ber) for ber in p["bers"] for flavour in ("newreno", "sack")]
 
     def run_cell(self, key, seed, p):
         flavour, ber = key
         return _sack_transfer(flavour == "sack", ber, seed, p["duration"])
 
-    def assemble(self, p, values, failures):
-        bers = list(p["bers"])
-
-        def sweep(flavour: str, label: str) -> Series:
-            return Series(label, bers, [_mean(collect(values, (flavour, b))) for b in bers])
-
-        return ExperimentResult(
-            figure="Ablation: SACK",
-            title="NewReno vs SACK-lite under random wireless losses",
-            x_label="BER",
-            y_label="Download throughput (KB/s)",
-            series=[sweep("newreno", "NewReno"), sweep("sack", "SACK-lite")],
-            paper_expectation=(
-                "not in the paper; selective acknowledgments recover multi-loss "
-                "windows without go-back-N, helping most at high BER"
-            ),
-            parameters={"runs": p["runs"], "duration_s": p["duration"]},
-        )
+    def series(self, p, values):
+        bers = p["bers"]
+        return [
+            sweep(label, bers, (collect(values, (flavour, b)) for b in bers), spread=False)
+            for flavour, label in (("newreno", "NewReno"), ("sack", "SACK-lite"))
+        ]
 
     def check(self, run):
         reno = run.result.get("NewReno").y

@@ -130,6 +130,14 @@ def run_transfer(
     return TransferStats(delivered_down, delivered_up, duration)
 
 
+def sample_times(p) -> List[float]:
+    """A progress curve's time grid: every ``sample_step`` to ``duration``."""
+    return [
+        p["sample_step"] * i
+        for i in range(int(p["duration"] / p["sample_step"]) + 1)
+    ]
+
+
 def random_piece_subset(
     rng, num_pieces: int, fraction: float
 ) -> List[int]:

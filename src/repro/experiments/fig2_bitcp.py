@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis import ExperimentResult, Series, point_estimate
+from ..analysis import Series, sweep
 from ..obs.metrics import mean
 from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
@@ -39,11 +39,18 @@ class Fig2A(Scenario):
         "base_seed": 100,
     }
 
-    def cells(self, p):
-        for mode in ("uni", "bi"):
-            for ber in p["bers"]:
-                for i in range(p["runs"]):
-                    yield (mode, ber), p["base_seed"] + i
+    figure = "Figure 2(a)"
+    title = "Throughput comparison: bi- vs uni-directional TCP"
+    x_label = "BER"
+    y_label = "Downloading throughput (KB/s)"
+    paper_expectation = (
+        "uni-TCP above bi-TCP at every BER; both decline as BER rises; "
+        "the BER=0 gap captures upstream/downstream self-contention"
+    )
+    reports = {"runs": "runs", "duration_s": "duration", "channel_Bps": "rate"}
+
+    def grid(self, p):
+        return [(mode, ber) for mode in ("uni", "bi") for ber in p["bers"]]
 
     def run_cell(self, key, seed, p):
         mode, ber = key
@@ -52,32 +59,11 @@ class Fig2A(Scenario):
             duration=p["duration"], rate=p["rate"],
         ).down_rate_kbps
 
-    def assemble(self, p, values, failures):
-        def sweep(mode: str) -> Series:
-            ys: List[float] = []
-            errs: List[float] = []
-            for ber in p["bers"]:
-                y, err = point_estimate(collect(values, (mode, ber)))
-                ys.append(y)
-                errs.append(err)
-            label = "Bi-TCP" if mode == "bi" else "Uni-TCP"
-            return Series(label, list(p["bers"]), ys, y_err=errs)
-
-        return ExperimentResult(
-            figure="Figure 2(a)",
-            title="Throughput comparison: bi- vs uni-directional TCP",
-            x_label="BER",
-            y_label="Downloading throughput (KB/s)",
-            series=[sweep("bi"), sweep("uni")],
-            paper_expectation=(
-                "uni-TCP above bi-TCP at every BER; both decline as BER rises; "
-                "the BER=0 gap captures upstream/downstream self-contention"
-            ),
-            parameters={
-                "runs": p["runs"], "duration_s": p["duration"],
-                "channel_Bps": p["rate"],
-            },
-        )
+    def series(self, p, values):
+        return [
+            sweep(label, p["bers"], (collect(values, (mode, ber)) for ber in p["bers"]))
+            for mode, label in (("bi", "Bi-TCP"), ("uni", "Uni-TCP"))
+        ]
 
     def check(self, run):
         bi, uni = run.result.get("Bi-TCP"), run.result.get("Uni-TCP")
@@ -145,7 +131,20 @@ class Fig2BC(Scenario):
         "core_delay": 0.1,
     }
 
+    figure = "Figure 2(b, c)"
+    title = "Client packets on the wireless leg around congestion events"
+    x_label = "Time (s)"
+    y_label = "Packets sent from client per bucket"
+    paper_expectation = (
+        "after a buffer drop, the uni-directional client's packet count "
+        "decreases (fewer data -> fewer ACKs); the bi-directional "
+        "client's stays approximately level (pure DUPACKs offset the "
+        "halved data stream)"
+    )
+    reports = {"ap_queue_packets": "ap_queue_packets", "bucket_s": "bucket"}
+
     def cells(self, p):
+        # One fixed seed per direction: the figure is a single trace.
         yield ("uni",), p["seed"]
         yield ("bi",), p["seed"]
 
@@ -159,30 +158,13 @@ class Fig2BC(Scenario):
     def assemble(self, p, values, failures):
         uni = collect(values, ("uni",))[0]
         bi = collect(values, ("bi",))[0]
-        return ExperimentResult(
-            figure="Figure 2(b, c)",
-            title="Client packets on the wireless leg around congestion events",
-            x_label="Time (s)",
-            y_label="Packets sent from client per bucket",
-            series=[
-                Series("Uni-directional", [t for t, _ in uni["counts"]],
-                       [float(c) for _, c in uni["counts"]]),
-                Series("Bi-directional", [t for t, _ in bi["counts"]],
-                       [float(c) for _, c in bi["counts"]]),
-            ],
-            paper_expectation=(
-                "after a buffer drop, the uni-directional client's packet count "
-                "decreases (fewer data -> fewer ACKs); the bi-directional "
-                "client's stays approximately level (pure DUPACKs offset the "
-                "halved data stream)"
-            ),
-            parameters={
-                "uni_drop_times": uni["drops"],
-                "bi_drop_times": bi["drops"],
-                "ap_queue_packets": p["ap_queue_packets"],
-                "bucket_s": p["bucket"],
-            },
-        )
+        series = [
+            Series(label, [t for t, _ in run["counts"]],
+                   [float(c) for _, c in run["counts"]])
+            for label, run in (("Uni-directional", uni), ("Bi-directional", bi))
+        ]
+        return self.result(p, series, {"uni_drop_times": uni["drops"],
+                                       "bi_drop_times": bi["drops"]})
 
     def check(self, run):
         r = run.result

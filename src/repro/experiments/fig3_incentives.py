@@ -22,12 +22,12 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis import ExperimentResult, Series, average_runs, point_estimate
+from ..analysis import Series, average_runs, sweep
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..obs.metrics import mean
 from ..runner import Scenario, Verdict, collect, scenario
-from .base import random_piece_subset
+from .base import random_piece_subset, sample_times
 
 UPLOAD_FRACTIONS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -100,15 +100,11 @@ class _UploadSweepScenario(Scenario):
     """Shared machinery for the fig3a/fig3b upload-cap sweeps."""
 
     wireless = False
-    figure = ""
-    title = ""
-    x_label = ""
-    paper_expectation = ""
+    y_label = "Download throughput (KB/s)"
+    reports = {"runs": "runs", "duration_s": "duration"}
 
-    def cells(self, p):
-        for frac in p["fractions"]:
-            for r in range(p["runs"]):
-                yield (frac,), p["base_seed"] + r
+    def grid(self, p):
+        return [(frac,) for frac in p["fractions"]]
 
     def run_cell(self, key, seed, p):
         (frac,) = key
@@ -120,27 +116,13 @@ class _UploadSweepScenario(Scenario):
             channel_rate=p["channel_rate"],
         )
 
-    def assemble(self, p, values, failures):
-        label = "Wireless" if self.wireless else "Wired"
-        ys: List[float] = []
-        errs: List[float] = []
-        for frac in p["fractions"]:
-            y, err = point_estimate(collect(values, (frac,)), 1000.0)  # KB/s
-            ys.append(y)
-            errs.append(err)
-        series = Series(label, [100 * f for f in p["fractions"]], ys, y_err=errs)
-        parameters = {"runs": p["runs"], "duration_s": p["duration"]}
-        if self.wireless:
-            parameters["channel_Bps"] = p["channel_rate"]
-        return ExperimentResult(
-            figure=self.figure,
-            title=self.title,
-            x_label=self.x_label,
-            y_label="Download throughput (KB/s)",
-            series=[series],
-            paper_expectation=self.paper_expectation,
-            parameters=parameters,
-        )
+    def series(self, p, values):
+        return [sweep(
+            "Wireless" if self.wireless else "Wired",
+            [100 * f for f in p["fractions"]],
+            (collect(values, (frac,)) for frac in p["fractions"]),
+            scale=1000.0,  # KB/s
+        )]
 
 
 @scenario
@@ -178,6 +160,7 @@ class Fig3B(_UploadSweepScenario):
     name = "fig3b"
     description = "Figure 3(b): download vs upload cap behind a shared wireless cell"
     wireless = True
+    reports = {**_UploadSweepScenario.reports, "channel_Bps": "channel_rate"}
     figure = "Figure 3(b)"
     title = "Impact of upload cap on downloads: wireless"
     x_label = "Upload limit (% of channel capacity)"
@@ -238,17 +221,20 @@ class Fig3C(Scenario):
         "file_mb": 32.0,
     }
 
-    @staticmethod
-    def _grid(p) -> List[float]:
-        return [
-            p["sample_step"] * i
-            for i in range(int(p["duration"] / p["sample_step"]) + 1)
-        ]
+    figure = "Figure 3(c)"
+    title = "Impact of incentives and mobility on download progress"
+    x_label = "Time (s)"
+    y_label = "Downloaded size (MB)"
+    paper_expectation = (
+        "without mobility, uploading clearly beats not uploading; with "
+        "mobility both curves drop below the no-mobility ones and the "
+        "upload advantage becomes marginal (incentives neutralised)"
+    )
+    reports = {"runs": "runs", "duration_s": "duration",
+               "handoff_interval_s": "handoff_interval", "file_mb": "file_mb"}
 
-    def cells(self, p):
-        for label, _, _ in FIG3C_CASES:
-            for r in range(p["runs"]):
-                yield (label,), p["base_seed"] + r
+    def grid(self, p):
+        return [(label,) for label, _, _ in FIG3C_CASES]
 
     def run_cell(self, key, seed, p):
         (label,) = key
@@ -256,34 +242,15 @@ class Fig3C(Scenario):
             (m, u) for case_label, m, u in FIG3C_CASES if case_label == label
         )
         return _fig3c_run(
-            seed, mobile, upload_limit, p["duration"], self._grid(p),
+            seed, mobile, upload_limit, p["duration"], sample_times(p),
             p["handoff_interval"], p["file_mb"],
         )
 
-    def assemble(self, p, values, failures):
-        grid = self._grid(p)
-        series: List[Series] = []
-        for label, _, _ in FIG3C_CASES:
-            curves = collect(values, (label,))
-            series.append(Series(label, grid, average_runs(curves)))
-        return ExperimentResult(
-            figure="Figure 3(c)",
-            title="Impact of incentives and mobility on download progress",
-            x_label="Time (s)",
-            y_label="Downloaded size (MB)",
-            series=series,
-            paper_expectation=(
-                "without mobility, uploading clearly beats not uploading; with "
-                "mobility both curves drop below the no-mobility ones and the "
-                "upload advantage becomes marginal (incentives neutralised)"
-            ),
-            parameters={
-                "runs": p["runs"],
-                "duration_s": p["duration"],
-                "handoff_interval_s": p["handoff_interval"],
-                "file_mb": p["file_mb"],
-            },
-        )
+    def series(self, p, values):
+        return [
+            Series(label, sample_times(p), average_runs(collect(values, (label,))))
+            for label, _, _ in FIG3C_CASES
+        ]
 
     def check(self, run):
         nm_up, nm_noup, m_up, m_noup = (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..analysis import ExperimentResult, Series, point_estimate
+from ..analysis import Series, sweep
 from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.selection import PieceSelector
 from ..bittorrent.swarm import SwarmScenario
@@ -76,6 +76,17 @@ class Fig4A(Scenario):
         "base_seed": 600,
     }
 
+    figure = "Figure 4(a)"
+    title = "Impact of server-side mobility on a fixed peer"
+    x_label = "Mobility rate"
+    y_label = "Throughput (KB/s)"
+    paper_expectation = (
+        "throughput falls as the IP-change interval shrinks; the "
+        "degradation is amplified when all corresponding peers are mobile"
+    )
+    notes = "x axis: " + ", ".join(MOBILITY_LABELS)
+    reports = {"intervals_s": "intervals", "runs": "runs", "duration_s": "duration"}
+
     def cells(self, p):
         for interval in p["intervals"]:
             for r in range(p["runs"]):
@@ -92,36 +103,13 @@ class Fig4A(Scenario):
             p["duration"], p["tracker_interval"],
         )
 
-    def assemble(self, p, values, failures):
-        def sweep(series: str, label: str) -> Series:
-            ys: List[float] = []
-            errs: List[float] = []
-            for interval in p["intervals"]:
-                y, err = point_estimate(collect(values, (series, interval)), 1000.0)
-                ys.append(y)
-                errs.append(err)
-            return Series(label, list(range(len(p["intervals"]))), ys, y_err=errs)
-
-        return ExperimentResult(
-            figure="Figure 4(a)",
-            title="Impact of server-side mobility on a fixed peer",
-            x_label="Mobility rate",
-            y_label="Throughput (KB/s)",
-            series=[
-                sweep("one", "One peer is mobile"),
-                sweep("all", "All peers are mobile"),
-            ],
-            paper_expectation=(
-                "throughput falls as the IP-change interval shrinks; the "
-                "degradation is amplified when all corresponding peers are mobile"
-            ),
-            notes="x axis: " + ", ".join(MOBILITY_LABELS),
-            parameters={
-                "intervals_s": list(p["intervals"]),
-                "runs": p["runs"],
-                "duration_s": p["duration"],
-            },
-        )
+    def series(self, p, values):
+        return [
+            sweep(label, range(len(p["intervals"])),
+                  (collect(values, (mobile, i)) for i in p["intervals"]), scale=1000.0)
+            for mobile, label in (("one", "One peer is mobile"),
+                                  ("all", "All peers are mobile"))
+        ]
 
     def check(self, run):
         one = run.result.get("One peer is mobile").y
@@ -192,9 +180,18 @@ class Fig4BC(Scenario):
         "grid": GRID,
     }
 
-    def cells(self, p):
-        for r in range(p["runs"]):
-            yield ("curve",), p["base_seed"] + r
+    title = "Playable fraction under rarest-first fetching"
+    x_label = "Downloaded percentage (%)"
+    y_label = "Playable percentage (%)"
+    paper_expectation = (
+        "playability stays near zero until most of the file is "
+        "downloaded; worse for more pieces (100 MB: >90% downloaded "
+        "needed to play the first 2%)"
+    )
+    reports = {"num_pieces": "num_pieces", "runs": "runs"}
+
+    def grid(self, p):
+        return [("curve",)]
 
     def run_cell(self, key, seed, p):
         curve = playability_run(
@@ -204,27 +201,12 @@ class Fig4BC(Scenario):
 
     def assemble(self, p, values, failures):
         num_pieces = p["num_pieces"]
-        curves = [
-            [(d, play) for d, play in curve]
-            for curve in collect(values, ("curve",))
-        ]
-        averaged = average_curves(curves, p["grid"])
-        label = "5 MB file (20 pieces)" if num_pieces == 20 else f"{num_pieces} pieces"
-        if num_pieces == 400:
-            label = "100 MB file (400 pieces)"
-        figure = "Figure 4(b)" if num_pieces == 20 else "Figure 4(c)"
-        return ExperimentResult(
-            figure=figure,
-            title="Playable fraction under rarest-first fetching",
-            x_label="Downloaded percentage (%)",
-            y_label="Playable percentage (%)",
-            series=[Series(label, [g for g, _ in averaged], [play for _, play in averaged])],
-            paper_expectation=(
-                "playability stays near zero until most of the file is "
-                "downloaded; worse for more pieces (100 MB: >90% downloaded "
-                "needed to play the first 2%)"
-            ),
-            parameters={"num_pieces": num_pieces, "runs": p["runs"]},
+        averaged = average_curves(collect(values, ("curve",)), p["grid"])
+        label = {20: "5 MB file (20 pieces)", 400: "100 MB file (400 pieces)"}.get(
+            num_pieces, f"{num_pieces} pieces")
+        return self.result(
+            p, [Series(label, [g for g, _ in averaged], [play for _, play in averaged])],
+            figure="Figure 4(b)" if num_pieces == 20 else "Figure 4(c)",
         )
 
     def check(self, run):

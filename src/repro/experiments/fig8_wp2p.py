@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import math
 import random as _random
-from typing import List, Tuple
+from typing import Tuple
 
-from ..analysis import ExperimentResult, Series, average_runs, point_estimate
+from ..analysis import Series, average_runs, sweep
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
 from ..wp2p import DEFAULT_GAMMA_BYTES, WP2PClient, WP2PConfig
-from .base import random_piece_subset
+from .base import random_piece_subset, sample_times
 
 AM_BERS: Tuple[float, ...] = (1e-6, 5e-6, 1e-5, 1.5e-5, 3e-5)
 """The paper sweeps 1e-6..1.5e-5; we extend to 3e-5 because our TCP
@@ -36,30 +36,28 @@ retransmit) only becomes ACK-loss-bound at higher error rates — that is
 where AM's ~20-60%% gain shows in this reproduction."""
 
 
-def am_only_config(**overrides) -> WP2PConfig:
-    """wP2P with only the AM component active (isolates §5.2.1)."""
+def _components(overrides, am=False, mf=False, ia=False) -> WP2PConfig:
+    """wP2P with only the named components on (``ia``: identity retention
+    + role reversal), then ``overrides`` applied field by field."""
     cfg = WP2PConfig(
-        am_enabled=True,
-        mobility_aware_fetching=False,
-        identity_retention=False,
-        role_reversal=False,
+        am_enabled=am,
+        mobility_aware_fetching=mf,
+        identity_retention=ia,
+        role_reversal=ia,
     )
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def am_only_config(**overrides) -> WP2PConfig:
+    """wP2P with only the AM component active (isolates §5.2.1)."""
+    return _components(overrides, am=True)
 
 
 def ia_config(**overrides) -> WP2PConfig:
     """wP2P with the incentive-aware components (IR + RR), AM/MF off."""
-    cfg = WP2PConfig(
-        am_enabled=False,
-        mobility_aware_fetching=False,
-        identity_retention=True,
-        role_reversal=True,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return _components(overrides, ia=True)
 
 
 def _fig8a_run(
@@ -112,10 +110,15 @@ class Fig8A(Scenario):
         "base_seed": 800,
     }
 
-    def cells(self, p):
-        for ber in p["bers"]:
-            for r in range(p["runs"]):
-                yield (ber,), p["base_seed"] + r
+    figure = "Figure 8(a)"
+    title = "Age-based manipulation under random wireless losses"
+    x_label = "Bit error rate"
+    y_label = "Throughput (KB/s)"
+    paper_expectation = "wP2P outperforms the default client at all BERs (~20%)"
+    reports = {"runs": "runs", "duration_s": "duration"}
+
+    def grid(self, p):
+        return [(ber,) for ber in p["bers"]]
 
     def run_cell(self, key, seed, p):
         # One swarm produces both clients' rates: the A/B pair shares its
@@ -123,26 +126,12 @@ class Fig8A(Scenario):
         default_rate, wp2p_rate = _fig8a_run(seed, key[0], p["duration"])
         return {"default": default_rate, "wp2p": wp2p_rate}
 
-    def assemble(self, p, values, failures):
-        def sweep(which: str, label: str) -> Series:
-            ys: List[float] = []
-            errs: List[float] = []
-            for ber in p["bers"]:
-                vals = [pair[which] for pair in collect(values, (ber,))]
-                y, err = point_estimate(vals, 1000.0)
-                ys.append(y)
-                errs.append(err)
-            return Series(label, list(p["bers"]), ys, y_err=errs)
-
-        return ExperimentResult(
-            figure="Figure 8(a)",
-            title="Age-based manipulation under random wireless losses",
-            x_label="Bit error rate",
-            y_label="Throughput (KB/s)",
-            series=[sweep("default", "Default P2P"), sweep("wp2p", "wP2P")],
-            paper_expectation="wP2P outperforms the default client at all BERs (~20%)",
-            parameters={"runs": p["runs"], "duration_s": p["duration"]},
-        )
+    def series(self, p, values):
+        return [
+            sweep(label, p["bers"], (collect(values, (ber,)) for ber in p["bers"]),
+                  field=which, scale=1000.0)
+            for which, label in (("default", "Default P2P"), ("wp2p", "wP2P"))
+        ]
 
     def check(self, run):
         d, w = run.result.get("Default P2P"), run.result.get("wP2P")
@@ -200,19 +189,22 @@ class Fig8B(Scenario):
         "base_seed": 850,
     }
 
-    @staticmethod
-    def _grid(p) -> List[float]:
-        return [
-            p["sample_step"] * i
-            for i in range(int(p["duration"] / p["sample_step"]) + 1)
-        ]
+    figure = "Figure 8(b)"
+    title = "Identity retention: download progress under mobility"
+    x_label = "Downloading time (s)"
+    y_label = "Downloaded size (MB)"
+    paper_expectation = (
+        "wP2P's curve grows faster throughout; the default client is "
+        "reset to newcomer service after every IP change"
+    )
+    reports = {"runs": "runs", "duration_s": "duration",
+               "handoff_interval_s": "handoff_interval"}
 
-    def cells(self, p):
-        for r in range(p["runs"]):
-            yield ("run",), p["base_seed"] + r
+    def grid(self, p):
+        return [("run",)]
 
     def run_cell(self, key, seed, p):
-        grid = self._grid(p)
+        grid = sample_times(p)
         sc, default, wp2p = _fig8b_swarm(seed, p["handoff_interval"])
         sc.start_all()
         sc.run(until=p["duration"])
@@ -221,28 +213,12 @@ class Fig8B(Scenario):
             "wp2p": [wp2p.client.downloaded.value_at(t) / 1e6 for t in grid],
         }
 
-    def assemble(self, p, values, failures):
-        grid = self._grid(p)
+    def series(self, p, values):
         pairs = collect(values, ("run",))
-        return ExperimentResult(
-            figure="Figure 8(b)",
-            title="Identity retention: download progress under mobility",
-            x_label="Downloading time (s)",
-            y_label="Downloaded size (MB)",
-            series=[
-                Series("Default P2P", grid, average_runs([pair["default"] for pair in pairs])),
-                Series("wP2P", grid, average_runs([pair["wp2p"] for pair in pairs])),
-            ],
-            paper_expectation=(
-                "wP2P's curve grows faster throughout; the default client is "
-                "reset to newcomer service after every IP change"
-            ),
-            parameters={
-                "runs": p["runs"],
-                "duration_s": p["duration"],
-                "handoff_interval_s": p["handoff_interval"],
-            },
-        )
+        return [
+            Series(label, sample_times(p), average_runs([pair[which] for pair in pairs]))
+            for which, label in (("default", "Default P2P"), ("wp2p", "wP2P"))
+        ]
 
     def check(self, run):
         d, w = run.result.get("Default P2P").y, run.result.get("wP2P").y
@@ -326,39 +302,31 @@ class Fig8C(Scenario):
         "base_seed": 900,
     }
 
-    def cells(self, p):
-        for variant in ("default", "lihd"):
-            for bw in p["bandwidths"]:
-                for r in range(p["runs"]):
-                    yield (variant, bw), p["base_seed"] + r
+    figure = "Figure 8(c)"
+    title = "LIHD upload-rate adaptation vs physical wireless bandwidth"
+    x_label = "Physical wireless bandwidth (KB/s)"
+    y_label = "Downloading throughput (KB/s)"
+    paper_expectation = (
+        "both rise with bandwidth initially; beyond a point the default "
+        "client loses throughput to upload self-contention while wP2P "
+        "keeps gaining (up to ~70% better at 200 KB/s)"
+    )
+    reports = {"runs": "runs", "duration_s": "duration"}
+
+    def grid(self, p):
+        return [(variant, bw) for variant in ("default", "lihd") for bw in p["bandwidths"]]
 
     def run_cell(self, key, seed, p):
         variant, bw = key
         return _fig8c_run(seed, bw, use_lihd=(variant == "lihd"), duration=p["duration"])
 
-    def assemble(self, p, values, failures):
-        def sweep(variant: str, label: str) -> Series:
-            ys: List[float] = []
-            errs: List[float] = []
-            for bw in p["bandwidths"]:
-                y, err = point_estimate(collect(values, (variant, bw)), 1000.0)
-                ys.append(y)
-                errs.append(err)
-            return Series(label, [bw / 1000 for bw in p["bandwidths"]], ys, y_err=errs)
-
-        return ExperimentResult(
-            figure="Figure 8(c)",
-            title="LIHD upload-rate adaptation vs physical wireless bandwidth",
-            x_label="Physical wireless bandwidth (KB/s)",
-            y_label="Downloading throughput (KB/s)",
-            series=[sweep("default", "Default P2P"), sweep("lihd", "wP2P")],
-            paper_expectation=(
-                "both rise with bandwidth initially; beyond a point the default "
-                "client loses throughput to upload self-contention while wP2P "
-                "keeps gaining (up to ~70% better at 200 KB/s)"
-            ),
-            parameters={"runs": p["runs"], "duration_s": p["duration"]},
-        )
+    def series(self, p, values):
+        bandwidths = p["bandwidths"]
+        return [
+            sweep(label, [bw / 1000 for bw in bandwidths],
+                  (collect(values, (variant, bw)) for bw in bandwidths), scale=1000.0)
+            for variant, label in (("default", "Default P2P"), ("lihd", "wP2P"))
+        ]
 
     def check(self, run):
         d, w = run.result.get("Default P2P"), run.result.get("wP2P")

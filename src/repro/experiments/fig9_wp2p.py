@@ -14,9 +14,9 @@ functions of the same name remain as serial front doors.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from ..analysis import ExperimentResult, Series
+from ..analysis import Series, sweep
 from ..bittorrent import ClientConfig, RarestFirstSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
@@ -24,32 +24,17 @@ from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
 from ..wp2p import WP2PClient, WP2PConfig
 from .fig4_mobility import GRID, playability_run
+from .fig8_wp2p import _components
 
 
 def mf_only_config(**overrides) -> WP2PConfig:
     """wP2P with only mobility-aware fetching active (isolates §5.2.3)."""
-    cfg = WP2PConfig(
-        am_enabled=False,
-        mobility_aware_fetching=True,
-        identity_retention=False,
-        role_reversal=False,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return _components(overrides, mf=True)
 
 
 def rr_only_config(**overrides) -> WP2PConfig:
     """wP2P with role reversal + identity retention (isolates §5.2.4)."""
-    cfg = WP2PConfig(
-        am_enabled=False,
-        mobility_aware_fetching=False,
-        identity_retention=True,
-        role_reversal=True,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return _components(overrides, ia=True)
 
 
 def _mf_factory(sim, host, torrent, **kwargs):
@@ -77,10 +62,17 @@ class Fig9AB(Scenario):
         "grid": GRID,
     }
 
-    def cells(self, p):
-        for variant in ("default", "wp2p"):
-            for r in range(p["runs"]):
-                yield (variant,), p["base_seed"] + r
+    title = "Mobility-aware fetching playability ({num_pieces} pieces)"
+    x_label = "Downloaded percentage (%)"
+    y_label = "Playable percentage (%)"
+    paper_expectation = (
+        "wP2P keeps a large in-sequence playable prefix throughout "
+        "(e.g. ~30% playable at 50% downloaded for 5 MB vs ~5% default)"
+    )
+    reports = {"num_pieces": "num_pieces", "runs": "runs"}
+
+    def grid(self, p):
+        return [("default",), ("wp2p",)]
 
     def run_cell(self, key, seed, p):
         if key[0] == "wp2p":
@@ -92,33 +84,12 @@ class Fig9AB(Scenario):
         return [[d, play] for d, play in curve]
 
     def assemble(self, p, values, failures):
-        num_pieces = p["num_pieces"]
-
-        def averaged(variant: str):
-            curves = [
-                [(d, play) for d, play in curve]
-                for curve in collect(values, (variant,))
-            ]
-            return average_curves(curves, p["grid"])
-
-        default_avg = averaged("default")
-        wp2p_avg = averaged("wp2p")
-        figure = "Figure 9(a)" if num_pieces == 20 else "Figure 9(b)"
-        return ExperimentResult(
-            figure=figure,
-            title=f"Mobility-aware fetching playability ({num_pieces} pieces)",
-            x_label="Downloaded percentage (%)",
-            y_label="Playable percentage (%)",
-            series=[
-                Series("Default P2P", [g for g, _ in default_avg], [p for _, p in default_avg]),
-                Series("wP2P", [g for g, _ in wp2p_avg], [p for _, p in wp2p_avg]),
-            ],
-            paper_expectation=(
-                "wP2P keeps a large in-sequence playable prefix throughout "
-                "(e.g. ~30% playable at 50% downloaded for 5 MB vs ~5% default)"
-            ),
-            parameters={"num_pieces": num_pieces, "runs": p["runs"]},
-        )
+        series = []
+        for variant, label in (("default", "Default P2P"), ("wp2p", "wP2P")):
+            averaged = average_curves(collect(values, (variant,)), p["grid"])
+            series.append(Series(label, [g for g, _ in averaged], [y for _, y in averaged]))
+        figure = "Figure 9(a)" if p["num_pieces"] == 20 else "Figure 9(b)"
+        return self.result(p, series, figure=figure)
 
     def check(self, run):
         d, w = run.result.get("Default P2P"), run.result.get("wP2P")
@@ -200,44 +171,32 @@ class Fig9C(Scenario):
         "base_seed": 980,
     }
 
-    def cells(self, p):
-        for variant in ("default", "wp2p"):
-            for interval in p["intervals"]:
-                for r in range(p["runs"]):
-                    yield (variant, interval), p["base_seed"] + r
+    figure = "Figure 9(c)"
+    title = "Role reversal: mobile seeds' upload throughput under mobility"
+    x_label = "Mobility rate"
+    y_label = "Uploading throughput (KB/s)"
+    paper_expectation = (
+        "upload throughput falls with faster mobility for both; wP2P "
+        "stays higher, with the advantage growing as disruptions become "
+        "more frequent (up to ~50%)"
+    )
+    notes = "x axis: " + ", ".join(ROLE_REVERSAL_LABELS) + " (2x time-scaled)"
+    reports = {"intervals_s": "intervals", "runs": "runs", "duration_s": "duration"}
+
+    def grid(self, p):
+        return [(variant, i) for variant in ("default", "wp2p") for i in p["intervals"]]
 
     def run_cell(self, key, seed, p):
         variant, interval = key
         return _fig9c_run(seed, interval, wp2p=(variant == "wp2p"), duration=p["duration"])
 
-    def assemble(self, p, values, failures):
-        runs = p["runs"]
-
-        def sweep(variant: str, label: str) -> Series:
-            ys: List[float] = []
-            for interval in p["intervals"]:
-                vals = collect(values, (variant, interval))
-                ys.append(left_sum(vals) / runs / 1000.0)
-            return Series(label, list(range(len(p["intervals"]))), ys)
-
-        return ExperimentResult(
-            figure="Figure 9(c)",
-            title="Role reversal: mobile seeds' upload throughput under mobility",
-            x_label="Mobility rate",
-            y_label="Uploading throughput (KB/s)",
-            series=[sweep("default", "Default P2P"), sweep("wp2p", "wP2P")],
-            paper_expectation=(
-                "upload throughput falls with faster mobility for both; wP2P "
-                "stays higher, with the advantage growing as disruptions become "
-                "more frequent (up to ~50%)"
-            ),
-            notes="x axis: " + ", ".join(ROLE_REVERSAL_LABELS) + " (2x time-scaled)",
-            parameters={
-                "intervals_s": list(p["intervals"]),
-                "runs": runs,
-                "duration_s": p["duration"],
-            },
-        )
+    def series(self, p, values):
+        return [
+            sweep(label, range(len(p["intervals"])),
+                  (collect(values, (variant, i)) for i in p["intervals"]),
+                  scale=1000.0, spread=False)
+            for variant, label in (("default", "Default P2P"), ("wp2p", "wP2P"))
+        ]
 
     def check(self, run):
         d, w = run.result.get("Default P2P").y, run.result.get("wP2P").y

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..analysis import ExperimentResult, Series
+from ..analysis import Series
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
@@ -231,20 +231,42 @@ class FigXArena(Scenario):
         "base_seed": 1700,
     }
 
-    def cells(self, p):
+    figure = "Strategy arena"
+    title = "Exploiter-vs-compliant completion ratio across mixes"
+    x_label = "Mobile-host fraction (of compliant leechers)"
+    y_label = "Exploiter slowdown (completion ratio, >1 = penalized)"
+    paper_expectation = (
+        "free-riders finish slower than the reference peers they "
+        "leech from (tit-for-tat penalty, ratio > 1) in all-wired "
+        "swarms; the penalty shrinks as the mobile-host fraction "
+        "rises (mobility neutralises incentives, §3.4); the "
+        "propshare robust choker taxes the tyrant's "
+        "download-per-upload efficiency; wP2P identity retention "
+        "speeds the compliant mobile peers"
+    )
+    notes = (
+        "per_strategy maps mix/mobile-fraction/variant to each "
+        "strategy's mean completion, goodput and bytes "
+        "uploaded/downloaded ('(mobile)' aggregates the mobile "
+        "peers of the cell); exploiters always stay wired"
+    )
+    reports = {"runs": "runs", "leechers": "leechers"}
+
+    def grid(self, p):
         for mix_name in p["mixes"]:
             if mix_name not in ARENA_MIXES:
                 raise ValueError(
                     f"unknown arena mix {mix_name!r}; "
                     f"choose from {', '.join(ARENA_MIXES)}"
                 )
-            for fraction in p["mobile_fractions"]:
-                for variant in ("default", "wp2p"):
-                    if variant == "wp2p" and fraction == 0.0:
-                        # No mobile hosts -> the variants are identical.
-                        continue
-                    for r in range(p["runs"]):
-                        yield (mix_name, fraction, variant), p["base_seed"] + r
+        return [
+            (mix, fraction, variant)
+            for mix in p["mixes"]
+            for fraction in p["mobile_fractions"]
+            for variant in ("default", "wp2p")
+            # No mobile hosts -> the variants are identical.
+            if not (variant == "wp2p" and fraction == 0.0)
+        ]
 
     def run_cell(self, key, seed, p):
         mix_name, fraction, variant = key
@@ -256,56 +278,36 @@ class FigXArena(Scenario):
     def assemble(self, p, values, failures):
         mixes = [str(m) for m in p["mixes"]]
         fractions = [float(f) for f in p["mobile_fractions"]]
-        duration = float(p["duration"])
+        peers_of = {
+            key: [peer for value in collect(values, key) for peer in value["peers"]]
+            for key in self.grid(p)
+        }
 
         def cell_peers(mix: str, fraction: float, variant: str):
-            lookup = variant if fraction > 0.0 else "default"
-            peers: List[Mapping[str, object]] = []
-            for value in collect(values, (mix, fraction, lookup)):
-                peers.extend(value["peers"])
-            return peers
+            return peers_of.get((mix, fraction, variant), [])
+
+        def outcome(members: Sequence[Mapping[str, object]]) -> Dict[str, object]:
+            return {
+                "peers": len(members),
+                **{f: _group(members, f)
+                   for f in ("completion", "goodput", "uploaded", "downloaded")},
+                "finished": left_sum(1 for m in members if m["finished"]),
+            }
 
         # Per-strategy outcome table for every (mix, fraction, variant).
         per_strategy: Dict[str, Dict[str, object]] = {}
+        for (mix, fraction, variant), peers in peers_of.items():
+            if not peers:
+                continue
+            groups = {
+                strategy: outcome([peer for peer in peers if peer["strategy"] == strategy])
+                for strategy in sorted({str(peer["strategy"]) for peer in peers})
+            }
+            mobile_members = [peer for peer in peers if peer["mobile"]]
+            if mobile_members:
+                groups["(mobile)"] = outcome(mobile_members)
+            per_strategy[f"{mix}/{fraction:g}/{variant}"] = groups
         total_events = 0.0
-        for mix in mixes:
-            for fraction in fractions:
-                for variant in ("default", "wp2p"):
-                    if variant == "wp2p" and fraction == 0.0:
-                        continue
-                    peers = cell_peers(mix, fraction, variant)
-                    if not peers:
-                        continue
-                    groups: Dict[str, Dict[str, object]] = {}
-                    names = sorted({str(peer["strategy"]) for peer in peers})
-                    for strategy in names:
-                        members = [
-                            peer for peer in peers
-                            if peer["strategy"] == strategy
-                        ]
-                        groups[strategy] = {
-                            "peers": len(members),
-                            "completion": _group(members, "completion"),
-                            "goodput": _group(members, "goodput"),
-                            "uploaded": _group(members, "uploaded"),
-                            "downloaded": _group(members, "downloaded"),
-                            "finished": left_sum(
-                                1 for m in members if m["finished"]
-                            ),
-                        }
-                    mobile_members = [peer for peer in peers if peer["mobile"]]
-                    if mobile_members:
-                        groups["(mobile)"] = {
-                            "peers": len(mobile_members),
-                            "completion": _group(mobile_members, "completion"),
-                            "goodput": _group(mobile_members, "goodput"),
-                            "uploaded": _group(mobile_members, "uploaded"),
-                            "downloaded": _group(mobile_members, "downloaded"),
-                            "finished": left_sum(
-                                1 for m in mobile_members if m["finished"]
-                            ),
-                        }
-                    per_strategy[f"{mix}/{fraction:g}/{variant}"] = groups
         for value in values.values():
             total_events += float(value["events"])
 
@@ -316,14 +318,10 @@ class FigXArena(Scenario):
             compliant peers it leeches from); < 1: exploitation pays.
             """
             peers = cell_peers(mix, fraction, variant)
-            exploiters = [
-                peer for peer in peers if peer["strategy"] in EXPLOITERS
-            ]
-            compliant = [
-                peer for peer in peers if peer["strategy"] not in EXPLOITERS
-            ]
-            top = _group(exploiters, "completion")
-            bottom = _group(compliant, "completion")
+            top = _group([x for x in peers if x["strategy"] in EXPLOITERS], "completion")
+            bottom = _group(
+                [x for x in peers if x["strategy"] not in EXPLOITERS], "completion"
+            )
             if top is None or bottom is None or bottom == 0:
                 return None
             return top / bottom
@@ -361,8 +359,6 @@ class FigXArena(Scenario):
             for variant in ("default", "wp2p"):
                 xs, ys = [], []
                 for fraction in fractions:
-                    if variant == "wp2p" and fraction == 0.0:
-                        continue
                     ratio = slowdown(mix, fraction, variant)
                     if ratio is not None:
                         xs.append(fraction)
@@ -370,39 +366,15 @@ class FigXArena(Scenario):
                 if xs:
                     series.append(Series(f"{mix} [{variant}]", xs, ys))
 
-        return ExperimentResult(
-            figure="Strategy arena",
-            title="Exploiter-vs-compliant completion ratio across mixes",
-            x_label="Mobile-host fraction (of compliant leechers)",
-            y_label="Exploiter slowdown (completion ratio, >1 = penalized)",
-            series=series,
-            paper_expectation=(
-                "free-riders finish slower than the reference peers they "
-                "leech from (tit-for-tat penalty, ratio > 1) in all-wired "
-                "swarms; the penalty shrinks as the mobile-host fraction "
-                "rises (mobility neutralises incentives, §3.4); the "
-                "propshare robust choker taxes the tyrant's "
-                "download-per-upload efficiency; wP2P identity retention "
-                "speeds the compliant mobile peers"
-            ),
-            notes=(
-                "per_strategy maps mix/mobile-fraction/variant to each "
-                "strategy's mean completion, goodput and bytes "
-                "uploaded/downloaded ('(mobile)' aggregates the mobile "
-                "peers of the cell); exploiters always stay wired"
-            ),
-            parameters={
-                "mixes": {m: ARENA_MIXES[m] for m in mixes},
-                "mobile_fractions": fractions,
-                "runs": p["runs"],
-                "leechers": p["leechers"],
-                "duration": duration,
-                "per_strategy": per_strategy,
-                "freerider_penalty": freerider_penalty,
-                "tyrant_efficiency": tyrant_efficiency,
-                "engine_events": total_events,
-            },
-        )
+        return self.result(p, series, {
+            "mixes": {m: ARENA_MIXES[m] for m in mixes},
+            "mobile_fractions": fractions,
+            "duration": float(p["duration"]),
+            "per_strategy": per_strategy,
+            "freerider_penalty": freerider_penalty,
+            "tyrant_efficiency": tyrant_efficiency,
+            "engine_events": total_events,
+        })
 
     def check(self, run):
         p = run.result.parameters

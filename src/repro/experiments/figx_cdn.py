@@ -29,12 +29,11 @@ flow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from ..analysis import ExperimentResult, Series
+from ..analysis import sweep
 from ..cdn import CdnScenario, cdn_fluid_cell
 from ..runner import Scenario, Verdict, collect, scenario
-from ..summation import left_sum
 
 CLIENTS: Sequence[str] = ("default", "wp2p")
 MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.4, 0.8)
@@ -119,11 +118,23 @@ class FigXCdn(Scenario):
         "base_seed": 1400,
     }
 
-    def cells(self, p):
-        for client in p["clients"]:
-            for fraction in p["mobile_fractions"]:
-                for r in range(p["runs"]):
-                    yield (client, fraction), p["base_seed"] + r
+    figure = "CDN sweep"
+    title = "Origin offload vs mobile-host fraction ({catalog}, {demand})"
+    x_label = "Mobile-host fraction"
+    y_label = "Origin offload (peer bytes / delivered bytes)"
+    paper_expectation = (
+        "origin offload decreases monotonically with the mobile "
+        "fraction under default clients (every handoff restarts "
+        "every per-asset task and the origin absorbs the seeding "
+        "loss across all swarms at once); wP2P identity retention "
+        "and role-reversal reconnect recover at least half of the "
+        "lost offload at every nonzero fraction"
+    )
+    reports = {"runs": "runs", "duration_s": "duration", "catalog": "catalog",
+               "demand": "demand", "origin": "origin"}
+
+    def grid(self, p):
+        return [(c, f) for c in p["clients"] for f in p["mobile_fractions"]]
 
     def run_cell(self, key, seed, p):
         client, fraction = key
@@ -136,72 +147,36 @@ class FigXCdn(Scenario):
     def assemble(self, p, values, failures):
         fractions = [float(f) for f in p["mobile_fractions"]]
         clients = [str(c) for c in p["clients"]]
-
-        def sweep(client: str, field: str) -> List[float]:
-            out: List[float] = []
-            for fraction in fractions:
-                vals = collect(values, (client, fraction))
-                out.append(
-                    left_sum(float(v[field]) for v in vals) / max(len(vals), 1)
-                )
-            return out
-
-        offload = {c: sweep(c, "offload") for c in clients}
-        latency = {c: sweep(c, "mean_latency") for c in clients}
-        completion = {c: sweep(c, "catalog_completion") for c in clients}
-
+        labels = {"default": "Default clients", "wp2p": "wP2P mobile clients"}
+        curves = {
+            (c, field): sweep(labels.get(c, c), fractions,
+                              (collect(values, (c, f)) for f in fractions),
+                              field=field, spread=False)
+            for c in clients
+            for field in ("offload", "mean_latency", "catalog_completion")
+        }
+        offload = {c: curves[c, "offload"].y for c in clients}
         gate: Dict[str, object] = {}
         if "default" in offload and "wp2p" in offload:
             default_off = offload["default"]
             wp2p_off = offload["wp2p"]
-            baseline = default_off[0]
             gate = {
                 "mobile_fractions": fractions,
                 "default_offload": default_off,
                 "wp2p_offload": wp2p_off,
-                "gaps": [baseline - d for d in default_off],
+                "gaps": [default_off[0] - d for d in default_off],
                 "recovered": [w - d for w, d in zip(wp2p_off, default_off)],
             }
-
-        labels = {"default": "Default clients", "wp2p": "wP2P mobile clients"}
-        return ExperimentResult(
-            figure="CDN sweep",
-            title=(
-                "Origin offload vs mobile-host fraction "
-                f"({p['catalog']}, {p['demand']})"
-            ),
-            x_label="Mobile-host fraction",
-            y_label="Origin offload (peer bytes / delivered bytes)",
-            series=[
-                Series(labels.get(c, c), fractions, offload[c])
-                for c in clients
-            ],
-            paper_expectation=(
-                "origin offload decreases monotonically with the mobile "
-                "fraction under default clients (every handoff restarts "
-                "every per-asset task and the origin absorbs the seeding "
-                "loss across all swarms at once); wP2P identity retention "
-                "and role-reversal reconnect recover at least half of the "
-                "lost offload at every nonzero fraction"
-            ),
-            notes="mean hit latency (s) "
-                  + " | ".join(
-                      f"{c}: "
-                      + ", ".join(f"{t:.1f}" for t in latency[c])
-                      for c in clients
-                  ),
-            parameters={
-                "clients": clients,
-                "mobile_fractions": fractions,
-                "runs": p["runs"],
-                "duration_s": p["duration"],
-                "catalog": p["catalog"],
-                "demand": p["demand"],
-                "origin": p["origin"],
-                "offload": offload,
-                "catalog_completion": completion,
-                "gate": gate,
-            },
+        latency = " | ".join(
+            f"{c}: " + ", ".join(f"{t:.1f}" for t in curves[c, "mean_latency"].y)
+            for c in clients
+        )
+        return self.result(
+            p, [curves[c, "offload"] for c in clients],
+            {"clients": clients, "mobile_fractions": fractions, "offload": offload,
+             "catalog_completion": {c: curves[c, "catalog_completion"].y for c in clients},
+             "gate": gate},
+            notes="mean hit latency (s) " + latency,
         )
 
     def check(self, run):

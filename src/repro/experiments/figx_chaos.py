@@ -21,14 +21,13 @@ versus brittle degradation of the same protocol stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from ..analysis import ExperimentResult, Series
+from ..analysis import Series, sweep
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
 from ..runner import Scenario, collect, scenario
-from ..summation import left_sum
 from ..wp2p import WP2PClient
 from .fig9_wp2p import rr_only_config
 
@@ -109,11 +108,20 @@ class FigXChaos(Scenario):
         "base_seed": 1100,
     }
 
-    def cells(self, p):
-        for variant in ("default", "wp2p"):
-            for intensity in p["intensities"]:
-                for r in range(p["runs"]):
-                    yield (variant, intensity), p["base_seed"] + r
+    figure = "Chaos sweep"
+    title = "Mobile-leech completion time vs fault intensity ({preset} preset)"
+    x_label = "Chaos intensity"
+    y_label = "Completion time (s)"
+    paper_expectation = (
+        "completion time degrades monotonically with fault intensity "
+        "for both variants; wP2P (identity retention + role reversal) "
+        "stays ahead of the default client at every nonzero intensity"
+    )
+    reports = {"preset": "preset", "intensities": "intensities", "runs": "runs",
+               "duration_s": "duration", "file_size_kib": "file_size_kib"}
+
+    def grid(self, p):
+        return [(v, i) for v in ("default", "wp2p") for i in p["intensities"]]
 
     def run_cell(self, key, seed, p):
         variant, intensity = key
@@ -129,43 +137,21 @@ class FigXChaos(Scenario):
         )
 
     def assemble(self, p, values, failures):
-        runs = p["runs"]
+        def curve(variant: str, field: str, label: str = "") -> Series:
+            intensities = p["intensities"]
+            return sweep(label, intensities,
+                         (collect(values, (variant, i)) for i in intensities),
+                         field=field, spread=False)
 
-        def sweep(variant: str, field: str) -> List[float]:
-            out: List[float] = []
-            for intensity in p["intensities"]:
-                vals = collect(values, (variant, intensity))
-                out.append(left_sum(v[field] for v in vals) / max(len(vals), 1))
-            return out
-
-        mean_faults = {
-            variant: sweep(variant, "faults") for variant in ("default", "wp2p")
-        }
-        return ExperimentResult(
-            figure="Chaos sweep",
-            title="Mobile-leech completion time vs fault intensity "
-                  f"({p['preset']} preset)",
-            x_label="Chaos intensity",
-            y_label="Completion time (s)",
-            series=[
-                Series("Default P2P", list(p["intensities"]), sweep("default", "completion")),
-                Series("wP2P", list(p["intensities"]), sweep("wp2p", "completion")),
-            ],
-            paper_expectation=(
-                "completion time degrades monotonically with fault intensity "
-                "for both variants; wP2P (identity retention + role reversal) "
-                "stays ahead of the default client at every nonzero intensity"
-            ),
-            notes="goodput (B/s) default: "
-                  + ", ".join(f"{g:.0f}" for g in sweep("default", "goodput"))
-                  + " | wp2p: "
-                  + ", ".join(f"{g:.0f}" for g in sweep("wp2p", "goodput")),
-            parameters={
-                "preset": p["preset"],
-                "intensities": list(p["intensities"]),
-                "runs": runs,
-                "duration_s": p["duration"],
-                "file_size_kib": p["file_size_kib"],
-                "mean_faults": mean_faults,
-            },
+        goodput = " | ".join(
+            f"{variant}: " + ", ".join(
+                f"{g:.0f}" for g in curve(variant, "goodput").y)
+            for variant in ("default", "wp2p")
+        )
+        return self.result(
+            p,
+            [curve("default", "completion", "Default P2P"),
+             curve("wp2p", "completion", "wP2P")],
+            {"mean_faults": {v: curve(v, "faults").y for v in ("default", "wp2p")}},
+            notes="goodput (B/s) " + goodput,
         )

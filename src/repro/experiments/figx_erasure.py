@@ -41,9 +41,9 @@ content mode turns that availability into a download-rate factor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..analysis import ExperimentResult, Series
+from ..analysis import Series, sweep
 from ..bittorrent import ClientConfig
 from ..bittorrent.selection import make_selector
 from ..bittorrent.swarm import SwarmScenario
@@ -269,12 +269,28 @@ class FigXErasure(Scenario):
         "base_seed": 1300,
     }
 
-    def cells(self, p):
-        for variant in p["variants"]:
-            for intensity in p["intensities"]:
-                for fraction in p["mobile_fractions"]:
-                    for r in range(p["runs"]):
-                        yield (variant, intensity, fraction), p["base_seed"] + r
+    figure = "Erasure sweep"
+    title = ("Leecher survival vs chaos intensity "
+             "({mobile_fractions[0]:.0%} mobile, churn + handoff storms)")
+    x_label = "Chaos intensity"
+    y_label = "Survival (fraction complete by deadline)"
+    paper_expectation = (
+        "survival degrades with chaos intensity for every content "
+        "mode; k-of-n coding over custody columns survives custodian "
+        "outages that stall replication outright, so the coded swarm "
+        "keeps a survival advantage at every nonzero intensity and "
+        "still completes at the gate intensity where replication "
+        "misses the deadline"
+    )
+    reports = {"runs": "runs", "duration_s": "duration", "custodians": "custodians"}
+
+    def grid(self, p):
+        return [
+            (variant, intensity, fraction)
+            for variant in p["variants"]
+            for intensity in p["intensities"]
+            for fraction in p["mobile_fractions"]
+        ]
 
     def run_cell(self, key, seed, p):
         variant, intensity, fraction = key
@@ -302,75 +318,43 @@ class FigXErasure(Scenario):
     def assemble(self, p, values, failures):
         intensities = [float(i) for i in p["intensities"]]
         fractions = [float(f) for f in p["mobile_fractions"]]
-        headline = fractions[0]
         variants = [str(v) for v in p["variants"]]
-
-        def sweep(variant: str, field: str) -> List[float]:
-            out: List[float] = []
-            for intensity in intensities:
-                vals = collect(values, (variant, intensity, headline))
-                out.append(
-                    left_sum(float(v[field]) for v in vals) / max(len(vals), 1)
-                )
-            return out
-
-        survival = {v: sweep(v, "survival") for v in variants}
-        mean_completion = {v: sweep(v, "mean_completion") for v in variants}
-        gate: Dict[str, object] = {}
-        if "replication" in survival and "coded" in survival:
-            advantage = [
-                c - r
-                for c, r in zip(survival["coded"], survival["replication"])
-            ]
-            gate = {
-                "intensities": intensities,
-                "replication_survival": survival["replication"],
-                "coded_survival": survival["coded"],
-                "advantage": advantage,
-                "gate_intensity": intensities[-1],
-                "replication_at_gate": survival["replication"][-1],
-                "coded_at_gate": survival["coded"][-1],
-            }
         labels = {
             "replication": "Replication (custody-seeded)",
             "coded": f"Erasure {p['code_k']}-of-{p['code_n']}",
             "ma": "Replication + MA fetching",
         }
-        return ExperimentResult(
-            figure="Erasure sweep",
-            title="Leecher survival vs chaos intensity "
-                  f"({headline:.0%} mobile, churn + handoff storms)",
-            x_label="Chaos intensity",
-            y_label="Survival (fraction complete by deadline)",
-            series=[
-                Series(labels.get(v, v), intensities, survival[v])
-                for v in variants
-            ],
-            paper_expectation=(
-                "survival degrades with chaos intensity for every content "
-                "mode; k-of-n coding over custody columns survives custodian "
-                "outages that stall replication outright, so the coded swarm "
-                "keeps a survival advantage at every nonzero intensity and "
-                "still completes at the gate intensity where replication "
-                "misses the deadline"
-            ),
-            notes="mean completion (s, censored at deadline) "
-                  + " | ".join(
-                      f"{v}: "
-                      + ", ".join(f"{t:.0f}" for t in mean_completion[v])
-                      for v in variants
-                  ),
-            parameters={
-                "variants": variants,
+
+        def curve(variant: str, field: str) -> Series:
+            return sweep(labels.get(variant, variant), intensities,
+                         (collect(values, (variant, i, fractions[0])) for i in intensities),
+                         field=field, spread=False)
+
+        series = [curve(v, "survival") for v in variants]
+        survival = {v: s.y for v, s in zip(variants, series)}
+        gate: Dict[str, object] = {}
+        if "replication" in survival and "coded" in survival:
+            gate = {
                 "intensities": intensities,
-                "mobile_fractions": fractions,
-                "runs": p["runs"],
-                "duration_s": p["duration"],
-                "code": f"{p['code_k']}/{p['code_n']}",
-                "custodians": p["custodians"],
-                "survival": survival,
-                "gate": gate,
-            },
+                "replication_survival": survival["replication"],
+                "coded_survival": survival["coded"],
+                "advantage": [
+                    c - r for c, r in zip(survival["coded"], survival["replication"])
+                ],
+                "gate_intensity": intensities[-1],
+                "replication_at_gate": survival["replication"][-1],
+                "coded_at_gate": survival["coded"][-1],
+            }
+        completion = " | ".join(
+            f"{v}: " + ", ".join(f"{t:.0f}" for t in curve(v, "mean_completion").y)
+            for v in variants
+        )
+        return self.result(
+            p, series,
+            {"variants": variants, "intensities": intensities,
+             "mobile_fractions": fractions, "code": f"{p['code_k']}/{p['code_n']}",
+             "survival": survival, "gate": gate},
+            notes="mean completion (s, censored at deadline) " + completion,
         )
 
     def check(self, run):

@@ -23,10 +23,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import context
-from ..analysis import ExperimentResult, Series
-from ..runner import Scenario, collect, scenario
+from ..runner import scenario
 from ..scale import HybridSpec, run_hybrid
 from ..summation import left_sum
+from .figx_scale import SizeSweep
 
 BACKGROUND_SIZES: Sequence[int] = (1_000, 10_000, 100_000)
 FOCAL_MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.5, 1.0)
@@ -98,7 +98,7 @@ def hybrid_cell(
 
 
 @scenario
-class FigXHybrid(Scenario):
+class FigXHybrid(SizeSweep):
     """Focal mobile fraction × background size, default vs wP2P clients."""
 
     name = "figx_hybrid"
@@ -128,102 +128,23 @@ class FigXHybrid(Scenario):
         "max_time": 3_600.0,
         "base_seed": 1700,
     }
-
-    def cells(self, p):
-        for variant in ("default", "wp2p"):
-            for size in p["background_sizes"]:
-                for fraction in p["focal_mobile_fractions"]:
-                    if fraction == 0.0 and variant == "wp2p":
-                        # No focal mobiles -> the variants are identical;
-                        # keep one baseline cell instead of two copies.
-                        continue
-                    for r in range(p["runs"]):
-                        yield (variant, size, fraction), p["base_seed"] + r
+    sizes, fractions, who = "background_sizes", "focal_mobile_fractions", "focal "
+    summary = ("completion", "mobile_completion", "wired_completion",
+               "mobile_goodput", "wired_goodput", "utilization_mean")
+    figure = "Hybrid sweep"
+    title = "Focal completion time vs background size and focal mobile fraction"
+    x_label = "Background swarm size (peers)"
+    y_label = "Focal completion time (s)"
+    paper_expectation = (
+        "focal completion time rises with the focal mobile "
+        "fraction at every background size; wP2P focal hosts stay "
+        "ahead of default-client ones wherever focal mobiles are "
+        "present — the paper's per-client mechanisms keep working "
+        "unchanged inside swarms only the fluid tier can represent"
+    )
+    reports = {"focal_hosts": "focal_hosts", "runs": "runs"}
 
     def run_cell_hybrid(self, key, seed, p):
         variant, size, fraction = key
         return hybrid_cell(seed, int(size), float(fraction),
                            wp2p=(variant == "wp2p"), p=dict(p))
-
-    def assemble(self, p, values, failures):
-        sizes = [int(s) for s in p["background_sizes"]]
-        fractions = [float(f) for f in p["focal_mobile_fractions"]]
-        headline = next((f for f in fractions if f > 0.0), fractions[0])
-        max_time = float(p["max_time"])
-
-        def mean_completion(variant: str, size: int, fraction: float) -> float:
-            lookup = variant if fraction > 0.0 else "default"
-            vals = collect(values, (lookup, size, fraction))
-            if not vals:
-                return max_time
-            times = [
-                v["completion"] if v["completion"] is not None else max_time
-                for v in vals
-            ]
-            return left_sum(times) / len(times)
-
-        series = [
-            Series(
-                f"Default P2P ({headline:.0%} focal mobile)",
-                [float(s) for s in sizes],
-                [mean_completion("default", s, headline) for s in sizes],
-            ),
-            Series(
-                f"wP2P ({headline:.0%} focal mobile)",
-                [float(s) for s in sizes],
-                [mean_completion("wp2p", s, headline) for s in sizes],
-            ),
-        ]
-        if 0.0 in fractions:
-            series.insert(0, Series(
-                "All-wired focal baseline",
-                [float(s) for s in sizes],
-                [mean_completion("default", s, 0.0) for s in sizes],
-            ))
-
-        grid: Dict[str, Dict[str, object]] = {}
-        total_steps = 0.0
-        peak_swarm = 0.0
-        for (variant, size, fraction), seed in sorted(
-            values, key=lambda cell: (cell[0][0], cell[0][1], cell[0][2], cell[1])
-        ):
-            v = values[((variant, size, fraction), seed)]
-            grid[f"{variant}/{size}/{fraction:g}"] = {
-                "completion": v["completion"],
-                "mobile_completion": v["mobile_completion"],
-                "wired_completion": v["wired_completion"],
-                "mobile_goodput": v["mobile_goodput"],
-                "wired_goodput": v["wired_goodput"],
-                "utilization_mean": v["utilization_mean"],
-            }
-            total_steps += float(v["steps"])
-            peak_swarm = max(peak_swarm, float(v["peak_swarm"]))
-
-        return ExperimentResult(
-            figure="Hybrid sweep",
-            title=("Focal completion time vs background size and focal "
-                   "mobile fraction"),
-            x_label="Background swarm size (peers)",
-            y_label="Focal completion time (s)",
-            series=series,
-            paper_expectation=(
-                "focal completion time rises with the focal mobile "
-                "fraction at every background size; wP2P focal hosts stay "
-                "ahead of default-client ones wherever focal mobiles are "
-                "present — the paper's per-client mechanisms keep working "
-                "unchanged inside swarms only the fluid tier can represent"
-            ),
-            notes=(
-                "focal mobile fractions swept: "
-                + ", ".join(f"{f:g}" for f in fractions)
-            ),
-            parameters={
-                "background_sizes": sizes,
-                "focal_mobile_fractions": fractions,
-                "focal_hosts": p["focal_hosts"],
-                "runs": p["runs"],
-                "grid": grid,
-                "engine_steps": total_steps,
-                "peak_swarm_size": peak_swarm,
-            },
-        )

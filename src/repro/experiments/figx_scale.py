@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import context
-from ..analysis import ExperimentResult, Series
+from ..analysis import Series, sweep
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
@@ -197,8 +197,68 @@ def packet_cell(
     }
 
 
+class SizeSweep(Scenario):
+    """Swarm size × mobile fraction, default vs wP2P: the grammar
+    ``figx_scale`` and ``figx_hybrid`` share."""
+
+    sizes = ""  #: the param holding the swarm sizes
+    fractions = ""  #: the param holding the mobile fractions
+    who = ""  #: label qualifier of the mobile hosts ("focal ")
+    summary: Sequence[str] = ()  #: value fields kept per cell in ``grid``
+
+    def grid(self, p):
+        return [
+            (variant, size, fraction)
+            for variant in ("default", "wp2p")
+            for size in p[self.sizes]
+            for fraction in p[self.fractions]
+            # No mobile hosts -> the variants are identical; keep one
+            # baseline cell instead of two copies.
+            if not (variant == "wp2p" and fraction == 0.0)
+        ]
+
+    def assemble(self, p, values, failures):
+        sizes = [int(s) for s in p[self.sizes]]
+        fractions = [float(f) for f in p[self.fractions]]
+        headline = next((f for f in fractions if f > 0.0), fractions[0])
+        max_time = float(p["max_time"])
+
+        def completion(label: str, variant: str, fraction: float) -> Series:
+            lookup = variant if fraction > 0.0 else "default"
+            # A run that never finished is censored at max_time.
+            return sweep(label, [float(s) for s in sizes], (
+                [max_time if v["completion"] is None else v["completion"]
+                 for v in collect(values, (lookup, size, fraction))]
+                for size in sizes
+            ), spread=False)
+
+        series = [
+            completion(f"Default P2P ({headline:.0%} {self.who}mobile)",
+                       "default", headline),
+            completion(f"wP2P ({headline:.0%} {self.who}mobile)", "wp2p", headline),
+        ]
+        if 0.0 in fractions:
+            series.insert(0, completion(f"All-wired {self.who}baseline", "default", 0.0))
+
+        grid: Dict[str, Dict[str, object]] = {}
+        total_steps = 0.0
+        peak_swarm = 0.0
+        for (variant, size, fraction), seed in sorted(values):
+            v = values[((variant, size, fraction), seed)]
+            grid[f"{variant}/{size}/{fraction:g}"] = {f: v[f] for f in self.summary}
+            total_steps += float(v["steps"])
+            peak_swarm = max(peak_swarm, float(v["peak_swarm"]))
+        return self.result(
+            p, series,
+            {self.sizes: sizes, self.fractions: fractions, "grid": grid,
+             "engine_steps": total_steps, "peak_swarm_size": peak_swarm},
+            notes=f"{self.who}mobile fractions swept: "
+                  + ", ".join(f"{f:g}" for f in fractions),
+        )
+
+
 @scenario
-class FigXScale(Scenario):
+class FigXScale(SizeSweep):
     """Swarm size × mobile fraction sweep, default vs wP2P clients."""
 
     name = "figx_scale"
@@ -229,17 +289,21 @@ class FigXScale(Scenario):
         "max_time": 7_200.0,
         "base_seed": 1500,
     }
-
-    def cells(self, p):
-        for variant in ("default", "wp2p"):
-            for size in p["swarm_sizes"]:
-                for fraction in p["mobile_fractions"]:
-                    if fraction == 0.0 and variant == "wp2p":
-                        # No mobile hosts -> the variants are identical;
-                        # keep one baseline cell instead of two copies.
-                        continue
-                    for r in range(p["runs"]):
-                        yield (variant, size, fraction), p["base_seed"] + r
+    sizes, fractions = "swarm_sizes", "mobile_fractions"
+    summary = ("completion", "mobile_completion", "mobile_goodput",
+               "wired_goodput", "playable_at_half")
+    figure = "Scale sweep"
+    title = "Completion time vs swarm size and mobile-host fraction"
+    x_label = "Swarm size (peers)"
+    y_label = "Completion time (s)"
+    paper_expectation = (
+        "completion time rises with the mobile-host fraction at "
+        "every swarm size; wP2P (identity retention + LIHD) stays "
+        "ahead of the default client wherever mobile hosts are "
+        "present, extending the paper's small-testbed findings to "
+        "realistic swarm sizes"
+    )
+    reports = {"runs": "runs"}
 
     def run_cell(self, key, seed, p):
         variant, size, fraction = key
@@ -250,86 +314,6 @@ class FigXScale(Scenario):
         variant, size, fraction = key
         return fluid_cell(int(size), float(fraction),
                           wp2p=(variant == "wp2p"), p=dict(p))
-
-    def assemble(self, p, values, failures):
-        sizes = [int(s) for s in p["swarm_sizes"]]
-        fractions = [float(f) for f in p["mobile_fractions"]]
-        headline = next((f for f in fractions if f > 0.0), fractions[0])
-        max_time = float(p["max_time"])
-
-        def mean_completion(variant: str, size: int, fraction: float) -> float:
-            lookup = variant if fraction > 0.0 else "default"
-            vals = collect(values, (lookup, size, fraction))
-            if not vals:
-                return max_time
-            times = [
-                v["completion"] if v["completion"] is not None else max_time
-                for v in vals
-            ]
-            return left_sum(times) / len(times)
-
-        series = [
-            Series(
-                f"Default P2P ({headline:.0%} mobile)",
-                [float(s) for s in sizes],
-                [mean_completion("default", s, headline) for s in sizes],
-            ),
-            Series(
-                f"wP2P ({headline:.0%} mobile)",
-                [float(s) for s in sizes],
-                [mean_completion("wp2p", s, headline) for s in sizes],
-            ),
-        ]
-        if 0.0 in fractions:
-            series.insert(0, Series(
-                "All-wired baseline",
-                [float(s) for s in sizes],
-                [mean_completion("default", s, 0.0) for s in sizes],
-            ))
-
-        grid: Dict[str, Dict[str, object]] = {}
-        total_steps = 0.0
-        peak_swarm = 0.0
-        for (variant, size, fraction), seed in sorted(
-            values, key=lambda cell: (cell[0][0], cell[0][1], cell[0][2], cell[1])
-        ):
-            v = values[((variant, size, fraction), seed)]
-            grid[f"{variant}/{size}/{fraction:g}"] = {
-                "completion": v["completion"],
-                "mobile_completion": v["mobile_completion"],
-                "mobile_goodput": v["mobile_goodput"],
-                "wired_goodput": v["wired_goodput"],
-                "playable_at_half": v["playable_at_half"],
-            }
-            total_steps += float(v["steps"])
-            peak_swarm = max(peak_swarm, float(v["peak_swarm"]))
-
-        return ExperimentResult(
-            figure="Scale sweep",
-            title="Completion time vs swarm size and mobile-host fraction",
-            x_label="Swarm size (peers)",
-            y_label="Completion time (s)",
-            series=series,
-            paper_expectation=(
-                "completion time rises with the mobile-host fraction at "
-                "every swarm size; wP2P (identity retention + LIHD) stays "
-                "ahead of the default client wherever mobile hosts are "
-                "present, extending the paper's small-testbed findings to "
-                "realistic swarm sizes"
-            ),
-            notes=(
-                "mobile fractions swept: "
-                + ", ".join(f"{f:g}" for f in fractions)
-            ),
-            parameters={
-                "swarm_sizes": sizes,
-                "mobile_fractions": fractions,
-                "runs": p["runs"],
-                "grid": grid,
-                "engine_steps": total_steps,
-                "peak_swarm_size": peak_swarm,
-            },
-        )
 
     def check(self, run):
         default, wp2p = run.result.series[-2:]

@@ -4,11 +4,16 @@ A *scenario* is one declarative experiment: a name, a description, a
 defaults mapping, and four methods —
 
 * :meth:`Scenario.cells` enumerates the independent simulation cells
-  (``(key, seed)`` pairs) the experiment consists of;
+  (``(key, seed)`` pairs) the experiment consists of — by default
+  ``runs`` seeds from ``base_seed`` at every key :meth:`Scenario.grid`
+  declares;
 * :meth:`Scenario.run_cell` runs exactly one cell (one seeded
   simulation) and returns a plain-data value;
 * :meth:`Scenario.assemble` folds the per-cell values back into an
-  :class:`~repro.analysis.series.ExperimentResult`;
+  :class:`~repro.analysis.series.ExperimentResult` — by default the
+  scenario's :meth:`Scenario.series` under its class metadata
+  (``figure``, ``title``, axis labels, ``paper_expectation``, and the
+  params it ``reports``), built by :meth:`Scenario.result`;
 * :meth:`Scenario.check` states the scenario's claims about a finished
   run as named :class:`Verdict` objects — the one place a paper claim or
   CI gate is decided (``run NAME --check``, tests, CI and the
@@ -32,6 +37,7 @@ from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Type,
 )
 
+from ..analysis.series import ExperimentResult, Series
 from .spec import ScenarioSpec, freeze_params
 
 if TYPE_CHECKING:
@@ -86,11 +92,12 @@ class UnknownScenarioError(KeyError):
 class Scenario:
     """Base class for declarative experiments (see module docstring).
 
-    Subclasses set :attr:`name`, :attr:`description`, and
-    :attr:`defaults`, then implement :meth:`cells`, :meth:`run_cell`,
-    and :meth:`assemble`.  Parameter overrides are validated against the
-    defaults, so a typo'd key fails fast instead of silently running the
-    default campaign.
+    Subclasses set :attr:`name`, :attr:`description`, :attr:`defaults`
+    and the result metadata, then implement :meth:`grid`,
+    :meth:`run_cell` and :meth:`series` (or override :meth:`cells` /
+    :meth:`assemble` where their rule really differs).  Parameter
+    overrides are validated against the defaults, so a typo'd key fails
+    fast instead of silently running the default campaign.
     """
 
     name: str = ""
@@ -100,6 +107,17 @@ class Scenario:
     #: the first entry is the default when the runner is not given one.
     #: Scenarios offering ``"fluid"`` implement :meth:`run_cell_fluid`.
     backends: Tuple[str, ...] = ("packet",)
+    #: Result metadata.  ``figure`` and ``title`` are ``str.format``
+    #: templates over the params (``"{preset} preset"``).
+    figure: str = ""
+    title: str = ""
+    x_label: str = ""
+    y_label: str = ""
+    paper_expectation: str = ""
+    notes: str = ""
+    #: Params copied into the result's ``parameters``: reported name ->
+    #: param name.
+    reports: Mapping[str, str] = {}
 
     # ------------------------------------------------------------------
     # Parameters and spec construction
@@ -146,11 +164,20 @@ class Scenario:
         return backend
 
     # ------------------------------------------------------------------
-    # The three hooks every scenario implements
+    # The sweep grammar: a grid, a cell function, a series list
     # ------------------------------------------------------------------
-    def cells(self, params: Mapping[str, object]) -> Iterator[Cell]:
-        """Yield every independent ``(key, seed)`` cell of the campaign."""
+    def grid(self, params: Mapping[str, object]) -> Iterable[CellKey]:
+        """The campaign's cell keys, in run order."""
         raise NotImplementedError
+
+    def cells(self, params: Mapping[str, object]) -> Iterator[Cell]:
+        """Yield every independent ``(key, seed)`` cell of the campaign.
+
+        By default: seeds ``base_seed .. base_seed + runs - 1`` at every
+        :meth:`grid` key."""
+        for key in self.grid(params):
+            for r in range(params["runs"]):
+                yield key, params["base_seed"] + r
 
     def run_cell(self, key: CellKey, seed: int, params: Mapping[str, object]) -> object:
         """Run one cell (one seeded simulation); return plain data."""
@@ -196,19 +223,47 @@ class Scenario:
         except KeyError:
             raise ValueError(f"unknown backend {backend!r}") from None
 
+    def series(self, params: Mapping[str, object], values: CellValues) -> List[Series]:
+        """The result's curves, aggregated over the surviving cells.
+
+        :func:`repro.analysis.sweep` builds a per-point mean ± CI curve."""
+        raise NotImplementedError
+
     def assemble(
         self,
         params: Mapping[str, object],
         values: CellValues,
         failures: List["CellFailureLike"],
-    ):
+    ) -> ExperimentResult:
         """Fold per-cell values into an ``ExperimentResult``.
 
         ``values`` maps ``(key, seed)`` to the cell's value; cells that
         failed (after retry) are absent and listed in ``failures``, so
         implementations aggregate over whatever survived.
         """
-        raise NotImplementedError
+        return self.result(params, self.series(params, values))
+
+    def result(
+        self,
+        params: Mapping[str, object],
+        series: List[Series],
+        parameters: Optional[Mapping[str, object]] = None,
+        **fields: str,
+    ) -> ExperimentResult:
+        """``series`` as an ``ExperimentResult`` under the class metadata.
+
+        ``fields`` override the metadata; ``parameters`` add to the
+        :attr:`reports` params."""
+        meta = dict(
+            figure=self.figure.format(**params), title=self.title.format(**params),
+            x_label=self.x_label, y_label=self.y_label,
+            paper_expectation=self.paper_expectation, notes=self.notes,
+        )
+        meta.update(fields)
+        reported = {name: params[key] for name, key in self.reports.items()}
+        return ExperimentResult(
+            series=series, parameters={**reported, **(parameters or {})}, **meta
+        )
 
     def check(self, run: "ScenarioRun") -> List[Verdict]:
         """The scenario's claims about a finished run, one verdict each.

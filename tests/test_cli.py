@@ -1,8 +1,9 @@
 """Tests for the experiment CLI (python -m repro.experiments).
 
 ``list`` and ``run`` are the whole grammar; what the removed bare
-``<figure>`` form could do (``--num-pieces``, ``--chart``, ``--trace``)
-is covered here under ``run``.
+``<figure>`` form could do (``--chart``, ``--trace``, a piece count) is
+covered here under ``run``.  Scenario parameters have one spelling,
+``--set KEY=VALUE``.
 """
 
 from __future__ import annotations
@@ -131,25 +132,32 @@ class TestCheckFlag:
         assert out.count("[fig2bc] PASS") == 3 and "FAIL" not in out
 
 
-class TestOverrideConflicts:
-    """A dedicated flag and a --set spelling of the same key must be an
-    explicit error, not a silent precedence decision."""
+class TestParameterGrammar:
+    """Swarm sizes and focal hosts are scenario parameters, set with
+    ``--set`` under their own names; no flag re-spells them."""
 
-    def test_swarm_size_conflicts_with_set_swarm_sizes(self):
-        with pytest.raises(SystemExit, match="--swarm-size conflicts"):
-            main(["run", "figx_scale", "--no-cache", "--quiet",
-                  "--swarm-size", "500", "--set", "swarm_sizes=[1000]"])
+    @pytest.mark.parametrize("flag", ["--num-pieces", "--swarm-size", "--focal-hosts"])
+    def test_parameter_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig4bc", "--no-cache", "--quiet", flag, "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_swarm_size_conflicts_with_set_background_sizes(self):
-        # figx_hybrid spells the same axis "background_sizes".
-        with pytest.raises(SystemExit, match="background_sizes"):
-            main(["run", "figx_hybrid", "--no-cache", "--quiet",
-                  "--swarm-size", "500", "--set", "background_sizes=[1000]"])
+    def test_set_pins_swarm_sizes(self, capsys):
+        main(["run", "figx_scale", "--no-cache", "--quiet", "--json",
+              "--set", "swarm_sizes=[500]", "--set", "dt=2.0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["parameters"]["swarm_sizes"] == [500]
+        assert all(s["x"] == [500.0] for s in payload["series"])
 
-    def test_focal_hosts_conflicts_with_set(self):
-        with pytest.raises(SystemExit, match="--focal-hosts conflicts"):
-            main(["run", "figx_hybrid", "--no-cache", "--quiet",
-                  "--focal-hosts", "2", "--set", "focal_hosts=3"])
+    def test_set_pins_background_sizes_and_focal_hosts(self, capsys):
+        main(["run", "figx_hybrid", "--no-cache", "--quiet", "--json",
+              "--set", "background_sizes=[1000]", "--set", "focal_hosts=2",
+              "--set", "focal_mobile_fractions=[1.0]", "--set", "file_size_kib=256"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["parameters"]["background_sizes"] == [1000]
+        assert payload["parameters"]["focal_hosts"] == 2
+        assert payload["stats"]["total_cells"] == 2
 
 
 class TestLegacySpellings:
@@ -173,8 +181,8 @@ class TestLegacySpellings:
         out = capsys.readouterr().out
         assert out.count("Figure 2(b, c)") >= 2  # table + chart headers
 
-    def test_piecewise_figure_accepts_num_pieces(self, capsys):
-        main(["run", "fig4bc", "--no-cache", "--quiet", "--num-pieces", "10"])
+    def test_piecewise_figure_takes_num_pieces_by_set(self, capsys):
+        main(["run", "fig4bc", "--no-cache", "--quiet", "--set", "num_pieces=10"])
         out = capsys.readouterr().out
         assert "Playable" in out
 
