@@ -260,13 +260,13 @@ def compute() -> Dict[str, str]:
     }
 
 
-def _recorded(path: pathlib.Path) -> Dict[str, str]:
+def _recorded(path: pathlib.Path) -> Dict[str, object]:
     if not path.exists():
         return {}
     return json.loads(path.read_text(encoding="utf-8"))["cases"]
 
 
-def _drift(recorded: Dict[str, str], current: Dict[str, str], names) -> List[str]:
+def _drift(recorded: Dict[str, object], current: Dict[str, object], names) -> List[str]:
     return [
         f"{name}: recorded {recorded.get(name)} != current {current.get(name)}"
         for name in sorted(names)
@@ -274,23 +274,22 @@ def _drift(recorded: Dict[str, str], current: Dict[str, str], names) -> List[str
     ]
 
 
-def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
-    """One line per case whose hash differs from the recorded one
-    (empty when the engine still computes every pinned value)."""
+def compare(path: pathlib.Path, current: Dict[str, object]) -> List[str]:
+    """One line per case whose value differs from the one recorded in
+    ``path`` (a case only one side has counts as drifted)."""
     recorded = _recorded(path)
-    current = compute()
     return _drift(recorded, current, set(recorded) | set(current))
 
 
-def record(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
-    """Append the hashes of cases ``path`` lacks; never rewrite one.
+def record_missing(path: pathlib.Path, current: Dict[str, object]) -> List[str]:
+    """Append the ``current`` values of cases ``path`` lacks; never
+    rewrite one.
 
-    Returns the drift lines of already-recorded cases (a case dropped
-    from :func:`cases` counts as drifted); if there are any, nothing is
-    written.
+    Returns the drift lines of already-recorded cases (a recorded case
+    missing from ``current`` counts as drifted); if there are any,
+    nothing is written.  Shared by both golden scripts.
     """
     recorded = _recorded(path)
-    current = compute()
     drift = _drift(recorded, current, recorded)
     if not drift:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -302,23 +301,36 @@ def record(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
     return drift
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="fluid-tier value pins")
+def golden_main(argv, tier: str, path: pathlib.Path,
+                compute: Callable[[], Dict[str, object]]) -> int:
+    """The ``--check`` / ``--record`` command line of a golden script."""
+    parser = argparse.ArgumentParser(description=f"{tier}-tier value pins")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
-                      help="compare against tests/data/fluid_golden.json")
+                      help=f"compare against tests/data/{path.name}")
     mode.add_argument("--record", action="store_true",
-                      help="append the cases tests/data/fluid_golden.json "
-                           "lacks (exits 1 if a recorded case drifted)")
+                      help=f"append the cases tests/data/{path.name} lacks "
+                           "(exits 1 if a recorded case drifted)")
     args = parser.parse_args(argv)
-    drift = record() if args.record else check()
+    current = compute()
+    drift = (record_missing if args.record else compare)(path, current)
     for line in drift:
         print(f"DRIFT {line}", file=sys.stderr)
     if args.record:
-        print("nothing written" if drift else f"{len(cases())} cases in {GOLDEN_PATH}")
+        print("nothing written" if drift else f"{len(current)} cases in {path}")
     else:
-        print(f"{len(cases()) - len(drift)}/{len(cases())} fluid golden cases match")
+        print(f"{len(current) - len(drift)}/{len(current)} {tier} golden cases match")
     return 1 if drift else 0
+
+
+def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
+    """One line per case whose hash differs from the recorded one
+    (empty when the engine still computes every pinned value)."""
+    return compare(path, compute())
+
+
+def main(argv=None) -> int:
+    return golden_main(argv, "fluid", GOLDEN_PATH, compute)
 
 
 if __name__ == "__main__":

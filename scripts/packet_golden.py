@@ -12,8 +12,11 @@ counter — the number of pushes — summed over every simulator the cell
 built, then compares them against ``tests/data/packet_golden.json``.
 
 After any change to the kernel, the links, the TCP connection or the
-BitTorrent message path run ``--check``; ``--record`` only when a
-result change is intended and explained.
+BitTorrent message path run ``--check``.  ``--record`` follows
+``scripts/fluid_golden.py``'s rule: it only appends the cases the file
+lacks and exits 1, writing nothing, if any recorded case drifted.  To
+re-record a case on purpose (an intended, explained result change),
+delete its entry from the file first.
 ``tests/test_packet_golden.py`` and the CI ``audit`` job call the same
 :func:`check`.
 
@@ -25,10 +28,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
-import json
+import importlib.util
 import pathlib
 import sys
 from typing import Callable, Dict, List
@@ -175,39 +177,23 @@ def compute() -> Dict[str, Dict[str, object]]:
     return {name: _measure(thunk) for name, thunk in cases().items()}
 
 
+def _golden_files():
+    """The sibling script that owns the golden-file rules."""
+    path = pathlib.Path(__file__).resolve().parent / "fluid_golden.py"
+    spec = importlib.util.spec_from_file_location("fluid_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
     """One line per case whose result hash, event count or push count
     differs from the recorded one (empty when nothing moved)."""
-    recorded = json.loads(path.read_text(encoding="utf-8"))["cases"]
-    current = compute()
-    return [
-        f"{name}: recorded {recorded.get(name)} != current {current.get(name)}"
-        for name in sorted(set(recorded) | set(current))
-        if recorded.get(name) != current.get(name)
-    ]
+    return _golden_files().compare(path, compute())
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="packet-tier value pins")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", action="store_true",
-                      help="compare against tests/data/packet_golden.json")
-    mode.add_argument("--record", action="store_true",
-                      help="rewrite tests/data/packet_golden.json")
-    args = parser.parse_args(argv)
-    if args.record:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(
-            json.dumps({"cases": compute()}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"recorded {len(cases())} cases -> {GOLDEN_PATH}")
-        return 0
-    drift = check()
-    for line in drift:
-        print(f"DRIFT {line}", file=sys.stderr)
-    print(f"{len(cases()) - len(drift)}/{len(cases())} packet golden cases match")
-    return 1 if drift else 0
+    return _golden_files().golden_main(argv, "packet", GOLDEN_PATH, compute)
 
 
 if __name__ == "__main__":

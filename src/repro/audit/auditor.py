@@ -150,9 +150,6 @@ class Auditor(TraceSink):
     # ------------------------------------------------------------------
     # Component registration (called from constructors)
     # ------------------------------------------------------------------
-    def register_queue(self, queue) -> None:
-        self.queues.append(queue)
-
     def register_direction(self, direction) -> None:
         self.directions.append(direction)
         self.queues.append(direction.queue)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 
 class Bitfield:
@@ -91,13 +91,6 @@ class Bitfield:
         bf._num_set = self._num_set
         return bf
 
-    def intersection_count(self, other: "Bitfield") -> int:
-        if other.size != self.size:
-            raise ValueError("bitfield size mismatch")
-        a = int.from_bytes(self._bits, "big")
-        b = int.from_bytes(other._bits, "big")
-        return (a & b).bit_count()
-
     def has_piece_other_is_missing(self, other: "Bitfield") -> bool:
         """True if we hold any piece ``other`` lacks (interest test)."""
         if other.size != self.size:
@@ -125,6 +118,3 @@ class Bitfield:
     def _check(self, index: int) -> None:
         if not 0 <= index < self.size:
             raise IndexError(f"piece index {index} out of range (size {self.size})")
-
-    def to_index_list(self) -> List[int]:
-        return list(self.indices())

@@ -56,19 +56,13 @@ class ClientConfig:
     listen_port: int = 6881
     max_peers: int = 30
     request_pipeline: int = 8
-    request_timeout: float = 30.0
     choke_interval: float = 10.0
     unchoke_slots: int = 3
     optimistic_every: int = 3
     numwant: int = 50
-    announce_interval: Optional[float] = None  # None: use tracker's value
-    announce_retry: float = 10.0
     upload_limit: Optional[float] = None  # bytes/second; None = unlimited
-    rate_window: float = 10.0
     ledger_half_life: float = 60.0
-    send_buffer_cap: int = 65_536
     sweep_interval: float = 1.0
-    connects_per_sweep: int = 4
     task_restart_delay: float = 2.0
     keep_seeding: bool = True
     corrupt_probability: float = 0.0
@@ -90,9 +84,18 @@ class ClientConfig:
 
 IPChangePolicy = Callable[["BitTorrentClient", Optional[str], Optional[str]], None]
 
-#: Backoff ceiling for failed announces when neither the client config
-#: nor a past tracker response pins an announce interval.
+#: Seconds before a failed announce is retried (doubling per failure).
+ANNOUNCE_RETRY = 10.0
+#: Backoff ceiling for failed announces when no tracker response has
+#: given an announce interval yet.
 DEFAULT_ANNOUNCE_BACKOFF_CAP = 120.0
+#: Seconds before an unanswered block request is released for re-request.
+REQUEST_TIMEOUT = 30.0
+#: Unacknowledged bytes on a connection above which uploads to that peer
+#: wait their turn.
+SEND_BUFFER_CAP = 65_536
+#: New outgoing connections per housekeeping sweep.
+CONNECTS_PER_SWEEP = 4
 
 
 def default_restart_policy(
@@ -314,7 +317,7 @@ class BitTorrentClient:
         if not self.started and not fire_and_forget:
             return
         if self.host.ip is None:
-            self._schedule_announce(self.config.announce_retry)
+            self._schedule_announce(ANNOUNCE_RETRY)
             return
         try:
             conn = self.stack.connect(self.torrent.tracker_ip, self.torrent.tracker_port)
@@ -372,7 +375,7 @@ class BitTorrentClient:
         """Retry delay after a failed announce (tracker refused with a
         :class:`TrackerError`, was unreachable, or dropped us mid-round).
 
-        Exponential backoff from ``announce_retry`` with deterministic
+        Exponential backoff from ``ANNOUNCE_RETRY`` with deterministic
         seeded jitter (±12.5%, its own RNG stream so protocol streams
         are untouched), capped at the announce interval — consecutive
         failures stop hammering a refusing tracker, while the cap keeps
@@ -382,14 +385,11 @@ class BitTorrentClient:
         """
         failures = self._announce_failures
         self._announce_failures = failures + 1
-        base = self.config.announce_retry
         cap = max(
-            base,
-            self.config.announce_interval
-            or self._tracker_interval_hint
-            or DEFAULT_ANNOUNCE_BACKOFF_CAP,
+            ANNOUNCE_RETRY,
+            self._tracker_interval_hint or DEFAULT_ANNOUNCE_BACKOFF_CAP,
         )
-        delay = base * (2.0 ** min(failures, 16))
+        delay = ANNOUNCE_RETRY * (2.0 ** min(failures, 16))
         if self._backoff_rng is None:
             self._backoff_rng = self.sim.rng.stream(f"client.{self.name}.backoff")
         jitter = 1.0 + 0.25 * (self._backoff_rng.random() - 0.5)
@@ -398,8 +398,7 @@ class BitTorrentClient:
     def _on_tracker_response(self, response: AnnounceResponse) -> None:
         self._announce_failures = 0
         self._tracker_interval_hint = response.interval
-        interval = self.config.announce_interval or response.interval
-        self._schedule_announce(interval)
+        self._schedule_announce(response.interval)
         for ip, port, peer_id in response.peers:
             if peer_id != self.peer_id:
                 self.known_addresses[peer_id] = (ip, port)
@@ -475,7 +474,6 @@ class BitTorrentClient:
                 existing.close("duplicate")
         self.peers[peer_id] = peer
         self._pending.discard(peer)
-        peer.registered = True
         if peer.initiated:
             self.known_addresses.setdefault(peer_id, (peer.remote_ip, peer.remote_port))
         return True
@@ -655,7 +653,7 @@ class BitTorrentClient:
                 queue.popleft()
                 continue
             snd = peer.tcp.snd
-            if snd.end - snd.una >= self.config.send_buffer_cap:  # send_buffer_bytes, inlined
+            if snd.end - snd.una >= SEND_BUFFER_CAP:  # send_buffer_bytes, inlined
                 queue.rotate(-1)
                 rotations += 1
                 if rotations >= len(queue):
@@ -684,7 +682,7 @@ class BitTorrentClient:
     # Housekeeping
     # ------------------------------------------------------------------
     def _on_sweep(self) -> None:
-        released = self.manager.expire_requests(self.sim.now, self.config.request_timeout)
+        released = self.manager.expire_requests(self.sim.now, REQUEST_TIMEOUT)
         peers = self.connected_peers()
         if released:
             keys = set(released)
@@ -699,7 +697,7 @@ class BitTorrentClient:
         self._pump_uploads()
         self.ledger.prune()
         if self._connection_count() < self.config.max_peers:
-            self.connect_to_known_peers(limit=self.config.connects_per_sweep)
+            self.connect_to_known_peers(limit=CONNECTS_PER_SWEEP)
 
     def _keepalive_sweep(self, peers: List[PeerConnection]) -> None:
         """Keep idle connections alive; reap dead-silent ones."""

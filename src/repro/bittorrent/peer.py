@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BlockKey = Tuple[int, int]
 
+#: Seconds of history behind a connection's upload and download rates.
+RATE_WINDOW = 10.0
+
 
 class PeerConnection:
     """Protocol state for one remote peer."""
@@ -59,11 +62,9 @@ class PeerConnection:
         self._bitfield_counted = False
         self.handshake_sent = False
         self.handshake_received = False
-        self.registered = False
 
         self._download_meter = self._upload_meter = None  # built on first use
         self.outstanding: Dict[BlockKey, float] = {}  # our pending requests
-        self.blocks_uploaded = 0
         self.blocks_downloaded = 0
         self.closed = False
         self.close_reason: Optional[str] = None
@@ -84,7 +85,7 @@ class PeerConnection:
     def _new_meter(self) -> WindowRateMeter:
         """A connection that dies in the handshake never needs one."""
         sim = self.sim
-        return WindowRateMeter(clock=lambda: sim.now, window=self.client.config.rate_window)
+        return WindowRateMeter(clock=lambda: sim.now, window=RATE_WINDOW)
 
     @property
     def download_meter(self) -> WindowRateMeter:
@@ -168,7 +169,6 @@ class PeerConnection:
     def send_piece(self, index: int, begin: int, length: int) -> None:
         self._send(Piece(index, begin, length))
         self.upload_meter.add(length)
-        self.blocks_uploaded += 1
         self.client.note_uploaded(self, length)
 
     def send_have(self, index: int) -> None:

@@ -95,14 +95,12 @@ class SwarmScenario:
         #: armed fault-injection controller, if any (see repro.chaos)
         self.chaos: Optional[ChaosController] = None
         chaos_defaults.apply_defaults(self)
-        #: canonical strategy mix peers draw from, if any (repro.strategy)
-        self.strategy_mix = None
+        #: assigns peers their strategies from the mix, if any (repro.strategy)
         self._strategy_assigner: Optional[strategy_defaults.MixAssigner] = None
         mix = strategy_mix if strategy_mix is not None else context.get("strategies")
         if mix:
             normalized = strategy_defaults.normalize_mix(mix)
             if not strategy_defaults.mix_is_default(normalized):
-                self.strategy_mix = normalized
                 self._strategy_assigner = strategy_defaults.MixAssigner(normalized)
         #: canonical content mode, if non-default (repro.coding).  Plain
         #: replication stays ``None`` so every peer keeps the historical

@@ -22,7 +22,7 @@ absorbed instead of the origin.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from ..bittorrent.client import BitTorrentClient, ClientConfig
 from ..net import AddressAllocator, Host, Internet, attach_wired_host
@@ -188,6 +188,3 @@ class Origin:
     def uploaded_bytes(self) -> float:
         """Total bytes the origin served, across all assets ever active."""
         return float(left_sum(c.uploaded.total for c in self.clients.values()))
-
-    def active_ranks(self) -> List[int]:
-        return sorted(self.active)

@@ -76,9 +76,6 @@ class CdnPeer:
     def uploaded_bytes(self) -> float:
         return float(left_sum(c.uploaded.total for c in self.clients.values()))
 
-    def downloaded_bytes(self) -> float:
-        return float(left_sum(c.downloaded.total for c in self.clients.values()))
-
 
 class CdnScenario:
     """A P2P CDN testbed: N asset swarms, one origin, shared-uplink peers."""
@@ -199,7 +196,6 @@ class CdnScenario:
         )
         self.trace: List[Request] = self.demand.trace(self.horizon)
         self.pending: List[PendingRequest] = []
-        self._requests_seen = 0
 
         self.origin.start()
         for request in self.trace:
@@ -214,7 +210,6 @@ class CdnScenario:
         peer = self.peers[request.peer]
         rank = request.rank
         now = self.sim.now
-        self._requests_seen += 1
         self.origin.on_request(rank, now)
         existing = peer.clients.get(rank)
         if existing is not None:

@@ -9,11 +9,12 @@ watches to trigger identity retention and role reversal.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, List, Optional, Protocol
 
 from ..sim import Simulator
 from .netfilter import Netfilter
-from .packet import DropRecord, Packet
+from .packet import Packet
 
 
 class TransportHandler(Protocol):
@@ -73,7 +74,8 @@ class Host:
         self.interface = Interface(self)
         self.netfilter = Netfilter()
         self.transport: Optional[TransportHandler] = None
-        self.drops: List[DropRecord] = []
+        #: packets this host dropped, by reason
+        self.drops: Counter = Counter()
         self._ip_listeners: List[IPChangeListener] = []
 
     # ------------------------------------------------------------------
@@ -115,9 +117,7 @@ class Host:
         """Transmit ``packet`` through egress filters and the interface."""
         interface = self.interface
         if not interface.up or interface.ip is None:  # self.ip, inlined
-            self.drops.append(
-                DropRecord(self.sim.now, self.name, "interface_down", packet.size_bytes)
-            )
+            self.drops["interface_down"] += 1
             return
         egress = self.netfilter.egress
         if not egress._filters:  # empty chain: skip the stream machinery
@@ -134,9 +134,7 @@ class Host:
     def deliver(self, packet: Packet) -> None:
         """Run ingress filters and hand survivors to the transport layer."""
         if self.transport is None:
-            self.drops.append(
-                DropRecord(self.sim.now, self.name, "no_transport", packet.size_bytes)
-            )
+            self.drops["no_transport"] += 1
             return
         ingress = self.netfilter.ingress
         if not ingress._filters:  # empty chain: skip the stream machinery

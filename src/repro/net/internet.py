@@ -11,10 +11,10 @@ correspondent moves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, Protocol
 
 from ..sim import Simulator
-from .packet import DropRecord, Packet
+from .packet import Packet
 
 
 class Attachment(Protocol):
@@ -32,7 +32,8 @@ class Internet:
         self.sim = sim
         self.core_delay = core_delay
         self._routes: Dict[str, Attachment] = {}
-        self.unroutable: List[DropRecord] = []
+        #: packets dropped for want of a route (sent to a released address)
+        self.unroutable = 0
         self.packets_forwarded = 0
 
     # ------------------------------------------------------------------
@@ -60,9 +61,7 @@ class Internet:
         """Route a packet arriving from an access link toward its target."""
         attachment = self._routes.get(packet.dst)
         if attachment is None:
-            self.unroutable.append(
-                DropRecord(self.sim.now, "core", "unroutable", packet.size_bytes)
-            )
+            self.unroutable += 1
             return
         packet.hops += 1
         self.packets_forwarded += 1
@@ -73,6 +72,3 @@ class Internet:
             sim._post(sim._now + self.core_delay, attachment.deliver_from_core, (packet,))
         else:
             attachment.deliver_from_core(packet)
-
-    def route_owner(self, ip: str) -> Optional[Attachment]:
-        return self._routes.get(ip)

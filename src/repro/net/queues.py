@@ -8,7 +8,7 @@ Figure 2(b, c) plots buffer-drop events against packets in flight.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from .packet import DropRecord, Packet
 
@@ -19,7 +19,7 @@ class DropTailQueue:
     __slots__ = (
         "name", "capacity_packets", "capacity_bytes", "_queue", "_bytes",
         "drops", "enqueued", "dequeued", "bytes_enqueued", "bytes_dequeued",
-        "cleared", "cleared_bytes", "on_drop",
+        "cleared", "cleared_bytes",
     )
 
     def __init__(
@@ -42,7 +42,6 @@ class DropTailQueue:
         self.bytes_dequeued = 0
         self.cleared = 0
         self.cleared_bytes = 0
-        self.on_drop: Optional[Callable[[Packet, DropRecord], None]] = None
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Append ``packet``; returns False (and records a drop) on overflow."""
@@ -52,10 +51,7 @@ class DropTailQueue:
             and self._bytes + size > self.capacity_bytes
         )
         if overflows:
-            record = DropRecord(now, self.name, "buffer_overflow", size)
-            self.drops.append(record)
-            if self.on_drop is not None:
-                self.on_drop(packet, record)
+            self.drops.append(DropRecord(now, self.name, "buffer_overflow", size))
             return False
         self._queue.append(packet)
         self._bytes += size

@@ -101,12 +101,12 @@ class WirelessChannel:
 
         # Instrumentation -------------------------------------------------
         self.client_tx_series = TimeSeries(f"{self.name}.client_tx")
-        self.loss_records: List[DropRecord] = []
         self.bytes_up = 0
         self.bytes_down = 0
         self.frames_up = 0
         self.frames_down = 0
         self.frames_lost = 0
+        self.bytes_lost = 0
         self.airtime_busy = 0.0
 
         audit = sim.audit
@@ -255,9 +255,7 @@ class WirelessChannel:
             self.frames_down += 1
         if lost:
             self.frames_lost += 1
-            self.loss_records.append(
-                DropRecord(sim._now, self.name, f"bit_error_{direction}", size)
-            )
+            self.bytes_lost += size
         elif direction == UPLINK:
             self.bytes_up += size
             sim._post(sim._now + self.prop_delay, self.internet.forward, (packet,))

@@ -29,7 +29,6 @@ then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 
 from .metrics import (
     Counter,
-    EwmaRateMeter,
     Gauge,
     Histogram,
     Metric,
@@ -53,7 +52,6 @@ from .tracing import (
 
 __all__ = [
     "Counter",
-    "EwmaRateMeter",
     "Gauge",
     "Histogram",
     "Metric",

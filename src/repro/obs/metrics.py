@@ -9,8 +9,6 @@ This module is the measurement half of the observability layer
   ways (congestion windows, queue depths, LIHD upload caps);
 * :class:`Histogram` — value distributions with percentile queries
   (handler costs, piece completion times);
-* :class:`EwmaRateMeter` — an exponentially-weighted moving-average rate
-  estimator whose memory decays with a time constant ``tau``;
 * :class:`WindowRateMeter` — the sliding-window byte-rate estimator real
   BitTorrent clients use for tit-for-tat ranking;
 * :class:`TimeSeries` — append-only ``(time, value)`` samples.
@@ -129,14 +127,6 @@ class Gauge(Metric):
         if self._record:
             self.history.append((self._clock(), value))
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Shift the gauge up by ``amount``."""
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Shift the gauge down by ``amount``."""
-        self.set(self.value - amount)
-
     def snapshot(self) -> Dict[str, float]:
         return {"value": self.value, "updates": self.updates}
 
@@ -220,65 +210,6 @@ class Histogram(Metric):
             "p95": self.percentile(95),
             "max": self.max,
         }
-
-
-class EwmaRateMeter(Metric):
-    """Exponentially-weighted moving-average rate estimator.
-
-    The estimate's memory decays with time constant ``tau`` seconds: an
-    instantaneous rate observed ``tau`` seconds ago contributes a factor
-    ``1/e`` of what a fresh one does, and an idle meter decays toward
-    zero instead of holding its last reading forever (the failure mode of
-    naive sample-pair estimators).  BitTorrent-style rolling averages
-    with a hard cutoff are :class:`WindowRateMeter`; this meter is the
-    smooth variant used for report-friendly rates.
-    """
-
-    kind = "ewma"
-
-    def __init__(
-        self,
-        name: str = "",
-        clock: Optional[Clock] = None,
-        tau: float = 10.0,
-    ) -> None:
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        super().__init__(name, clock)
-        self.tau = tau
-        self.total = 0.0
-        self._rate = 0.0
-        self._last: Optional[float] = None
-
-    def add(self, amount: float) -> None:
-        """Record ``amount`` units transferred now."""
-        now = self._clock()
-        self.total += amount
-        if self._last is None:
-            self._last = now
-            # First sample: no elapsed interval to rate over yet.
-            return
-        dt = now - self._last
-        self._last = now
-        if dt <= 0:
-            # Same-instant burst: fold into the estimate via a tiny dt so
-            # coincident events still register.
-            dt = 1e-9
-        instantaneous = amount / dt
-        weight = 1.0 - math.exp(-dt / self.tau)
-        self._rate += weight * (instantaneous - self._rate)
-
-    def rate(self) -> float:
-        """Current decayed rate estimate, units/second."""
-        if self._last is None:
-            return 0.0
-        idle = self._clock() - self._last
-        if idle <= 0:
-            return self._rate
-        return self._rate * math.exp(-idle / self.tau)
-
-    def snapshot(self) -> Dict[str, float]:
-        return {"rate": self.rate(), "total": self.total}
 
 
 class WindowRateMeter(Metric):
@@ -478,15 +409,6 @@ class MetricsRegistry:
         if metric is not None and metric.__class__ is Histogram:
             return metric
         return self._get(name, Histogram, lambda: Histogram(name, self._clock))
-
-    def ewma(self, name: str, tau: float = 10.0) -> EwmaRateMeter:
-        """The EWMA rate meter called ``name``, created on first use."""
-        metric = self._metrics.get(name)
-        if metric is not None and metric.__class__ is EwmaRateMeter:
-            return metric
-        return self._get(
-            name, EwmaRateMeter, lambda: EwmaRateMeter(name, self._clock, tau)
-        )
 
     def window_rate(self, name: str, window: float = 20.0) -> WindowRateMeter:
         """The sliding-window rate meter called ``name``."""

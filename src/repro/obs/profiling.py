@@ -21,7 +21,6 @@ pays a single boolean test per event.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -66,8 +65,7 @@ class KernelProfiler:
     call; everything else is derived at report time.
     """
 
-    def __init__(self, wall_clock: Callable[[], float] = time.perf_counter) -> None:
-        self.wall_clock = wall_clock
+    def __init__(self) -> None:
         self.events = 0
         self.busy_s = 0.0  # wall time inside event callbacks
         self.run_wall_s = 0.0  # wall time inside run() overall

@@ -15,7 +15,7 @@ The balance per asset class, in bytes/second:
   with ``N = request_rate * T`` leechers concurrently fetching (Little's
   law at the fixed-point latency ``T``).
 * **peer supply** — a still-downloading peer contributes
-  ``warm_upload`` of its uplink; a finished peer keeps seeding for
+  ``WARM_UPLOAD`` of its uplink; a finished peer keeps seeding for
   ``seed_dwell`` seconds, contributing its full uplink.  Both are scaled
   by the population's duty-cycle ``peer_availability`` (mobile handoffs;
   compute it with :meth:`~repro.scale.model.PeerClass.availability`) and
@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from .model import EFFICIENCY, STARTUP_DELAY
 
 _FIXED_POINT_ITERATIONS = 24
+#: Share of its uplink a still-downloading peer offers.
+WARM_UPLOAD = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class AssetClassParams:
     activation_delay: float = 3.0
     efficiency: float = EFFICIENCY
     startup_delay: float = STARTUP_DELAY
-    warm_upload: float = 0.5
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -78,8 +79,6 @@ class AssetClassParams:
             raise ValueError("delays must be >= 0")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
-        if not 0.0 <= self.warm_upload <= 1.0:
-            raise ValueError("warm_upload must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def asset_class_outcome(
     for _ in range(_FIXED_POINT_ITERATIONS):
         concurrency = rate * latency
         peer_supply = u_eff * (
-            concurrency * p.warm_upload + rate * p.seed_dwell
+            concurrency * WARM_UPLOAD + rate * p.seed_dwell
         )
         demand = max(concurrency, 1.0) * d_eff
         utilization = min(1.0, (peer_supply + origin_supply) / demand)

@@ -10,7 +10,7 @@ capacity and piece availability:
 
 * **supply** — seeds and complete classes upload at capacity; leechers
   contribute once they hold enough pieces to be useful (the
-  ``warm_fraction`` ramp is the piece-availability coupling);
+  ``WARM_FRACTION`` ramp is the piece-availability coupling);
 * **demand** — online leechers ask for their access capacity; on a
   shared wireless cell uploads steal download airtime (Figure 3(b)),
   which is why wP2P classes throttle uploads LIHD-style
@@ -68,7 +68,6 @@ the bus picks up globally installed sinks exactly like a packet-level
 
 from __future__ import annotations
 
-import time as _time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
@@ -84,6 +83,7 @@ from .model import (
     ClassResult,
     FluidParams,
     FluidResult,
+    WARM_FRACTION,
     PeerClass,
     content_rate_factor,
     playability_surrogate,
@@ -181,7 +181,6 @@ class FluidSwarm:
         self.params = params
         self.t = 0.0
         self.steps = 0
-        self.wall_seconds = 0.0
         self.metrics = (
             metrics if metrics is not None
             else MetricsRegistry(clock=lambda: self.t)
@@ -195,7 +194,7 @@ class FluidSwarm:
         self._states = [_ClassState(c) for c in params.classes]
         # Run constants of the step.
         self._file_size = float(params.file_size)
-        self._warm = max(params.warm_fraction, 1.0 / max(params.num_pieces, 1))
+        self._warm = max(WARM_FRACTION, 1.0 / max(params.num_pieces, 1))
         self._content_on = params.content_mode != ""
         # Termination: leecher classes still downloading, and whether
         # arrivals keep the swarm open forever.  A leecher class with no
@@ -264,7 +263,6 @@ class FluidSwarm:
         states = self._states
         step = self._step
         finished = self._finished
-        started = _time.perf_counter()
         t = self.t
         increments = None  # of the last step of *this* call, if repeatable
         while t < until:
@@ -288,7 +286,6 @@ class FluidSwarm:
             increments = step(dt)
             self.t = t = t + dt
             self.steps += 1
-        self.wall_seconds += _time.perf_counter() - started
 
     def finish(self) -> FluidResult:
         """Record tail samples and summary metrics, and build the result."""

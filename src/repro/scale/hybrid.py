@@ -92,8 +92,6 @@ class HybridSpec:
     restart_delay: float = 15.0
     #: Model seconds between boundary-flow exchanges.
     coupling_interval: float = 2.0
-    #: Calibration multiplier on the facade uplink allocation.
-    facade_gain: float = 1.0
     max_time: float = 3_600.0
     dt: float = 0.25
 
@@ -105,8 +103,6 @@ class HybridSpec:
             raise ValueError("background populations must be >= 0")
         if self.coupling_interval <= 0:
             raise ValueError("coupling_interval must be positive")
-        if self.facade_gain <= 0:
-            raise ValueError("facade_gain must be positive")
 
     @property
     def background_population(self) -> float:
@@ -385,7 +381,7 @@ class HybridSwarm:
         # applied as the facade's raw uplink rate (protocol overhead
         # then happens naturally packet-side).
         utilization = self.fluid.last_utilization
-        rate = max(1.0, spec.facade_gain * utilization * demand)
+        rate = max(1.0, utilization * demand)
         self.facade.host.interface.link.uplink.set_rate(rate)
         self._sync_facade_bitfield()
 

@@ -35,6 +35,9 @@ CONTENT_MODES = ("", "replication", "group")
 EFFICIENCY = 0.60
 STARTUP_DELAY = 3.0
 
+#: Progress fraction at which a fluid leecher becomes a useful uploader.
+WARM_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class PeerClass:
@@ -127,8 +130,6 @@ class FluidParams:
     startup_delay: float = STARTUP_DELAY
     #: Leecher departure (abort) rate per online peer per second.
     departure_rate: float = 0.0
-    #: Progress fraction at which a leecher becomes a useful uploader.
-    warm_fraction: float = 0.05
     sample_interval: float = 5.0
     #: Content-mode surrogate (see :data:`CONTENT_MODES`).  ``""`` — the
     #: default — models nothing and leaves pure-fluid runs bit-identical;

@@ -40,6 +40,9 @@ CLOSE_WAIT = "close_wait"
 LAST_ACK = "last_ack"
 CLOSING = "closing"
 
+#: Seconds a receiver holds a pure ACK for a second segment to arrive.
+DELACK_TIMEOUT = 0.1
+
 
 def _released() -> None:
     """What a finished connection's timers fire instead of its methods."""
@@ -54,7 +57,6 @@ class TCPConfig:
     initial_rto: float = 1.0
     min_rto: float = 0.2
     max_rto: float = 60.0
-    delack_timeout: float = 0.1
     delack_segments: int = 2
     max_consecutive_timeouts: int = 7
     max_syn_retries: int = 5
@@ -474,7 +476,7 @@ class TCPConnection:
         if pending >= config.delack_segments * config.mss:
             self._send_pure_ack()
         elif self._delack_timer._live is None:  # not armed
-            self._delack_timer.start(config.delack_timeout)
+            self._delack_timer.start(DELACK_TIMEOUT)
 
     def _on_delack(self) -> None:
         if self.rcv is not None and self.rcv.rcv_nxt > self._last_ack_sent:

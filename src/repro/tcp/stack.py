@@ -39,7 +39,6 @@ class TCPStack:
         self._listeners: Dict[int, AcceptCallback] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self.rst_sent = 0
-        self.segments_dropped = 0
         host.transport = self
 
     # ------------------------------------------------------------------
@@ -101,7 +100,6 @@ class TCPStack:
     def receive(self, packet: Packet) -> None:
         segment = packet.payload
         if not isinstance(segment, TCPSegment):
-            self.segments_dropped += 1
             return
         key = (segment.dst_port, packet.src, segment.src_port)
         conn = self._connections.get(key)
@@ -130,7 +128,6 @@ class TCPStack:
 
     def _reject(self, packet: Packet, segment: TCPSegment) -> None:
         """No matching connection: answer with RST (unless it was a RST)."""
-        self.segments_dropped += 1
         if segment.has(RST) or self.host.ip is None:
             return
         self.rst_sent += 1

@@ -29,6 +29,9 @@ from .age_manipulation import DEFAULT_GAMMA_BYTES, AgeBasedManipulation
 from .incentive_aware import IdentityRetention, LIHDController
 from .mobility_aware import MobilityAwareSelector, PrSchedule
 
+#: Seconds between an address change and role reversal's reconnects.
+ROLE_REVERSAL_DELAY = 0.5
+
 
 @dataclass
 class WP2PConfig(ClientConfig):
@@ -37,19 +40,15 @@ class WP2PConfig(ClientConfig):
     # Age-based Manipulation
     am_enabled: bool = True
     am_gamma_bytes: int = DEFAULT_GAMMA_BYTES
-    am_rtt_estimate: float = 0.2
-    am_dupack_modulus: int = 4
     # Incentive-Aware operations
     identity_retention: bool = True
     lihd_u_max: Optional[float] = None  # bytes/s; None disables LIHD
     lihd_alpha: float = 10_240.0
     lihd_beta: float = 10_240.0
     lihd_interval: float = 5.0
-    lihd_u_floor: float = 2_048.0
     # Mobility-Aware operations
     mobility_aware_fetching: bool = True
     role_reversal: bool = True
-    role_reversal_delay: float = 0.5
 
 
 def wp2p_ip_change_policy(client: "WP2PClient", old, new) -> None:
@@ -66,7 +65,7 @@ def wp2p_ip_change_policy(client: "WP2PClient", old, new) -> None:
     if wcfg.role_reversal:
         client.schedule_task_restart(
             new_peer_id=not keep_id,
-            delay=wcfg.role_reversal_delay,
+            delay=ROLE_REVERSAL_DELAY,
             forget_peers=False,
         )
     else:
@@ -115,10 +114,7 @@ class WP2PClient(BitTorrentClient):
         self.am: Optional[AgeBasedManipulation] = None
         if wconfig.am_enabled:
             self.am = AgeBasedManipulation(
-                sim, host,
-                gamma_bytes=wconfig.am_gamma_bytes,
-                rtt_estimate=wconfig.am_rtt_estimate,
-                dupack_modulus=wconfig.am_dupack_modulus,
+                sim, host, gamma_bytes=wconfig.am_gamma_bytes
             )
 
         self.lihd: Optional[LIHDController] = None
@@ -128,7 +124,6 @@ class WP2PClient(BitTorrentClient):
                 alpha=wconfig.lihd_alpha,
                 beta=wconfig.lihd_beta,
                 interval=wconfig.lihd_interval,
-                u_floor=wconfig.lihd_u_floor,
             )
 
         self.ip_change_policy = wp2p_ip_change_policy

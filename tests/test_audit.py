@@ -188,7 +188,7 @@ class TestNetAlarms:
         internet = Internet(sim)
         host = Host(sim, "m")
         channel = attach_wireless_host(sim, host, internet, "10.0.1.1")
-        channel.frames_lost += 1  # no matching DropRecord
+        channel.frames_lost += 1  # a lost frame with no lost bytes
         auditor.sweep()
         assert "net.wireless" in checkers_fired(auditor)
 

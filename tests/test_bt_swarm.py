@@ -147,4 +147,4 @@ class TestMobilitySwarm:
         # stop the mobile's own recovery so only the fixed side acts
         mob.client.stop(announce=False)
         sc.run(until=sc.sim.now + 5.0)
-        assert len(sc.internet.unroutable) > 0
+        assert sc.internet.unroutable > 0

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time as _time
 from typing import List, Tuple
 from unittest import mock
 
@@ -37,7 +36,7 @@ from repro.obs.tracing import RingBufferSink
 from repro.scale import CrashImpulse, FluidParams, FluidSwarm, PeerClass, RateWindow
 from repro.scale import fluid as fluid_module
 from repro.scale.chaosmap import class_matches
-from repro.scale.model import content_rate_factor
+from repro.scale.model import WARM_FRACTION, content_rate_factor
 
 KIB = 1024
 
@@ -47,7 +46,6 @@ class _ReferenceSwarm(FluidSwarm):
 
     def advance(self, until: float, *, stop_when_finished: bool = False) -> None:
         params = self.params
-        started = _time.perf_counter()
         while self.t < until:
             if stop_when_finished and self._finished():
                 break
@@ -64,7 +62,6 @@ class _ReferenceSwarm(FluidSwarm):
             self._step(params.dt)
             self.t += params.dt
             self.steps += 1
-        self.wall_seconds += _time.perf_counter() - started
 
     def _finished(self) -> bool:
         return all(
@@ -80,7 +77,7 @@ class _ReferenceSwarm(FluidSwarm):
     def _step(self, dt: float) -> None:
         params = self.params
         file_size = float(params.file_size)
-        warm = max(params.warm_fraction, 1.0 / max(params.num_pieces, 1))
+        warm = max(WARM_FRACTION, 1.0 / max(params.num_pieces, 1))
 
         supply_total = 0.0
         demand_total = 0.0

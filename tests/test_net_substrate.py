@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.net import (
@@ -130,7 +132,7 @@ class TestWiredDelivery:
         internet, alloc, a, b = make_pair(sim)
         a.send(Packet(a.ip, "10.9.9.9", Payload(100), created_at=sim.now))
         sim.run(until=1.0)
-        assert len(internet.unroutable) == 1
+        assert internet.unroutable == 1
 
     def test_down_host_does_not_send(self):
         sim = Simulator(seed=1)
@@ -139,7 +141,7 @@ class TestWiredDelivery:
         a.send(Packet("stale", b.ip, Payload(100), created_at=sim.now))
         sim.run(until=1.0)
         assert b.transport.packets == []
-        assert a.drops[0].reason == "interface_down"
+        assert a.drops == {"interface_down": 1}
 
     def test_transmission_time_scales_with_rate(self):
         sim = Simulator(seed=1)
@@ -259,7 +261,7 @@ class TestMobility:
         reconnect_host(b, internet, alloc)
         a.send(Packet(a.ip, old_ip, Payload(100), created_at=sim.now))
         sim.run(until=1.0)
-        assert len(internet.unroutable) == 1
+        assert internet.unroutable == 1
         assert b.transport.packets == []
 
     def test_controller_schedule(self):
@@ -276,6 +278,39 @@ class TestMobility:
         assert ctl.handoffs == 3
         assert len(set(ips)) == 4  # initial + 3 new addresses
 
+
+
+class TestDropsCostCounts:
+    def test_drops_are_counted_not_kept(self):
+        """10,000 packets to a released address and 10,000 bit-error
+        losses cost counters, not a record each."""
+        n = 10_000
+        sim = Simulator(seed=1)
+        internet, alloc, a, b = make_pair(sim, wireless_b=True, ber=0.5)
+        channel = b.interface.link
+        old_ip = b.ip
+        disconnect_host(b, internet, alloc)
+        reconnect_host(b, internet, alloc)
+        payload = Payload(100)  # at BER 0.5 every such frame is lost
+
+        def send_both():
+            a.send(Packet(a.ip, old_ip, payload, created_at=sim.now))
+            a.send(Packet(a.ip, b.ip, payload, created_at=sim.now))
+            sim.run()
+
+        send_both()  # builds everything built lazily
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(n - 1):
+                send_both()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        assert internet.unroutable == n
+        assert channel.frames_lost == n
+        assert b.transport.packets == []
 
 class TestNetfilter:
     def test_egress_filter_can_drop(self):

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.obs.metrics import (
     Counter,
-    EwmaRateMeter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -71,17 +68,16 @@ class TestRegistry:
     def test_all_factory_kinds(self):
         reg = MetricsRegistry()
         assert reg.histogram("h").kind == "histogram"
-        assert reg.ewma("e").kind == "ewma"
         assert reg.window_rate("w").kind == "window_rate"
         assert reg.series("s").kind == "series"
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_keeps_last_value(self):
         g = Gauge("queue")
         g.set(10)
-        g.inc(5)
-        g.dec(3)
+        g.set(15)
+        g.set(12)
         assert g.value == 12
         assert g.updates == 3
 
@@ -135,41 +131,6 @@ class TestHistogram:
 
     def test_snapshot_empty(self):
         assert Histogram().snapshot() == {"count": 0}
-
-
-class TestEwmaRateMeter:
-    def test_converges_to_constant_rate(self):
-        clock = FakeClock()
-        m = EwmaRateMeter("rate", clock=clock, tau=5.0)
-        # 100 units every second -> should approach 100/s.
-        for step in range(1, 60):
-            clock.now = float(step)
-            m.add(100)
-        assert m.rate() == pytest.approx(100.0, rel=0.05)
-        assert m.total == 100 * 59
-
-    def test_decays_when_idle(self):
-        clock = FakeClock()
-        m = EwmaRateMeter(clock=clock, tau=5.0)
-        for step in range(1, 30):
-            clock.now = float(step)
-            m.add(100)
-        busy = m.rate()
-        clock.now += 5.0  # one time constant of idleness
-        assert m.rate() == pytest.approx(busy * math.exp(-1.0), rel=0.01)
-        clock.now += 100.0
-        assert m.rate() < 1e-6
-
-    def test_first_sample_establishes_baseline(self):
-        clock = FakeClock()
-        m = EwmaRateMeter(clock=clock)
-        assert m.rate() == 0.0
-        m.add(1000)  # no elapsed interval yet
-        assert m.rate() == 0.0
-
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            EwmaRateMeter(tau=0)
 
 
 class TestWindowRateMeter:

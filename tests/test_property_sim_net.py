@@ -93,9 +93,7 @@ class TestWirelessConservation:
                 Packet(mobile.ip, fixed.ip, Payload(1000), created_at=sim.now)))
         sim.run()
         delivered = len(fixed.transport.packets)
-        bit_losses = sum(
-            1 for d in channel.loss_records if d.reason == "bit_error_up"
-        )
+        bit_losses = channel.frames_lost  # only the uplink carries frames
         queue_drops = len(channel.uplink_queue.drops)
         assert delivered + bit_losses + queue_drops == n_packets
 

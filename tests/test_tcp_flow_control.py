@@ -54,6 +54,18 @@ class TestAckPolicy:
         # delack_segments=2: roughly one ACK per two segments
         assert server.stats.pure_acks_sent <= client.stats.segments_sent * 0.75
 
+    def test_delack_segments_one_acks_every_segment(self):
+        """delack_segments=1: a pure ACK per full segment, so more than the
+        coalescing bound above allows."""
+        net = TwoHostNet(tcp_config=TCPConfig(delack_segments=1))
+        client, accepted = open_pair(net)
+        for i in range(100):
+            client.send_message(Message(1460, i))
+        net.sim.run(until=30.0)
+        server = accepted[0]
+        assert server.received == list(range(100))
+        assert server.stats.pure_acks_sent > client.stats.segments_sent * 0.75
+
     def test_delack_timer_fires_for_odd_segment(self):
         """A lone segment still gets acknowledged within the delack window."""
         net = TwoHostNet()

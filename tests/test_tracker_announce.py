@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bittorrent import ClientConfig
+from repro.bittorrent.client import ANNOUNCE_RETRY
 from repro.bittorrent.swarm import SwarmScenario
 from repro.net.mobility import disconnect_host, reconnect_host
 
@@ -120,7 +121,7 @@ class TestAnnounceBackoff:
         l0 = sc.add_wired_peer("l0")
         client = l0.client
         client._tracker_interval_hint = 90.0
-        base = client.config.announce_retry
+        base = ANNOUNCE_RETRY
         delays = [client._announce_backoff() for _ in range(8)]
         for i, delay in enumerate(delays):
             ideal = base * (2.0 ** i)
