@@ -1,13 +1,12 @@
-#!/usr/bin/env python
-"""Pin fluid-tier results by value: the bit-identity gate of the engine.
+"""The fluid tier's pinned cases: what ``scripts/pins.py`` checks as ``fluid``.
 
 Spec digests say *what* was asked; nothing else in the suite fails when
-a fluid number drifts in its last digit.  This script runs a fixed set
+a fluid number drifts in its last digit.  :func:`cases` is a fixed set
 of :class:`~repro.scale.fluid.FluidSwarm` integrations (clean, every
 chaos preset, coded content, arrivals + churn, overlapping windows with
 impulses, one hybrid co-simulation with its per-coupling boundary
-trace), hashes ``canonical_json(result.to_jsonable())`` of each, and
-compares against ``tests/data/fluid_golden.json``.
+trace); each row of ``tests/data/pins/fluid.json`` is the sha256 of
+``canonical_json`` of one case's JSON data.
 
 Further cases pin the steady-epoch fast-forward of
 :meth:`~repro.scale.fluid.FluidSwarm.advance` (the ``fluid_hybrid``
@@ -18,27 +17,13 @@ coupling slices, a chaos-free co-simulation) and the size sums of
 
 The fluid integrator's contract is *the same IEEE operations on the
 same operands in the same order* (docs/PERFORMANCE.md § Fluid
-integrator), so after any change to ``src/repro/scale/fluid.py`` run
-``--check``.  ``--record`` only appends the cases the file lacks and
-never re-blesses one: it exits 1, writing nothing, if any recorded case
-drifted.  To re-record a case on purpose (an intended, explained result
-change), delete its entry from the file first.
-``tests/test_fluid_golden.py`` and the CI ``scale`` job call the same
-:func:`check`.
+integrator), so after any change to ``src/repro/scale/fluid.py`` run::
 
-Usage::
-
-    PYTHONPATH=src python scripts/fluid_golden.py --check
-    PYTHONPATH=src python scripts/fluid_golden.py --record
+    PYTHONPATH=src python scripts/pins.py check fluid
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import pathlib
-import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.chaos import PRESET_NAMES, preset_schedule
@@ -53,13 +38,7 @@ from repro.chaos.schedule import (
 )
 from repro.cdn import cdn_fluid_cell
 from repro.experiments.figx_scale import FigXScale, _fluid_classes
-from repro.runner import canonical_json
 from repro.scale import FluidParams, FluidSwarm, HybridSpec, HybridSwarm, PeerClass
-
-GOLDEN_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "tests" / "data" / "fluid_golden.json"
-)
 
 MIB = 1 << 20
 
@@ -251,87 +230,3 @@ def cases() -> Dict[str, Callable[[], object]]:
         peers=400, mobile_fraction=0.3, horizon=900.0,
     )
     return out
-
-
-def compute() -> Dict[str, str]:
-    return {
-        name: hashlib.sha256(canonical_json(thunk()).encode("utf-8")).hexdigest()
-        for name, thunk in cases().items()
-    }
-
-
-def _recorded(path: pathlib.Path) -> Dict[str, object]:
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text(encoding="utf-8"))["cases"]
-
-
-def _drift(recorded: Dict[str, object], current: Dict[str, object], names) -> List[str]:
-    return [
-        f"{name}: recorded {recorded.get(name)} != current {current.get(name)}"
-        for name in sorted(names)
-        if recorded.get(name) != current.get(name)
-    ]
-
-
-def compare(path: pathlib.Path, current: Dict[str, object]) -> List[str]:
-    """One line per case whose value differs from the one recorded in
-    ``path`` (a case only one side has counts as drifted)."""
-    recorded = _recorded(path)
-    return _drift(recorded, current, set(recorded) | set(current))
-
-
-def record_missing(path: pathlib.Path, current: Dict[str, object]) -> List[str]:
-    """Append the ``current`` values of cases ``path`` lacks; never
-    rewrite one.
-
-    Returns the drift lines of already-recorded cases (a recorded case
-    missing from ``current`` counts as drifted); if there are any,
-    nothing is written.  Shared by both golden scripts.
-    """
-    recorded = _recorded(path)
-    drift = _drift(recorded, current, recorded)
-    if not drift:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps({"cases": {**current, **recorded}}, indent=2,
-                       sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return drift
-
-
-def golden_main(argv, tier: str, path: pathlib.Path,
-                compute: Callable[[], Dict[str, object]]) -> int:
-    """The ``--check`` / ``--record`` command line of a golden script."""
-    parser = argparse.ArgumentParser(description=f"{tier}-tier value pins")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", action="store_true",
-                      help=f"compare against tests/data/{path.name}")
-    mode.add_argument("--record", action="store_true",
-                      help=f"append the cases tests/data/{path.name} lacks "
-                           "(exits 1 if a recorded case drifted)")
-    args = parser.parse_args(argv)
-    current = compute()
-    drift = (record_missing if args.record else compare)(path, current)
-    for line in drift:
-        print(f"DRIFT {line}", file=sys.stderr)
-    if args.record:
-        print("nothing written" if drift else f"{len(current)} cases in {path}")
-    else:
-        print(f"{len(current) - len(drift)}/{len(current)} {tier} golden cases match")
-    return 1 if drift else 0
-
-
-def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
-    """One line per case whose hash differs from the recorded one
-    (empty when the engine still computes every pinned value)."""
-    return compare(path, compute())
-
-
-def main(argv=None) -> int:
-    return golden_main(argv, "fluid", GOLDEN_PATH, compute)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

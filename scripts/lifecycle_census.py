@@ -14,8 +14,8 @@ reports both sides of that:
   then one ``gc.collect()`` counts the unreachable objects and their
   types.  A count, so it repeats exactly.
 
-``tests/test_lifecycle_budget.py`` pins the count for the CDN churn
-cell through the same function; the CI ``perf-smoke`` job runs
+``tests/test_lifecycle_budget.py`` holds the CDN churn cell to the
+budget through the same function; the CI ``perf-smoke`` job runs
 ``--check`` (counts only, no timing thresholds).
 
 Usage::
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib.util
-import pathlib
 import sys
 from collections import Counter
 from time import perf_counter
@@ -39,23 +37,16 @@ from repro.bittorrent.peer import PeerConnection
 from repro.sim import Simulator
 from repro.tcp.connection import TCPConnection
 
+import packet_golden
+
 #: Unreachable objects one cell may leave (scenario-level cycles that
 #: die with a stopped client, not with each connection).
 BUDGET = 200
 
 
-def _packet_golden():
-    """The sibling script that defines the pinned packet cells."""
-    path = pathlib.Path(__file__).resolve().parent / "packet_golden.py"
-    spec = importlib.util.spec_from_file_location("packet_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def cells() -> Dict[str, Callable[[], object]]:
     """One churn cell of each packet shape, as ``packet_golden`` pins them."""
-    golden = _packet_golden().cases()
+    golden = packet_golden.cases()
     return {
         name: golden[name]
         for name in (

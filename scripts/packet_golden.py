@@ -1,38 +1,26 @@
-#!/usr/bin/env python
-"""Pin packet-tier results, event counts and push counts by value.
+"""The packet tier's pinned cases: what ``scripts/pins.py`` checks as ``packet``.
 
 The packet hot path (``repro.sim`` -> ``net`` -> ``tcp`` ->
 ``bittorrent``) may be made faster only under one rule: the same
 pushes, in the same order, under the same ``(time, seq)`` keys
-(docs/PERFORMANCE.md § Bit-identical).  This script states that rule as
-numbers.  It runs a fixed set of small packet cells and records, for
-each, the sha256 of the canonical result, the kernel events dispatched
-(``Simulator.events_processed``) and the event queue's final sequence
-counter — the number of pushes — summed over every simulator the cell
-built, then compares them against ``tests/data/packet_golden.json``.
+(docs/PERFORMANCE.md § Bit-identical).  This module states that rule as
+numbers.  :func:`cases` is a fixed set of small packet cells;
+:func:`measure` runs one and returns its row of
+``tests/data/pins/packet.json``: the sha256 of the canonical result,
+the kernel events dispatched (``Simulator.events_processed``) and the
+event queue's final sequence counter — the number of pushes — summed
+over every simulator the cell built.
 
 After any change to the kernel, the links, the TCP connection or the
-BitTorrent message path run ``--check``.  ``--record`` follows
-``scripts/fluid_golden.py``'s rule: it only appends the cases the file
-lacks and exits 1, writing nothing, if any recorded case drifted.  To
-re-record a case on purpose (an intended, explained result change),
-delete its entry from the file first.
-``tests/test_packet_golden.py`` and the CI ``audit`` job call the same
-:func:`check`.
+BitTorrent message path run::
 
-Usage::
-
-    PYTHONPATH=src python scripts/packet_golden.py --check
-    PYTHONPATH=src python scripts/packet_golden.py --record
+    PYTHONPATH=src python scripts/pins.py check packet
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
-import pathlib
-import sys
 from typing import Callable, Dict, List
 
 import repro.experiments  # noqa: F401  (registers the scenarios)
@@ -49,11 +37,6 @@ from repro.obs import tracing
 from repro.runner import canonical_json, get_scenario
 from repro.sim import Simulator
 from repro.tcp import TCPConfig
-
-GOLDEN_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "tests" / "data" / "packet_golden.json"
-)
 
 #: The ``--quick`` packet_swarm cell of the committed benchmark.
 QUICK_SWARM = dict(FigXScale.defaults, file_size_kib=256, handoff_interval=10.0)
@@ -152,7 +135,7 @@ def cases() -> Dict[str, Callable[[], object]]:
     }
 
 
-def _measure(thunk: Callable[[], object]) -> Dict[str, object]:
+def measure(thunk: Callable[[], object]) -> Dict[str, object]:
     """Run one case, collecting every simulator it builds."""
     sims: List[Simulator] = []
     init = Simulator.__init__
@@ -171,30 +154,3 @@ def _measure(thunk: Callable[[], object]) -> Dict[str, object]:
         "events": sum(sim.events_processed for sim in sims),
         "pushes": sum(sim._queue._seq for sim in sims),
     }
-
-
-def compute() -> Dict[str, Dict[str, object]]:
-    return {name: _measure(thunk) for name, thunk in cases().items()}
-
-
-def _golden_files():
-    """The sibling script that owns the golden-file rules."""
-    path = pathlib.Path(__file__).resolve().parent / "fluid_golden.py"
-    spec = importlib.util.spec_from_file_location("fluid_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def check(path: pathlib.Path = GOLDEN_PATH) -> List[str]:
-    """One line per case whose result hash, event count or push count
-    differs from the recorded one (empty when nothing moved)."""
-    return _golden_files().compare(path, compute())
-
-
-def main(argv=None) -> int:
-    return _golden_files().golden_main(argv, "packet", GOLDEN_PATH, compute)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

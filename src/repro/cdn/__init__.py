@@ -42,7 +42,6 @@ from .demand import (
     DemandSpec,
     Request,
     ZipfDemand,
-    demand_label,
     normalize_demand,
     zipf_weights,
 )
@@ -67,13 +66,11 @@ __all__ = [
     "WorkloadSpec",
     "ZipfDemand",
     "cdn_fluid_cell",
-    "demand_label",
     "normalize_catalog",
     "normalize_demand",
     "normalize_origin",
     "normalize_workload",
     "rank_bands",
-    "workload_label",
     "zipf_weights",
 ]
 
@@ -113,22 +110,4 @@ def normalize_workload(spec: WorkloadSpec) -> Optional[Dict[str, object]]:
     if spec.get("origin") is not None:
         out["origin"] = normalize_origin(spec["origin"])  # type: ignore[arg-type]
     return out or None
-
-
-def workload_label(spec: WorkloadSpec) -> str:
-    """Compact human-readable form of a workload spec."""
-    norm = normalize_workload(spec)
-    if norm is None:
-        return "default"
-    parts = []
-    catalog = norm.get("catalog")
-    if catalog is not None:
-        parts.append(f"catalog[{catalog['assets']}x{catalog['size_kib']}KiB]")  # type: ignore[index]
-    demand = norm.get("demand")
-    if demand is not None:
-        parts.append(demand_label(demand))
-    origin = norm.get("origin")
-    if origin is not None:
-        parts.append(str(origin["policy"]))  # type: ignore[index]
-    return "+".join(parts)
 

@@ -296,7 +296,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--audit", action="store_true",
                         help="check cross-layer invariants (repro.audit) in "
                              "every simulated cell; violations fail the cell "
-                             "and the run exits non-zero (disables the cache)")
+                             "and the run exits non-zero (disables the cache; "
+                             "refused on the fluid backend)")
     parser.add_argument("--check", action="store_true",
                         help="evaluate each scenario's claims: print one "
                              "PASS/FAIL line per verdict, add 'verdicts' to "

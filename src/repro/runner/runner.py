@@ -309,6 +309,13 @@ class Runner:
             description=scn.description,
             **dict(self.axes, backend=scn.resolve_backend(self.axes.get("backend"))),
         )
+        if self.audit and spec.backend == "fluid":
+            # repro.audit checks packet hosts only (hybrid focal hosts
+            # are packet hosts): an audited fluid run would check nothing.
+            raise ValueError(
+                f"scenario {scn.name!r}: audit has no checker for the fluid "
+                "tier; audit the packet or hybrid backend"
+            )
 
         start = time.perf_counter()
         stats = RunnerStats(total_cells=len(cells))

@@ -54,7 +54,7 @@ Termination is an O(1) read of a counter of incomplete leecher classes
 (a class with no peers and no arrivals is *vacuous* and never counted).
 The rule for changing any of this: **float-operation order is the
 contract** — the same IEEE operations on the same operands in the same
-order — checked by ``scripts/fluid_golden.py --check`` and by the
+order — checked by ``scripts/pins.py check fluid`` and by the
 lockstep property test against the straight-line stepper kept in
 ``tests/test_fluid_lockstep.py``.
 

@@ -72,8 +72,7 @@ class PeriodicTask:
     """Invoke a callback every ``interval`` seconds until stopped.
 
     The first invocation happens after ``first_delay`` (default: one full
-    interval).  The callback may call :meth:`stop` to end the series or
-    :meth:`set_interval` to change cadence from the next tick on.
+    interval).  The callback may call :meth:`stop` to end the series.
     """
 
     __slots__ = ("_sim", "_interval", "_callback", "_running", "time", "_live")
@@ -109,12 +108,6 @@ class PeriodicTask:
         """Stop ticking.  Safe to call from within the callback."""
         self._running = False
         self._sim._queue.cancel(self)
-
-    def set_interval(self, interval: float) -> None:
-        """Change the cadence, effective from the next scheduling."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self._interval = interval
 
     @property
     def running(self) -> bool:

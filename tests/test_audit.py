@@ -365,6 +365,16 @@ class TestCleanRuns:
         runner = Runner(jobs=1, cache=ResultCache(str(tmp_path)), audit=True)
         assert runner.cache is None
 
+    @pytest.mark.parametrize("name, backend", [("figx_scale", None), ("figx_cdn", "fluid")])
+    def test_runner_refuses_to_audit_the_fluid_tier(self, name, backend):
+        """No checker sees a fluid run, so an audit of one would report a
+        clean run having checked nothing."""
+        import repro.experiments  # noqa: F401  (registers the scenarios)
+        from repro.runner import Runner
+
+        with pytest.raises(ValueError, match="fluid tier"):
+            Runner(audit=True, backend=backend).run(name, {"runs": 1})
+
 
 # ----------------------------------------------------------------------
 # Regression: TokenBucket.set_rate burst handling

@@ -14,10 +14,10 @@ per cell.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import pathlib
 import sqlite3
+
+import cache_check
 
 import repro.experiments  # noqa: F401  — registers the figure scenarios
 from repro.runner import ResultCache, Runner
@@ -32,8 +32,6 @@ GRID_200 = {
 }
 
 FILE_BUDGET = 3  # database, -wal, -shm
-
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "cache_check.py"
 
 
 def run_grid(cache: ResultCache):
@@ -78,10 +76,6 @@ def test_warm_rerun_opens_the_database_once(tmp_path, monkeypatch):
 
 
 def test_cache_check_reads_the_artifact(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("cache_check", SCRIPT)
-    cache_check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cache_check)
-
     assert cache_check.main([str(tmp_path / "absent")]) == 0
     assert not (tmp_path / "absent").exists()  # looking creates nothing
 

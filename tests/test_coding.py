@@ -1,17 +1,16 @@
-"""repro.coding: codecs, digest pinning, coded swarms, and sampling.
+"""repro.coding: codecs, digests, coded swarms, and sampling.
 
-Covers the ISSUE acceptance contract for the erasure-coded content
-tier: default-content cell digests stay byte-identical to the
-pre-codec era while non-default content caches disjointly; the
-GroupCodec decoding law (any ``required`` in-group pieces reconstruct,
-fewer never do); coded swarms that complete with partial bitfields
-under a clean audit; the availability sampler's ``coding.*`` metrics;
-and the fluid tier's coded-availability surrogate.
+Covers the contract of the erasure-coded content tier: non-default
+content caches disjointly (the default digest is the ``axes/default``
+row of ``scripts/pins.py``); the GroupCodec decoding law (any
+``required`` in-group pieces reconstruct, fewer never do); coded swarms
+that complete with partial bitfields under a clean audit; the
+availability sampler's ``coding.*`` metrics; and the fluid tier's
+coded-availability surrogate.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -33,8 +32,10 @@ from repro.coding import (
     normalize_content,
 )
 from repro.runner import Runner, ScenarioSpec
-from repro.runner.spec import canonical_json, cell_digest
+from repro.runner.spec import cell_digest
 from repro.scale import coded_fetchability, content_rate_factor
+
+import pins
 
 KIB = 1024
 
@@ -112,24 +113,11 @@ class TestContentSpec:
 
 
 # ----------------------------------------------------------------------
-# Digest pinning: the only-when-non-default contract
+# Digests: the only-when-non-default contract
 # ----------------------------------------------------------------------
 class TestContentDigests:
     def test_default_content_digest_is_byte_identical_to_pre_codec_era(self):
-        spec = ScenarioSpec.create("figx", {"runs": 2})
-        got = cell_digest(spec, ("k", 10), 7, code="pinned")
-        # The exact body the pre-codec cell_digest hashed: no "content"
-        # key.  Any change here silently invalidates (or worse, aliases)
-        # every cached default-content result — keep it frozen.
-        legacy_body = canonical_json({
-            "scenario": "figx",
-            "params": {"runs": 2},
-            "key": ["k", 10],
-            "seed": 7,
-            "code": "pinned",
-        })
-        expected = hashlib.sha256(legacy_body.encode("utf-8")).hexdigest()
-        assert got == expected
+        assert pins.main(["check", "axes/default"]) == 0
 
     def test_content_modes_cache_disjointly(self):
         specs = [

@@ -583,8 +583,8 @@ def test_timers_sliced_and_profiled_runs_equal_the_plain_run(seed):
 def test_bulk_transfer_statistics_pinned():
     """Every order-sensitive statistic of one full TCP bulk transfer, as
     both queue implementations produced it at the commit before the
-    calendar queue was removed (the figure-level digests are pinned in
-    tests/test_scale.py)."""
+    calendar queue was removed (figure-level cells are pinned by the
+    packet tier of scripts/pins.py)."""
 
     class _Message:
         def __init__(self, wire_length: int) -> None:

@@ -17,19 +17,20 @@ run with the collector off, so "dead" means "freed by reference count".
 from __future__ import annotations
 
 import gc
-import importlib.util
 import pathlib
 import re
 import weakref
 
 import pytest
 
+import lifecycle_census
+import pins
+
 from repro.bittorrent.swarm import SwarmScenario
 
 from tests.helpers import Message, TwoHostNet
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "lifecycle_census.py"
 
 
 @pytest.fixture
@@ -43,11 +44,8 @@ def collector_off():
 
 
 def test_churn_cell_leaves_nothing_for_the_cycle_collector():
-    spec = importlib.util.spec_from_file_location("lifecycle_census", SCRIPT)
-    lifecycle_census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lifecycle_census)
     row = lifecycle_census.census(lifecycle_census.cells()["cdn_churn_default"])
-    assert row["events"] == 103_049
+    assert row["events"] == pins.load("packet")["cdn_churn_default"]["events"]
     assert row["tcp_connections"] == 1_723
     assert row["unreachable"] <= lifecycle_census.BUDGET, (
         f"{row['unreachable']} unreachable objects after the cell, "

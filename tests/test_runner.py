@@ -39,6 +39,8 @@ from repro.runner import runner as runner_module
 from repro.runner.cache import DB_NAME
 from repro.runner.spec import cell_digest
 
+import pins
+
 # Tiny fig2a campaign: 2 BERs x 2 seeds x 2 modes = 8 cells, < 1 s total.
 FAST_FIG2A = {"runs": 2, "duration": 2.0, "bers": [0.0, 1e-5]}
 
@@ -592,46 +594,6 @@ class TestObservability:
 # ----------------------------------------------------------------------
 # Scenario axes and the run context
 # ----------------------------------------------------------------------
-# cell_digest(ScenarioSpec.create("figx", {"runs": 2}, seeds=[7], **axes),
-# ("k", 10), 7, code="pinned") as recorded before the axes shared one
-# registry: the non-default digests must never move.
-AXIS_PINS = {
-    "backend": (
-        {"backend": "fluid"},
-        "6175b547ab1646039e1ef286c1099c87535dbd13dabd4455de2b0f02823b86ec",
-    ),
-    "strategies": (
-        {"strategies": {"freerider": 0.25}},
-        "b721041b3e7d70c0afc88d768d258e9ca15cef6f2a46d9ef1f02bc4a5a17f6d8",
-    ),
-    "content": (
-        {"content": "group:4/6"},
-        "b06f27255b27c3d6e0ed7eb2fa6aa00bc2f8f2d4befa7ce4d8a613c365087570",
-    ),
-    "workload": (
-        {"workload": {"demand": "zipf:1.1@0.2"}},
-        "6fd15b8214852a8565df6e219a22063449615fe4cd015e0e4b010f3dc1edbb3a",
-    ),
-    "chaos": (
-        {"chaos": {"preset": "mixed", "intensity": 1.0, "horizon": 300.0}},
-        "5cecc3d21cf1fb898e9e1f1c3fe871dac70f9adb781c3d2ec6e370df0f78a240",
-    ),
-    "all five": (
-        {"backend": "fluid", "strategies": {"freerider": 0.25},
-         "content": "group:4/6", "workload": {"demand": "zipf:1.1@0.2"},
-         "chaos": "mixed"},
-        "52cc050e19878000891646a17c46cd8a8305d11ae44b88700fd490428cab2746",
-    ),
-}
-
-# The single-axis spec hashes recorded alongside (chaos is new in the hash).
-SPEC_HASH_PINS = {
-    "backend": "d84ccbb4c18a228688b96aa80c4f8d055388baf3bc76d988972e215de4c53340",
-    "strategies": "1f6f84e8665e8cf42a38a77947cde8cac8ace66b685bb44e5d1e8363ea4c3efe",
-    "content": "dad3403c5b21a70a02e8d552d474e6e94fc61c96ae4392095c6bb70fdb1900dc",
-    "workload": "3c6338df132ef2f4901225173ab0dd434f57b64d7e86e4981aa3f9034a1be870",
-}
-
 FAST_ERASURE = {
     "variants": ["replication", "coded", "ma"], "intensities": [1.0], "runs": 1,
     "duration": 120.0, "horizon": 150.0, "source_kib": 512,
@@ -643,14 +605,13 @@ def _pinned_spec(axes) -> ScenarioSpec:
 
 
 class TestAxes:
-    @pytest.mark.parametrize("name", sorted(AXIS_PINS))
+    @pytest.mark.parametrize("name", sorted(n.replace("_", " ") for n in pins.AXIS_SETTINGS))
     def test_non_default_cell_digest_is_pinned(self, name):
-        axes, digest = AXIS_PINS[name]
-        assert cell_digest(_pinned_spec(axes), ("k", 10), 7, code="pinned") == digest
+        assert pins.main(["check", "axes/cell_" + name.replace(" ", "_")]) == 0
 
-    @pytest.mark.parametrize("name", sorted(SPEC_HASH_PINS))
+    @pytest.mark.parametrize("name", ["backend", "content", "strategies", "workload"])
     def test_single_axis_spec_hash_is_pinned(self, name):
-        assert _pinned_spec(AXIS_PINS[name][0]).spec_hash() == SPEC_HASH_PINS[name]
+        assert pins.main(["check", f"axes/spec_{name}"]) == 0
 
     def test_chaos_is_in_the_spec_hash(self):
         clean = _pinned_spec({})

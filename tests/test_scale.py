@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 
@@ -20,7 +19,7 @@ from repro.chaos.schedule import (
     TrackerOutage,
 )
 from repro.runner import BACKENDS, Runner, ScenarioSpec, get_scenario
-from repro.runner.spec import canonical_json, cell_digest
+from repro.runner.spec import cell_digest
 from repro.scale import (
     FluidParams,
     FluidSwarm,
@@ -35,6 +34,8 @@ from repro.scale import (
     run_fluid,
     schedule_modifiers,
 )
+
+import pins
 
 MIB = 1 << 20
 
@@ -383,20 +384,7 @@ class TestBackendKeying:
         assert BACKENDS == ("packet", "fluid", "hybrid")
 
     def test_packet_digest_is_byte_identical_to_pre_backend_era(self):
-        spec = ScenarioSpec.create("figx", {"runs": 2}, backend="packet")
-        got = cell_digest(spec, ("k", 10), 7, code="pinned")
-        # The exact body the pre-backend cell_digest hashed: no
-        # "backend" key.  Any change here silently invalidates (or
-        # worse, aliases) every cached packet result — keep it frozen.
-        legacy_body = canonical_json({
-            "scenario": "figx",
-            "params": {"runs": 2},
-            "key": ["k", 10],
-            "seed": 7,
-            "code": "pinned",
-        })
-        expected = hashlib.sha256(legacy_body.encode("utf-8")).hexdigest()
-        assert got == expected
+        assert pins.main(["check", "axes/backend_packet"]) == 0
 
     def test_nondefault_backend_digests_are_mutually_disjoint(self):
         specs = [

@@ -4,13 +4,12 @@ Covers the registry and mix machinery, the choker-policy seam
 (seeding-vs-leeching rank flip, optimistic rotation gating, ledger
 composition with identity retention), the built-in exploiter policies,
 the ambient-mix plumbing through SwarmScenario/Runner/CLI, and the
-cache-keying guarantee that default-strategy cells stay at their
-pre-strategy-layer digests.
+cache keying of mixes (default-strategy cells keep the ``axes/default``
+digest row of ``scripts/pins.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from repro import context
 from repro.bittorrent import ClientConfig, make_selector, selector_names
 from repro.bittorrent.swarm import SwarmScenario
-from repro.runner.spec import ScenarioSpec, canonical_json, cell_digest
+from repro.runner.spec import ScenarioSpec, cell_digest
 from repro.strategy import (
     ClientStrategy,
     FreeriderPolicy,
@@ -37,6 +36,8 @@ from repro.strategy import (
     strategy_names,
 )
 from repro.wp2p import WP2PClient, WP2PConfig
+
+import pins
 
 
 # ----------------------------------------------------------------------
@@ -392,24 +393,11 @@ class TestSwarmAssignment:
 
 
 # ----------------------------------------------------------------------
-# Cache keying: default cells byte-identical, mixes disjoint
+# Cache keying: mixes disjoint from the default
 # ----------------------------------------------------------------------
 class TestStrategyKeying:
     def test_default_digest_is_byte_identical_to_pre_strategy_era(self):
-        spec = ScenarioSpec.create("figx", {"runs": 2})
-        got = cell_digest(spec, ("k", 10), 7, code="pinned")
-        # The exact body the pre-strategy cell_digest hashed: no
-        # "strategies" key.  Any change here silently invalidates (or
-        # worse, aliases) every cached default-strategy result.
-        legacy_body = canonical_json({
-            "scenario": "figx",
-            "params": {"runs": 2},
-            "key": ["k", 10],
-            "seed": 7,
-            "code": "pinned",
-        })
-        expected = hashlib.sha256(legacy_body.encode("utf-8")).hexdigest()
-        assert got == expected
+        assert pins.main(["check", "axes/default"]) == 0
 
     def test_mix_digests_are_disjoint_from_default(self):
         default = ScenarioSpec.create("figx", {"runs": 2})

@@ -2,9 +2,9 @@
 
 From Python 3.12 builtin ``sum()`` of floats is compensated, so a run
 that sums into its trajectory would give different results on 3.11 and
-3.12.  The golden files (``scripts/packet_golden.py``,
-``scripts/fluid_golden.py``) were recorded with left-to-right sums;
-these tests keep every sum in ``src/repro`` on that rule.
+3.12.  The packet and fluid pins (``scripts/pins.py``,
+``tests/data/pins/``) were recorded with left-to-right sums; these
+tests keep every sum in ``src/repro`` on that rule.
 """
 
 from __future__ import annotations
