@@ -13,18 +13,20 @@ Regenerate after changing any public docstring or signature::
 
 Layout: one ``docs/api/repro.<name>.md`` per subpackage (all of its
 modules concatenated) or top-level module, plus ``docs/api/index.md``
-linking them.
+linking them.  Every page is rendered before any file is written, and
+the only pages deleted are those of packages that no longer exist.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import os
 import pkgutil
 import re
-import shutil
 import sys
+from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -149,7 +151,8 @@ def _iter_modules(package):
         yield importlib.import_module(name)
 
 
-def main() -> None:
+def render() -> Dict[str, str]:
+    """Every page of the reference, by file name, rendered in memory."""
     import repro
 
     subpackages = sorted(
@@ -157,11 +160,6 @@ def main() -> None:
         for info in pkgutil.iter_modules(repro.__path__)
         if not info.name.startswith("__")
     )
-
-    if os.path.isdir(OUT_DIR):
-        shutil.rmtree(OUT_DIR)
-    os.makedirs(OUT_DIR)
-
     index = [
         "# `repro` API reference",
         "",
@@ -175,7 +173,7 @@ def main() -> None:
         "| package | synopsis |",
         "|---|---|",
     ]
-
+    pages = {}
     for sub in subpackages:
         package = importlib.import_module(f"repro.{sub}")
         kind = "Package" if hasattr(package, "__path__") else "Module"
@@ -183,15 +181,28 @@ def main() -> None:
         for module in _iter_modules(package):
             lines += _render_module(module)
         filename = f"repro.{sub}.md"
-        with open(os.path.join(OUT_DIR, filename), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines).rstrip() + "\n")
+        pages[filename] = "\n".join(lines).rstrip() + "\n"
         synopsis = (_doc(package).splitlines() or [""])[0]
         index.append(f"| [`repro.{sub}`]({filename}) | {synopsis} |")
-        print(f"wrote docs/api/{filename}")
+    pages["index.md"] = "\n".join(index) + "\n"
+    return pages
 
-    with open(os.path.join(OUT_DIR, "index.md"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(index) + "\n")
-    print("wrote docs/api/index.md")
+
+def main(argv: Optional[List[str]] = None) -> None:
+    argparse.ArgumentParser(
+        description="Rewrite the Markdown API reference under docs/api/ "
+        "from the docstrings under src/repro.",
+    ).parse_args(argv)
+    pages = render()
+    os.makedirs(OUT_DIR, exist_ok=True)
+    for name in sorted(os.listdir(OUT_DIR)):
+        if name.startswith("repro.") and name.endswith(".md") and name not in pages:
+            os.remove(os.path.join(OUT_DIR, name))
+            print(f"removed docs/api/{name}")
+    for name, text in pages.items():
+        with open(os.path.join(OUT_DIR, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote docs/api/{name}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ a million-peer swarm integrates in the same milliseconds as a ten-peer
 one — and results are bit-identical wherever they run.
 
 A step does only state-dependent arithmetic.  What the step needs falls
-into four lifetimes:
+into five lifetimes:
 
 * **run-constant** — ``float(file_size)``, the warm threshold, whether a
   content mode is on, each class's arrival rate and wireless coupling:
@@ -48,7 +48,14 @@ into four lifetimes:
   one constant each to ``t``, ``progress``, ``steps`` and the utilization
   sum: :meth:`FluidSwarm._fast_forward` does those exact additions with
   ``itertools.accumulate`` (sums go through
-  :func:`repro.summation.left_sum`: builtin ``sum()`` is compensated from 3.12).
+  :func:`repro.summation.left_sum`: builtin ``sum()`` is compensated from 3.12);
+* **ramp-epoch** — a step that would be steady but for warm ramps moving
+  (``progress`` below the warm threshold after ``startup_delay``) keeps
+  ``online * availability`` and every rate of the plan: ``_step``
+  returns :data:`_RAMP` and :meth:`FluidSwarm._ramp` takes the following
+  such steps in one loop over per-class locals (one or two incomplete
+  classes, the shape every scenario builds), recomputing only ramp,
+  supply, demand, utilization, ``d_cap`` and progress.
 
 Termination is an O(1) read of a counter of incomplete leecher classes
 (a class with no peers and no arrivals is *vacuous* and never counted).
@@ -93,6 +100,9 @@ from .model import (
 #: Most steps one fast-forward takes: bounds the sequences it builds.
 _CHUNK = 4096
 
+#: What :meth:`FluidSwarm._step` returns for a step of a ramp epoch.
+_RAMP: List[Tuple["_ClassState", float]] = []
+
 
 def _first_sample(ts: List[float], next_sample: float, lo: int, hi: int) -> int:
     """First ``j`` in ``[lo, hi)`` with ``ts[j] + 1e-12 >= next_sample``
@@ -120,8 +130,8 @@ class _ClassState:
     """
 
     __slots__ = (
-        "cls", "online", "pools", "progress", "complete", "completion_time",
-        "alive", "peak_online", "samples",
+        "cls", "online", "pool_amounts", "pool_rates", "progress",
+        "complete", "completion_time", "alive", "peak_online", "samples",
         "arrival_rate", "wireless_shared", "upload_coupling",
         "availability", "u_cap", "d_cap_base", "efficiency_factor",
         "departure_rate", "churn_rejoin_rate",
@@ -131,8 +141,10 @@ class _ClassState:
     def __init__(self, cls: PeerClass) -> None:
         self.cls = cls
         self.online = float(cls.count)
-        #: churned/crashed population pools: [amount, rejoin_rate] pairs.
-        self.pools: List[List[float]] = []
+        #: churned/crashed population pools, oldest first: the amount
+        #: parked in each and the rate it rejoins at (parallel lists).
+        self.pool_amounts: List[float] = []
+        self.pool_rates: List[float] = []
         self.progress = 1.0 if cls.seed else 0.0
         self.complete = cls.seed
         self.completion_time: Optional[float] = 0.0 if cls.seed else None
@@ -144,11 +156,33 @@ class _ClassState:
         self.upload_coupling = cls.upload_coupling
         self.d_cap = 0.0
 
+    def rejoin(self, dt: float) -> None:
+        """One step of rejoins: each pool hands ``min(1.0, rate * dt)`` of
+        its amount back to ``online``, pool by pool in order; pools left
+        holding 1e-9 or less are dropped.  Equal rates share one factor."""
+        amounts, rates = self.pool_amounts, self.pool_rates
+        rate = rates[0]
+        if rates.count(rate) == len(rates):
+            share = min(1.0, rate * dt)
+            drained = [amount * share for amount in amounts]
+        else:
+            shares = {rate: min(1.0, rate * dt) for rate in set(rates)}
+            drained = [
+                amount * shares[rate] for amount, rate in zip(amounts, rates)
+            ]
+        self.online = reduce(add, drained, self.online)
+        left = [amount - part for amount, part in zip(amounts, drained)]
+        self.pool_amounts = [amount for amount in left if amount > 1e-9]
+        if len(self.pool_amounts) < len(left):
+            self.pool_rates = [
+                rate for amount, rate in zip(left, rates) if amount > 1e-9
+            ]
+
     @property
     def offline(self) -> float:
-        if not self.pools:
+        if not self.pool_amounts:
             return 0.0
-        return left_sum(amount for amount, _ in self.pools)
+        return left_sum(self.pool_amounts)
 
 
 @lru_cache(maxsize=128)
@@ -276,7 +310,12 @@ class FluidSwarm:
                 self._fire_impulse(impulses[self._next_impulse])
                 self._next_impulse += 1
                 increments = None
-            if increments is not None and self._fast_forward(until, increments):
+            if increments is _RAMP:
+                increments = None
+                if self._ramp(until):
+                    t = self.t
+                    continue
+            elif increments is not None and self._fast_forward(until, increments):
                 t = self.t
                 continue
             if t + 1e-12 >= self._next_sample:
@@ -339,11 +378,11 @@ class FluidSwarm:
             rate = (1.0 / impulse.downtime) if impulse.downtime > 0 else 0.0
             if impulse.permanent:
                 state.online = 0.0
-                state.pools = []
+                state.pool_amounts, state.pool_rates = [], []
                 state.alive -= amount
             elif rate > 0.0:
                 state.online = 0.0
-                state.pools = [[amount, rate]]
+                state.pool_amounts, state.pool_rates = [amount], [rate]
             else:
                 # Zero-downtime transient crash: nothing moves; pools
                 # keep recovering at their original rates.
@@ -479,10 +518,169 @@ class FluidSwarm:
         self.metrics.counter("scale.steps_fast_forwarded").add(m)
         return True
 
+    def _ramp(self, until: float) -> bool:
+        """Take the steps of a ramp epoch in one loop over per-class locals.
+
+        Each step is :meth:`_step`'s arithmetic for a step with no pools,
+        arrivals, live departures, content mode or plan rebuild: the same
+        operations on the same operands in the same order, with the
+        epoch constants ``online * availability`` and ``online / online``
+        computed once.  The loop holds one or two incomplete classes
+        (``a``, ``b``) in locals, written out: an inner loop over classes
+        would cost more than the arithmetic.  With three or more it takes
+        no step and ``_step`` takes the ramp.  Stops before ``until``, the
+        plan boundary, the next impulse, a step that would complete a
+        class and a step in which no warm ramp moves (the steady path
+        takes it); False if it took no step."""
+        # Supply adds every class in order: complete classes before the
+        # first incomplete one start the chain, each later one follows
+        # the incomplete class before it (``after_a`` / ``after_b``).
+        supply_base = 0.0
+        lanes: List[_ClassState] = []
+        after: Tuple[List[float], List[float]] = ([], [])
+        for state in self._states:
+            if not state.complete:
+                if len(lanes) == 2:
+                    return False
+                lanes.append(state)
+            elif lanes:
+                after[len(lanes) - 1].append(
+                    state.online * state.availability * state.u_cap
+                )
+            else:
+                supply_base += state.online * state.availability * state.u_cap
+        a = lanes[0]
+        b = lanes[1] if len(lanes) == 2 else None
+        after_a, after_b = after
+        params = self.params
+        dt, warm, file_size = params.dt, self._warm, self._file_size
+        efficiency = params.efficiency
+        external_supply = self.external_supply
+        external_demand = self.external_demand
+        t = self.t
+        stop = min(until, self._plan_until)
+        pending = self.impulses[self._next_impulse:self._next_impulse + 1]
+        impulse = pending[0].t if pending else float("inf")
+        p_a, u_cap_a, d_cap_base_a = a.progress, a.u_cap, a.d_cap_base
+        online_a, availability_a = a.online, a.availability
+        online_avail_a = online_a * availability_a
+        coupling_a = a.upload_coupling if a.wireless_shared else None
+        efficiency_a = a.efficiency_factor
+        online_frac_a = None if online_a <= 0.0 else online_a / online_a
+        p_b = d_cap_b = 0.0
+        online_frac_b = None  # no b: it moves no progress
+        if b is not None:
+            p_b, u_cap_b, d_cap_base_b = b.progress, b.u_cap, b.d_cap_base
+            online_b, availability_b = b.online, b.availability
+            online_avail_b = online_b * availability_b
+            coupling_b = b.upload_coupling if b.wireless_shared else None
+            efficiency_b = b.efficiency_factor
+            online_frac_b = None if online_b <= 0.0 else online_b / online_b
+        next_sample = self._next_sample
+        utilization_sum = self._utilization_sum
+        utilization_steps = self._utilization_steps
+        steps = 0
+        taken = None
+        while t < stop and not impulse < t + dt:
+            # _step's first loop: ramp, supply, demand, d_cap.
+            ramp = p_a / warm
+            ramping = ramp < 1.0
+            if not ramping:
+                ramp = 1.0
+            u_used = u_cap_a * ramp
+            supply = supply_base + online_avail_a * u_used
+            if after_a:
+                for term in after_a:
+                    supply += term
+            d_cap_a = d_cap_base_a
+            if coupling_a is not None:
+                d_cap_a -= coupling_a * u_used
+                if not d_cap_a > 0.0:
+                    d_cap_a = 0.0
+            demand = 0.0 + online_avail_a * d_cap_a
+            if b is not None:
+                ramp = p_b / warm
+                if ramp < 1.0:
+                    ramping = True
+                else:
+                    ramp = 1.0
+                u_used = u_cap_b * ramp
+                supply += online_avail_b * u_used
+                if after_b:
+                    for term in after_b:
+                        supply += term
+                d_cap_b = d_cap_base_b
+                if coupling_b is not None:
+                    d_cap_b -= coupling_b * u_used
+                    if not d_cap_b > 0.0:
+                        d_cap_b = 0.0
+                demand += online_avail_b * d_cap_b
+            if not ramping:
+                break
+            supply += external_supply
+            demand += external_demand
+            utilization = 0.0
+            if demand > 0.0:
+                utilization = supply / demand
+                if not utilization < 1.0:
+                    utilization = 1.0
+            # Its second loop: progress, stopping before a completion.
+            next_a = p_a
+            if online_frac_a is not None and not d_cap_a <= 0.0:
+                dp = (
+                    d_cap_a * availability_a * utilization
+                    * efficiency * efficiency_a
+                ) * online_frac_a * dt / file_size
+                if not dp <= 0.0:
+                    next_a += dp
+                    if next_a >= 1.0:
+                        break
+            next_b = p_b
+            if online_frac_b is not None and not d_cap_b <= 0.0:
+                dp = (
+                    d_cap_b * availability_b * utilization
+                    * efficiency * efficiency_b
+                ) * online_frac_b * dt / file_size
+                if not dp <= 0.0:
+                    next_b += dp
+                    if next_b >= 1.0:
+                        break
+            if t + 1e-12 >= next_sample:
+                a.progress = p_a
+                if b is not None:
+                    b.progress = p_b
+                for state in self._states:
+                    state.samples.append((t, state.progress))
+                next_sample += params.sample_interval
+            p_a, p_b = next_a, next_b
+            if demand > 0.0:
+                utilization_sum += utilization
+                utilization_steps += 1
+            taken = supply, demand, utilization, d_cap_a, d_cap_b
+            t += dt
+            steps += 1
+        if taken is None:
+            return False
+        supply, demand, utilization, d_cap_a, d_cap_b = taken
+        a.progress, a.d_cap = p_a, d_cap_a
+        if b is not None:
+            b.progress, b.d_cap = p_b, d_cap_b
+        self.last_supply = supply
+        self.last_demand = demand
+        self.last_utilization = utilization if demand > 0.0 else 1.0
+        self._next_sample = next_sample
+        self._utilization_sum = utilization_sum
+        self._utilization_steps = utilization_steps
+        self.t = t
+        self.steps += steps
+        self.metrics.counter("scale.steps_ramped").add(steps)
+        return True
+
     def _step(self, dt: float) -> Optional[List[Tuple[_ClassState, float]]]:
         """One explicit-Euler step.  Returns its ``(state, dp)`` increments
         if the next step repeats it exactly (steady, completing nothing,
-        not ending settling), else None."""
+        not ending settling), :data:`_RAMP` if it was steady but for warm
+        ramps moving, else None."""
         t = self.t
         params = self.params
         if t >= self._plan_until:
@@ -500,21 +698,14 @@ class FluidSwarm:
         holder_online = 0.0
         holder_total = 0.0
         steady = not content_on
+        ramping = False
 
         for state in states:
-            if state.pools:
+            if state.pool_amounts:
                 steady = False
                 # Rejoins (stalled entirely while the tracker is dark).
                 if not freeze_rejoin:
-                    remaining: List[List[float]] = []
-                    for pool in state.pools:
-                        amount, rate = pool
-                        drained = amount * min(1.0, rate * dt)
-                        state.online += drained
-                        amount -= drained
-                        if amount > 1e-9:
-                            remaining.append([amount, rate])
-                    state.pools = remaining
+                    state.rejoin(dt)
 
             # Churn departures into a pool that rejoins at the window's rate.
             departure_rate = state.departure_rate
@@ -523,7 +714,8 @@ class FluidSwarm:
                 departed = state.online * min(1.0, departure_rate * dt)
                 state.online -= departed
                 if state.churn_rejoin_rate > 0.0:
-                    state.pools.append([departed, state.churn_rejoin_rate])
+                    state.pool_amounts.append(departed)
+                    state.pool_rates.append(state.churn_rejoin_rate)
                 else:
                     state.alive -= departed  # aborted for good
 
@@ -552,7 +744,7 @@ class FluidSwarm:
                 if not ramp < 1.0:
                     ramp = 1.0
                 elif t >= params.startup_delay:
-                    steady = False  # progress moves the ramp
+                    ramping = True  # progress moves the ramp
             u_used = state.u_cap * ramp
             supply_total += online * availability * u_used
             if complete:
@@ -615,7 +807,7 @@ class FluidSwarm:
             if d_cap <= 0.0:
                 continue
             online = state.online
-            total_pop = online + state.offline if state.pools else online
+            total_pop = online + state.offline if state.pool_amounts else online
             if total_pop <= 0.0:
                 continue
             rate = (
@@ -645,7 +837,9 @@ class FluidSwarm:
             else:
                 state.progress = new_progress
                 applied.append((state, dp))
-        return applied if steady else None
+        if not steady:
+            return None
+        return _RAMP if ramping else applied
 
     # ------------------------------------------------------------------
     def _result(self) -> FluidResult:

@@ -12,9 +12,13 @@ impulses, and ``advance()`` in uneven slices with the boundary source
 terms changed in between.  State must be bit-equal after every slice and
 ``to_jsonable()`` bit-equal at the end.
 
-The reference has no steady-epoch fast-forward, so it also pins that
-path; a quiet-scenario family (no arrivals or departures, at most two
-windows, ``dt`` down to 0.003) makes sure the engine actually takes it.
+The reference has no steady-epoch fast-forward and no ramp loop, so it
+also pins both paths: a quiet-scenario family (no arrivals or
+departures, at most two windows, ``dt`` down to 0.003) makes sure the
+engine actually fast-forwards, and a ramp family (leechers warming up
+beside seeds in any class order, windows and impulses inside the ramp)
+that it takes warm-up steps in ``FluidSwarm._ramp``.  The reference
+keeps rejoin pools as ``(amount, rate)`` pairs drained one at a time.
 
 Generated classes all have ``count > 0``: an empty leecher class is the
 one place the engine differs from this model by design (it no longer
@@ -28,7 +32,7 @@ import math
 from typing import List, Tuple
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.schedule import ChaosSchedule, PeerCrash
@@ -115,22 +119,24 @@ class _ReferenceSwarm(FluidSwarm):
                 )
                 churn_rejoin_rate = max(churn_rejoin_rate, w.rejoin_rate)
 
-            if not freeze_rejoin and state.pools:
-                remaining: List[List[float]] = []
-                for pool in state.pools:
+            if not freeze_rejoin and state.pool_amounts:
+                remaining: List[Tuple[float, float]] = []
+                for pool in zip(state.pool_amounts, state.pool_rates):
                     amount, rate = pool
                     drained = amount * min(1.0, rate * dt)
                     state.online += drained
                     amount -= drained
                     if amount > 1e-9:
-                        remaining.append([amount, rate])
-                state.pools = remaining
+                        remaining.append((amount, rate))
+                state.pool_amounts = [amount for amount, _ in remaining]
+                state.pool_rates = [rate for _, rate in remaining]
 
             if departure_rate > 0.0 and state.online > 0.0:
                 departed = state.online * min(1.0, departure_rate * dt)
                 state.online -= departed
                 if churn_rejoin_rate > 0.0:
-                    state.pools.append([departed, churn_rejoin_rate])
+                    state.pool_amounts.append(departed)
+                    state.pool_rates.append(churn_rejoin_rate)
                 else:
                     state.alive -= departed
 
@@ -357,7 +363,8 @@ def _snapshot(swarm: FluidSwarm) -> str:
         swarm._utilization_sum, swarm._utilization_steps,
         swarm.availability_proxy(),
         [
-            (s.online, s.offline + 0.0, s.pools, s.progress, s.complete,
+            (s.online, s.offline + 0.0,
+             list(zip(s.pool_amounts, s.pool_rates)), s.progress, s.complete,
              s.completion_time, s.alive, s.peak_online, s.samples)
             for s in swarm._states
         ],
@@ -384,6 +391,36 @@ def quiet_scenarios(draw):
         max_size=2,
     ))
     return params, windows, draw(crash_impulses(dt, 60.0))
+
+
+@st.composite
+def ramp_scenarios(draw):
+    """Long warm-up ramps: leechers start at zero progress beside seeds
+    (in any class order, so a complete class can follow an incomplete
+    one, and sometimes a third leecher class, which the ramp loop leaves
+    to ``_step``), quiet as above, with windows and impulses inside the
+    ramp."""
+    dt = draw(st.sampled_from(QUIET_DTS))
+    params = draw(fluid_params(dt))
+    classes = list(params.classes)
+    if draw(st.booleans()):
+        classes.append(PeerClass("wired2", 40.0, 16_000.0, 250_000.0))
+    classes = draw(st.permutations(classes))
+    params = dataclasses.replace(
+        params, departure_rate=0.0, content_mode="", max_time=20.0,
+        file_size=draw(st.sampled_from([4096, 16_384])) * KIB,
+        classes=tuple(
+            dataclasses.replace(c, arrival_rate=0.0) for c in classes
+        ),
+    )
+    horizon = params.startup_delay + 6.0
+    windows = draw(st.lists(
+        rate_windows(dt, horizon).map(
+            lambda w: dataclasses.replace(w, departure_rate=0.0)
+        ),
+        max_size=2,
+    ))
+    return params, windows, draw(crash_impulses(dt, horizon))
 
 
 def _boundaries_up_to(windows, t: float) -> int:
@@ -470,6 +507,70 @@ def test_quiet_scenarios_are_bit_equal_and_fast_forwarded():
 
     lockstep()
     assert sum(forwarded) > 0
+
+
+#: Seeds after both leecher classes: their supply term must be added
+#: after the ramping classes' terms, not before (the sums round apart).
+SEEDS_LAST = FluidParams(
+    file_size=16_384 * KIB, piece_length=65_536, dt=0.01, max_time=20.0,
+    classes=(
+        PeerClass("wired", 123.4, 48_000.0, 500_000.0),
+        PeerClass("mobile", 77.7, 24_000.0, 100_000.0, mobile=True,
+                  wireless_shared=True, upload_coupling=0.5),
+        PeerClass("seeds", 3.7, 96_000.0, 1_000_000.0, seed=True),
+    ),
+)
+
+
+#: The second leecher class completes while the first is still ramping.
+SLOW_FIRST = FluidParams(
+    file_size=512 * KIB, piece_length=65_536, dt=0.01, max_time=20.0,
+    classes=(
+        PeerClass("seeds", 20.0, 96_000.0, 1_000_000.0, seed=True),
+        PeerClass("slow", 10.0, 1_000.0, 2_000.0),
+        PeerClass("wired", 50.0, 48_000.0, 500_000.0),
+    ),
+)
+
+
+def test_ramp_scenarios_are_bit_equal_and_ramped():
+    ramped = []
+
+    @example((SEEDS_LAST, [], []), [(20.0, 0.0, 0.0)])
+    @example((SLOW_FIRST, [], []), [(20.0, 0.0, 0.0)])
+    @given(
+        ramp_scenarios(),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 3.0, allow_nan=False),
+                st.sampled_from([0.0, 40_000.0, 2.5e6]),
+                st.sampled_from([0.0, 80_000.0, 9.0e6]),
+            ),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def lockstep(scenario, slices):
+        params, windows, impulses = scenario
+        engine, reference = _pair(params, windows, impulses)
+        until = 0.0
+        for delta, supply, demand in slices:
+            until += delta
+            for swarm in (engine, reference):
+                swarm.external_supply = supply
+                swarm.external_demand = demand
+                swarm.advance(until)
+            assert _snapshot(engine) == _snapshot(reference)
+        for swarm in (engine, reference):
+            swarm.advance(params.max_time, stop_when_finished=True)
+        assert _snapshot(engine) == _snapshot(reference)
+        assert repr(engine.finish().to_jsonable()) == repr(
+            reference.finish().to_jsonable()
+        )
+        ramped.append(engine.metrics.counter("scale.steps_ramped").total)
+
+    lockstep()
+    assert sum(ramped) > 0
 
 
 def test_fast_forward_sample_search_is_advances_test():

@@ -17,10 +17,15 @@ both brought it to 9.15.
 
 **Fluid tier: a stepper budget.**  A clean ``figx_scale`` fluid cell at
 ``dt=0.003`` spends most of its steps in steady epochs, which
-:meth:`FluidSwarm.advance` fast-forwards without calling
-:meth:`FluidSwarm._step`.  The 10^6-peer cell stepped 40 % of its steps
-when the fast-forward was introduced (the 10^2-peer cell 23 %); a change
-that breaks a steady epoch for nothing turns this test red.
+:meth:`FluidSwarm.advance` fast-forwards, and the rest in the warm-up
+ramp epoch, which it hands to one loop (``FluidSwarm._ramp``); neither
+calls :meth:`FluidSwarm._step`.  The 10^6-peer cell stepped 40 % of its
+steps when the fast-forward was introduced; with ramp epochs it steps 7
+of 103,666 (startup and completion steps), ramps 40.2 % and
+fast-forwards 59.8 %, read off the ``scale.steps_ramped`` and
+``scale.steps_fast_forwarded`` counters.  A change that breaks a steady
+or ramp epoch for nothing, or ramps through steady steps, turns this
+test red.
 """
 
 from __future__ import annotations
@@ -36,8 +41,11 @@ from repro.sim import Simulator
 MAX_FRAMES_PER_EVENT = 8.0
 #: The same with the profiler armed (its ``record`` frames included).
 MAX_PROFILED_FRAMES_PER_EVENT = 9.5
-#: Share of a fine-dt fluid cell's steps that may run through ``_step``.
-MAX_STEPPED_SHARE = 0.45
+#: Share of a fine-dt fluid cell's steps that may run through ``_step``
+#: (about twice the 7 of 103,666 it takes).
+MAX_STEPPED_SHARE = 0.00015
+#: Share that must be fast-forwarded, not ramped (it measures 59.8 %).
+MIN_FORWARDED_SHARE = 0.55
 
 
 def _frames_per_event():
@@ -83,21 +91,22 @@ def test_profiled_runs_share_the_dispatch_loop():
 
 
 def test_fluid_steady_epochs_skip_the_stepper():
-    calls = 0
-    step = FluidSwarm._step
-
-    def counting_step(self, dt):
-        nonlocal calls
-        calls += 1
-        return step(self, dt)
-
     params = dict(FigXScale.defaults, dt=0.003)
-    with mock.patch.object(FluidSwarm, "_step", counting_step):
+    with mock.patch.object(
+        FluidSwarm, "finish", autospec=True, side_effect=FluidSwarm.finish
+    ) as finish:
         value = fluid_cell(1_000_000, 0.221, False, params)
     steps = int(value["steps"])
     assert steps == 103_666
-    share = calls / steps
-    assert share <= MAX_STEPPED_SHARE, (
-        f"_step ran for {share:.1%} of {steps} steps "
-        f"(budget {MAX_STEPPED_SHARE:.0%})"
+    metrics = finish.call_args.args[0].metrics
+    forwarded = metrics.counter("scale.steps_fast_forwarded").total / steps
+    ramped = metrics.counter("scale.steps_ramped").total / steps
+    stepped = 1.0 - forwarded - ramped
+    assert stepped <= MAX_STEPPED_SHARE, (
+        f"_step ran for {stepped:.4%} of {steps} steps "
+        f"(budget {MAX_STEPPED_SHARE:.4%})"
+    )
+    assert forwarded >= MIN_FORWARDED_SHARE, (
+        f"{forwarded:.1%} of {steps} steps fast-forwarded "
+        f"(budget {MIN_FORWARDED_SHARE:.0%}; {ramped:.1%} ramped)"
     )
