@@ -10,7 +10,6 @@ from .runreport import (
 from .stats import (
     Summary,
     clearly_greater,
-    describe,
     point_estimate,
     relative_gain,
     summarize,
@@ -32,7 +31,6 @@ __all__ = [
     "report_from_jsonl",
     "Summary",
     "clearly_greater",
-    "describe",
     "point_estimate",
     "relative_gain",
     "summarize",

@@ -62,9 +62,6 @@ class Series:
         best = max(range(len(self.y)), key=lambda i: self.y[i])
         return self.x[best]
 
-    def mean_y(self) -> float:
-        return left_sum(self.y) / len(self.y) if self.y else 0.0
-
 
 @dataclass
 class ExperimentResult:
@@ -84,9 +81,6 @@ class ExperimentResult:
             if s.label == label:
                 return s
         raise KeyError(f"no series labelled {label!r} in {self.figure}")
-
-    def labels(self) -> List[str]:
-        return [s.label for s in self.series]
 
     # ------------------------------------------------------------------
     def table(self, float_fmt: str = "{:.2f}") -> str:

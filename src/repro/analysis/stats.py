@@ -41,20 +41,12 @@ class Summary:
     ci95: float
 
     @property
-    def stderr(self) -> float:
-        """Standard error of the mean (0.0 for a single observation)."""
-        return self.stdev / math.sqrt(self.n) if self.n > 1 else 0.0
-
-    @property
     def low(self) -> float:
         return self.mean - self.ci95
 
     @property
     def high(self) -> float:
         return self.mean + self.ci95
-
-    def __str__(self) -> str:
-        return f"{self.mean:.2f} ± {self.ci95:.2f} (n={self.n})"
 
 
 def summarize(values: Sequence[float]) -> Summary:
@@ -108,22 +100,6 @@ def sweep(
         ys.append(y)
         errs.append(err)
     return Series(label, list(xs), ys, y_err=errs if spread else None)
-
-
-def describe(values: Sequence[float]) -> dict:
-    """``{"n", "mean", "stderr", "ci95"}`` for a sample.
-
-    The runner's seed-spread aggregation helper: scenarios report the
-    mean *and* its dispersion across seeds, and result tables render the
-    95% half-width next to each mean.
-    """
-    summary = summarize(values)
-    return {
-        "n": summary.n,
-        "mean": summary.mean,
-        "stderr": summary.stderr,
-        "ci95": summary.ci95,
-    }
 
 
 def clearly_greater(a: Sequence[float], b: Sequence[float]) -> bool:

@@ -137,16 +137,6 @@ class Auditor(TraceSink):
         sim.trace.attach(self)
         return self
 
-    def detach(self) -> None:
-        """Unbind from the simulator (keeps collected violations)."""
-        if self.sim is None:
-            return
-        if self.sim.audit is self:
-            self.sim.audit = None
-        self.sim.trace.detach(self)
-        self.sim = None
-        self._clock = lambda: 0.0
-
     # ------------------------------------------------------------------
     # Component registration (called from constructors)
     # ------------------------------------------------------------------
@@ -402,9 +392,3 @@ class Auditor(TraceSink):
     def ok(self) -> bool:
         """True while no invariant has failed."""
         return not self.violations
-
-    def summary(self) -> str:
-        return (
-            f"audit: {self.sweeps} sweeps, {self.events_seen} events, "
-            f"{len(self.violations)} violations"
-        )

@@ -8,7 +8,6 @@ from .messages import (
     AnnounceRequest,
     AnnounceResponse,
     BitfieldMessage,
-    Cancel,
     Choke,
     EVENT_COMPLETED,
     EVENT_PERIODIC,
@@ -52,7 +51,6 @@ __all__ = [
     "AnnounceRequest",
     "AnnounceResponse",
     "BitfieldMessage",
-    "Cancel",
     "Choke",
     "EVENT_COMPLETED",
     "EVENT_PERIODIC",

@@ -104,17 +104,7 @@ class Bitfield:
         """Payload bytes of the BITFIELD message body."""
         return len(self._bits)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitfield):
             return NotImplemented
         return self.size == other.size and self._bits == other._bits
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bitfield({self.count()}/{self.size})"
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"piece index {index} out of range (size {self.size})")

@@ -66,10 +66,6 @@ class ClientConfig:
     task_restart_delay: float = 2.0
     keep_seeding: bool = True
     corrupt_probability: float = 0.0
-    endgame: bool = False
-    """Re-request the last outstanding blocks from multiple peers and
-    Cancel duplicates on arrival (real-client endgame mode; off by default
-    to match the paper's CTorrent baseline)."""
     keepalive_interval: float = 120.0
     """Send a keep-alive on connections idle this long (standard 2 min)."""
     idle_timeout: float = 0.0
@@ -165,7 +161,9 @@ class BitTorrentClient:
 
         self.peer_id = self._generate_peer_id()
         self.peers: Dict[str, PeerConnection] = {}
-        self._pending: Set[PeerConnection] = set()
+        # Handshaking connections in arrival order: a set of objects would
+        # iterate in memory-address order, which moves from run to run.
+        self._pending: Dict[PeerConnection, None] = {}
         self._connecting: Set[Tuple[str, int]] = set()
         self.known_addresses: Dict[str, Tuple[str, int]] = {}
         self.availability: Dict[int, int] = {}
@@ -443,7 +441,7 @@ class BitTorrentClient:
             return False
         self._connecting.add((ip, port))
         peer = PeerConnection(self, tcp, initiated=True)
-        self._pending.add(peer)
+        self._pending[peer] = None
         return True
 
     def _accept(self, tcp: TCPConnection) -> None:
@@ -451,7 +449,7 @@ class BitTorrentClient:
             tcp.abort("busy")
             return
         peer = PeerConnection(self, tcp, initiated=False)
-        self._pending.add(peer)
+        self._pending[peer] = None
 
     def register_peer(self, peer: PeerConnection) -> bool:
         """Finalize a handshake: dedupe and index by peer ID."""
@@ -473,13 +471,13 @@ class BitTorrentClient:
                     return False
                 existing.close("duplicate")
         self.peers[peer_id] = peer
-        self._pending.discard(peer)
+        self._pending.pop(peer, None)
         if peer.initiated:
             self.known_addresses.setdefault(peer_id, (peer.remote_ip, peer.remote_port))
         return True
 
     def peer_disconnected(self, peer: PeerConnection) -> None:
-        self._pending.discard(peer)
+        self._pending.pop(peer, None)
         self._connecting.discard((peer.remote_ip, peer.remote_port))
         if peer.peer_id is not None and self.peers.get(peer.peer_id) is peer:
             del self.peers[peer.peer_id]
@@ -557,20 +555,10 @@ class BitTorrentClient:
         while len(peer.outstanding) < self.config.request_pipeline:
             choice = self.manager.next_request(peer.peer_bitfield, self.selector, ctx)
             if choice is None:
-                if self.config.endgame and self.manager.all_remaining_requested():
-                    self._fill_endgame(peer)
                 break
             index, begin, length = choice
             self.manager.mark_requested(index, begin, self.sim.now)
             peer.send_request(index, begin, length)
-
-    def _fill_endgame(self, peer: PeerConnection) -> None:
-        """Endgame: duplicate the remaining requests toward ``peer``."""
-        for index, begin, length in self.manager.endgame_candidates(peer.peer_bitfield):
-            if len(peer.outstanding) >= self.config.request_pipeline:
-                break
-            if (index, begin) not in peer.outstanding:
-                peer.send_request(index, begin, length)
 
     def block_received(self, peer: PeerConnection, piece: Piece) -> None:
         if peer.peer_id is not None:
@@ -579,8 +567,6 @@ class BitTorrentClient:
         if audit is not None:
             audit.note_block_received(self, peer.peer_id, piece.length)
         self.downloaded.add(piece.length)
-        if self.config.endgame:
-            self._cancel_duplicate_requests(peer, piece)
         completed = self.manager.receive_block(piece.index, piece.begin, piece.length)
         if completed is not None:
             for other in self.connected_peers():
@@ -591,14 +577,6 @@ class BitTorrentClient:
                 # in flight past the decode point can still finish pieces.
                 self._on_complete()
         self.fill_requests(peer)
-
-    def _cancel_duplicate_requests(self, source: PeerConnection, piece: Piece) -> None:
-        """Endgame: a block arrived; Cancel its copies pending elsewhere."""
-        key = piece.block_key
-        for other in self.connected_peers():
-            if other is not source and key in other.outstanding:
-                del other.outstanding[key]
-                other.send_cancel(piece.index, piece.begin, piece.length)
 
     def peer_became_interested(self, peer: PeerConnection) -> None:
         """Hook for subclasses/policies; default defers to choker rounds."""
@@ -620,13 +598,6 @@ class BitTorrentClient:
     def queue_upload(self, peer: PeerConnection, request: Request) -> None:
         self._upload_queue.append((peer, request))
         self._pump_uploads()
-
-    def cancel_upload(self, peer: PeerConnection, index: int, begin: int) -> None:
-        self._upload_queue = deque(
-            (p, r)
-            for p, r in self._upload_queue
-            if not (p is peer and r.index == index and r.begin == begin)
-        )
 
     def drop_uploads_for(self, peer: PeerConnection) -> None:
         self._upload_queue = deque(

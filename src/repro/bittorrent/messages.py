@@ -23,7 +23,7 @@ TCP, sized like the HTTP GET / bencoded reply they stand in for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .bitfield import Bitfield
 
@@ -82,24 +82,9 @@ class BitfieldMessage(PeerWireMessage):
         self.bitfield = bitfield.copy()
         self.wire_length = HEADER_LENGTH + bitfield.wire_bytes
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BitfieldMessage({self.bitfield!r})"
-
 
 @dataclass(frozen=True)
 class Request(PeerWireMessage):
-    index: int
-    begin: int
-    length: int
-    wire_length: int = HEADER_LENGTH + 12
-
-    @property
-    def block_key(self) -> Tuple[int, int]:
-        return (self.index, self.begin)
-
-
-@dataclass(frozen=True)
-class Cancel(PeerWireMessage):
     index: int
     begin: int
     length: int

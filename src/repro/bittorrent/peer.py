@@ -15,7 +15,6 @@ from ..tcp.connection import TCPConnection
 from .bitfield import Bitfield
 from .messages import (
     BitfieldMessage,
-    Cancel,
     Choke,
     Handshake,
     Have,
@@ -175,9 +174,6 @@ class PeerConnection:
         if not self.closed and self.ready:
             self._send(Have(index))
 
-    def send_cancel(self, index: int, begin: int, length: int) -> None:
-        self._send(Cancel(index, begin, length))
-
     def send_keepalive(self) -> None:
         if not self.closed and self.tcp.established:
             self.keepalives_sent += 1
@@ -231,8 +227,6 @@ class PeerConnection:
             self._on_request(message)
         elif isinstance(message, Piece):
             self._on_piece(message)
-        elif isinstance(message, Cancel):
-            self.client.cancel_upload(self, message.index, message.begin)
         elif isinstance(message, KeepAlive):
             pass
 

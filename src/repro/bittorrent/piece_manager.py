@@ -9,7 +9,7 @@ optional corruption probability for failure-injection tests).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..coding.codec import ReplicationCodec
 from ..summation import left_sum
@@ -301,42 +301,6 @@ class PieceManager:
                     groups=grouped.num_groups,
                     content_progress=round(self.content_progress, 4),
                 )
-
-    def endgame_candidates(self, peer_bitfield: Bitfield) -> List[Tuple[int, int, int]]:
-        """Blocks already requested elsewhere that ``peer_bitfield`` covers.
-
-        Endgame mode re-requests these from additional peers so the last
-        few blocks are not hostage to one slow connection.
-        """
-        out: List[Tuple[int, int, int]] = []
-        for partial in self._partials.values():
-            if not peer_bitfield.has(partial.index):
-                continue
-            for block, state in enumerate(partial.states):
-                if state == REQUESTED:
-                    begin, length = partial.offsets[block]
-                    out.append((partial.index, begin, length))
-        return out
-
-    def all_remaining_requested(self) -> bool:
-        """True when every missing block is already requested (endgame)."""
-        if self.complete:
-            return False
-        for partial in self._partials.values():
-            if any(state == MISSING for state in partial.states):
-                return False
-        # pieces not yet started still have unrequested blocks
-        if self._grouped is None:
-            return not any(
-                i not in self._partials for i in self.bitfield.missing()
-            )
-        # coded: pieces of already-decodable groups will never be started
-        decodable = self._decodable
-        n = self._grouped.n
-        return not any(
-            i not in self._partials and not decodable[i // n]
-            for i in self.bitfield.missing()
-        )
 
     # ------------------------------------------------------------------
     def outstanding_requests(self) -> List[BlockKey]:

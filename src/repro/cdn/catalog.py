@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from ..bittorrent.metainfo import BLOCK_LENGTH, Torrent
-from ..summation import left_sum
 
 #: Catalogs above this are rejected on the packet backend by scenarios
 #: (one swarm per asset would melt the event kernel); the fluid
@@ -55,10 +54,6 @@ class Asset:
         """
         body = f"{self.name}|{self.size}|{self.piece_length}"
         return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
-    @property
-    def num_pieces(self) -> int:
-        return (self.size + self.piece_length - 1) // self.piece_length
 
 
 def normalize_catalog(spec: CatalogSpec) -> Dict[str, object]:
@@ -208,27 +203,8 @@ class Catalog:
     def __iter__(self) -> Iterator[Asset]:
         return iter(self._assets)
 
-    def asset(self, rank: int) -> Asset:
-        try:
-            return self._by_rank[rank]
-        except KeyError:
-            raise KeyError(
-                f"no asset with rank {rank} (catalog has 1..{len(self)})"
-            ) from None
-
-    @property
-    def total_bytes(self) -> int:
-        return left_sum(a.size for a in self._assets)
-
-    def torrent(
-        self, asset_or_rank: Union[Asset, int], tracker_ip: str, tracker_port: int
-    ) -> Torrent:
+    def torrent(self, asset: Asset, tracker_ip: str, tracker_port: int) -> Torrent:
         """The torrent serving one asset (info-hash = content address)."""
-        asset = (
-            asset_or_rank
-            if isinstance(asset_or_rank, Asset)
-            else self.asset(asset_or_rank)
-        )
         return Torrent(
             info_hash=f"cdn-{asset.asset_id}",
             name=asset.name,

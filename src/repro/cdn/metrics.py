@@ -16,8 +16,6 @@ Structured trace events ride the ``"cdn"`` layer (``request``,
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..sim import Simulator
 
 
@@ -58,9 +56,3 @@ class CdnMetrics:
             self.sim.trace.event(
                 "cdn", "complete", peer=peer, rank=rank, latency=latency
             )
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "requests": float(self._seen),
-            "served": float(self._served),
-        }

@@ -25,10 +25,10 @@ Ambiently, for code that builds its scenarios internally — the run
 context's ``chaos`` schedule, which ``Runner(chaos=...)`` and the CLI's
 ``--chaos`` flag enter around every cell::
 
-    from repro import chaos
+    from repro import context
 
-    with chaos.unleashed("blackout", intensity=2.0) as controllers:
-        run_scenario(...)        # every new SwarmScenario gets the schedule
+    with context.scope(chaos=preset_schedule("blackout", 2.0, 300.0)):
+        run_cell(...)        # every new SwarmScenario gets the schedule
 
 An ambient schedule is armed when the scenario is built, so a later
 ``add_chaos`` on it raises.  Chaos is **off by default** and costs one
@@ -37,8 +37,7 @@ context lookup per scenario constructed when off.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from .. import context
 from .controller import ChaosController
@@ -74,7 +73,6 @@ __all__ = [
     "TrackerOutage",
     "apply_defaults",
     "preset_schedule",
-    "unleashed",
 ]
 
 
@@ -88,24 +86,4 @@ def apply_defaults(scenario) -> Optional[ChaosController]:
     schedule = context.get("chaos")
     if schedule is None:
         return None
-    controller = scenario.add_chaos(schedule)
-    made = context.get("chaos_controllers")
-    if made is not None:
-        made.append(controller)
-    return controller
-
-
-@contextmanager
-def unleashed(
-    preset: str = "mixed", intensity: float = 1.0, horizon: float = 300.0
-) -> Iterator[List[ChaosController]]:
-    """Inject chaos into every scenario created inside the block.
-
-    The preset is validated up front.  Yields the (live) list of created
-    controllers so callers can inspect ``controller.log`` /
-    ``controller.faults_injected`` afterwards.
-    """
-    made: List[ChaosController] = []
-    schedule = preset_schedule(preset, intensity, horizon)
-    with context.scope(chaos=schedule, chaos_controllers=made):
-        yield made
+    return scenario.add_chaos(schedule)

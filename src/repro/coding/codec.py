@@ -147,19 +147,6 @@ class ReplicationCodec:
     def __init__(self, torrent) -> None:
         self.torrent = torrent
 
-    @property
-    def source_size(self) -> int:
-        return self.torrent.total_size
-
-    def is_complete(self, bitfield) -> bool:
-        return bitfield.complete
-
-    def describe(self) -> Dict[str, object]:
-        return {"mode": "replication"}
-
-    def __repr__(self) -> str:
-        return "ReplicationCodec()"
-
 
 class GroupCodec:
     """Simulated k-of-n erasure coding over consecutive piece groups.
@@ -199,8 +186,6 @@ class GroupCodec:
         self.source_size = left_sum(self._source_bytes)
 
     # -- geometry ------------------------------------------------------
-    def group_of(self, index: int) -> int:
-        return index // self.n
 
     def group_indices(self, group: int) -> range:
         lo = group * self.n
@@ -247,17 +232,6 @@ class GroupCodec:
             for size, ok in zip(self._source_bytes, self.decodable_groups(bitfield))
             if ok
         )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "mode": "group",
-            "k": self.k,
-            "n": self.n,
-            "num_groups": self.num_groups,
-        }
-
-    def __repr__(self) -> str:
-        return f"GroupCodec(k={self.k}, n={self.n}, groups={self.num_groups})"
 
 
 def make_codec(content: Optional[ContentSpec], torrent):

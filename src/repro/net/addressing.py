@@ -9,7 +9,7 @@ routes, TCP 4-tuples, tracker entries — goes stale.
 
 from __future__ import annotations
 
-from typing import Iterator, Set
+from typing import Set
 
 
 def make_address(network: int, host: int) -> str:
@@ -66,6 +66,3 @@ class AddressAllocator:
     @property
     def live_addresses(self) -> Set[str]:
         return set(self._live)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._live))

@@ -62,9 +62,6 @@ class HookChain:
                 break
         return stream
 
-    def __len__(self) -> int:
-        return len(self._filters)
-
 
 class Netfilter:
     """Per-host egress + ingress hook chains."""

@@ -70,6 +70,3 @@ class DropRecord:
         self.location = location
         self.reason = reason
         self.size_bytes = size_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DropRecord(t={self.time:.4f}, {self.location}, {self.reason})"

@@ -70,13 +70,6 @@ class DropTailQueue:
         self.bytes_dequeued += size
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
-    def packets(self) -> List[Packet]:
-        """The queued packets, head first (inspection only)."""
-        return list(self._queue)
-
     def clear(self) -> int:
         """Discard all queued packets (interface down); returns count."""
         count = len(self._queue)
@@ -96,6 +89,3 @@ class DropTailQueue:
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)

@@ -116,11 +116,6 @@ class JSONLSink(TraceSink):
         self._file.write("\n")
         self.records_written += 1
 
-    def flush(self) -> None:
-        """Flush buffered records to disk."""
-        if self._file is not None:
-            self._file.flush()
-
     def close(self) -> None:
         if self._file is not None:
             self._file.close()

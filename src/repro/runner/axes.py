@@ -43,7 +43,7 @@ SEED_FREE_BACKENDS: Tuple[str, ...] = ("fluid",)
 # cell-digest bodies, and the run context's non-axis entries.
 _RESERVED = (
     "name", "params", "seeds", "scenario", "key", "seed", "code",
-    "audit", "auditors", "trace", "chaos_controllers",
+    "audit", "auditors", "trace",
 )
 
 

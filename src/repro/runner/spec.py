@@ -120,9 +120,6 @@ class ScenarioSpec:
         payload = canonical_json(body)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def __str__(self) -> str:
-        return f"{self.name}[{self.spec_hash()[:12]}]"
-
 
 _CODE_VERSION: Optional[str] = None
 

@@ -20,9 +20,9 @@ packet-level completion time and mean goodput within a stated tolerance
 
 Quick use::
 
-    from repro.scale import FluidParams, PeerClass, run_fluid
+    from repro.scale import FluidParams, FluidSwarm, PeerClass
 
-    result = run_fluid(FluidParams(
+    result = FluidSwarm(FluidParams(
         file_size=16 << 20, piece_length=1 << 18,
         classes=(
             PeerClass("seeds", 500, 200_000.0, 1_000_000.0, seed=True),
@@ -30,7 +30,7 @@ Quick use::
             PeerClass("mobile", 20_000, 24_000.0, 100_000.0, mobile=True,
                       wireless_shared=True, handoff_interval=90.0),
         ),
-    ))
+    )).run()
     print(result.classes["mobile"].completion_time)
 
 Through the runner, the same engine sits behind
@@ -43,7 +43,7 @@ from .chaosmap import (
     class_matches,
     schedule_modifiers,
 )
-from .fluid import FluidSwarm, run_fluid
+from .fluid import FluidSwarm
 from .hybrid import (
     FACADE_NAME,
     FocalResult,
@@ -107,7 +107,6 @@ __all__ = [
     "expected_prefix_fraction",
     "hybrid_cross_validate",
     "playability_surrogate",
-    "run_fluid",
     "run_hybrid",
     "schedule_modifiers",
 ]

@@ -876,12 +876,3 @@ class FluidSwarm:
             peak_population=left_sum(s.alive for s in self._states),
             utilization_mean=utilization_mean,
         )
-
-
-def run_fluid(
-    params: FluidParams,
-    chaos: Optional[ChaosSchedule] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> FluidResult:
-    """Build a :class:`FluidSwarm` and run it to completion."""
-    return FluidSwarm(params, chaos=chaos, metrics=metrics).run()

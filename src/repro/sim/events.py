@@ -55,18 +55,9 @@ class Event:
     __slots__ = ("time", "seq", "callback", "args", "_live")
 
     @property
-    def cancelled(self) -> bool:
-        """True once the event has been cancelled or has fired."""
-        return self._live is None
-
-    @property
     def alive(self) -> bool:
         """True until the event fires or is cancelled."""
         return self._live is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending" if self._live is not None else "cancelled or fired"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
 #: ``Event.__new__`` cached for the queue push hot path: ``Event`` has no
@@ -185,6 +176,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap) - self._dead
-
-    def __bool__(self) -> bool:
-        return len(self._heap) > self._dead

@@ -46,6 +46,3 @@ class RngRegistry:
         """Reset the registry under a new master seed, dropping all streams."""
         self.master_seed = master_seed
         self._streams.clear()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

@@ -24,10 +24,10 @@ Ambiently, for code that builds scenarios internally — the run
 context's ``strategies`` value, which ``Runner(strategies=...)`` and the
 CLI's ``--strategy``/``--strategy-mix`` flags enter around every cell::
 
-    from repro import strategy
+    from repro import context
 
-    with strategy.strategic({"mobile": {"freerider": 0.5}}):
-        run_scenario(...)    # every new SwarmScenario draws from the mix
+    with context.scope(strategies=normalize_mix({"mobile": {"freerider": 0.5}})):
+        run_cell(...)    # every new SwarmScenario draws from the mix
 
 An explicit ``strategy_mix=`` beats the ambient one.  Strategy
 assignment is deterministic (no RNG), off by default, and costs one
@@ -36,17 +36,12 @@ assignment is deterministic (no RNG), off by default, and costs one
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-from .. import context
 from .base import ChokerPolicy, ClientStrategy
 from .mix import (
     DEFAULT_STRATEGY,
     POPULATIONS,
     Mix,
     MixAssigner,
-    allocate_counts,
     mix_is_default,
     normalize_mix,
 )
@@ -77,26 +72,11 @@ __all__ = [
     "ReferencePolicy",
     "TyrantPolicy",
     "UnknownStrategyError",
-    "allocate_counts",
     "contribution_rate",
     "get_strategy",
     "mix_is_default",
     "normalize_mix",
     "register_strategy",
     "resolve_strategy",
-    "strategic",
     "strategy_names",
 ]
-
-
-@contextmanager
-def strategic(mix) -> Iterator[Optional[Mix]]:
-    """Give scenarios created inside the block this mix (validated here).
-
-    Yields the canonical mix, or ``None`` for an effectively-default
-    (pure ``reference``) one, which changes nothing.
-    """
-    normalized = normalize_mix(mix)
-    active = None if mix_is_default(normalized) else normalized
-    with context.scope(strategies=active):
-        yield active

@@ -23,7 +23,7 @@ from before this layer existed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from ..summation import left_sum
 from .registry import get_strategy
@@ -156,21 +156,3 @@ class MixAssigner:
         self._totals[key] = k + 1
         assigned[best] = assigned.get(best, 0) + 1
         return best
-
-
-def allocate_counts(
-    weights: Mapping[str, float], count: int, population: str = "all"
-) -> Dict[str, int]:
-    """How many of ``count`` peers each strategy gets under ``weights``.
-
-    Exactly the counts a :class:`MixAssigner` would produce over
-    ``count`` consecutive assignments (it is implemented as one), so
-    explicit-assignment experiments and ambient swarm construction can
-    never disagree.
-    """
-    assigner = MixAssigner({population: dict(weights)})
-    out: Dict[str, int] = {}
-    for _ in range(count):
-        name = assigner.assign(population)
-        out[name] = out.get(name, 0) + 1
-    return out

@@ -64,9 +64,6 @@ class FreeriderPolicy(ChokerPolicy):
     name = "freerider"
     uses_optimistic = False
 
-    def rank(self, client, peer):
-        return 0.0
-
     def allocate(self, client, candidates, slots, rng):
         return set()
 

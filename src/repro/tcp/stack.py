@@ -15,7 +15,7 @@ behaviour the paper measures at fixed peers (§3.5).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..net.host import Host
 from ..net.packet import Packet
@@ -86,10 +86,6 @@ class TCPStack:
         for conn in conns:
             conn.abort(reason)
         return len(conns)
-
-    @property
-    def connections(self) -> List[TCPConnection]:
-        return list(self._connections.values())
 
     def connection_count(self) -> int:
         return len(self._connections)

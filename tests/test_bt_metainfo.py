@@ -136,7 +136,6 @@ class TestMessageSizes:
     def test_wire_lengths_match_protocol(self):
         from repro.bittorrent import (
             BitfieldMessage,
-            Cancel,
             Choke,
             Handshake,
             Have,
@@ -156,7 +155,6 @@ class TestMessageSizes:
         assert NotInterested().wire_length == 5
         assert Have(3).wire_length == 9
         assert Request(0, 0, 16384).wire_length == 17
-        assert Cancel(0, 0, 16384).wire_length == 17
         assert Piece(0, 0, 16384).wire_length == 13 + 16384
         assert BitfieldMessage(Bitfield(400)).wire_length == 5 + 50
 

@@ -29,6 +29,7 @@ from repro.chaos import (
 )
 from repro.obs.tracing import RingBufferSink
 from repro.runner import ResultCache, Runner, Scenario, scenario
+from repro.runner.axes import AXES
 from repro.runner.spec import ScenarioSpec, cell_digest
 from repro.tcp import TCPConfig
 
@@ -240,15 +241,15 @@ class TestController:
 # Global install (the audit-style pattern)
 # ----------------------------------------------------------------------
 class TestGlobalInstall:
-    def test_unleashed_attaches_to_new_scenarios(self):
-        with chaos.unleashed("handoff-storm", intensity=1.0, horizon=60.0) as made:
+    def test_ambient_schedule_attaches_to_new_scenarios(self):
+        with context.scope(chaos=preset_schedule("handoff-storm", 1.0, horizon=60.0)):
             sc = small_swarm(seed=15)
             sc.add_mobility(sc["mob0"], interval=500.0, downtime=1.0)
-            assert sc.chaos is made[0]
+            assert sc.chaos is not None
             sc.start_all()
             sc.run(until=60.0)
         assert context.get("chaos") is None
-        assert made[0].faults_injected > 0
+        assert sc.chaos.faults_injected > 0
 
     def test_off_by_default(self):
         assert context.get("chaos") is None
@@ -256,8 +257,7 @@ class TestGlobalInstall:
 
     def test_install_validates_preset(self):
         with pytest.raises(ValueError, match="unknown chaos preset"):
-            with chaos.unleashed("nope"):
-                pass
+            AXES["chaos"].normalize("nope")
         assert context.get("chaos") is None
 
 

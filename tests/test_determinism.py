@@ -58,3 +58,29 @@ class TestDeterminism:
             sim1.rng.stream("choker.x").random()
             == sim2.rng.stream("choker.x").random()
         )
+
+    def test_handshaking_connections_close_in_arrival_order(self, monkeypatch):
+        """A restart closes the connections still handshaking in the order
+        they opened, not in hash order: an object's default hash is its
+        memory address, which moves from run to run (a set walk once made
+        a wP2P CDN cell's event count differ between identical runs).
+        Hashes that fall as connections open expose a walk in hash order."""
+        from repro.bittorrent.peer import PeerConnection
+
+        opened, closed = [], []
+        init, close = PeerConnection.__init__, PeerConnection.close
+        monkeypatch.setattr(PeerConnection, "__init__",
+                            lambda p, *a, **k: (opened.append(p), init(p, *a, **k))[1])
+        monkeypatch.setattr(PeerConnection, "__hash__", lambda p: 100 - opened.index(p))
+        sc = SwarmScenario(seed=11, file_size=256 * 1024)
+        for i in range(6):
+            sc.add_wired_peer(f"p{i}", complete=True)
+        leech = sc.add_wired_peer("leech")
+        sc.start_all()
+        sc.run(until=0.75)  # six handshakes in flight, none finished
+        pending = [p for p in opened if p.client is leech.client]
+        assert len(pending) == 6 and not leech.client.peers
+        monkeypatch.setattr(PeerConnection, "close",
+                            lambda p, reason="closed": (closed.append(p), close(p, reason)))
+        leech.client._close_all_connections("restart")
+        assert closed == pending

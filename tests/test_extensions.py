@@ -1,74 +1,12 @@
-"""Tests for the extension features: endgame mode, bulk apps, seed-LIHD."""
+"""Tests for the extension features: bulk apps and seed-LIHD."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import BulkSender, BulkServer, ForegroundDownload
-from repro.bittorrent import Bitfield, ClientConfig, PieceManager, make_torrent
 from repro.bittorrent.swarm import SwarmScenario
 from repro.wp2p import seed_lihd
 
 from tests.helpers import TwoHostNet
-
-
-class TestEndgameManager:
-    def make(self, pieces=2):
-        torrent = make_torrent("f", total_size=pieces * 49_152, piece_length=49_152)
-        return torrent, PieceManager(torrent)
-
-    def test_all_remaining_requested_detection(self):
-        from repro.bittorrent import SequentialSelector, SelectionContext
-        import random
-
-        torrent, mgr = self.make()
-        ctx = SelectionContext({}, 0.0, 0.0, random.Random(0))
-        full = Bitfield.full(torrent.num_pieces)
-        assert not mgr.all_remaining_requested()
-        while True:
-            req = mgr.next_request(full, SequentialSelector(), ctx)
-            if req is None:
-                break
-            mgr.mark_requested(req[0], req[1], 0.0)
-        assert mgr.all_remaining_requested()
-
-    def test_endgame_candidates_respect_bitfield(self):
-        torrent, mgr = self.make(pieces=2)
-        from repro.bittorrent import SequentialSelector, SelectionContext
-        import random
-
-        ctx = SelectionContext({}, 0.0, 0.0, random.Random(0))
-        full = Bitfield.full(torrent.num_pieces)
-        req = mgr.next_request(full, SequentialSelector(), ctx)
-        mgr.mark_requested(req[0], req[1], 0.0)
-        only_other = Bitfield(torrent.num_pieces, have=[1])
-        assert mgr.endgame_candidates(only_other) == []
-        has_it = Bitfield(torrent.num_pieces, have=[req[0]])
-        assert (req[0], req[1], req[2]) in mgr.endgame_candidates(has_it)
-
-    def test_complete_manager_not_in_endgame(self):
-        torrent, mgr = self.make(pieces=1)
-        for begin, length in torrent.block_offsets(0):
-            mgr.receive_block(0, begin, length)
-        assert not mgr.all_remaining_requested()
-
-
-class TestEndgameClient:
-    def test_endgame_download_completes_with_duplicates_cancelled(self):
-        config = ClientConfig(endgame=True)
-        sc = SwarmScenario(seed=71, file_size=512 * 1024, piece_length=65_536)
-        # one very slow seed plus a fast one: without endgame the last
-        # blocks can be hostage to the slow connection
-        sc.add_wired_peer("slow", complete=True, up_rate=5_000)
-        sc.add_wired_peer("fast", complete=True, up_rate=200_000)
-        leech = sc.add_wired_peer("leech", config=config)
-        sc.start_all()
-        assert sc.run_until_complete(["leech"], timeout=600)
-        # duplicate arrivals are possible but bounded
-        assert leech.client.manager.duplicate_blocks <= 40
-
-    def test_endgame_off_by_default(self):
-        assert ClientConfig().endgame is False
 
 
 class TestBulkApps:

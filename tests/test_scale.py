@@ -31,7 +31,6 @@ from repro.scale import (
     cross_validate,
     expected_prefix_fraction,
     playability_surrogate,
-    run_fluid,
     schedule_modifiers,
 )
 
@@ -162,7 +161,7 @@ class TestChaosMap:
         assert not class_matches(wired, "roamer")
 
     def test_churn_slows_the_swarm(self):
-        clean = run_fluid(params()).leecher_completion_time()
+        clean = FluidSwarm(params()).run().leecher_completion_time()
         churned = FluidSwarm(
             params(),
             chaos=ChaosSchedule(events=(
@@ -297,13 +296,13 @@ class TestMassConservationProperty:
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_bit_identical_reruns(self):
-        a = run_fluid(params()).to_jsonable()
-        b = run_fluid(params()).to_jsonable()
+        a = FluidSwarm(params()).run().to_jsonable()
+        b = FluidSwarm(params()).run().to_jsonable()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_cost_is_per_class_not_per_peer(self):
-        small = run_fluid(params(scale=1.0))
-        huge = run_fluid(params(scale=1_000.0))
+        small = FluidSwarm(params(scale=1.0)).run()
+        huge = FluidSwarm(params(scale=1_000.0)).run()
         # Proportional populations: identical dynamics, identical steps.
         assert huge.steps == small.steps
         assert huge.peak_population == pytest.approx(
@@ -313,14 +312,14 @@ class TestEngine:
                 cr.completion_time)
 
     def test_wp2p_beats_default_under_mobility(self):
-        default = run_fluid(params())
-        wp2p = run_fluid(params(wp2p=True))
+        default = FluidSwarm(params()).run()
+        wp2p = FluidSwarm(params(wp2p=True)).run()
         dt_default = default.classes["mobile"].completion_time
         dt_wp2p = wp2p.classes["mobile"].completion_time
         assert dt_wp2p < dt_default
 
     def test_seeds_never_download(self):
-        result = run_fluid(params())
+        result = FluidSwarm(params()).run()
         seeds = result.classes["seeds"]
         assert seeds.completion_time == 0.0
         assert seeds.mean_goodput == 0.0
@@ -328,7 +327,7 @@ class TestEngine:
 
     def test_censored_swarm_reports_none(self):
         p = params(max_time=5.0)  # far too short to finish
-        result = run_fluid(p)
+        result = FluidSwarm(p).run()
         assert result.leecher_completion_time() is None
 
     def test_empty_leecher_class_does_not_hold_the_swarm_open(self):
@@ -342,7 +341,7 @@ class TestEngine:
             PeerClass("mobile", 0.0, 24_000.0, 100_000.0, mobile=True,
                       wireless_shared=True, handoff_interval=90.0),
         ))
-        result = run_fluid(p)
+        result = FluidSwarm(p).run()
         wired = result.classes["wired"].completion_time
         assert wired is not None
         assert result.horizon == pytest.approx(wired, abs=p.dt)

@@ -17,6 +17,7 @@ import pytest
 from repro import context
 from repro.bittorrent import ClientConfig, make_selector, selector_names
 from repro.bittorrent.swarm import SwarmScenario
+from repro.runner.axes import AXES
 from repro.runner.spec import ScenarioSpec, cell_digest
 from repro.strategy import (
     ClientStrategy,
@@ -26,13 +27,11 @@ from repro.strategy import (
     ReferencePolicy,
     TyrantPolicy,
     UnknownStrategyError,
-    allocate_counts,
     contribution_rate,
     get_strategy,
     mix_is_default,
     normalize_mix,
     resolve_strategy,
-    strategic,
     strategy_names,
 )
 from repro.wp2p import WP2PClient, WP2PConfig
@@ -106,8 +105,9 @@ class TestMix:
         assert not mix_is_default(normalize_mix({"freerider": 0.1}))
 
     def test_allocate_counts_proportions(self):
-        counts = allocate_counts({"reference": 0.75, "freerider": 0.25}, 8)
-        assert counts == {"reference": 6, "freerider": 2}
+        assigner = MixAssigner({"all": {"reference": 0.75, "freerider": 0.25}})
+        names = [assigner.assign("all") for _ in range(8)]
+        assert (names.count("reference"), names.count("freerider")) == (6, 2)
 
     def test_assignment_is_deterministic_and_rng_free(self):
         assigner_a = MixAssigner({"all": {"freerider": 0.34}})
@@ -358,9 +358,9 @@ class TestSwarmAssignment:
 
     def test_ambient_mix_round_trip(self):
         assert context.get("strategies") is None
-        with strategic({"freerider": 1.0}) as mix:
-            assert context.get("strategies") is not None
-            assert mix == {"all": {"freerider": 1.0}}
+        mix = AXES["strategies"].normalize({"freerider": 1.0})
+        assert mix == {"all": {"freerider": 1.0}}
+        with context.scope(strategies=mix):
             sc = SwarmScenario(seed=68, file_size=256 * 1024)
             leech = sc.add_wired_peer("l0")
             assert leech.client.strategy_name == "freerider"
@@ -369,8 +369,7 @@ class TestSwarmAssignment:
         assert sc.add_wired_peer("l1").client.strategy_name == "reference"
 
     def test_default_mix_installs_nothing(self):
-        with strategic({"reference": 1.0}):
-            assert context.get("strategies") is None
+        assert AXES["strategies"].normalize({"reference": 1.0}) is None
 
     def test_config_overrides_copy_not_mutate(self):
         shared = ClientConfig(unchoke_slots=4)
