@@ -81,9 +81,6 @@ def _fluid(pinned: Rows):
     }
 
 
-#: Scenarios whose fluid results are shared across seeds by key.
-SEED_FREE = ("figx_cdn", "figx_erasure", "figx_scale")
-
 #: One tiny run per scenario: few points, two seeds where the scenario
 #: has ``runs``, short horizons.
 TINY: Dict[str, Dict[str, object]] = {
@@ -112,6 +109,7 @@ TINY: Dict[str, Dict[str, object]] = {
     "figx_hybrid": {"background_sizes": [1000], "focal_mobile_fractions": [0.0, 1.0],
                     "focal_hosts": 2, "file_size_kib": 256, "max_time": 300.0},
     "figx_scale": {"swarm_sizes": [100, 1000], "runs": 2, "dt": 2.0},
+    "figx_xval": {"runs": 1},
     "ablation_am_gamma": {"gammas": [2920, 8760], "runs": 2, "duration": 5.0},
     "ablation_lihd": {"runs": 2, "duration": 5.0},
     "ablation_mf_schedule": {"runs": 2, "num_pieces": 8},
@@ -148,7 +146,7 @@ def _grammar_row(name: str, pinned: Optional[dict]) -> dict:
         "values": values,
         "assembled": _sha256(asdict(assembled)),
     }
-    if name in SEED_FREE:
+    if "fluid" in scn.backends:  # fluid results are shared across seeds by key
         first: Dict[str, int] = {}
         for key, seed in cells:
             first.setdefault(canonical_json(list(key)), seed)

@@ -9,9 +9,7 @@ from .runreport import (
 )
 from .stats import (
     Summary,
-    clearly_greater,
     point_estimate,
-    relative_gain,
     summarize,
     sweep,
     t_critical_95,
@@ -30,9 +28,7 @@ __all__ = [
     "render_report",
     "report_from_jsonl",
     "Summary",
-    "clearly_greater",
     "point_estimate",
-    "relative_gain",
     "summarize",
     "sweep",
     "t_critical_95",

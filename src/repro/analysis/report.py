@@ -24,6 +24,8 @@ def ascii_chart(
     if not series:
         return f"== {result.figure} == (no data)"
     xs = [x for s in series for x in s.x]
+    if any(isinstance(x, str) for x in xs):
+        return f"== {result.figure} == (named x values: no chart, see the table)"
     ys = [y for s in series for y in s.y]
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)

@@ -100,21 +100,3 @@ def sweep(
         ys.append(y)
         errs.append(err)
     return Series(label, list(xs), ys, y_err=errs if spread else None)
-
-
-def clearly_greater(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when sample ``a``'s 95% interval lies entirely above ``b``'s.
-
-    A deliberately conservative comparison for benchmark assertions: if it
-    returns True, the win is not a seed artifact.
-    """
-    sa, sb = summarize(a), summarize(b)
-    return sa.low > sb.high
-
-
-def relative_gain(a: Sequence[float], b: Sequence[float]) -> float:
-    """Mean(a) / mean(b) - 1, i.e. how much better a is than b."""
-    sb = summarize(b)
-    if sb.mean == 0:
-        return float("inf") if summarize(a).mean > 0 else 0.0
-    return summarize(a).mean / sb.mean - 1.0

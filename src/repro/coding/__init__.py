@@ -39,7 +39,6 @@ from .codec import (
     ReplicationCodec,
     coded_file_size,
     content_is_default,
-    content_label,
     custody_column,
     make_codec,
     normalize_content,
@@ -56,7 +55,6 @@ __all__ = [
     "ReplicationCodec",
     "coded_file_size",
     "content_is_default",
-    "content_label",
     "custody_column",
     "make_codec",
     "normalize_content",

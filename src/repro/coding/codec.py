@@ -98,14 +98,6 @@ def content_is_default(content: Optional[Mapping[str, object]]) -> bool:
     return str(content.get("mode", "replication")) == "replication"
 
 
-def content_label(content: Optional[Mapping[str, object]]) -> str:
-    """Short human label: ``replication`` or ``group:K/N``."""
-    if content_is_default(content):
-        return "replication"
-    assert content is not None
-    return f"group:{content['k']}/{content['n']}"
-
-
 def coded_file_size(source_size: int, k: int, n: int) -> int:
     """Wire size of the coded object carrying ``source_size`` payload bytes.
 

@@ -31,6 +31,7 @@ from .figx_chaos import chaos_run
 from .figx_erasure import erasure_run, erasure_schedule
 from .figx_hybrid import hybrid_cell
 from .figx_scale import fluid_cell, packet_cell
+from . import figx_xval  # noqa: F401  (registers figx_xval)
 from . import ablations  # noqa: F401  (registers the ablation_* scenarios)
 
 __all__ = [

@@ -49,7 +49,7 @@ ALL_ORDER: List[str] = [
     "fig2a", "fig2bc", "fig3a", "fig3b", "fig3c", "fig4a",
     "fig8a", "fig8b", "fig8c", "fig9c", "fig4bc", "fig9ab",
     "figx_chaos", "figx_scale", "figx_hybrid", "figx_arena", "figx_erasure",
-    "figx_cdn",
+    "figx_cdn", "figx_xval",
 ]
 
 
@@ -191,6 +191,8 @@ def _cmd_list(args) -> None:
 
 
 def _cmd_run(args) -> None:
+    if args.chart and args.json:
+        raise SystemExit("error: --chart and --json cannot be combined")
     names = []
     for figure in args.figures:
         for name in _resolve_names(figure):
@@ -288,7 +290,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "background); default: the scenario's "
                              "preferred backend")
     parser.add_argument("--chart", action="store_true",
-                        help="also render an ASCII chart of the series")
+                        help="also render an ASCII chart of the series "
+                             "(not with --json)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write the structured cross-layer event log of "
                              "the run as JSONL to PATH (forces --jobs 1; "

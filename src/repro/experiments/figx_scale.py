@@ -12,8 +12,8 @@ down and rejoins under a fresh peer ID) or **wP2P** (identity retention
 The scenario supports both backends: ``fluid`` (the default) integrates
 populations and handles 10^2–10^6 peers in milliseconds per cell;
 ``packet`` builds the real discrete-event swarm and is capped at small
-N, where it serves as the cross-validation anchor
-(:mod:`repro.scale.validate` runs the systematic comparison).
+N, where it serves as the cross-validation anchor (the ``figx_xval``
+scenario runs the systematic comparison).
 
 Expectation: completion time degrades as the mobile-host fraction
 rises, wP2P stays ahead of the default client wherever mobile hosts are

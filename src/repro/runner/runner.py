@@ -16,9 +16,9 @@ for ``jobs=N`` — then hands the collected values to the scenario's
   worker) and, if it dies again, recorded as a :class:`CellFailure`
   with its traceback; the campaign continues and ``assemble`` aggregates
   over the surviving seeds.  A dead seed is reported, never fatal.
-* **Observability** — per-cell wall timing, cache hit/miss counters and
-  retry counts flow into a :class:`~repro.obs.metrics.MetricsRegistry`
-  (``runner.*`` metrics) and an optional progress callback.
+* **Accounting** — per-cell wall timing, cache hit/miss counts and
+  retry counts go into the run's :class:`RunnerStats`, and progress
+  lines into an optional callback.
 * **Determinism** — values are canonicalised through JSON whether they
   came from a worker or the cache, and aggregation order is fixed by
   the cell enumeration, so ``jobs=1`` and ``jobs=N`` produce
@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .. import context
-from ..obs.metrics import MetricsRegistry
 from ..obs import tracing
 from .axes import AXES, SEED_FREE_BACKENDS, activate, normalize_axes
 from .cache import ResultCache
@@ -261,7 +260,6 @@ class Runner:
         cache: Optional[ResultCache] = None,
         retries: int = 1,
         progress: Optional[Progress] = None,
-        metrics: Optional[MetricsRegistry] = None,
         audit: bool = False,
         cell_timeout: Optional[float] = None,
         **axes: object,
@@ -282,10 +280,6 @@ class Runner:
         self.progress = progress
         self.cell_timeout = cell_timeout
         self.axes = normalize_axes(axes)
-        # `is not None`, not truthiness: an empty registry is falsy (len 0).
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry(clock=time.perf_counter)
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -383,7 +377,6 @@ class Runner:
                     self.cache.close()
                 pool = _pool_context().Pool(processes=jobs)
                 outcomes = pool.imap_unordered(_execute_cell, payloads)
-            observe = self.metrics.histogram("runner.cell_seconds").observe
             filed = {"scenario": scn.name, "backend": spec.backend}
             try:
                 for key_list, seed, ok, value, duration, attempts, names in outcomes:
@@ -393,7 +386,6 @@ class Runner:
                     read.update(names)
                     stats.retries += attempts - 1
                     stats.cell_seconds[cell] = duration
-                    observe(duration)
                     if ok:
                         got[cell] = value
                         if self.cache is not None:
@@ -440,14 +432,6 @@ class Runner:
             stats.cache_corrupt = self.cache.corrupt - corrupt_before
         stats.shared = stats.total_cells - stats.executed - stats.cache_hits
         stats.elapsed_s = time.perf_counter() - start
-        self.metrics.counter("runner.cells").add(stats.total_cells)
-        self.metrics.counter("runner.executed").add(stats.executed)
-        self.metrics.counter("runner.shared").add(stats.shared)
-        self.metrics.counter("runner.cache_hits").add(stats.cache_hits)
-        self.metrics.counter("runner.cache_corrupt").add(stats.cache_corrupt)
-        self.metrics.counter("runner.cache_put_errors").add(stats.cache_put_errors)
-        self.metrics.counter("runner.failures").add(stats.failed)
-        self.metrics.counter("runner.retries").add(stats.retries)
 
         failures.sort(key=lambda f: (repr(f.key), f.seed))
         result = scn.assemble(params, values, failures)

@@ -13,10 +13,11 @@ LIHD-style upload throttling.  Cost is per class and per time step,
 never per peer, so a 10^6-peer swarm integrates in milliseconds.
 
 An approximate tier is only trustworthy while it is anchored to its
-reference implementation: :mod:`repro.scale.validate` runs *matched*
-small-N scenarios on both backends and asserts the fluid model tracks
-packet-level completion time and mean goodput within a stated tolerance
-(``scripts/validate_scale.py`` / the CI scale job run it continuously).
+reference implementation: the ``figx_xval`` scenario
+(:mod:`repro.experiments.figx_xval`) runs *matched* small-N swarms on
+every tier and its ``check()`` gates the fluid model at a stated
+tolerance of packet-level completion time and mean goodput
+(``python -m repro.experiments run figx_xval --check``, run by CI).
 
 Quick use::
 
@@ -63,49 +64,25 @@ from .model import (
     expected_prefix_fraction,
     playability_surrogate,
 )
-from .validate import (
-    DEFAULT_TOLERANCE,
-    EQUIVALENCE_TOLERANCE,
-    HYBRID_EMBEDDINGS,
-    MATCHED_SCENARIOS,
-    HybridEmbedding,
-    MatchedScenario,
-    Observation,
-    ValidationReport,
-    ValidationRow,
-    cross_validate,
-    hybrid_cross_validate,
-)
 
 __all__ = [
     "CONTENT_MODES",
     "ClassResult",
     "CrashImpulse",
-    "DEFAULT_TOLERANCE",
-    "EQUIVALENCE_TOLERANCE",
     "FACADE_NAME",
     "FluidParams",
     "FluidResult",
     "FluidSwarm",
     "FocalResult",
-    "HYBRID_EMBEDDINGS",
-    "HybridEmbedding",
     "HybridResult",
     "HybridSpec",
     "HybridSwarm",
-    "MATCHED_SCENARIOS",
-    "MatchedScenario",
-    "Observation",
     "PeerClass",
     "RateWindow",
-    "ValidationReport",
-    "ValidationRow",
     "class_matches",
     "coded_fetchability",
     "content_rate_factor",
-    "cross_validate",
     "expected_prefix_fraction",
-    "hybrid_cross_validate",
     "playability_surrogate",
     "run_hybrid",
     "schedule_modifiers",

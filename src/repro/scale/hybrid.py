@@ -33,10 +33,9 @@ aggregate identity).
 
 With an empty background the builder degrades to a pure packet swarm —
 no facade, no fluid engine, no coupling events — and is constructed to
-be event-for-event identical to the matched packet topology used by
-:mod:`repro.scale.validate`, which is how the all-focal equivalence
-gate of ``scripts/validate_scale.py --backend hybrid`` can demand exact
-agreement.
+be event-for-event identical to the matched packet topology of the
+``figx_xval`` scenario (:mod:`repro.experiments.figx_xval`), which is
+how its all-focal equivalence gate can demand exact agreement.
 
 Chaos schedules split by target: the ambient
 :class:`~repro.chaos.ChaosController` strikes the focal peers (the
@@ -67,7 +66,7 @@ class HybridSpec:
     """One hybrid co-simulation: focal packet hosts + fluid background.
 
     The focal topology fields and rate defaults deliberately mirror
-    :class:`~repro.scale.validate.MatchedScenario`, so an all-focal
+    :class:`~repro.experiments.figx_xval.MatchedScenario`, so an all-focal
     spec (zero background) reproduces the matched packet swarm exactly
     and the background classes reuse the calibrated fluid
     decomposition.  Rates are bytes/second, counts are peers.
@@ -259,7 +258,7 @@ class HybridSwarm:
     # ------------------------------------------------------------------
     def _build_scenario(self, seed: int) -> SwarmScenario:
         """The focal packet swarm, matched peer-for-peer to
-        :meth:`repro.scale.validate.MatchedScenario.packet_observation`
+        :meth:`repro.experiments.figx_xval.MatchedScenario.packet_observation`
         so the zero-background configuration is event-identical to the
         pure packet backend."""
         spec = self.spec
@@ -275,8 +274,8 @@ class HybridSwarm:
         for i in range(spec.focal_wired):
             sc.add_wired_peer(f"w{i}", down_rate=spec.wired_down_rate,
                               up_rate=spec.wired_up_rate)
-        # Lazy for the same reason as validate.py: repro.experiments
-        # registers scenarios built on this package.
+        # Lazy: repro.experiments registers scenarios built on this
+        # package, so a module-level import would cycle.
         from ..experiments.fig9_wp2p import rr_only_config
         from ..wp2p import WP2PClient
 

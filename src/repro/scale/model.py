@@ -115,7 +115,7 @@ class FluidParams:
 
     ``efficiency`` and ``startup_delay`` are the two calibration
     constants anchoring the fluid tier to the packet-level simulator
-    (see :mod:`repro.scale.validate`): ``efficiency`` folds protocol
+    (the ``figx_xval`` scenario gates it): ``efficiency`` folds protocol
     overhead, TCP dynamics and imperfect pipelining into one goodput
     factor, and ``startup_delay`` models the announce/connect/slow-start
     transient before pieces begin to flow.

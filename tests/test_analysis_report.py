@@ -55,6 +55,10 @@ class TestAsciiChart:
         chart = ascii_chart(r, width=10, height=5)
         assert "?" in chart
 
+    def test_named_x_values_get_no_chart(self):
+        r = result_with([Series("a", ["wired_small", "embed_wp2p"], [1.0, 2.0])])
+        assert ascii_chart(r) == "== Fig T == (named x values: no chart, see the table)"
+
 
 class TestCampaignReport:
     def test_concatenates_tables(self):

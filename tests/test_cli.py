@@ -19,7 +19,7 @@ FIGURES = {
     "fig2a", "fig2bc", "fig3a", "fig3b", "fig3c", "fig4a",
     "fig4bc", "fig8a", "fig8b", "fig8c", "fig9ab", "fig9c",
     "figx_arena", "figx_cdn", "figx_chaos", "figx_erasure", "figx_hybrid",
-    "figx_scale",
+    "figx_scale", "figx_xval",
 }
 
 
@@ -180,6 +180,11 @@ class TestLegacySpellings:
         main(["run", "fig2bc", "--no-cache", "--quiet", "--chart"])
         out = capsys.readouterr().out
         assert out.count("Figure 2(b, c)") >= 2  # table + chart headers
+
+    def test_chart_with_json_is_refused_before_running(self, capsys):
+        with pytest.raises(SystemExit, match="error: --chart and --json cannot be combined"):
+            main(["run", "fig2bc", "--no-cache", "--quiet", "--chart", "--json"])
+        assert capsys.readouterr().out == ""
 
     def test_piecewise_figure_takes_num_pieces_by_set(self, capsys):
         main(["run", "fig4bc", "--no-cache", "--quiet", "--set", "num_pieces=10"])

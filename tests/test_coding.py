@@ -26,7 +26,6 @@ from repro.coding import (
     ReplicationCodec,
     coded_file_size,
     content_is_default,
-    content_label,
     custody_column,
     make_codec,
     normalize_content,
@@ -85,8 +84,6 @@ class TestContentSpec:
         assert content_is_default(None)
         assert content_is_default({"mode": "replication"})
         assert not content_is_default(normalize_content("group:4/6"))
-        assert content_label(None) == "replication"
-        assert content_label(normalize_content("group:4/6")) == "group:4/6"
 
     def test_coded_file_size_expansion(self):
         assert coded_file_size(1000, 4, 6) == 1500

@@ -15,22 +15,21 @@ import pytest
 import repro.experiments  # noqa: F401  — registers figx_hybrid
 from repro import audit
 from repro.chaos.schedule import ChaosSchedule, PeerCrash
-from repro.runner import Runner, get_scenario
-from repro.scale import (
+from repro.experiments.figx_xval import (
+    DEFAULT_TOLERANCE,
     EQUIVALENCE_TOLERANCE,
-    FACADE_NAME,
     HYBRID_EMBEDDINGS,
-    HybridSpec,
-    HybridSwarm,
+    METRICS,
     MatchedScenario,
-    hybrid_cross_validate,
-    run_hybrid,
+    tier_verdict,
 )
+from repro.runner import Runner, get_scenario
+from repro.scale import FACADE_NAME, HybridSpec, HybridSwarm, run_hybrid
 
 KIB = 1024
 
 #: A deliberately small matched swarm so the equivalence tests stay fast;
-#: the standing MATCHED_SCENARIOS set runs in scripts/validate_scale.py.
+#: the standing MATCHED_SCENARIOS set runs in ``run figx_xval --check``.
 TINY = MatchedScenario(
     name="tiny",
     description="1 seed + 2 wired + 1 mobile leecher, 256 KiB file",
@@ -82,35 +81,46 @@ class TestHybridSpec:
         assert mobile.selection == "inorder"
 
 
+def rows(name, reference, observed):
+    """Gate rows of one case: metric -> (reference, observed)."""
+    return {f"{name}/{m}": (reference[m], observed[m]) for m in METRICS}
+
+
 class TestAllFocalEquivalence:
     def test_zero_background_reproduces_the_packet_run_exactly(self):
         packet = TINY.packet_observation(11)
         hybrid = TINY.hybrid_observation(11)
-        assert hybrid.completion_time == pytest.approx(
-            packet.completion_time, abs=1e-9)
-        assert hybrid.mean_goodput == pytest.approx(
-            packet.mean_goodput, abs=1e-9)
+        assert hybrid["completion_time"] == pytest.approx(
+            packet["completion_time"], abs=1e-9)
+        assert hybrid["mean_goodput"] == pytest.approx(
+            packet["mean_goodput"], abs=1e-9)
 
     def test_equivalence_rows_gate_at_exactness(self):
-        report = hybrid_cross_validate(
-            seeds=(11,), equivalence=[TINY], embeddings=[])
-        assert report.passed, "\n" + report.table(
-            labels=("reference", "hybrid"))
-        assert {r.scenario for r in report.rows} == {"focal:tiny"}
-        assert all(r.tolerance == EQUIVALENCE_TOLERANCE for r in report.rows)
+        verdict = tier_verdict(
+            "all_focal_hybrid_equals_packet",
+            rows("tiny", TINY.packet_observation(11), TINY.hybrid_observation(11)),
+            EQUIVALENCE_TOLERANCE,
+        )
+        assert verdict.ok, verdict.line()
+        assert verdict.observed["tolerance"] == EQUIVALENCE_TOLERANCE
+        assert {k for k in verdict.observed if k != "tolerance"} == {
+            "tiny/completion_time", "tiny/mean_goodput"}
 
 
 class TestEmbeddingGate:
     def test_focal_hosts_track_the_fluid_prediction(self):
-        report = hybrid_cross_validate(
-            seeds=(11,), equivalence=[], embeddings=[HYBRID_EMBEDDINGS[0]])
-        assert report.passed, "\n" + report.table(
-            labels=("reference", "hybrid"))
+        emb = HYBRID_EMBEDDINGS[0]
+        verdict = tier_verdict(
+            "embedded_hybrid_tracks_fluid",
+            rows(emb.name, emb.fluid_observation(), emb.hybrid_observation(11)),
+            DEFAULT_TOLERANCE,
+        )
+        assert verdict.ok, verdict.line()
 
     def test_wp2p_focal_hosts_keep_their_edge_inside_the_background(self):
         default = HYBRID_EMBEDDINGS[0].hybrid_observation(11)
         wp2p = HYBRID_EMBEDDINGS[1].hybrid_observation(11)
-        assert wp2p.completion_time < default.completion_time
+        assert wp2p["completion_time"] < default["completion_time"]
 
 
 class TestCouplingFacade:

@@ -17,7 +17,6 @@ import pytest
 import repro.experiments  # noqa: F401  — registers the figure scenarios
 from repro import context
 from repro.obs import tracing
-from repro.obs.metrics import MetricsRegistry
 from repro.runner import (
     AXES,
     Axis,
@@ -253,13 +252,11 @@ class TestCache:
         (victim,) = _sql(tmp_path, "SELECT min(digest) FROM cells")
         _sql(tmp_path, "UPDATE cells SET entry = substr(entry, 1, 10) WHERE digest = ?", (victim,))
 
-        metrics = MetricsRegistry()
-        damaged = Runner(cache=cache, metrics=metrics).run("fig2a", FAST_FIG2A)
+        damaged = Runner(cache=cache).run("fig2a", FAST_FIG2A)
         assert damaged.stats.cache_corrupt == 1
         assert damaged.stats.executed == 1
         assert damaged.stats.cache_hits == 7
         assert "1 corrupt cache entries" in damaged.stats.summary()
-        assert metrics.snapshot()["runner.cache_corrupt"]["total"] == 1
         assert damaged.values == cold.values
         (entry,) = _sql(tmp_path, "SELECT entry FROM cells WHERE digest = ?", (victim,))
         json.loads(entry)  # rewritten whole
@@ -302,16 +299,14 @@ class TestCache:
         # created (this fails the same way for root, unlike chmod).
         (tmp_path / "plainfile").write_text("in the way")
         cache = ResultCache(str(tmp_path / "plainfile" / "cache"))
-        metrics = MetricsRegistry()
         lines = []
-        run = Runner(cache=cache, metrics=metrics, progress=lines.append).run(
+        run = Runner(cache=cache, progress=lines.append).run(
             "fig2a", FAST_FIG2A
         )
         assert run.values == Runner().run("fig2a", FAST_FIG2A).values
         assert run.stats.executed == 8 and not run.failures
         assert run.stats.cache_put_errors == 8
         assert "8 cache put errors" in run.stats.summary()
-        assert metrics.snapshot()["runner.cache_put_errors"]["total"] == 8
         # Said once, with the reason, not once per cell.
         complaints = [line for line in lines if "cache put failed" in line]
         assert len(complaints) == 1 and "NotADirectoryError" in complaints[0]
@@ -437,8 +432,7 @@ class FlakyScenario(Scenario):
 
 class TestFailures:
     def test_dead_seed_is_reported_not_fatal(self):
-        metrics = MetricsRegistry()
-        run = Runner(metrics=metrics).run("test-flaky")
+        run = Runner().run("test-flaky")
         # seed 2 failed (after a retry), seeds 1 and 3 survived
         assert run.result == {"values": [10, 30], "failed": 1}
         assert [f.seed for f in run.failures] == [2]
@@ -450,7 +444,6 @@ class TestFailures:
         assert run.stats.failed == 1
         assert run.stats.retries == 2
         assert run.stats.executed == 3
-        assert metrics.counter("runner.failures").total == 1
 
     def test_zero_retries_fails_immediately(self):
         run = Runner(retries=0).run("test-flaky", {"seeds": [2]})
@@ -503,8 +496,7 @@ class TestSeedFreeSharing:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_key_is_computed_and_filed_once(self, tmp_path, jobs):
         cache = ResultCache(str(tmp_path))
-        metrics = MetricsRegistry()
-        cold = Runner(jobs=jobs, cache=cache, backend="fluid", metrics=metrics).run(
+        cold = Runner(jobs=jobs, cache=cache, backend="fluid").run(
             "figx_scale", FLUID_GRID)
         # By hand: one run_cell_fluid call per (key, seed).
         scn = get_scenario("figx_scale")
@@ -519,7 +511,6 @@ class TestSeedFreeSharing:
         assert cold.stats.shared == 200 - len(keys)
         assert cold.stats.cache_hits == 0 and not cold.failures
         assert f"{len(keys)} executed, 180 shared, 0 cache hits" in cold.stats.summary()
-        assert metrics.counter("runner.shared").total == 180
         assert len(cache) == len(keys)
         assert cold.values == expected
         assert list(cold.values) == list(expected)  # filled in cell order
@@ -573,16 +564,11 @@ class TestSeedFreeSharing:
 # ----------------------------------------------------------------------
 class TestObservability:
     def test_runner_metrics_and_progress(self):
-        metrics = MetricsRegistry()
         lines = []
-        run = Runner(metrics=metrics, progress=lines.append).run(
-            "fig2a", FAST_FIG2A
-        )
-        assert metrics.counter("runner.cells").total == 8
-        assert metrics.counter("runner.executed").total == 8
-        assert metrics.counter("runner.cache_hits").total == 0
-        assert metrics.histogram("runner.cell_seconds").snapshot()["count"] == 8
+        run = Runner(progress=lines.append).run("fig2a", FAST_FIG2A)
+        assert (run.stats.total_cells, run.stats.executed, run.stats.cache_hits) == (8, 8, 0)
         assert len(run.stats.cell_seconds) == 8
+        assert all(seconds > 0 for seconds in run.stats.cell_seconds.values())
         assert sum(1 for line in lines if "/8 cells" in line) == 8
         assert "8 cells: 8 executed" in run.stats.summary()
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,15 +22,13 @@ from repro.chaos.schedule import (
 )
 from repro.runner import BACKENDS, Runner, ScenarioSpec, get_scenario
 from repro.runner.spec import cell_digest
+from repro.experiments import figx_xval as xval
+from repro.experiments.figx_xval import MatchedScenario, tier_verdict
 from repro.scale import (
     FluidParams,
     FluidSwarm,
-    MatchedScenario,
     PeerClass,
-    ValidationReport,
-    ValidationRow,
     class_matches,
-    cross_validate,
     expected_prefix_fraction,
     playability_surrogate,
     schedule_modifiers,
@@ -470,61 +470,100 @@ class TestFigxScaleScenario:
 # Cross-validation gate
 # ----------------------------------------------------------------------
 class TestValidation:
+    """``figx_xval``'s three gates, fed assembled values (no simulation)."""
+
+    PACKET = {"completion_time": 40.0, "mean_goodput": 27_000.0}
+    EMBEDDED = {"completion_time": 70.0, "mean_goodput": 15_000.0}
+
+    def _check(self, overrides):
+        """The verdicts of a run whose cells all read PACKET / EMBEDDED,
+        but for ``overrides`` (cell key -> metric -> value)."""
+        scn = get_scenario("figx_xval")
+        p = scn.params()
+        values = {
+            (key, seed): dict(
+                self.EMBEDDED if key[0].startswith("embed") else self.PACKET,
+                **overrides.get(key, {}),
+            )
+            for key, seed in scn.cells(p)
+        }
+        run = SimpleNamespace(result=scn.assemble(p, values, []))
+        return {v.name: v for v in scn.check(run)}
+
     def test_row_relative_error_and_verdict(self):
-        ok = ValidationRow("s", "completion_time", packet=100.0, fluid=110.0,
-                           tolerance=0.15)
-        assert ok.rel_error == pytest.approx(0.10)
+        ok = tier_verdict("g", {"s/completion_time": (100.0, 110.0)}, 0.15)
+        assert ok.observed["s/completion_time"]["rel_error"] == pytest.approx(0.10)
         assert ok.ok
-        miss = ValidationRow("s", "completion_time", packet=100.0, fluid=130.0,
-                             tolerance=0.15)
-        assert not miss.ok
+        assert not tier_verdict("g", {"s/completion_time": (100.0, 130.0)}, 0.15).ok
         # Near-zero references switch to an absolute floor instead of an
         # infinite ratio (JSON has no Infinity): the reported error is
         # the absolute difference, and it still gates.
-        degenerate = ValidationRow("s", "mean_goodput", packet=0.0, fluid=1.0,
-                                   tolerance=0.15)
-        assert degenerate.rel_error == pytest.approx(1.0)
+        degenerate = tier_verdict("g", {"s/mean_goodput": (0.0, 1.0)}, 0.15)
+        assert degenerate.observed["s/mean_goodput"]["rel_error"] == pytest.approx(1.0)
         assert not degenerate.ok
-        close = ValidationRow("s", "mean_goodput", packet=0.0, fluid=0.05,
-                              tolerance=0.15)
-        assert close.ok
-        json.dumps(degenerate.to_jsonable())  # must stay serialisable
-
-    def test_table_renders_with_custom_labels(self):
-        report = ValidationReport(rows=[
-            ValidationRow("s", "completion_time", 100.0, 105.0, 0.15),
-        ])
-        default = report.table()
-        assert "packet" in default and "fluid" in default
-        relabelled = report.table(labels=("reference", "hybrid"))
-        assert "reference" in relabelled and "hybrid" in relabelled
-        assert relabelled.splitlines()[-1].endswith("ok")
+        assert tier_verdict("g", {"s/mean_goodput": (0.0, 0.05)}, 0.15).ok
+        json.dumps(degenerate.observed, allow_nan=False)  # must stay serialisable
 
     def test_report_passes_only_when_every_row_does(self):
-        good = ValidationRow("s", "m", 100.0, 105.0, 0.15)
-        bad = ValidationRow("s", "m", 100.0, 150.0, 0.15)
-        assert ValidationReport(rows=[good]).passed
-        assert not ValidationReport(rows=[good, bad]).passed
-        payload = ValidationReport(rows=[good, bad]).to_jsonable()
-        assert payload["passed"] is False
-        assert len(payload["rows"]) == 2
+        good, bad = (100.0, 105.0), (100.0, 150.0)
+        assert tier_verdict("g", {"a": good}, 0.15).ok
+        verdict = tier_verdict("g", {"a": good, "b": bad}, 0.15)
+        assert not verdict.ok
+        assert set(verdict.observed) == {"tolerance", "a", "b"}
+        assert not tier_verdict("g", {"a": (100.0, math.nan)}, 0.15).ok
+
+    def test_check_passes_inside_tolerance(self):
+        verdicts = self._check({
+            ("wired_small", "fluid"): {"completion_time": 44.0},
+            ("mobile_wp2p", "fluid"): {"mean_goodput": 24_300.0},
+            ("embed_default", "hybrid"): {"completion_time": 77.0},
+        })
+        assert all(v.ok for v in verdicts.values()), [v.line() for v in verdicts.values()]
+        rows = verdicts["fluid_tracks_packet"].observed
+        assert rows["wired_small/completion_time"] == {
+            "reference": 40.0, "observed": 44.0, "rel_error": pytest.approx(0.10)}
+        # The fluid integration is seed-free: one cell per case.
+        scn = get_scenario("figx_xval")
+        fluid = [seed for (_, tier), seed in scn.cells(scn.params()) if tier == "fluid"]
+        assert fluid == [11] * len(xval.CASES)
+
+    @pytest.mark.parametrize("overrides, failing", [
+        # a 30 % fluid miss
+        ({("mobile_default", "fluid"): {"completion_time": 52.0}}, "fluid_tracks_packet"),
+        # a 1e-6 all-focal mismatch
+        ({("wired_small", "hybrid"): {"mean_goodput": 27_000.0 * (1 + 1e-6)}},
+         "all_focal_hybrid_equals_packet"),
+        # a zero packet reference against a fluid value of 1.0
+        ({("mobile_wp2p", "packet"): {"mean_goodput": 0.0},
+          ("mobile_wp2p", "hybrid"): {"mean_goodput": 0.0},
+          ("mobile_wp2p", "fluid"): {"mean_goodput": 1.0}}, "fluid_tracks_packet"),
+        # embedded focal hosts 30 % slower than the fluid prediction
+        ({("embed_wp2p", "hybrid"): {"completion_time": 91.0}},
+         "embedded_hybrid_tracks_fluid"),
+    ])
+    def test_check_fails_the_gate_that_is_missed(self, overrides, failing):
+        verdicts = self._check(overrides)
+        assert [name for name, v in verdicts.items() if not v.ok] == [failing]
 
     def test_matched_scenario_backends_agree_within_tolerance(self):
         # One small matched swarm end-to-end: the real anchoring gate
-        # (scripts/validate_scale.py runs the full standing set).
+        # (run figx_xval --check runs the full standing set).
         ms = MatchedScenario(
             name="tiny", description="2 seeds + 4 wired leechers",
             seeds=2, wired=4, file_size=512 * 1024,
         )
-        report = cross_validate(scenarios=[ms], seeds=(11,))
-        assert report.passed, "\n" + report.table()
-        assert {r.metric for r in report.rows} == {
-            "completion_time", "mean_goodput"}
+        packet, fluid = ms.packet_observation(11), ms.fluid_observation()
+        rows = {f"tiny/{m}": (packet[m], fluid[m]) for m in xval.METRICS}
+        verdict = tier_verdict("fluid_tracks_packet", rows, xval.DEFAULT_TOLERANCE)
+        assert verdict.ok, verdict.line()
+        assert set(verdict.observed) == {
+            "tolerance", "tiny/completion_time", "tiny/mean_goodput"}
 
     def test_tolerance_gate_actually_gates(self):
         ms = MatchedScenario(
             name="tiny", description="gate check",
             seeds=2, wired=4, file_size=512 * 1024,
         )
-        strict = cross_validate(scenarios=[ms], seeds=(11,), tolerance=1e-6)
-        assert not strict.passed
+        packet, fluid = ms.packet_observation(11), ms.fluid_observation()
+        rows = {f"tiny/{m}": (packet[m], fluid[m]) for m in xval.METRICS}
+        assert not tier_verdict("strict", rows, 1e-6).ok

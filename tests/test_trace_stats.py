@@ -6,8 +6,6 @@ import pytest
 
 from repro.analysis import (
     Summary,
-    clearly_greater,
-    relative_gain,
     summarize,
     t_critical_95,
 )
@@ -130,16 +128,3 @@ class TestStats:
         assert t_critical_95(1000) == pytest.approx(1.96)
         with pytest.raises(ValueError):
             t_critical_95(0)
-
-    def test_clearly_greater(self):
-        a = [100.0, 101.0, 99.0, 100.5]
-        b = [50.0, 51.0, 49.0, 50.5]
-        assert clearly_greater(a, b)
-        assert not clearly_greater(b, a)
-        # overlapping samples: not clearly greater
-        assert not clearly_greater([10.0, 30.0], [15.0, 25.0])
-
-    def test_relative_gain(self):
-        assert relative_gain([120.0], [100.0]) == pytest.approx(0.2)
-        assert relative_gain([10.0], [0.0]) == float("inf")
-        assert relative_gain([0.0], [0.0]) == 0.0
