@@ -37,7 +37,7 @@ from repro.chaos.schedule import (
     TrackerOutage,
 )
 from repro.cdn import cdn_fluid_cell
-from repro.experiments.figx_scale import FigXScale, _fluid_classes
+from repro.experiments.figx_scale import FigXScale, scale_spec
 from repro.scale import FluidParams, FluidSwarm, HybridSpec, HybridSwarm, PeerClass
 
 MIB = 1 << 20
@@ -149,12 +149,7 @@ def _figx_scale_cell(wp2p: bool) -> object:
     # The fluid_hybrid benchmark's largest cell: 10^6 peers at a fine
     # dt, where most steps repeat the one before.
     p = dict(FigXScale.defaults, dt=0.003)
-    return _fluid(FluidParams(
-        file_size=int(p["file_size_kib"]) * 1024,
-        piece_length=int(p["piece_length"]),
-        classes=tuple(_fluid_classes(1_000_000, 0.221, wp2p, p)),
-        dt=float(p["dt"]), max_time=float(p["max_time"]),
-    ))
+    return _fluid(scale_spec(1_000_000, 0.221, wp2p, p).fluid_params())
 
 
 def _steady_interrupted() -> object:

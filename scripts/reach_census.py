@@ -23,6 +23,11 @@ Usage (CPython 3.12+, stdlib only; ~10 min on 2 vCPUs)::
     python3.12 scripts/reach_census.py --check    # exit 1 if it moved
     python3.12 scripts/reach_census.py --tier1    # report product / tier-1 only / none
 
+Where 3.12 is installed through pyenv but is not the active version,
+select it for the one command::
+
+    PYENV_VERSION=3.12.1 python3.12 scripts/reach_census.py --check
+
 ``--tier1`` also censuses ``python -m pytest -x -q`` (put a pytest this
 interpreter can import on ``PYTHONPATH``).
 """

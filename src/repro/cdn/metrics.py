@@ -4,7 +4,6 @@ One thin layer owning the CDN tier's instruments so every scenario and
 the fuzzer emit the same names:
 
 * ``cdn.requests`` / ``cdn.local_hits`` / ``cdn.completions`` — counters
-* ``cdn.hit_latency`` — histogram of request→completion seconds
 * ``cdn.catalog_completion`` — gauge, fraction of requests served
 * ``cdn.origin_activations`` / ``cdn.origin_evictions`` — counters
   (emitted by :class:`~repro.cdn.origin.Origin`)
@@ -27,7 +26,6 @@ class CdnMetrics:
         self.requests = sim.metrics.counter("cdn.requests")
         self.local_hits = sim.metrics.counter("cdn.local_hits")
         self.completions = sim.metrics.counter("cdn.completions")
-        self.hit_latency = sim.metrics.histogram("cdn.hit_latency")
         self.catalog_completion = sim.metrics.gauge("cdn.catalog_completion")
         self._seen = 0
         self._served = 0
@@ -50,7 +48,6 @@ class CdnMetrics:
     def on_completion(self, peer: str, rank: int, latency: float) -> None:
         self.completions.add()
         self._served += 1
-        self.hit_latency.observe(latency)
         self.catalog_completion.set(self._served / max(self._seen, 1))
         if self.sim.trace.enabled:
             self.sim.trace.event(

@@ -9,9 +9,10 @@ peers, so arming it cannot perturb results), snapshots the pre-fault
 goodput level when each fault fires, and records the elapsed time until
 the aggregate rate re-crosses that level as that fault's MTTR.
 
-Every recovery lands in the ``chaos.recovery_seconds`` metrics histogram
-and (when tracing) a ``("chaos", "recovered")`` event, so run reports
-can show per-fault recovery times next to the fault log.  Faults whose
+Every recovery lands in :attr:`RecoveryTracker.recoveries`, adds one to
+the ``chaos.recoveries`` counter and (when tracing) emits a
+``("chaos", "recovered")`` event, so run reports can show per-fault
+recovery times next to the fault log.  Faults whose
 goodput never re-crosses the pre-fault level within the run are left in
 :attr:`RecoveryTracker.open_faults` — censored, not silently dropped.
 """
@@ -125,9 +126,7 @@ class RecoveryTracker:
             recovered_at=self.sim.now,
         )
         self.recoveries.append(recovery)
-        metrics = self.sim.metrics
-        metrics.counter("chaos.recoveries").add()
-        metrics.histogram("chaos.recovery_seconds").observe(recovery.mttr)
+        self.sim.metrics.counter("chaos.recoveries").add()
         if self.sim.trace.enabled:
             self.sim.trace.event(
                 "chaos", "recovered",

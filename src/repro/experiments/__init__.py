@@ -23,8 +23,7 @@ from .fig2_bitcp import (
 )
 from . import fig3_incentives  # noqa: F401  (registers fig3a/fig3b/fig3c)
 from .fig4_mobility import playability_run
-from .fig8_wp2p import am_only_config, ia_config
-from .fig9_wp2p import mf_only_config, rr_only_config
+from . import fig8_wp2p, fig9_wp2p  # noqa: F401  (register fig8a-c, fig9ab/fig9c)
 from .figx_arena import arena_run
 from .figx_cdn import cdn_fluid_run, cdn_run
 from .figx_chaos import chaos_run
@@ -45,10 +44,6 @@ __all__ = [
     "drop_response_ratio",
     "post_congestion_starvation",
     "playability_run",
-    "am_only_config",
-    "ia_config",
-    "mf_only_config",
-    "rr_only_config",
     "arena_run",
     "cdn_fluid_run",
     "cdn_run",

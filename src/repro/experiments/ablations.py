@@ -24,11 +24,16 @@ from ..analysis import Series, sweep
 from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
 from ..tcp import TCPConfig
-from ..wp2p import WP2PClient, exponential_progress_schedule, linear_progress_schedule
+from ..wp2p import (
+    WP2PClient,
+    exponential_progress_schedule,
+    linear_progress_schedule,
+    mf_only_config,
+)
 from .base import BulkSender, WirelessPairTopology
 from .fig4_mobility import playability_run
 from .fig8_wp2p import _fig8a_run, _fig8c_run
-from .fig9_wp2p import _fig9c_run, mf_only_config
+from .fig9_wp2p import _fig9c_run
 
 
 @scenario

@@ -26,7 +26,13 @@ from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
-from ..wp2p import DEFAULT_GAMMA_BYTES, WP2PClient, WP2PConfig
+from ..wp2p import (
+    DEFAULT_GAMMA_BYTES,
+    WP2PClient,
+    WP2PConfig,
+    am_only_config,
+    rr_only_config,
+)
 from .base import random_piece_subset, sample_times
 
 AM_BERS: Tuple[float, ...] = (1e-6, 5e-6, 1e-5, 1.5e-5, 3e-5)
@@ -34,30 +40,6 @@ AM_BERS: Tuple[float, ...] = (1e-6, 5e-6, 1e-5, 1.5e-5, 3e-5)
 (which, unlike the paper's era stacks, restarts the RTO timer on fast
 retransmit) only becomes ACK-loss-bound at higher error rates — that is
 where AM's ~20-60%% gain shows in this reproduction."""
-
-
-def _components(overrides, am=False, mf=False, ia=False) -> WP2PConfig:
-    """wP2P with only the named components on (``ia``: identity retention
-    + role reversal), then ``overrides`` applied field by field."""
-    cfg = WP2PConfig(
-        am_enabled=am,
-        mobility_aware_fetching=mf,
-        identity_retention=ia,
-        role_reversal=ia,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
-
-
-def am_only_config(**overrides) -> WP2PConfig:
-    """wP2P with only the AM component active (isolates §5.2.1)."""
-    return _components(overrides, am=True)
-
-
-def ia_config(**overrides) -> WP2PConfig:
-    """wP2P with the incentive-aware components (IR + RR), AM/MF off."""
-    return _components(overrides, ia=True)
 
 
 def _fig8a_run(
@@ -166,7 +148,7 @@ def _fig8b_swarm(seed: int, handoff_interval: float):
         unchoke_slots=2, choke_interval=5.0, task_restart_delay=15.0
     )
     default = sc.add_wireless_peer("default", rate=400_000, config=default_cfg)
-    wcfg = ia_config(unchoke_slots=2, choke_interval=5.0)
+    wcfg = rr_only_config(unchoke_slots=2, choke_interval=5.0)
     wp2p = sc.add_wireless_peer(
         "wp2p", rate=400_000, config=wcfg, client_factory=WP2PClient
     )

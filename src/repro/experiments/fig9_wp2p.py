@@ -22,19 +22,8 @@ from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
-from ..wp2p import WP2PClient, WP2PConfig
+from ..wp2p import WP2PClient, mf_only_config, rr_only_config
 from .fig4_mobility import GRID, playability_run
-from .fig8_wp2p import _components
-
-
-def mf_only_config(**overrides) -> WP2PConfig:
-    """wP2P with only mobility-aware fetching active (isolates §5.2.3)."""
-    return _components(overrides, mf=True)
-
-
-def rr_only_config(**overrides) -> WP2PConfig:
-    """wP2P with role reversal + identity retention (isolates §5.2.4)."""
-    return _components(overrides, ia=True)
 
 
 def _mf_factory(sim, host, torrent, **kwargs):

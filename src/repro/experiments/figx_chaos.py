@@ -28,8 +28,7 @@ from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import SwarmScenario
 from ..chaos import preset_schedule
 from ..runner import Scenario, collect, scenario
-from ..wp2p import WP2PClient
-from .fig9_wp2p import rr_only_config
+from ..wp2p import WP2PClient, rr_only_config
 
 CHAOS_INTENSITIES: Sequence[float] = (0.0, 1.0, 2.0)
 

@@ -52,8 +52,7 @@ from ..coding import coded_file_size
 from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..summation import left_sum
-from ..wp2p import WP2PClient
-from .fig9_wp2p import mf_only_config
+from ..wp2p import WP2PClient, mf_only_config
 
 VARIANTS: Sequence[str] = ("replication", "coded", "ma")
 CHAOS_INTENSITIES: Sequence[float] = (0.0, 8.0, 16.0)

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import context
 from ..runner import scenario
-from ..scale import HybridSpec, run_hybrid
+from ..scale import run_hybrid
 from ..summation import left_sum
-from .figx_scale import SizeSweep
+from .figx_scale import SizeSweep, sweep_spec
 
 BACKGROUND_SIZES: Sequence[int] = (1_000, 10_000, 100_000)
 FOCAL_MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.5, 1.0)
@@ -41,30 +41,12 @@ def hybrid_cell(
 ) -> Dict[str, object]:
     """One hybrid cell: focal packet hosts inside a fluid background."""
     focal = int(p["focal_hosts"])
-    mobile = round(focal * focal_mobile_fraction)
-    wired = focal - mobile
     seeds = float(background_size) * float(p["background_seed_fraction"])
-    spec = HybridSpec(
-        focal_seeds=0,
-        focal_wired=wired,
-        focal_mobile=mobile,
-        wp2p=wp2p,
+    spec = sweep_spec(
+        p, 0, focal, focal_mobile_fraction, wp2p,
         background_seeds=seeds,
         background_wired=float(background_size) - seeds,
-        file_size=int(p["file_size_kib"]) * 1024,
-        piece_length=int(p["piece_length"]),
-        seed_up_rate=float(p["seed_up_rate"]),
-        wired_up_rate=float(p["wired_up_rate"]),
-        wired_down_rate=float(p["wired_down_rate"]),
-        mobile_up_rate=float(p["mobile_up_rate"]),
-        wireless_rate=float(p["wireless_rate"]),
-        handoff_interval=(
-            float(p["handoff_interval"]) if mobile > 0 else None
-        ),
-        handoff_downtime=float(p["handoff_downtime"]),
-        restart_delay=float(p["restart_delay"]),
         coupling_interval=float(p["coupling_interval"]),
-        max_time=float(p["max_time"]),
     )
     # The packet side picks the ambient --chaos preset up on its own
     # (the scenario builder arms it against the focal peers); mapping
@@ -82,8 +64,8 @@ def hybrid_cell(
             vals.append(value)
         return left_sum(vals) / len(vals) if vals else None
 
-    wired_names = [f"w{i}" for i in range(wired)]
-    mobile_names = [f"m{i}" for i in range(mobile)]
+    wired_names = [f"w{i}" for i in range(spec.focal_wired)]
+    mobile_names = [f"m{i}" for i in range(spec.focal_mobile)]
     return {
         "completion": result.focal_completion_time(),
         "wired_completion": _mean(wired_names, "completion_time"),

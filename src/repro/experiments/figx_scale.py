@@ -9,11 +9,13 @@ the deployed-client **default** policy (every IP change tears the task
 down and rejoins under a fresh peer ID) or **wP2P** (identity retention
 + LIHD upload throttling on the shared wireless cell).
 
-The scenario supports both backends: ``fluid`` (the default) integrates
-populations and handles 10^2–10^6 peers in milliseconds per cell;
-``packet`` builds the real discrete-event swarm and is capped at small
-N, where it serves as the cross-validation anchor (the ``figx_xval``
-scenario runs the systematic comparison).
+A cell's swarm is one :class:`~repro.scale.HybridSpec` in which every
+peer is focal (:func:`scale_spec`).  The scenario supports both
+backends: ``fluid`` (the default) integrates the spec's class
+decomposition and handles 10^2–10^6 peers in milliseconds per cell;
+``packet`` builds the spec's real discrete-event swarm and is capped at
+small N, where it serves as the cross-validation anchor (the
+``figx_xval`` scenario runs the systematic comparison).
 
 Expectation: completion time degrades as the mobile-host fraction
 rises, wP2P stays ahead of the default client wherever mobile hosts are
@@ -26,13 +28,9 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import context
 from ..analysis import Series, sweep
-from ..bittorrent import ClientConfig
-from ..bittorrent.swarm import SwarmScenario
 from ..runner import Scenario, Verdict, collect, scenario
-from ..scale import FluidParams, FluidSwarm, PeerClass
+from ..scale import FluidSwarm, HybridSpec
 from ..summation import left_sum
-from ..wp2p import WP2PClient
-from .fig9_wp2p import rr_only_config
 
 SWARM_SIZES: Sequence[int] = (100, 1_000, 10_000, 100_000)
 MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.2, 0.5)
@@ -42,38 +40,50 @@ MOBILE_FRACTIONS: Sequence[float] = (0.0, 0.2, 0.5)
 PACKET_SIZE_CAP = 64
 
 
-def _fluid_classes(
+def sweep_spec(
+    p: Dict[str, object],
+    seeds: int,
+    leechers: int,
+    mobile_fraction: float,
+    wp2p: bool,
+    **fields: object,
+) -> HybridSpec:
+    """The swarm of one :class:`SizeSweep` cell: ``seeds`` focal seeds and
+    ``leechers`` focal leechers, a ``mobile_fraction`` of them mobile,
+    with the sizes, rates and times of the scenario parameters ``p``;
+    ``fields`` sets the rest (the background, the tier's own step)."""
+    mobile = round(leechers * mobile_fraction)
+    return HybridSpec(
+        focal_seeds=seeds,
+        focal_wired=leechers - mobile,
+        focal_mobile=mobile,
+        wp2p=wp2p,
+        file_size=int(p["file_size_kib"]) * 1024,
+        piece_length=int(p["piece_length"]),
+        seed_up_rate=float(p["seed_up_rate"]),
+        wired_up_rate=float(p["wired_up_rate"]),
+        wired_down_rate=float(p["wired_down_rate"]),
+        mobile_up_rate=float(p["mobile_up_rate"]),
+        wireless_rate=float(p["wireless_rate"]),
+        handoff_interval=float(p["handoff_interval"]),
+        handoff_downtime=float(p["handoff_downtime"]),
+        restart_delay=float(p["restart_delay"]),
+        max_time=float(p["max_time"]),
+        **fields,
+    )
+
+
+def scale_spec(
     size: int,
     mobile_fraction: float,
     wp2p: bool,
     p: Dict[str, object],
-) -> List[PeerClass]:
-    """The peer-class decomposition of one (size, fraction, variant) cell."""
+) -> HybridSpec:
+    """One ``figx_scale`` cell's swarm: ``size`` focal peers, a fixed
+    block of seeds and the rest leechers."""
     seeds = min(size - 1, int(p["seed_count"]))
-    mobile = round((size - seeds) * mobile_fraction)
-    wired = size - seeds - mobile
-    classes = [
-        PeerClass(
-            "seeds", float(seeds), float(p["seed_up_rate"]), 1_000_000.0,
-            seed=True,
-        ),
-    ]
-    if wired > 0:
-        classes.append(PeerClass(
-            "wired", float(wired), float(p["wired_up_rate"]),
-            float(p["wired_down_rate"]),
-        ))
-    if mobile > 0:
-        classes.append(PeerClass(
-            "mobile", float(mobile), float(p["mobile_up_rate"]),
-            float(p["wireless_rate"]),
-            mobile=True, wp2p=wp2p, wireless_shared=True,
-            handoff_interval=float(p["handoff_interval"]),
-            handoff_downtime=float(p["handoff_downtime"]),
-            restart_delay=float(p["restart_delay"]),
-            selection="inorder" if wp2p else "rarest",
-        ))
-    return classes
+    return sweep_spec(p, seeds, size - seeds, mobile_fraction, wp2p,
+                      dt=float(p["dt"]))
 
 
 def fluid_cell(
@@ -83,13 +93,7 @@ def fluid_cell(
     p: Dict[str, object],
 ) -> Dict[str, object]:
     """One fluid-backend cell: per-class completion/goodput + engine stats."""
-    params = FluidParams(
-        file_size=int(p["file_size_kib"]) * 1024,
-        piece_length=int(p["piece_length"]),
-        classes=tuple(_fluid_classes(size, mobile_fraction, wp2p, p)),
-        dt=float(p["dt"]),
-        max_time=float(p["max_time"]),
-    )
+    params = scale_spec(size, mobile_fraction, wp2p, p).fluid_params()
     # Mirror the packet path's ambient chaos: the runner's --chaos preset
     # maps onto fluid rate windows (churn, tracker outage, ...).
     schedule = context.get("chaos")
@@ -121,51 +125,17 @@ def packet_cell(
     wp2p: bool,
     p: Dict[str, object],
 ) -> Dict[str, object]:
-    """One packet-backend cell: the same topology as real hosts."""
+    """One packet-backend cell: the same swarm as real hosts."""
     if size > PACKET_SIZE_CAP:
         raise ValueError(
             f"packet backend supports swarm_size <= {PACKET_SIZE_CAP} "
             f"(got {size}); use --backend fluid for large swarms"
         )
-    seeds = min(size - 1, int(p["seed_count"]))
-    mobile = round((size - seeds) * mobile_fraction)
-    wired = size - seeds - mobile
-    sc = SwarmScenario(
-        seed=seed,
-        file_size=int(p["file_size_kib"]) * 1024,
-        piece_length=int(p["piece_length"]),
-        tracker_interval=60.0,
-    )
-    for i in range(seeds):
-        sc.add_wired_peer(
-            f"s{i}", complete=True,
-            down_rate=1_000_000, up_rate=float(p["seed_up_rate"]),
-        )
-    for i in range(wired):
-        sc.add_wired_peer(
-            f"w{i}", down_rate=float(p["wired_down_rate"]),
-            up_rate=float(p["wired_up_rate"]),
-        )
-    mobiles = []
-    for i in range(mobile):
-        if wp2p:
-            handle = sc.add_wireless_peer(
-                f"m{i}", rate=float(p["wireless_rate"]),
-                config=rr_only_config(), client_factory=WP2PClient,
-            )
-        else:
-            handle = sc.add_wireless_peer(
-                f"m{i}", rate=float(p["wireless_rate"]),
-                config=ClientConfig(task_restart_delay=float(p["restart_delay"])),
-            )
-        sc.add_mobility(
-            handle, interval=float(p["handoff_interval"]),
-            downtime=float(p["handoff_downtime"]),
-        )
-        mobiles.append(handle)
+    spec = scale_spec(size, mobile_fraction, wp2p, p)
+    sc = spec.packet_swarm(seed)
     sc.start_all()
     leechers = [n for n, h in sc.peers.items() if not h.client.complete]
-    sc.run_until_complete(names=leechers, timeout=float(p["max_time"]))
+    sc.run_until_complete(names=leechers, timeout=spec.max_time)
 
     def _completion(names: List[str]) -> Optional[float]:
         times = [sc.peers[n].client.completion_time for n in names]
@@ -183,8 +153,8 @@ def packet_cell(
                 )
         return left_sum(rates) / len(rates) if rates else None
 
-    wired_names = [f"w{i}" for i in range(wired)]
-    mobile_names = [f"m{i}" for i in range(mobile)]
+    wired_names = [f"w{i}" for i in range(spec.focal_wired)]
+    mobile_names = [f"m{i}" for i in range(spec.focal_mobile)]
     return {
         "completion": _completion(leechers),
         "wired_completion": _completion(wired_names),
@@ -207,6 +177,9 @@ class SizeSweep(Scenario):
     summary: Sequence[str] = ()  #: value fields kept per cell in ``grid``
 
     def grid(self, p):
+        outside = [f for f in p[self.fractions] if not 0.0 <= float(f) <= 1.0]
+        if outside:
+            raise ValueError(f"{self.fractions} must lie in [0, 1] (got {outside})")
         return [
             (variant, size, fraction)
             for variant in ("default", "wp2p")

@@ -3,8 +3,8 @@
 This package is the single instrumentation spine of the library.  Three
 concerns, one home:
 
-* **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, histograms,
-  and rate meters behind a get-or-create :class:`MetricsRegistry`;
+* **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, rate
+  meters and time series behind a get-or-create :class:`MetricsRegistry`;
   protocol code binds them to the simulator clock (``lambda: sim.now``).
 * **Tracing** (:mod:`repro.obs.tracing`) — a structured cross-layer
   event bus (``sim.trace.event(layer, name, **fields)``) with pluggable
@@ -30,7 +30,6 @@ then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     Metric,
     MetricsRegistry,
     TimeSeries,
@@ -53,7 +52,6 @@ from .tracing import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricsRegistry",
     "TimeSeries",

@@ -7,8 +7,6 @@ This module is the measurement half of the observability layer
   ``(time, total)`` history for cumulative curves (Figure 3(c), 8(b));
 * :class:`Gauge` — a last-value instrument for quantities that move both
   ways (congestion windows, queue depths, LIHD upload caps);
-* :class:`Histogram` — value distributions with percentile queries
-  (handler costs, piece completion times);
 * :class:`WindowRateMeter` — the sliding-window byte-rate estimator real
   BitTorrent clients use for tit-for-tat ranking;
 * :class:`TimeSeries` — append-only ``(time, value)`` samples.
@@ -26,7 +24,6 @@ snapshot into per-layer report tables.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -129,87 +126,6 @@ class Gauge(Metric):
 
     def snapshot(self) -> Dict[str, float]:
         return {"value": self.value, "updates": self.updates}
-
-
-class Histogram(Metric):
-    """A value distribution with percentile queries.
-
-    Observations are kept exactly (this is a simulator — runs are short
-    and deterministic), sorted lazily on the first percentile query after
-    new data arrives.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str = "", clock: Optional[Clock] = None) -> None:
-        super().__init__(name, clock)
-        self._values: List[float] = []
-        self._sorted = True
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._values.append(value)
-        self.sum += value
-        self._sorted = False
-
-    @property
-    def count(self) -> int:
-        """Number of observations recorded."""
-        return len(self._values)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean; 0.0 with no observations."""
-        return self.sum / len(self._values) if self._values else 0.0
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0–100), linearly interpolated.
-
-        Raises :class:`ValueError` for an empty histogram or ``p``
-        outside [0, 100].
-        """
-        if not self._values:
-            raise ValueError(f"histogram {self.name!r} is empty")
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        self._ensure_sorted()
-        values = self._values
-        if len(values) == 1:
-            return values[0]
-        rank = (p / 100.0) * (len(values) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return values[lo]
-        frac = rank - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
-
-    @property
-    def min(self) -> float:
-        """Smallest observation (ValueError when empty)."""
-        return self.percentile(0.0)
-
-    @property
-    def max(self) -> float:
-        """Largest observation (ValueError when empty)."""
-        return self.percentile(100.0)
-
-    def snapshot(self) -> Dict[str, float]:
-        if not self._values:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": self.max,
-        }
 
 
 class WindowRateMeter(Metric):
@@ -402,13 +318,6 @@ class MetricsRegistry:
         return self._get(
             name, Gauge, lambda: Gauge(name, self._clock, record_history)
         )
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name``, created on first use."""
-        metric = self._metrics.get(name)
-        if metric is not None and metric.__class__ is Histogram:
-            return metric
-        return self._get(name, Histogram, lambda: Histogram(name, self._clock))
 
     def window_rate(self, name: str, window: float = 20.0) -> WindowRateMeter:
         """The sliding-window rate meter called ``name``."""

@@ -31,11 +31,13 @@ each other through the packet stack, and tit-for-tat credit between a
 focal host and any individual background peer (the facade is one
 aggregate identity).
 
-With an empty background the builder degrades to a pure packet swarm —
-no facade, no fluid engine, no coupling events — and is constructed to
-be event-for-event identical to the matched packet topology of the
-``figx_xval`` scenario (:mod:`repro.experiments.figx_xval`), which is
-how its all-focal equivalence gate can demand exact agreement.
+With an empty background the driver runs :meth:`HybridSpec.packet_swarm`
+alone — no facade, no fluid engine, no coupling events — so it is event
+for event the packet tier's run of the same spec.  That is how the
+``figx_xval`` scenario (:mod:`repro.experiments.figx_xval`) can demand
+exact agreement of an all-focal hybrid run with the packet run: with
+the swarm built in one place, the gate checks this driver and its focal
+measurement.
 
 Chaos schedules split by target: the ambient
 :class:`~repro.chaos.ChaosController` strikes the focal peers (the
@@ -47,13 +49,14 @@ only; the background is behaviourally described by its peer classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..bittorrent import ClientConfig
 from ..bittorrent.swarm import PeerHandle, SwarmScenario
 from ..chaos.schedule import ChaosSchedule
 from ..summation import left_sum
+from ..wp2p import WP2PClient, rr_only_config
 from .fluid import FluidSwarm
 from .model import FluidParams, FluidResult, PeerClass
 
@@ -63,13 +66,15 @@ FACADE_NAME = "background"
 
 @dataclass(frozen=True)
 class HybridSpec:
-    """One hybrid co-simulation: focal packet hosts + fluid background.
+    """One swarm of seeds, wired hosts and mobile hosts, for every tier.
 
-    The focal topology fields and rate defaults deliberately mirror
-    :class:`~repro.experiments.figx_xval.MatchedScenario`, so an all-focal
-    spec (zero background) reproduces the matched packet swarm exactly
-    and the background classes reuse the calibrated fluid
-    decomposition.  Rates are bytes/second, counts are peers.
+    The focal hosts (``focal_*``, whole peers) are what the packet tier
+    builds (:meth:`packet_swarm`); the background (``background_*``,
+    populations) exists on the fluid tier only.  :meth:`fluid_params`
+    decomposes both into peer classes from the same fields, so the
+    packet, fluid and hybrid runs of one spec describe the same hosts
+    and only the dynamics are approximated.  Rates are bytes/second,
+    counts are peers.
     """
 
     focal_seeds: int = 1
@@ -95,6 +100,8 @@ class HybridSpec:
     dt: float = 0.25
 
     def __post_init__(self) -> None:
+        if min(self.focal_seeds, self.focal_wired, self.focal_mobile) < 0:
+            raise ValueError("focal host counts must be >= 0")
         if self.focal_seeds + self.focal_wired + self.focal_mobile <= 0:
             raise ValueError("need at least one focal host")
         if min(self.background_seeds, self.background_wired,
@@ -112,31 +119,46 @@ class HybridSpec:
     def has_background(self) -> bool:
         return self.background_population > 0
 
-    def background_params(self) -> Optional[FluidParams]:
-        """The fluid decomposition of the background (None when empty)."""
-        if not self.has_background:
-            return None
+    def peer_classes(self, focal: bool) -> List[PeerClass]:
+        """The fluid classes of the focal hosts (``seeds``, ``wired``,
+        ``mobile``) or of the background (``bg_seeds``, ``bg_wired``,
+        ``bg_mobile``); an empty population has no class."""
+        if focal:
+            prefix = ""
+            seeds, wired, mobile = self.focal_seeds, self.focal_wired, self.focal_mobile
+        else:
+            prefix = "bg_"
+            seeds, wired, mobile = (self.background_seeds, self.background_wired,
+                                    self.background_mobile)
         classes: List[PeerClass] = []
-        if self.background_seeds:
+        if seeds:
             classes.append(PeerClass(
-                "bg_seeds", float(self.background_seeds),
-                self.seed_up_rate, 1_000_000.0, seed=True,
+                prefix + "seeds", float(seeds), self.seed_up_rate, 1_000_000.0,
+                seed=True,
             ))
-        if self.background_wired:
+        if wired:
             classes.append(PeerClass(
-                "bg_wired", float(self.background_wired),
-                self.wired_up_rate, self.wired_down_rate,
+                prefix + "wired", float(wired), self.wired_up_rate,
+                self.wired_down_rate,
             ))
-        if self.background_mobile:
+        if mobile:
             classes.append(PeerClass(
-                "bg_mobile", float(self.background_mobile),
-                self.mobile_up_rate, self.wireless_rate,
+                prefix + "mobile", float(mobile), self.mobile_up_rate,
+                self.wireless_rate,
                 mobile=True, wp2p=self.wp2p, wireless_shared=True,
                 handoff_interval=self.handoff_interval,
                 handoff_downtime=self.handoff_downtime,
                 restart_delay=self.restart_delay,
                 selection="inorder" if self.wp2p else "rarest",
             ))
+        return classes
+
+    def fluid_params(self, focal: bool = True) -> FluidParams:
+        """The fluid decomposition: the background classes, then, with
+        ``focal``, the focal hosts as classes of their own."""
+        classes = self.peer_classes(focal=False)
+        if focal:
+            classes += self.peer_classes(focal=True)
         return FluidParams(
             file_size=self.file_size,
             piece_length=self.piece_length,
@@ -144,6 +166,38 @@ class HybridSpec:
             dt=self.dt,
             max_time=self.max_time,
         )
+
+    def packet_swarm(self, seed: int) -> SwarmScenario:
+        """The focal hosts as a packet swarm: seeds ``s<i>``, wired
+        leechers ``w<i>`` and mobile leechers ``m<i>`` (handing off every
+        ``handoff_interval`` seconds when it is set)."""
+        sc = SwarmScenario(
+            seed=seed,
+            file_size=self.file_size,
+            piece_length=self.piece_length,
+            tracker_interval=60.0,
+        )
+        for i in range(self.focal_seeds):
+            sc.add_wired_peer(f"s{i}", complete=True,
+                              down_rate=1_000_000, up_rate=self.seed_up_rate)
+        for i in range(self.focal_wired):
+            sc.add_wired_peer(f"w{i}", down_rate=self.wired_down_rate,
+                              up_rate=self.wired_up_rate)
+        for i in range(self.focal_mobile):
+            if self.wp2p:
+                handle = sc.add_wireless_peer(
+                    f"m{i}", rate=self.wireless_rate,
+                    config=rr_only_config(), client_factory=WP2PClient,
+                )
+            else:
+                handle = sc.add_wireless_peer(
+                    f"m{i}", rate=self.wireless_rate,
+                    config=ClientConfig(task_restart_delay=self.restart_delay),
+                )
+            if self.handoff_interval is not None:
+                sc.add_mobility(handle, interval=self.handoff_interval,
+                                downtime=self.handoff_downtime)
+        return sc
 
 
 @dataclass
@@ -230,11 +284,11 @@ class HybridSwarm:
         chaos: Optional[ChaosSchedule] = None,
     ) -> None:
         self.spec = spec
-        params = spec.background_params()
         self.fluid: Optional[FluidSwarm] = (
-            FluidSwarm(params, chaos=chaos) if params is not None else None
+            FluidSwarm(spec.fluid_params(focal=False), chaos=chaos)
+            if spec.has_background else None
         )
-        self.scenario = self._build_scenario(seed)
+        self.scenario = spec.packet_swarm(seed)
         self._focal_seed_names = {
             name for name, handle in self.scenario.peers.items()
             if handle.client.complete
@@ -256,45 +310,6 @@ class HybridSwarm:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_scenario(self, seed: int) -> SwarmScenario:
-        """The focal packet swarm, matched peer-for-peer to
-        :meth:`repro.experiments.figx_xval.MatchedScenario.packet_observation`
-        so the zero-background configuration is event-identical to the
-        pure packet backend."""
-        spec = self.spec
-        sc = SwarmScenario(
-            seed=seed,
-            file_size=spec.file_size,
-            piece_length=spec.piece_length,
-            tracker_interval=60.0,
-        )
-        for i in range(spec.focal_seeds):
-            sc.add_wired_peer(f"s{i}", complete=True,
-                              down_rate=1_000_000, up_rate=spec.seed_up_rate)
-        for i in range(spec.focal_wired):
-            sc.add_wired_peer(f"w{i}", down_rate=spec.wired_down_rate,
-                              up_rate=spec.wired_up_rate)
-        # Lazy: repro.experiments registers scenarios built on this
-        # package, so a module-level import would cycle.
-        from ..experiments.fig9_wp2p import rr_only_config
-        from ..wp2p import WP2PClient
-
-        for i in range(spec.focal_mobile):
-            if spec.wp2p:
-                handle = sc.add_wireless_peer(
-                    f"m{i}", rate=spec.wireless_rate,
-                    config=rr_only_config(), client_factory=WP2PClient,
-                )
-            else:
-                handle = sc.add_wireless_peer(
-                    f"m{i}", rate=spec.wireless_rate,
-                    config=ClientConfig(task_restart_delay=spec.restart_delay),
-                )
-            if spec.handoff_interval is not None:
-                sc.add_mobility(handle, interval=spec.handoff_interval,
-                                downtime=spec.handoff_downtime)
-        return sc
-
     def _add_facade(self) -> PeerHandle:
         """The aggregate background peer, added after every focal host.
 

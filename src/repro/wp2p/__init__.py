@@ -6,7 +6,14 @@ from .age_manipulation import (
     YOUNG,
     AgeBasedManipulation,
 )
-from .client import WP2PClient, WP2PConfig, wp2p_ip_change_policy
+from .client import (
+    WP2PClient,
+    WP2PConfig,
+    am_only_config,
+    mf_only_config,
+    rr_only_config,
+    wp2p_ip_change_policy,
+)
 from .incentive_aware import IdentityRetention, LIHDController, seed_lihd
 from .mobility_aware import (
     MobilityAwareSelector,
@@ -22,6 +29,9 @@ __all__ = [
     "MATURE",
     "WP2PClient",
     "WP2PConfig",
+    "am_only_config",
+    "mf_only_config",
+    "rr_only_config",
     "wp2p_ip_change_policy",
     "IdentityRetention",
     "LIHDController",

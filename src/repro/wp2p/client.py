@@ -51,6 +51,36 @@ class WP2PConfig(ClientConfig):
     role_reversal: bool = True
 
 
+def _components(overrides, am=False, mf=False, ia=False) -> WP2PConfig:
+    """wP2P with only the named components on (``ia``: identity retention
+    + role reversal), then ``overrides`` applied field by field."""
+    cfg = WP2PConfig(
+        am_enabled=am,
+        mobility_aware_fetching=mf,
+        identity_retention=ia,
+        role_reversal=ia,
+    )
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    return cfg
+
+
+def am_only_config(**overrides) -> WP2PConfig:
+    """wP2P with only the AM component active (isolates §5.2.1)."""
+    return _components(overrides, am=True)
+
+
+def mf_only_config(**overrides) -> WP2PConfig:
+    """wP2P with only mobility-aware fetching active (isolates §5.2.3)."""
+    return _components(overrides, mf=True)
+
+
+def rr_only_config(**overrides) -> WP2PConfig:
+    """wP2P with the incentive-aware components only: role reversal +
+    identity retention, AM and MF off (isolates §5.2.2 and §5.2.4)."""
+    return _components(overrides, ia=True)
+
+
 def wp2p_ip_change_policy(client: "WP2PClient", old, new) -> None:
     """IP-change handling with identity retention and role reversal.
 

@@ -9,6 +9,7 @@ exemption, and the ``figx_hybrid`` scenario through the runner.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,11 +17,11 @@ import repro.experiments  # noqa: F401  — registers figx_hybrid
 from repro import audit
 from repro.chaos.schedule import ChaosSchedule, PeerCrash
 from repro.experiments.figx_xval import (
+    CASES,
     DEFAULT_TOLERANCE,
     EQUIVALENCE_TOLERANCE,
-    HYBRID_EMBEDDINGS,
     METRICS,
-    MatchedScenario,
+    Case,
     tier_verdict,
 )
 from repro.runner import Runner, get_scenario
@@ -28,13 +29,12 @@ from repro.scale import FACADE_NAME, HybridSpec, HybridSwarm, run_hybrid
 
 KIB = 1024
 
-#: A deliberately small matched swarm so the equivalence tests stay fast;
-#: the standing MATCHED_SCENARIOS set runs in ``run figx_xval --check``.
-TINY = MatchedScenario(
-    name="tiny",
-    description="1 seed + 2 wired + 1 mobile leecher, 256 KiB file",
-    seeds=1, wired=2, mobile=1, handoff_interval=40.0,
-    file_size=256 * KIB,
+#: A deliberately small all-focal swarm so the equivalence tests stay
+#: fast; the standing CASES run in ``run figx_xval --check``.
+TINY = Case(
+    "tiny", "1 seed + 2 wired + 1 mobile leecher, 256 KiB file",
+    HybridSpec(focal_seeds=1, focal_wired=2, focal_mobile=1,
+               handoff_interval=40.0, file_size=256 * KIB),
 )
 
 
@@ -50,8 +50,13 @@ def small_background_spec(**kw) -> HybridSpec:
 
 class TestHybridSpec:
     def test_rejects_empty_focal_set(self):
-        with pytest.raises(ValueError, match="focal"):
-            HybridSpec(focal_seeds=0)
+        # A negative count is no host either, even when the sum is positive.
+        for counts in ({"focal_seeds": 0},
+                       {"focal_seeds": 0, "focal_wired": -2, "focal_mobile": 3},
+                       {"focal_seeds": -1, "focal_wired": 2},
+                       {"focal_seeds": 2, "focal_mobile": -1}):
+            with pytest.raises(ValueError, match="focal"):
+                HybridSpec(**counts)
 
     def test_rejects_negative_background(self):
         with pytest.raises(ValueError, match="background"):
@@ -64,16 +69,23 @@ class TestHybridSpec:
     def test_no_background_means_no_fluid_params(self):
         spec = HybridSpec(focal_seeds=1, focal_wired=2)
         assert not spec.has_background
-        assert spec.background_params() is None
+        assert spec.peer_classes(focal=False) == []
+        assert [c.name for c in spec.fluid_params().classes] == ["seeds", "wired"]
+        assert HybridSwarm(spec).fluid is None
 
     def test_background_classes_mirror_the_spec(self):
         spec = HybridSpec(
             background_seeds=10.0, background_wired=50.0,
             background_mobile=20.0, wp2p=True, handoff_interval=60.0,
         )
-        params = spec.background_params()
+        params = spec.fluid_params(focal=False)
         assert [c.name for c in params.classes] == [
             "bg_seeds", "bg_wired", "bg_mobile"]
+        # The focal hosts follow as classes of their own, built alike.
+        assert [c.name for c in spec.fluid_params().classes] == [
+            "bg_seeds", "bg_wired", "bg_mobile", "seeds"]
+        assert spec.fluid_params().classes[-1] == replace(params.classes[0], name="seeds",
+                                                          count=1.0)
         seeds, wired, mobile = params.classes
         assert seeds.seed and seeds.upload_rate == spec.seed_up_rate
         assert wired.download_rate == spec.wired_down_rate
@@ -109,7 +121,7 @@ class TestAllFocalEquivalence:
 
 class TestEmbeddingGate:
     def test_focal_hosts_track_the_fluid_prediction(self):
-        emb = HYBRID_EMBEDDINGS[0]
+        emb = CASES["embed_default"]
         verdict = tier_verdict(
             "embedded_hybrid_tracks_fluid",
             rows(emb.name, emb.fluid_observation(), emb.hybrid_observation(11)),
@@ -118,8 +130,8 @@ class TestEmbeddingGate:
         assert verdict.ok, verdict.line()
 
     def test_wp2p_focal_hosts_keep_their_edge_inside_the_background(self):
-        default = HYBRID_EMBEDDINGS[0].hybrid_observation(11)
-        wp2p = HYBRID_EMBEDDINGS[1].hybrid_observation(11)
+        default = CASES["embed_default"].hybrid_observation(11)
+        wp2p = CASES["embed_wp2p"].hybrid_observation(11)
         assert wp2p["completion_time"] < default["completion_time"]
 
 

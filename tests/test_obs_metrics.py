@@ -7,7 +7,6 @@ import pytest
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     WindowRateMeter,
 )
@@ -67,7 +66,6 @@ class TestRegistry:
 
     def test_all_factory_kinds(self):
         reg = MetricsRegistry()
-        assert reg.histogram("h").kind == "histogram"
         assert reg.window_rate("w").kind == "window_rate"
         assert reg.series("s").kind == "series"
 
@@ -88,49 +86,6 @@ class TestGauge:
         clock.now = 2.0
         g.set(4)
         assert g.history == [(0.0, 1), (2.0, 4)]
-
-
-class TestHistogram:
-    def test_percentiles_interpolated(self):
-        h = Histogram("lat")
-        for v in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]:
-            h.observe(v)
-        assert h.percentile(0) == 10
-        assert h.percentile(100) == 100
-        assert h.percentile(50) == 55  # midpoint of 50 and 60
-        assert h.percentile(25) == pytest.approx(32.5)
-        assert h.min == 10 and h.max == 100
-
-    def test_mean_count_sum(self):
-        h = Histogram()
-        h.observe(1)
-        h.observe(3)
-        assert h.count == 2
-        assert h.sum == 4
-        assert h.mean == 2
-
-    def test_empty_and_bad_percentile(self):
-        h = Histogram("x")
-        with pytest.raises(ValueError):
-            h.percentile(50)
-        h.observe(1)
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_single_observation(self):
-        h = Histogram()
-        h.observe(42)
-        assert h.percentile(73) == 42
-
-    def test_lazy_resort_after_new_data(self):
-        h = Histogram()
-        h.observe(5)
-        assert h.percentile(50) == 5
-        h.observe(1)  # arrives after a sort; must re-sort lazily
-        assert h.percentile(0) == 1
-
-    def test_snapshot_empty(self):
-        assert Histogram().snapshot() == {"count": 0}
 
 
 class TestWindowRateMeter:

@@ -23,10 +23,11 @@ from repro.chaos.schedule import (
 from repro.runner import BACKENDS, Runner, ScenarioSpec, get_scenario
 from repro.runner.spec import cell_digest
 from repro.experiments import figx_xval as xval
-from repro.experiments.figx_xval import MatchedScenario, tier_verdict
+from repro.experiments.figx_xval import Case, tier_verdict
 from repro.scale import (
     FluidParams,
     FluidSwarm,
+    HybridSpec,
     PeerClass,
     class_matches,
     expected_prefix_fraction,
@@ -456,6 +457,17 @@ class TestFigxScaleScenario:
         with pytest.raises(ValueError, match="swarm_size"):
             scn.run_cell(("default", 500, 0.2), 1, p)
 
+    @pytest.mark.parametrize("scenario_name, overrides", [
+        ("figx_scale", {"mobile_fractions": [1.5]}),
+        ("figx_scale", {"mobile_fractions": [0.2, -0.1]}),
+        ("figx_hybrid", {"focal_mobile_fractions": [1.5], "background_sizes": [500],
+                         "focal_hosts": 2, "file_size_kib": 256, "max_time": 60.0}),
+    ])
+    def test_mobile_fraction_outside_the_unit_interval_is_refused(
+            self, scenario_name, overrides):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            Runner(jobs=1).run(scenario_name, overrides)
+
     def test_fluid_cells_land_at_backend_specific_digests(self, tmp_path):
         from repro.runner import ResultCache
 
@@ -548,10 +560,8 @@ class TestValidation:
     def test_matched_scenario_backends_agree_within_tolerance(self):
         # One small matched swarm end-to-end: the real anchoring gate
         # (run figx_xval --check runs the full standing set).
-        ms = MatchedScenario(
-            name="tiny", description="2 seeds + 4 wired leechers",
-            seeds=2, wired=4, file_size=512 * 1024,
-        )
+        ms = Case("tiny", "2 seeds + 4 wired leechers",
+                  HybridSpec(focal_seeds=2, focal_wired=4, file_size=512 * 1024))
         packet, fluid = ms.packet_observation(11), ms.fluid_observation()
         rows = {f"tiny/{m}": (packet[m], fluid[m]) for m in xval.METRICS}
         verdict = tier_verdict("fluid_tracks_packet", rows, xval.DEFAULT_TOLERANCE)
@@ -560,10 +570,8 @@ class TestValidation:
             "tolerance", "tiny/completion_time", "tiny/mean_goodput"}
 
     def test_tolerance_gate_actually_gates(self):
-        ms = MatchedScenario(
-            name="tiny", description="gate check",
-            seeds=2, wired=4, file_size=512 * 1024,
-        )
+        ms = Case("tiny", "gate check",
+                  HybridSpec(focal_seeds=2, focal_wired=4, file_size=512 * 1024))
         packet, fluid = ms.packet_observation(11), ms.fluid_observation()
         rows = {f"tiny/{m}": (packet[m], fluid[m]) for m in xval.METRICS}
         assert not tier_verdict("strict", rows, 1e-6).ok
