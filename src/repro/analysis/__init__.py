@@ -1,6 +1,6 @@
 """Result containers and reporting for experiments."""
 
-from .report import ascii_chart, campaign_report, compare_first_last
+from .report import ascii_chart
 from .runreport import (
     event_counts,
     group_by_layer,
@@ -21,8 +21,6 @@ __all__ = [
     "Series",
     "average_runs",
     "ascii_chart",
-    "campaign_report",
-    "compare_first_last",
     "event_counts",
     "group_by_layer",
     "render_report",

@@ -1,4 +1,4 @@
-"""Text rendering of experiment results: ASCII charts and campaign reports.
+"""Text rendering of experiment results: ASCII charts.
 
 Benchmarks and the CLI print these so a terminal user can eyeball the
 *shape* of each reproduced figure — which is exactly what the reproduction
@@ -7,9 +7,7 @@ must preserve — without leaving the console.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from .series import ExperimentResult, Series
+from .series import ExperimentResult
 
 MARKERS = "*o+x#@%&"
 
@@ -66,21 +64,3 @@ def _fmt(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:.2f}"
-
-
-def campaign_report(results: Sequence[ExperimentResult], charts: bool = False) -> str:
-    """A multi-figure report: tables (and optionally charts) per result."""
-    parts: List[str] = []
-    for result in results:
-        parts.append(result.table())
-        if charts:
-            parts.append(ascii_chart(result))
-        parts.append("")
-    return "\n".join(parts)
-
-
-def compare_first_last(series: Series) -> float:
-    """Relative change from the first to the last point (shape helper)."""
-    if not series.y or series.y[0] == 0:
-        return 0.0
-    return (series.y[-1] - series.y[0]) / abs(series.y[0])

@@ -3,9 +3,8 @@
 Takes the JSONL emitted by :class:`repro.obs.tracing.JSONLSink` (or any
 list of event dicts) and renders the run as a human-readable Markdown
 document: a headline summary, a per-layer breakdown of event counts and
-time spans, timeline excerpts, and — when a
-:class:`~repro.obs.metrics.MetricsRegistry` or its snapshot is supplied —
-per-layer metric tables.
+time spans, the fault-recovery (MTTR) table when chaos ran, and timeline
+excerpts.
 
 This is the reading half of the observability layer: instrument a run
 (``python -m repro.experiments run fig8a --trace run.jsonl`` or
@@ -78,31 +77,17 @@ def event_counts(events: Sequence[TraceRecord]) -> Dict[str, Dict[str, int]]:
     return out
 
 
-def _metrics_rows(metrics) -> List[tuple]:
-    """Normalize a MetricsRegistry / snapshot dict into (name, detail) rows."""
-    if metrics is None:
-        return []
-    if hasattr(metrics, "rows"):  # a MetricsRegistry
-        return [(name, kind, snap) for name, kind, snap in metrics.rows()]
-    # a snapshot() dict: {name: {field: value}}
-    return [(name, "", snap) for name, snap in sorted(metrics.items())]
-
-
 def render_report(
     events: Sequence[TraceRecord],
-    metrics=None,
     title: str = "Run report",
     excerpt: int = 12,
 ) -> str:
-    """Render an event log (and optional metrics) as Markdown.
+    """Render an event log as Markdown.
 
     Parameters
     ----------
     events:
         Trace records, e.g. from :func:`repro.obs.tracing.read_jsonl`.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` (or its
-        ``snapshot()`` dict) to render as per-layer metric tables.
     title:
         The report's H1.
     excerpt:
@@ -153,20 +138,6 @@ def render_report(
         ]
 
     # ------------------------------------------------------------------
-    # Metric tables (optional)
-    # ------------------------------------------------------------------
-    rows = _metrics_rows(metrics)
-    if rows:
-        lines += ["## Metrics", ""]
-        lines += ["| metric | kind | snapshot |", "|---|---|---|"]
-        for name, kind, snap in rows:
-            detail = ", ".join(
-                f"{key}={_fmt_value(value)}" for key, value in snap.items()
-            )
-            lines.append(f"| `{name}` | {kind} | {detail} |")
-        lines.append("")
-
-    # ------------------------------------------------------------------
     # Fault recovery (MTTR) — present when chaos ran with tracing on
     # ------------------------------------------------------------------
     recovered = [
@@ -213,7 +184,6 @@ def render_report(
 
 def report_from_jsonl(
     path: str,
-    metrics=None,
     title: Optional[str] = None,
     excerpt: int = 12,
 ) -> str:
@@ -222,6 +192,6 @@ def report_from_jsonl(
 
     events = read_jsonl(path)
     return render_report(
-        events, metrics=metrics, title=title or f"Run report — {path}",
+        events, title=title or f"Run report — {path}",
         excerpt=excerpt,
     )

@@ -52,8 +52,9 @@ class ChokerDriver:
         self.client = client
         self.slots = slots
         self.optimistic_every = optimistic_every
-        # `strategic` marks an explicitly-supplied policy: only those emit
-        # strategy.* metrics/trace, so default runs observe nothing new.
+        # `strategic` marks an explicitly-supplied policy: only those tag
+        # their choke_round trace with `policy`, so default runs observe
+        # nothing new.
         self.strategic = policy is not None
         self.policy: ChokerPolicy = policy if policy is not None else ReferencePolicy()
         self._task = PeriodicTask(client.sim, interval, self.run_round)
@@ -94,13 +95,6 @@ class ChokerDriver:
                 self._rotate_optimistic(interested, unchoke)
             if self._optimistic is not None and not self._optimistic.closed:
                 unchoke.add(self._optimistic)
-
-        if self.strategic:
-            metrics = self.client.sim.metrics
-            metrics.counter(f"strategy.{self.policy.name}.choke_rounds").add()
-            metrics.counter(f"strategy.{self.policy.name}.unchokes").add(
-                len(unchoke)
-            )
 
         trace = self.client.sim.trace
         if trace.enabled:

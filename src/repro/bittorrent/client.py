@@ -181,7 +181,6 @@ class BitTorrentClient:
             ),
         )
         if self.strategy is not None:
-            sim.metrics.counter(f"strategy.{self.strategy.name}.peers").add()
             if sim.trace.enabled:
                 sim.trace.event(
                     "strategy", "assign",

@@ -45,7 +45,6 @@ from .demand import (
     normalize_demand,
     zipf_weights,
 )
-from .metrics import CdnMetrics
 from .origin import POLICIES, Origin, OriginSpec, normalize_origin
 from .scenario import CdnPeer, CdnScenario
 from .surrogate import cdn_fluid_cell, rank_bands
@@ -54,7 +53,6 @@ __all__ = [
     "Asset",
     "Catalog",
     "CatalogSpec",
-    "CdnMetrics",
     "CdnPeer",
     "CdnScenario",
     "DemandSpec",

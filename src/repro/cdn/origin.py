@@ -152,7 +152,6 @@ class Origin:
             self.clients[rank] = client
         self.active.setdefault(rank, self.sim.now)
         self.activations += 1
-        self.sim.metrics.counter("cdn.origin_activations").add()
         if self.sim.trace.enabled:
             self.sim.trace.event(
                 "cdn", "origin_activate", rank=rank, delay=delay,
@@ -178,7 +177,6 @@ class Origin:
         if client is not None and client.started:
             client.stop()
         self.evictions += 1
-        self.sim.metrics.counter("cdn.origin_evictions").add()
         if self.sim.trace.enabled:
             self.sim.trace.event(
                 "cdn", "origin_evict", rank=rank, policy=self.policy

@@ -41,7 +41,6 @@ from ..summation import left_sum
 from ..tcp.stack import TCPStack
 from .catalog import PACKET_CATALOG_LIMIT, Catalog
 from .demand import Request, ZipfDemand
-from .metrics import CdnMetrics
 from .origin import Origin
 
 #: Per-asset peer listen ports start here (rank r listens on BASE + r).
@@ -127,7 +126,6 @@ class CdnScenario:
         self.sim = Simulator(seed=seed)
         self.internet = Internet(self.sim, core_delay=core_delay)
         self.alloc = AddressAllocator()
-        self.metrics = CdnMetrics(self.sim)
 
         # One tracker hosts every asset's swarm (the tracker keys its
         # records by info-hash, so multi-swarm costs nothing extra).
@@ -210,26 +208,33 @@ class CdnScenario:
         peer = self.peers[request.peer]
         rank = request.rank
         now = self.sim.now
+        trace = self.sim.trace
         self.origin.on_request(rank, now)
         existing = peer.clients.get(rank)
         if existing is not None:
             # Local hit: the asset is already on (or streaming to) this
             # host.  An in-flight fetch still accrues latency from *this*
             # request's arrival; a finished one serves instantly.
-            self.metrics.on_request(peer.name, rank, local=True)
+            if trace.enabled:
+                trace.event("cdn", "local_hit", peer=peer.name, rank=rank)
             if existing.complete:
                 self.pending.append(
                     PendingRequest(peer, rank, now, existing, latency=0.0)
                 )
-                self.metrics.on_completion(peer.name, rank, 0.0)
+                if trace.enabled:
+                    trace.event(
+                        "cdn", "complete", peer=peer.name, rank=rank, latency=0.0
+                    )
             else:
                 self.pending.append(PendingRequest(peer, rank, now, existing))
             return
-        self.metrics.on_request(peer.name, rank, local=False)
+        if trace.enabled:
+            trace.event("cdn", "request", peer=peer.name, rank=rank)
         client = self._make_client(peer, rank)
         peer.clients[rank] = client
         self.pending.append(PendingRequest(peer, rank, now, client))
-        self.metrics.on_join(peer.name, rank)
+        if trace.enabled:
+            trace.event("cdn", "join", peer=peer.name, rank=rank)
         client.start()
 
     def _make_client(self, peer: CdnPeer, rank: int) -> BitTorrentClient:
@@ -265,9 +270,11 @@ class CdnScenario:
                 if completed_at is None:
                     completed_at = self.sim.now
                 entry.latency = max(0.0, completed_at - entry.time)
-                self.metrics.on_completion(
-                    entry.peer.name, entry.rank, entry.latency
-                )
+                if self.sim.trace.enabled:
+                    self.sim.trace.event(
+                        "cdn", "complete", peer=entry.peer.name,
+                        rank=entry.rank, latency=entry.latency,
+                    )
 
     # ------------------------------------------------------------------
     # Execution / results

@@ -162,15 +162,11 @@ class ChaosController:
         self.log.append((self.sim.now, kind, target))
         if self.recovery is not None:
             self.recovery.note_fault(kind, target)
-        metrics = self.sim.metrics
-        metrics.counter("chaos.faults").add()
-        metrics.counter(f"chaos.{kind}").add()
         if self.sim.trace.enabled:
             self.sim.trace.event("chaos", kind, target=target, **fields)
 
     def _skip(self, kind: str, target: str, reason: str) -> None:
         self.faults_skipped += 1
-        self.sim.metrics.counter("chaos.skipped").add()
         if self.sim.trace.enabled:
             self.sim.trace.event(
                 "chaos", "skipped", fault=kind, target=target, reason=reason

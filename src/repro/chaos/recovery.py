@@ -126,7 +126,6 @@ class RecoveryTracker:
             recovered_at=self.sim.now,
         )
         self.recoveries.append(recovery)
-        self.sim.metrics.counter("chaos.recoveries").add()
         if self.sim.trace.enabled:
             self.sim.trace.event(
                 "chaos", "recovered",

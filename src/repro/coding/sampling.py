@@ -4,8 +4,8 @@ PeerDAS-style availability checks: instead of tracking every peer's
 full bitfield, a node periodically probes a few *random* coded indices
 per group against what it can see (its own verified pieces plus the
 advertised bitfields of its connected peers) and keeps a per-group
-availability estimate.  The estimates surface through :mod:`repro.obs`
-as ``coding.*`` metrics and one ``sample_sweep`` trace event per sweep,
+availability estimate.  The estimates surface as ``group_estimates``
+and one ``sample_sweep`` trace event per sweep (mean and worst group),
 so chaos experiments can watch group availability erode under churn
 before swarms actually stall.
 
@@ -58,7 +58,7 @@ class AvailabilitySampler:
         self._task.stop()
 
     def sweep(self) -> None:
-        """Probe every group once; update estimates, metrics and trace."""
+        """Probe every group once; update the estimates and the trace."""
         client = self.client
         codec = self.codec
         bitfield = client.manager.bitfield
@@ -81,10 +81,6 @@ class AvailabilitySampler:
                 worst = estimate
         self.sweeps += 1
         mean = total / codec.num_groups
-        metrics = client.sim.metrics
-        metrics.counter("coding.samples").add(samples * codec.num_groups)
-        metrics.gauge("coding.availability_mean").set(mean)
-        metrics.gauge("coding.availability_min").set(worst)
         trace = client.sim.trace
         if trace.enabled:
             trace.event(

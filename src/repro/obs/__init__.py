@@ -3,9 +3,9 @@
 This package is the single instrumentation spine of the library.  Three
 concerns, one home:
 
-* **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, rate
-  meters and time series behind a get-or-create :class:`MetricsRegistry`;
-  protocol code binds them to the simulator clock (``lambda: sim.now``).
+* **Metrics** (:mod:`repro.obs.metrics`) — counters, rate meters and
+  time series, each owned by the component that feeds it and bound to
+  the simulator clock (``lambda: sim.now``).
 * **Tracing** (:mod:`repro.obs.tracing`) — a structured cross-layer
   event bus (``sim.trace.event(layer, name, **fields)``) with pluggable
   sinks (ring buffer, JSONL file, null).  Wired into the sim kernel, TCP
@@ -29,9 +29,6 @@ then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 
 from .metrics import (
     Counter,
-    Gauge,
-    Metric,
-    MetricsRegistry,
     TimeSeries,
     WindowRateMeter,
     mean,
@@ -51,9 +48,6 @@ from .tracing import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Metric",
-    "MetricsRegistry",
     "TimeSeries",
     "WindowRateMeter",
     "mean",

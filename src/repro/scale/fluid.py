@@ -65,12 +65,12 @@ order — checked by ``scripts/pins.py check fluid`` and by the
 lockstep property test against the straight-line stepper kept in
 ``tests/test_fluid_lockstep.py``.
 
-Observability: the engine owns a
-:class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.tracing.TraceBus` (both clocked on *model* time, and
-the bus picks up globally installed sinks exactly like a packet-level
-:class:`~repro.sim.kernel.Simulator`), emitting ``scale.*`` metrics and
-``scale``-layer trace events.
+Observability: the engine owns a :class:`~repro.obs.tracing.TraceBus`
+clocked on *model* time (it picks up globally installed sinks exactly
+like a packet-level :class:`~repro.sim.kernel.Simulator`) and emits
+``scale``-layer trace events.  Its counts are attributes: ``steps``,
+with ``steps_fast_forwarded`` and ``steps_ramped`` of them taken by the
+two batched paths.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..chaos.schedule import ChaosSchedule
 from ..obs import tracing
-from ..obs.metrics import MetricsRegistry
 from ..summation import left_sum
 from .chaosmap import CrashImpulse, RateWindow, class_matches, schedule_modifiers
 from .model import (
@@ -210,15 +209,12 @@ class FluidSwarm:
         self,
         params: FluidParams,
         chaos: Optional[ChaosSchedule] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.params = params
         self.t = 0.0
         self.steps = 0
-        self.metrics = (
-            metrics if metrics is not None
-            else MetricsRegistry(clock=lambda: self.t)
-        )
+        self.steps_fast_forwarded = 0
+        self.steps_ramped = 0
         self.trace = tracing.TraceBus(clock=lambda: self.t)
         tracing.apply_defaults(self.trace)
         self.windows: Tuple[RateWindow, ...] = ()
@@ -327,11 +323,9 @@ class FluidSwarm:
             self.steps += 1
 
     def finish(self) -> FluidResult:
-        """Record tail samples and summary metrics, and build the result."""
+        """Record tail samples, trace the finish, and build the result."""
         for state in self._states:
             state.samples.append((self.t, state.progress))
-        self.metrics.counter("scale.steps").add(self.steps)
-        self.metrics.gauge("scale.horizon").set(self.t)
         if self.trace.enabled:
             self.trace.event(
                 "scale", "engine_finish",
@@ -389,7 +383,6 @@ class FluidSwarm:
                 amount = state.online
                 if amount <= 0.0:
                     continue
-            self.metrics.counter("scale.crashes").add(amount)
             if self.trace.enabled:
                 self.trace.event(
                     "scale", "crash_impulse",
@@ -515,7 +508,7 @@ class FluidSwarm:
             self._utilization_steps += m
         self.t = ts[m]
         self.steps += m
-        self.metrics.counter("scale.steps_fast_forwarded").add(m)
+        self.steps_fast_forwarded += m
         return True
 
     def _ramp(self, until: float) -> bool:
@@ -673,7 +666,7 @@ class FluidSwarm:
         self._utilization_steps = utilization_steps
         self.t = t
         self.steps += steps
-        self.metrics.counter("scale.steps_ramped").add(steps)
+        self.steps_ramped += steps
         return True
 
     def _step(self, dt: float) -> Optional[List[Tuple[_ClassState, float]]]:
@@ -826,7 +819,6 @@ class FluidSwarm:
                 state.progress = 1.0
                 state.complete = True
                 self._incomplete -= 1
-                self.metrics.counter("scale.completions").add(state.alive)
                 if self.trace.enabled:
                     self.trace.event(
                         "scale", "class_complete",
@@ -863,8 +855,6 @@ class FluidSwarm:
                 final_progress=state.progress,
                 peak_online=state.peak_online,
             )
-        peak = max((s.peak_online for s in self._states), default=0.0)
-        self.metrics.gauge("scale.peers_peak").set(peak)
         utilization_mean = (
             self._utilization_sum / self._utilization_steps
             if self._utilization_steps else 0.0

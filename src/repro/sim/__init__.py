@@ -1,7 +1,8 @@
 """Discrete-event simulation kernel: clock, events, timers, RNG.
 
 Measurement (counters, rate meters, time series) lives in
-:mod:`repro.obs.metrics`; components bind those to ``sim.now``.
+:mod:`repro.obs.metrics`; each component owns its instruments and
+binds them to ``sim.now``.
 """
 
 from .events import Event, EventQueue

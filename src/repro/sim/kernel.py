@@ -14,7 +14,6 @@ from typing import Any, Callable, Optional
 
 from ..audit import apply_defaults as _audit_defaults
 from ..obs import tracing as _tracing
-from ..obs.metrics import MetricsRegistry
 from ..obs.profiling import KernelProfiler
 from .events import Event, EventQueue
 from .randomness import RngRegistry
@@ -31,9 +30,9 @@ class Simulator:
     holds a simulator reference can reach it: ``sim.trace`` is the
     structured event bus (:class:`~repro.obs.tracing.TraceBus`, disabled
     until a sink is attached — globally installed default sinks are
-    picked up here at construction), ``sim.metrics`` is the run's
-    :class:`~repro.obs.metrics.MetricsRegistry` sharing the virtual
-    clock, and :meth:`enable_profiling` arms per-event kernel timing.
+    picked up here at construction), and :meth:`enable_profiling` arms
+    per-event kernel timing.  Counts live on the components that make
+    them (:mod:`repro.obs.metrics` instruments bound to ``sim.now``).
 
     Parameters
     ----------
@@ -57,7 +56,6 @@ class Simulator:
         self.events_processed = 0
         self.trace = _tracing.TraceBus(clock=lambda: self._now)
         _tracing.apply_defaults(self.trace)
-        self.metrics = MetricsRegistry(clock=lambda: self._now)
         self._profiler: Optional[KernelProfiler] = None
         # Invariant auditing (repro.audit): None unless an Auditor is
         # attached — components and the event loop pay one `is None`

@@ -98,12 +98,6 @@ class NewRenoCongestionControl:
         self.recover = None
         self.timeouts += 1
 
-    def on_idle_restart(self) -> None:
-        """Sender was idle longer than an RTO: restart from slow start
-        (RFC 2581 §4.1) without changing ssthresh."""
-        self.cwnd = min(self.cwnd, 2 * self.mss)
-        self.state = SLOW_START
-
     # ------------------------------------------------------------------
     @property
     def in_recovery(self) -> bool:

@@ -9,8 +9,6 @@ from repro.analysis import (
     Series,
     ascii_chart,
     average_runs,
-    campaign_report,
-    compare_first_last,
 )
 
 
@@ -60,28 +58,7 @@ class TestAsciiChart:
         assert ascii_chart(r) == "== Fig T == (named x values: no chart, see the table)"
 
 
-class TestCampaignReport:
-    def test_concatenates_tables(self):
-        r1 = result_with([Series("a", [1], [2.0])])
-        r2 = ExperimentResult("Fig U", "Other", "x", "y",
-                              series=[Series("b", [1], [3.0])])
-        report = campaign_report([r1, r2])
-        assert "Fig T" in report
-        assert "Fig U" in report
-
-    def test_with_charts(self):
-        r1 = result_with([Series("a", [1, 2], [2.0, 4.0])])
-        report = campaign_report([r1], charts=True)
-        assert report.count("Fig T") == 2  # table header + chart header
-
-
 class TestHelpers:
-    def test_compare_first_last(self):
-        assert compare_first_last(Series("s", [0, 1], [10.0, 15.0])) == pytest.approx(0.5)
-        assert compare_first_last(Series("s", [0, 1], [10.0, 5.0])) == pytest.approx(-0.5)
-        assert compare_first_last(Series("s", [], [])) == 0.0
-        assert compare_first_last(Series("s", [0], [0.0])) == 0.0
-
     def test_average_runs(self):
         assert average_runs([[1.0, 2.0], [3.0, 4.0]]) == [2.0, 3.0]
         assert average_runs([]) == []

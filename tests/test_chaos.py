@@ -231,8 +231,9 @@ class TestController:
         sink = sc.sim.trace.attach(RingBufferSink())
         sc.start_all()
         sc.run(until=10.0)
-        assert sc.sim.metrics.counter("chaos.faults").total == 2
-        assert sc.sim.metrics.counter("chaos.tracker_outage").total == 1
+        assert sc.chaos.faults_injected == 2
+        kinds = sorted(kind for _, kind, _ in sc.chaos.log)
+        assert kinds == ["corruption_burst", "tracker_outage"]
         names = {e["event"] for e in sink.by_layer("chaos")}
         assert names >= {"tracker_outage", "corruption_burst"}
 

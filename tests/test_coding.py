@@ -290,15 +290,17 @@ class TestCodedSwarm:
 # ----------------------------------------------------------------------
 class TestAvailabilitySampling:
     def test_sampler_attaches_and_publishes_metrics(self):
+        from repro.obs.tracing import RingBufferSink
+
         sc = coded_swarm(seed=96)
+        sink = sc.sim.trace.attach(RingBufferSink(), layers=["coding"])
         sc.start_all()
         sc.run(until=60.0)
-        snapshot = sc.sim.metrics.snapshot()
-        assert snapshot["coding.samples"]["total"] > 0
-        assert 0.0 <= snapshot["coding.availability_min"]["value"] <= 1.0
-        assert 0.0 <= snapshot["coding.availability_mean"]["value"] <= 1.0
         sampler = sc["leech"].client._availability_sampler
         assert sampler is not None and sampler.sweeps > 0
+        sweeps = [e for e in sink.matching("sample_sweep") if e["client"] == "leech"]
+        assert len(sweeps) == sampler.sweeps
+        assert all(0.0 <= e["min"] <= e["mean"] <= 1.0 for e in sweeps)
         assert all(0.0 <= e <= 1.0 for e in sampler.group_estimates.values())
 
     def test_trivial_codec_attaches_no_sampler(self):

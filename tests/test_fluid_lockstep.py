@@ -229,7 +229,6 @@ class _ReferenceSwarm(FluidSwarm):
                 state.completion_time = self.t + overshoot * dt
                 state.progress = 1.0
                 state.complete = True
-                self.metrics.counter("scale.completions").add(state.alive)
                 if self.trace.enabled:
                     self.trace.event(
                         "scale", "class_complete",
@@ -501,9 +500,7 @@ def test_quiet_scenarios_are_bit_equal_and_fast_forwarded():
         assert repr(engine.finish().to_jsonable()) == repr(
             reference.finish().to_jsonable()
         )
-        forwarded.append(
-            engine.metrics.counter("scale.steps_fast_forwarded").total
-        )
+        forwarded.append(engine.steps_fast_forwarded)
 
     lockstep()
     assert sum(forwarded) > 0
@@ -567,7 +564,7 @@ def test_ramp_scenarios_are_bit_equal_and_ramped():
         assert repr(engine.finish().to_jsonable()) == repr(
             reference.finish().to_jsonable()
         )
-        ramped.append(engine.metrics.counter("scale.steps_ramped").total)
+        ramped.append(engine.steps_ramped)
 
     lockstep()
     assert sum(ramped) > 0

@@ -22,8 +22,8 @@ ramp epoch, which it hands to one loop (``FluidSwarm._ramp``); neither
 calls :meth:`FluidSwarm._step`.  The 10^6-peer cell stepped 40 % of its
 steps when the fast-forward was introduced; with ramp epochs it steps 7
 of 103,666 (startup and completion steps), ramps 40.2 % and
-fast-forwards 59.8 %, read off the ``scale.steps_ramped`` and
-``scale.steps_fast_forwarded`` counters.  A change that breaks a steady
+fast-forwards 59.8 %, read off the swarm's ``steps_ramped`` and
+``steps_fast_forwarded`` attributes.  A change that breaks a steady
 or ramp epoch for nothing, or ramps through steady steps, turns this
 test red.
 """
@@ -98,9 +98,9 @@ def test_fluid_steady_epochs_skip_the_stepper():
         value = fluid_cell(1_000_000, 0.221, False, params)
     steps = int(value["steps"])
     assert steps == 103_666
-    metrics = finish.call_args.args[0].metrics
-    forwarded = metrics.counter("scale.steps_fast_forwarded").total / steps
-    ramped = metrics.counter("scale.steps_ramped").total / steps
+    swarm = finish.call_args.args[0]
+    forwarded = swarm.steps_fast_forwarded / steps
+    ramped = swarm.steps_ramped / steps
     stepped = 1.0 - forwarded - ramped
     assert stepped <= MAX_STEPPED_SHARE, (
         f"_step ran for {stepped:.4%} of {steps} steps "

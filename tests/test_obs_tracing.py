@@ -294,18 +294,6 @@ class TestRunReport:
         # layer render order: sim before tcp before wp2p
         assert md.index("`sim`") < md.index("`tcp`") < md.index("`wp2p`")
 
-    def test_render_report_with_metrics(self):
-        from repro.analysis.runreport import render_report
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        reg.counter("tcp.rto").add(3)
-        md = render_report(
-            [{"t": 0.0, "layer": "tcp", "event": "rto"}], metrics=reg
-        )
-        assert "## Metrics" in md
-        assert "`tcp.rto`" in md and "total=3" in md
-
     def test_empty_report(self):
         from repro.analysis.runreport import render_report
 

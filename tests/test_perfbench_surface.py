@@ -31,3 +31,5 @@ def test_perfbench_import_and_patch_surface(monkeypatch):
         assert callable(getattr(bench_micro, driver)), driver
     monkeypatch.setattr(bench_micro, "QUEUE_OPS", 100)
     assert bench_micro._queue_churn(None) == 100
+    monkeypatch.setattr(bench_micro, "OBS_CALLS", 100)
+    assert bench_micro._obs_off_calls() == 100

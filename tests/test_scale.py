@@ -366,14 +366,13 @@ class TestEngine:
         swarm = FluidSwarm(params())
         sink = swarm.trace.attach(RingBufferSink())
         result = swarm.run()
-        snapshot = swarm.metrics.snapshot()
-        assert "scale.steps" in snapshot
-        assert "scale.peers_peak" in snapshot
-        assert snapshot["scale.completions"]["total"] > 0
+        assert result.steps > 0
         assert sink.matching("engine_start")
         finish = sink.matching("engine_finish")
         assert finish and finish[0]["layer"] == "scale"
-        assert result.steps > 0
+        assert finish[0]["steps"] == result.steps
+        completed = sink.matching("class_complete")
+        assert completed and all(e["peers"] > 0 for e in completed)
 
 
 # ----------------------------------------------------------------------

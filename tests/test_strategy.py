@@ -277,17 +277,24 @@ class TestChokerIntegration:
         assert len(optimistic_ids(2)) >= 2
         assert len(optimistic_ids(1000)) == 1
 
-    def test_strategy_metrics_only_for_strategic_clients(self):
+    def test_strategy_trace_only_for_strategic_clients(self):
+        from repro.obs.tracing import RingBufferSink
+
         sc = SwarmScenario(seed=63, file_size=512 * 1024, piece_length=65_536)
+        sink = sc.sim.trace.attach(
+            RingBufferSink(), layers=["strategy", "bittorrent"]
+        )
         sc.add_wired_peer("seed", complete=True)
         sc.add_wired_peer("plain")
         sc.add_wired_peer("tyrant0", strategy="tyrant")
         sc.start_all()
         sc.run(until=30.0)
-        names = set(sc.sim.metrics.names())
-        assert "strategy.tyrant.peers" in names
-        assert "strategy.tyrant.choke_rounds" in names
-        assert not any(n.startswith("strategy.reference") for n in names)
+        assigned = [e for e in sink.by_layer("strategy") if e["event"] == "assign"]
+        assert [(e["client"], e["strategy"]) for e in assigned] == [("tyrant0", "tyrant")]
+        rounds = sink.matching("choke_round")
+        assert {e["client"] for e in rounds} >= {"seed", "plain", "tyrant0"}
+        tagged = {(e["client"], e["policy"]) for e in rounds if "policy" in e}
+        assert tagged == {("tyrant0", "tyrant")}
 
     def test_ledger_credit_survives_identity_retained_reconnect(self):
         # wP2P identity retention keeps the peer ID across handoffs, so

@@ -138,13 +138,6 @@ class TestNewReno:
         cc.on_timeout(flight_size=1_000)
         assert cc.ssthresh == 2_000
 
-    def test_idle_restart(self):
-        cc = self.make()
-        cc.cwnd = 30_000
-        cc.on_idle_restart()
-        assert cc.cwnd == 2_000
-        assert cc.state == SLOW_START
-
 
 class TestSegments:
     def test_wire_size(self):
