@@ -17,6 +17,18 @@ from ..sim import Simulator
 from ..tcp.connection import TCPConnection
 from ..tcp.stack import TCPStack
 
+CHUNK = 1460
+"""Bytes per message a :class:`BulkSender` queues (one MSS)."""
+
+BUFFER_TARGET = 64 * 1024
+"""Send-buffer bytes a :class:`BulkSender` keeps queued."""
+
+POLL = 0.05
+"""Seconds between two top-ups."""
+
+RATE_WINDOW = 5.0
+"""Sliding window of a :class:`ForegroundDownload`'s rate, seconds."""
+
 
 class Payload:
     """A generic application message: just a length on the wire."""
@@ -30,19 +42,9 @@ class Payload:
 class BulkSender:
     """Keeps a TCP connection's send buffer topped up (bulk transfer)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        conn: TCPConnection,
-        chunk: int = 1460,
-        window: int = 64 * 1024,
-        poll: float = 0.05,
-    ) -> None:
+    def __init__(self, sim: Simulator, conn: TCPConnection) -> None:
         self.sim = sim
         self.conn = conn
-        self.chunk = chunk
-        self.window = window
-        self.poll = poll
         self.running = False
         self.bytes_queued = 0
 
@@ -58,10 +60,10 @@ class BulkSender:
         if not self.running or self.conn.closed:
             return
         if self.conn.established:
-            while self.conn.send_buffer_bytes < self.window:
-                self.conn.send_message(Payload(self.chunk))
-                self.bytes_queued += self.chunk
-        self.sim.schedule(self.poll, self._pump)
+            while self.conn.send_buffer_bytes < BUFFER_TARGET:
+                self.conn.send_message(Payload(CHUNK))
+                self.bytes_queued += CHUNK
+        self.sim.schedule(POLL, self._pump)
 
 
 class BulkServer:
@@ -100,13 +102,12 @@ class ForegroundDownload:
         host: Host,
         server_ip: str,
         server_port: int = 8080,
-        rate_window: float = 5.0,
     ) -> None:
         self.sim = sim
         self.host = host
         stack = host.transport
         self.stack: TCPStack = stack if isinstance(stack, TCPStack) else TCPStack(sim, host)
-        self.meter = WindowRateMeter(clock=lambda: sim.now, window=rate_window)
+        self.meter = WindowRateMeter(clock=lambda: sim.now, window=RATE_WINDOW)
         self.bytes_received = 0
         self.conn = self.stack.connect(server_ip, server_port)
         self.conn.on_message = self._on_message

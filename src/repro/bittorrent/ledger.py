@@ -20,6 +20,10 @@ from typing import Dict, Tuple
 
 from ..sim import Simulator
 
+PRUNE_FLOOR = 1.0
+"""Bytes of decayed credit below which :meth:`PeerLedger.prune` drops an
+entry."""
+
 
 class PeerLedger:
     """Decaying per-peer-ID credit, in effective bytes/second."""
@@ -50,12 +54,9 @@ class PeerLedger:
         entry = self._credit.get(peer_id)
         return entry[0] if entry is not None else 0.0
 
-    def forget(self, peer_id: str) -> None:
-        self._credit.pop(peer_id, None)
-
-    def prune(self, floor: float = 1.0) -> int:
-        """Drop entries whose decayed credit has fallen below ``floor``
-        bytes; returns how many were dropped.
+    def prune(self) -> int:
+        """Drop entries whose decayed credit has fallen below
+        :data:`PRUNE_FLOOR` bytes; returns how many were dropped.
 
         Peer-ID churn (a mobile host restarting its task with a fresh ID
         after every handoff) would otherwise grow the ledger without
@@ -63,7 +64,7 @@ class PeerLedger:
         never zero — credit forever.  Below one byte of effective credit
         an entry is indistinguishable from an unknown peer.
         """
-        stale = [pid for pid in self._credit if self._decayed(pid) < floor]
+        stale = [pid for pid in self._credit if self._decayed(pid) < PRUNE_FLOOR]
         for pid in stale:
             del self._credit[pid]
         return len(stale)

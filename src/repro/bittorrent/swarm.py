@@ -259,16 +259,16 @@ class SwarmScenario:
         self,
         names: Optional[List[str]] = None,
         timeout: float = 3600.0,
-        poll: float = 1.0,
     ) -> bool:
-        """Run until the named clients (default: all leeches) finish."""
+        """Run until the named clients (default: all leeches) finish,
+        checking once per simulated second."""
         if names is None:
             names = [n for n, h in self.peers.items() if not h.client.complete]
         deadline = self.sim.now + timeout
         while self.sim.now < deadline:
             if all(self.peers[n].client.complete for n in names):
                 return True
-            self.sim.run(until=min(self.sim.now + poll, deadline))
+            self.sim.run(until=min(self.sim.now + 1.0, deadline))
         return all(self.peers[n].client.complete for n in names)
 
     def __getitem__(self, name: str) -> PeerHandle:

@@ -7,9 +7,10 @@ over TCP.  Faithful to the behaviours the paper leans on:
   re-announces under a **new** peer ID leaves its old record — with the now
   unroutable address — in the swarm until it is pruned, so fixed peers keep
   receiving stale addresses (§3.5);
-* responses carry a random sample of up to ``numwant`` (default 50) peers;
+* responses carry a random sample of up to ``numwant`` (at most
+  :data:`NUMWANT_CAP`) peers;
 * clients are expected back every ``interval`` seconds and are pruned after
-  missing ``prune_factor`` intervals.
+  missing :data:`PRUNE_FACTOR` intervals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ from .messages import (
     TrackerError,
 )
 
+TRACKER_PORT = 8000
+"""The port every tracker listens on."""
+
+NUMWANT_CAP = 50
+"""Most peers one announce response carries."""
+
+PRUNE_FACTOR = 2.5
+"""A record is pruned after this many announce intervals of silence."""
+
 
 @dataclass
 class PeerRecord:
@@ -47,17 +57,12 @@ class Tracker:
         self,
         sim: Simulator,
         host: Host,
-        port: int = 8000,
         interval: float = 120.0,
-        numwant_cap: int = 50,
-        prune_factor: float = 2.5,
     ) -> None:
         self.sim = sim
         self.host = host
-        self.port = port
+        self.port = TRACKER_PORT
         self.interval = interval
-        self.numwant_cap = numwant_cap
-        self.prune_factor = prune_factor
         self._swarms: Dict[str, Dict[str, PeerRecord]] = {}
         self._rng = sim.rng.stream("tracker")
         self.announces = 0
@@ -67,7 +72,7 @@ class Tracker:
         if not isinstance(stack, TCPStack):
             stack = TCPStack(sim, host)
         self.stack: TCPStack = stack
-        self.stack.listen(port, self._accept)
+        self.stack.listen(TRACKER_PORT, self._accept)
 
     # ------------------------------------------------------------------
     # Introspection helpers for experiments/tests
@@ -154,13 +159,13 @@ class Tracker:
         self, swarm: Dict[str, PeerRecord], exclude: str, numwant: int
     ) -> List[PeerRecord]:
         candidates = [r for pid, r in swarm.items() if pid != exclude]
-        want = min(numwant, self.numwant_cap, len(candidates))
+        want = min(numwant, NUMWANT_CAP, len(candidates))
         if want >= len(candidates):
             return candidates
         return self._rng.sample(candidates, want)
 
     def _prune(self, swarm: Dict[str, PeerRecord]) -> None:
-        cutoff = self.sim.now - self.interval * self.prune_factor
+        cutoff = self.sim.now - self.interval * PRUNE_FACTOR
         stale = [pid for pid, r in swarm.items() if r.last_seen < cutoff]
         for pid in stale:
             del swarm[pid]

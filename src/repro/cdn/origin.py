@@ -94,7 +94,6 @@ class Origin:
         catalog: Catalog,
         torrents: Mapping[int, object],  # rank -> Torrent
         spec: OriginSpec = None,
-        name: str = "origin",
     ) -> None:
         self.sim = sim
         self.catalog = catalog
@@ -103,7 +102,7 @@ class Origin:
         self.policy: str = str(self.spec["policy"])
         self.capacity = int(self.spec["capacity"])  # type: ignore[arg-type]
         self.activation_delay = float(self.spec["activation_delay"])  # type: ignore[arg-type]
-        self.host = Host(sim, name)
+        self.host = Host(sim, "origin")
         TCPStack(sim, self.host)
         attach_wired_host(
             sim, self.host, internet, alloc.allocate(),

@@ -9,10 +9,9 @@ peers, so arming it cannot perturb results), snapshots the pre-fault
 goodput level when each fault fires, and records the elapsed time until
 the aggregate rate re-crosses that level as that fault's MTTR.
 
-Every recovery lands in :attr:`RecoveryTracker.recoveries`, adds one to
-the ``chaos.recoveries`` counter and (when tracing) emits a
-``("chaos", "recovered")`` event, so run reports can show per-fault
-recovery times next to the fault log.  Faults whose
+Every recovery lands in :attr:`RecoveryTracker.recoveries` and (when
+tracing) emits a ``("chaos", "recovered")`` event, so run reports can
+show per-fault recovery times next to the fault log.  Faults whose
 goodput never re-crosses the pre-fault level within the run are left in
 :attr:`RecoveryTracker.open_faults` — censored, not silently dropped.
 """
@@ -24,6 +23,9 @@ from typing import List, Optional
 
 from ..sim.timers import PeriodicTask
 from ..summation import left_sum
+
+SAMPLE_INTERVAL = 1.0
+"""Seconds between two goodput samples."""
 
 
 @dataclass
@@ -60,19 +62,16 @@ class RecoveryTracker:
     hybrid backend's background facade) contribute nothing.
     """
 
-    def __init__(self, scenario, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, scenario) -> None:
         self.scenario = scenario
         self.sim = scenario.sim
-        self.interval = interval
         self.recoveries: List[Recovery] = []
         self.open_faults: List[OpenFault] = []
         self.samples = 0
         self._last_time: Optional[float] = None
         self._last_bytes = 0.0
         self._rate = 0.0
-        self._task = PeriodicTask(self.sim, interval, self._tick)
+        self._task = PeriodicTask(self.sim, SAMPLE_INTERVAL, self._tick)
         self._running = False
 
     # ------------------------------------------------------------------

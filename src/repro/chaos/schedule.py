@@ -1,10 +1,8 @@
 """Typed fault events and the declarative :class:`ChaosSchedule`.
 
 A schedule is plain data: a tuple of typed fault events, each pinned to
-absolute simulated time.  Everything is JSON-serialisable
-(:meth:`ChaosSchedule.to_jsonable` / :meth:`ChaosSchedule.from_jsonable`)
-so a schedule can ride inside scenario parameters, key the result cache,
-and ship to runner worker processes unchanged.
+absolute simulated time.  Frozen dataclasses throughout, so a schedule
+compares by value and ships to runner worker processes unchanged.
 
 Targets are resolved **at fire time** by the
 :class:`~repro.chaos.controller.ChaosController`, so a schedule can be
@@ -19,8 +17,8 @@ crash/rejoin times are drawn at arm time from the simulation's seeded
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Tuple
 
 TARGET_CLASSES = ("*", "wired", "wireless", "mobile")
 
@@ -186,20 +184,6 @@ class CorruptionBurst(FaultEvent):
             raise ValueError("probability must be in [0, 1)")
 
 
-EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
-    cls.kind: cls
-    for cls in (
-        PeerCrash,
-        PeerChurn,
-        TrackerOutage,
-        LinkBlackout,
-        LinkDegradation,
-        HandoffStorm,
-        CorruptionBurst,
-    )
-}
-
-
 @dataclass(frozen=True)
 class ChaosSchedule:
     """An ordered, immutable set of fault events for one run."""
@@ -222,28 +206,3 @@ class ChaosSchedule:
     @property
     def empty(self) -> bool:
         return not self.events
-
-    # ------------------------------------------------------------------
-    # Serialisation (cache keys, CLI, worker payloads)
-    # ------------------------------------------------------------------
-    def to_jsonable(self) -> List[Dict[str, object]]:
-        """Plain-data form: one ``{"kind": ..., **fields}`` dict per event."""
-        out: List[Dict[str, object]] = []
-        for event in self.events:
-            record: Dict[str, object] = {"kind": event.kind}
-            record.update(asdict(event))
-            out.append(record)
-        return out
-
-    @classmethod
-    def from_jsonable(cls, data: Iterable[Dict[str, object]]) -> "ChaosSchedule":
-        """Rebuild a schedule from :meth:`to_jsonable` output."""
-        events = []
-        for record in data:
-            fields = dict(record)
-            kind = fields.pop("kind", None)
-            event_type = EVENT_TYPES.get(str(kind))
-            if event_type is None:
-                raise ValueError(f"unknown fault event kind {kind!r}")
-            events.append(event_type(**fields))  # type: ignore[arg-type]
-        return cls(tuple(events))

@@ -20,8 +20,11 @@ from typing import Dict
 
 from ..sim import PeriodicTask
 
-DEFAULT_INTERVAL = 10.0
-DEFAULT_SAMPLES_PER_GROUP = 4
+SWEEP_INTERVAL = 10.0
+"""Seconds between two sweeps."""
+
+SAMPLES_PER_GROUP = 4
+"""Random probes per group and sweep."""
 
 
 class AvailabilitySampler:
@@ -33,23 +36,17 @@ class AvailabilitySampler:
     not a census, to mirror real DAS cost constraints.
     """
 
-    def __init__(
-        self,
-        client,
-        interval: float = DEFAULT_INTERVAL,
-        samples_per_group: int = DEFAULT_SAMPLES_PER_GROUP,
-    ) -> None:
+    def __init__(self, client) -> None:
         codec = client.manager.codec
         if codec.trivial:
             raise ValueError("availability sampling needs a grouped codec")
         self.client = client
         self.codec = codec
-        self.samples_per_group = samples_per_group
         self.sweeps = 0
         #: Latest per-group availability estimate in [0, 1].
         self.group_estimates: Dict[int, float] = {}
         self._rng = client.sim.rng.stream(f"coding.sample.{client.name}")
-        self._task = PeriodicTask(client.sim, interval, self.sweep)
+        self._task = PeriodicTask(client.sim, SWEEP_INTERVAL, self.sweep)
 
     def start(self) -> None:
         self._task.start()
@@ -63,18 +60,17 @@ class AvailabilitySampler:
         codec = self.codec
         bitfield = client.manager.bitfield
         availability = client.availability
-        samples = self.samples_per_group
         total = 0.0
         worst = 1.0
         for group in range(codec.num_groups):
             members = codec.group_indices(group)
             span = len(members)
             hits = 0
-            for _ in range(samples):
+            for _ in range(SAMPLES_PER_GROUP):
                 index = members[self._rng.randrange(span)]
                 if bitfield.has(index) or availability.get(index, 0) > 0:
                     hits += 1
-            estimate = hits / samples
+            estimate = hits / SAMPLES_PER_GROUP
             self.group_estimates[group] = estimate
             total += estimate
             if estimate < worst:

@@ -159,12 +159,10 @@ def _result_payload(run) -> Dict[str, object]:
         "shared": run.stats.shared,
         "cache_hits": run.stats.cache_hits,
         "failed": run.stats.failed,
-        "retries": run.stats.retries,
         "elapsed_s": run.stats.elapsed_s,
     }
     payload["failures"] = [
-        {"key": list(f.key), "seed": f.seed, "attempts": f.attempts,
-         "error": f.error}
+        {"key": list(f.key), "seed": f.seed, "error": f.error}
         for f in run.failures
     ]
     return payload

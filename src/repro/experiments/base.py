@@ -26,6 +26,10 @@ from ..obs.tracing import JSONLSink, TraceSink
 from ..sim import Simulator
 from ..tcp import TCPConfig, TCPConnection, TCPStack
 
+WARMUP = 2.0
+"""Seconds :func:`run_transfer` lets the connection settle before it
+counts delivered bytes."""
+
 
 class WirelessPairTopology:
     """Fixed wired peer <-> Internet <-> wireless mobile peer.
@@ -88,7 +92,6 @@ def run_transfer(
     duration: float = 40.0,
     rate: float = 60_000.0,
     ap_queue_packets: int = 50,
-    warmup: float = 2.0,
     trace_path: Optional[str] = None,
 ) -> TransferStats:
     """One fixed->mobile transfer (optionally with a reverse bulk stream
@@ -116,10 +119,10 @@ def run_transfer(
                     topo.sim.schedule(0.2, start_reverse)
 
             topo.sim.schedule(0.3, start_reverse)
-        topo.sim.run(until=warmup)
+        topo.sim.run(until=WARMUP)
         base_down = server_conns[0].stats.payload_bytes_delivered if server_conns else 0
         base_up = conn.stats.payload_bytes_delivered
-        topo.sim.run(until=warmup + duration)
+        topo.sim.run(until=WARMUP + duration)
         delivered_down = (
             server_conns[0].stats.payload_bytes_delivered - base_down if server_conns else 0
         )

@@ -197,12 +197,11 @@ def cluster_drops(drop_times: Sequence[float], min_gap: float = 1.0) -> List[flo
 def drop_response_ratio(
     counts: Series,
     drop_times: Sequence[float],
-    window: float = 1.0,
-    skip: float = 0.4,
 ) -> Optional[float]:
-    """Mean(packets in the window after a congestion event) / mean(before),
-    averaged over events.  < 1 means the wireless-leg load fell after
-    congestion (the uni-directional behaviour); ~1 means it did not (bi).
+    """Mean(packets in the ``window`` after a congestion event) /
+    mean(before), averaged over events.  < 1 means the wireless-leg load
+    fell after congestion (the uni-directional behaviour); ~1 means it
+    did not (bi).
 
     ``skip`` excludes the loss-recovery RTTs right after the drop, where
     the DUPACK burst transiently inflates both cases.  The first
@@ -211,6 +210,7 @@ def drop_response_ratio(
     """
     if not counts.x:
         return None
+    window, skip = 1.0, 0.4  # seconds
     end = counts.x[-1]
     ratios: List[float] = []
     events = cluster_drops(drop_times, min_gap=skip + window)[1:]
@@ -233,10 +233,6 @@ def drop_response_ratio(
 def post_congestion_starvation(
     counts: Series,
     drop_times: Sequence[float],
-    before_window: float = 2.0,
-    after_skip: float = 0.5,
-    after_window: float = 2.0,
-    threshold: float = 0.5,
 ) -> Optional[float]:
     """Fraction of congestion episodes after which the wireless leg starved.
 
@@ -249,6 +245,8 @@ def post_congestion_starvation(
     """
     if not counts.x:
         return None
+    before_window, after_skip, after_window = 2.0, 0.5, 2.0  # seconds
+    threshold = 0.5
     end = counts.x[-1]
     outcomes: List[bool] = []
     for drop in cluster_drops(drop_times, min_gap=after_skip + after_window)[1:]:

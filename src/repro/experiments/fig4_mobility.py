@@ -126,9 +126,7 @@ def playability_run(
     seed: int,
     num_pieces: int,
     selector: Optional[PieceSelector] = None,
-    piece_length: int = 16_384,
     client_factory=None,
-    timeout: float = 1200.0,
 ) -> List[tuple]:
     """One full download; returns its (downloaded %, playable %) curve.
 
@@ -136,8 +134,7 @@ def playability_run(
     availability varies and rarest-first has real rarity signal to follow
     (as in the paper's live-swarm measurements).
     """
-    from ..bittorrent.swarm import SwarmScenario
-
+    piece_length = 16_384
     sc = SwarmScenario(
         seed=seed,
         file_size=num_pieces * piece_length,
@@ -154,7 +151,7 @@ def playability_run(
         "x", rate=200_000, selector=selector, **kwargs
     )
     sc.start_all()
-    sc.run_until_complete(["x"], timeout=timeout)
+    sc.run_until_complete(["x"], timeout=1200.0)
     return playability_curve(sc.torrent, x.client.manager.completion_order)
 
 

@@ -1,6 +1,6 @@
 """Network substrate: packets, hosts, links, wireless cells, mobility."""
 
-from .addressing import AddressAllocator, make_address
+from .addressing import AddressAllocator
 from .host import Host, Interface
 from .internet import Internet
 from .links import WiredAccessLink, attach_wired_host
@@ -13,7 +13,6 @@ from .wireless import MAC_OVERHEAD_BYTES, WirelessChannel, attach_wireless_host
 
 __all__ = [
     "AddressAllocator",
-    "make_address",
     "Host",
     "Interface",
     "Internet",

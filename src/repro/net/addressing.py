@@ -12,17 +12,6 @@ from __future__ import annotations
 from typing import Set
 
 
-def make_address(network: int, host: int) -> str:
-    """Format a dotted-quad address from a 16-bit network and host index."""
-    if not 0 <= network <= 0xFFFF:
-        raise ValueError("network must fit in 16 bits")
-    if not 1 <= host <= 0xFFFE:
-        raise ValueError("host must be in [1, 65534]")
-    return f"10.{network >> 8 & 0xFF}.{network & 0xFF}.{host & 0xFF}" if host <= 0xFE else (
-        f"172.{network & 0x7F}.{host >> 8 & 0xFF}.{host & 0xFF}"
-    )
-
-
 class AddressAllocator:
     """Hands out unique addresses and tracks live assignments.
 
@@ -31,8 +20,7 @@ class AddressAllocator:
     old address back (which is what breaks peer identity in the paper).
     """
 
-    def __init__(self, prefix: str = "10.0") -> None:
-        self._prefix = prefix
+    def __init__(self) -> None:
         self._counter = 0
         self._live: Set[str] = set()
 
@@ -43,7 +31,7 @@ class AddressAllocator:
         fourth = self._counter & 0xFF
         if self._counter > 0xFFFF:
             raise RuntimeError("address pool exhausted")
-        addr = f"{self._prefix}.{third}.{fourth}"
+        addr = f"10.0.{third}.{fourth}"
         self._live.add(addr)
         return addr
 

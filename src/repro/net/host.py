@@ -38,11 +38,10 @@ IPChangeListener = Callable[[Optional[str], Optional[str]], Any]
 class Interface:
     """A single network interface: address, up/down state, access link."""
 
-    __slots__ = ("host", "name", "ip", "up", "link", "tx_dropped")
+    __slots__ = ("host", "ip", "up", "link", "tx_dropped")
 
-    def __init__(self, host: "Host", name: str = "wlan0") -> None:
+    def __init__(self, host: "Host") -> None:
         self.host = host
-        self.name = name
         self.ip: Optional[str] = None
         self.up = False
         self.link: Optional[AccessLink] = None

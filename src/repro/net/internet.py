@@ -63,7 +63,6 @@ class Internet:
         if attachment is None:
             self.unroutable += 1
             return
-        packet.hops += 1
         self.packets_forwarded += 1
         if self.core_delay > 0:
             # Hot path (once per forwarded packet), never cancelled: the

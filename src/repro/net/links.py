@@ -19,6 +19,12 @@ from .host import Host
 from .packet import Packet
 from .queues import DropTailQueue
 
+PROP_DELAY = 0.002
+"""One-way propagation delay of each direction, seconds."""
+
+QUEUE_PACKETS = 100
+"""Drop-tail queue length of each direction, packets."""
+
 
 class _Direction:
     """One store-and-forward pipe: queue -> transmitter -> delivery."""
@@ -123,25 +129,22 @@ class WiredAccessLink:
         sim: Simulator,
         host: Host,
         internet: Internet,
-        down_rate: float = 500_000.0,
-        up_rate: float = 48_000.0,
-        prop_delay: float = 0.002,
-        queue_packets: int = 100,
+        down_rate: float,
+        up_rate: float,
     ) -> None:
-        """Rates are in bytes/second.  Defaults approximate the paper's
-        4 Mbps / 384 Kbps cable profile."""
+        """Rates are in bytes/second."""
         self.sim = sim
         self.host = host
         self.internet = internet
         self.uplink = _Direction(
-            sim, f"{host.name}.uplink", up_rate, prop_delay, queue_packets, internet.forward
+            sim, f"{host.name}.uplink", up_rate, PROP_DELAY, QUEUE_PACKETS, internet.forward
         )
         self.downlink = _Direction(
             sim,
             f"{host.name}.downlink",
             down_rate,
-            prop_delay,
-            queue_packets,
+            PROP_DELAY,
+            QUEUE_PACKETS,
             host.interface.receive,
         )
         # One frame per hop instead of two.
@@ -201,19 +204,12 @@ def attach_wired_host(
     ip: str,
     down_rate: float = 500_000.0,
     up_rate: float = 48_000.0,
-    prop_delay: float = 0.002,
-    queue_packets: int = 100,
 ) -> WiredAccessLink:
-    """Wire a host to the core and bring it up at ``ip`` in one call."""
-    link = WiredAccessLink(
-        sim,
-        host,
-        internet,
-        down_rate=down_rate,
-        up_rate=up_rate,
-        prop_delay=prop_delay,
-        queue_packets=queue_packets,
-    )
+    """Wire a host to the core and bring it up at ``ip`` in one call.
+
+    Rates are in bytes/second.  The defaults approximate the paper's
+    4 Mbps / 384 Kbps cable profile."""
+    link = WiredAccessLink(sim, host, internet, down_rate, up_rate)
     internet.register(ip, link)
     host.bring_up(ip)
     return link

@@ -8,13 +8,10 @@ which is the root cause of the paper's piggybacked-ACK pathology (§3.2).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 IP_HEADER_BYTES = 20
 """IPv4 header, no options."""
-
-_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -23,17 +20,12 @@ class Packet:
     The payload must expose ``wire_size`` (transport header + data bytes).
     """
 
-    __slots__ = (
-        "src", "dst", "payload", "packet_id", "created_at", "hops", "size_bytes"
-    )
+    __slots__ = ("src", "dst", "payload", "size_bytes")
 
-    def __init__(self, src: str, dst: str, payload: Any, created_at: float = 0.0) -> None:
+    def __init__(self, src: str, dst: str, payload: Any) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.packet_id = next(_packet_ids)
-        self.created_at = created_at
-        self.hops = 0
         # Total on-the-wire size: IP header plus transport payload.
         # Precomputed — payloads are immutable once wrapped, and size is
         # read on every enqueue/serve/loss-draw along the path.
@@ -41,7 +33,7 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet(#{self.packet_id} {self.src} -> {self.dst}, "
+            f"Packet({self.src} -> {self.dst}, "
             f"{self.size_bytes}B, {self.payload!r})"
         )
 

@@ -60,7 +60,6 @@ class PacketTrace:
         self,
         sim: Simulator,
         host: Host,
-        directions: tuple = (EGRESS, INGRESS),
         keep: Optional[Callable[[Packet], bool]] = None,
         max_records: int = 100_000,
     ) -> None:
@@ -71,7 +70,7 @@ class PacketTrace:
         self._keep = keep
         self._max = max_records
         self._filters = []
-        for direction in directions:
+        for direction in (EGRESS, INGRESS):
             pkt_filter = self._make_filter(direction)
             host.netfilter.chain(direction).register(pkt_filter)
             self._filters.append((direction, pkt_filter))

@@ -82,13 +82,11 @@ class WindowRateMeter:
 
     def __init__(
         self,
-        name: str = "",
         clock: Optional[Clock] = None,
         window: float = 20.0,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        self.name = name
         self._clock = clock or _zero_clock
         self.window = window
         self._samples: Deque[Tuple[float, float]] = deque()

@@ -109,12 +109,12 @@ class KernelProfiler:
         """Wall-clock seconds needed per simulated second (lower = faster)."""
         return self.run_wall_s / self.sim_seconds if self.sim_seconds > 0 else 0.0
 
-    def top_handlers(self, limit: int = 10) -> List[HandlerStats]:
-        """The costliest handler labels by total wall time."""
+    def top_handlers(self) -> List[HandlerStats]:
+        """The ten costliest handler labels by total wall time."""
         ranked = sorted(
             self._handlers.values(), key=lambda h: h.total_s, reverse=True
         )
-        return ranked[:limit]
+        return ranked[:10]
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-friendly headline numbers."""
@@ -128,7 +128,7 @@ class KernelProfiler:
             "wall_per_sim_second": self.wall_per_sim_second,
         }
 
-    def format_report(self, limit: int = 10) -> str:
+    def format_report(self) -> str:
         """A plain-text profile summary with the top-handler table."""
         lines = [
             "== kernel profile ==",
@@ -140,7 +140,7 @@ class KernelProfiler:
             "",
             f"{'handler':<44} {'calls':>8} {'total ms':>10} {'mean us':>9}",
         ]
-        for stats in self.top_handlers(limit):
+        for stats in self.top_handlers():
             lines.append(
                 f"{stats.label:<44} {stats.calls:>8} "
                 f"{stats.total_s * 1000:>10.2f} {stats.mean_s * 1e6:>9.1f}"

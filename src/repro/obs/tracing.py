@@ -279,7 +279,6 @@ def apply_defaults(bus: TraceBus) -> None:
 def capture(
     path: Optional[str] = None,
     ring: Optional[int] = None,
-    layers: Optional[Sequence[str]] = None,
 ) -> Iterator[List[TraceSink]]:
     """Trace every simulator created inside the block.
 
@@ -300,7 +299,7 @@ def capture(
     if not sinks:
         sinks.append(RingBufferSink())
     try:
-        with context.scope(trace=_with_defaults(sinks, layers)):
+        with context.scope(trace=_with_defaults(sinks, None)):
             yield sinks
     finally:
         for sink in sinks:

@@ -12,13 +12,14 @@ for ``jobs=N`` — then hands the collected values to the scenario's
   :data:`~repro.runner.axes.SEED_FREE_BACKENDS` a cell is identified by
   its key alone: the key's first seed is computed and cached once, and
   every other seed of that key gets the same value object.
-* **Failure capture** — a cell that raises is retried once (in the same
-  worker) and, if it dies again, recorded as a :class:`CellFailure`
-  with its traceback; the campaign continues and ``assemble`` aggregates
-  over the surviving seeds.  A dead seed is reported, never fatal.
-* **Accounting** — per-cell wall timing, cache hit/miss counts and
-  retry counts go into the run's :class:`RunnerStats`, and progress
-  lines into an optional callback.
+* **Failure capture** — a cell that raises is recorded as a
+  :class:`CellFailure` with its traceback, and not re-run: a seeded cell
+  fails the same way every time.  The campaign continues and
+  ``assemble`` aggregates over the surviving seeds.  A dead seed is
+  reported, never fatal.
+* **Accounting** — per-cell wall timing and cache hit/miss counts go
+  into the run's :class:`RunnerStats`, and progress lines into an
+  optional callback.
 * **Determinism** — values are canonicalised through JSON whether they
   came from a worker or the cache, and aggregation order is fixed by
   the cell enumeration, so ``jobs=1`` and ``jobs=N`` produce
@@ -99,16 +100,15 @@ def _cell_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 @dataclass
 class CellFailure:
-    """One cell that kept failing after its retry."""
+    """One cell that raised."""
 
     key: CellKey
     seed: int
     error: str
-    attempts: int
 
     def summary(self) -> str:
         last_line = self.error.strip().splitlines()[-1] if self.error else "?"
-        return f"cell {self.key!r} seed {self.seed}: {last_line} ({self.attempts} attempts)"
+        return f"cell {self.key!r} seed {self.seed}: {last_line}"
 
 
 @dataclass
@@ -123,7 +123,6 @@ class RunnerStats:
     #: Cells given a value computed for another seed of their key.
     shared: int = 0
     failed: int = 0
-    retries: int = 0
     #: Cache entries that existed but could not be read (re-executed).
     cache_corrupt: int = 0
     #: Values the cache refused to store (computed and returned, not cached).
@@ -143,8 +142,8 @@ class RunnerStats:
         shared = f"{self.shared} shared, " if self.shared else ""
         return (
             f"{self.total_cells} cells: {self.executed} executed, {shared}"
-            f"{self.cache_hits} cache hits, {corrupt}{unfiled}{self.failed} failed, "
-            f"{self.retries} retries [{self.elapsed_s:.1f}s]"
+            f"{self.cache_hits} cache hits, {corrupt}{unfiled}{self.failed} failed "
+            f"[{self.elapsed_s:.1f}s]"
         )
 
 
@@ -170,55 +169,47 @@ def _canonical_value(value: object) -> object:
 
 def _execute_cell(
     payload: Tuple[
-        str, str, list, int, Mapping[str, object], int, bool,
+        str, str, list, int, Mapping[str, object], bool,
         Optional[float], Mapping[str, object],
     ]
 ):
-    """Worker entry point: run one cell in its run context, retrying once.
+    """Worker entry point: run one cell, once, in its run context.
 
     Module-level (picklable) and self-bootstrapping: it imports the
     scenario's defining module first, so it works under both ``fork``
-    and ``spawn`` start methods.  Each attempt activates the cell's axes
-    and enters them — with the audit options when the payload's audit
-    flag is set — into the run context (:mod:`repro.context`) *inside*
-    the ``try``: an activation that raises is a cell failure like any
-    other, and the context is restored however the attempt ends, so a
-    reused pool worker starts every cell clean.  An audit violation
-    surfaces as an ordinary failure carrying the ``AuditViolation``
-    traceback.  A :class:`CellTimeout` (the ``cell_timeout`` budget
-    expiring) is terminal: a cell that ran out of wall clock once will
-    again, so it fails immediately with no retry.  The outcome ends with
-    the context names the cell read.
+    and ``spawn`` start methods.  It activates the cell's axes and
+    enters them — with the audit options when the payload's audit flag
+    is set — into the run context (:mod:`repro.context`) *inside* the
+    ``try``: an activation that raises is a cell failure like any other,
+    and the context is restored however the cell ends, so a reused pool
+    worker starts every cell clean.  An audit violation surfaces as an
+    ordinary failure carrying the ``AuditViolation`` traceback, and so
+    does a :class:`CellTimeout` (the ``cell_timeout`` budget expiring).
+    The outcome ends with the context names the cell read.
     """
     (
-        module_name, scenario_name, key_list, seed, params, retries,
+        module_name, scenario_name, key_list, seed, params,
         audit_on, cell_timeout, axes,
     ) = payload
     importlib.import_module(module_name)
     scn = get_scenario(scenario_name)
-    key = tuple(key_list)
-    attempts = 0
     start = time.perf_counter()
     with context.scope() as read:
-        while True:
-            attempts += 1
-            try:
-                ambient = activate(axes)
-                with context.scope(audit={} if audit_on else None, **ambient), \
-                        _cell_deadline(cell_timeout):
-                    run_cell = scn.cell_runner(context.get("backend") or "packet")
-                    value = run_cell(key, seed, params)
-            except Exception as exc:
-                if isinstance(exc, CellTimeout) or attempts > retries:
-                    return (
-                        key_list, seed, False, traceback.format_exc(),
-                        time.perf_counter() - start, attempts, sorted(read),
-                    )
-            else:
-                return (
-                    key_list, seed, True, _canonical_value(value),
-                    time.perf_counter() - start, attempts, sorted(read),
-                )
+        try:
+            ambient = activate(axes)
+            with context.scope(audit={} if audit_on else None, **ambient), \
+                    _cell_deadline(cell_timeout):
+                run_cell = scn.cell_runner(context.get("backend") or "packet")
+                value = run_cell(tuple(key_list), seed, params)
+        except Exception:
+            return (
+                key_list, seed, False, traceback.format_exc(),
+                time.perf_counter() - start, sorted(read),
+            )
+        return (
+            key_list, seed, True, _canonical_value(value),
+            time.perf_counter() - start, sorted(read),
+        )
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -238,8 +229,8 @@ class Runner:
     worker processes.  ``cache=None`` disables caching entirely.
 
     ``cell_timeout`` bounds each cell's wall-clock time: a cell that
-    exceeds it becomes a :class:`CellFailure` (no retry) instead of
-    hanging the campaign.
+    exceeds it becomes a :class:`CellFailure` instead of hanging the
+    campaign.
 
     The remaining keywords are scenario axes, one per
     :data:`~repro.runner.axes.AXES` entry: ``backend=`` (``None`` = the
@@ -258,7 +249,6 @@ class Runner:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        retries: int = 1,
         progress: Optional[Progress] = None,
         audit: bool = False,
         cell_timeout: Optional[float] = None,
@@ -266,8 +256,6 @@ class Runner:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive")
         self.jobs = jobs
@@ -276,7 +264,6 @@ class Runner:
         # in both directions while auditing.
         self.cache = None if audit else cache
         self.audit = audit
-        self.retries = retries
         self.progress = progress
         self.cell_timeout = cell_timeout
         self.axes = normalize_axes(axes)
@@ -360,7 +347,7 @@ class Runner:
         module_name, axes = type(scn).__module__, spec.axes
         payloads = [
             (
-                module_name, scn.name, list(key), seed, params, self.retries,
+                module_name, scn.name, list(key), seed, params,
                 self.audit, self.cell_timeout, axes,
             )
             for key, seed in pending
@@ -379,12 +366,11 @@ class Runner:
                 outcomes = pool.imap_unordered(_execute_cell, payloads)
             filed = {"scenario": scn.name, "backend": spec.backend}
             try:
-                for key_list, seed, ok, value, duration, attempts, names in outcomes:
+                for key_list, seed, ok, value, duration, names in outcomes:
                     cell = (tuple(key_list), seed)
                     group = members[cell]
                     stats.executed += 1
                     read.update(names)
-                    stats.retries += attempts - 1
                     stats.cell_seconds[cell] = duration
                     if ok:
                         got[cell] = value
@@ -392,7 +378,7 @@ class Runner:
                             try:
                                 self.cache.put(digests[cell], value, meta=dict(
                                     filed, seed=seed, key=key_list,
-                                    seconds=duration, attempts=attempts,
+                                    seconds=duration,
                                 ))
                             except (OSError, sqlite3.Error) as exc:
                                 # A cache is an optimisation: the value stands, unfiled.
@@ -403,7 +389,7 @@ class Runner:
                                     )
                     else:
                         for member_key, member_seed in group:
-                            failure = CellFailure(member_key, member_seed, value, attempts)
+                            failure = CellFailure(member_key, member_seed, value)
                             failures.append(failure)
                             self._emit_progress(f"[{scn.name}] FAILED {failure.summary()}")
                         stats.failed += len(group)

@@ -41,8 +41,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = rng
         return rng
-
-    def reseed(self, master_seed: int) -> None:
-        """Reset the registry under a new master seed, dropping all streams."""
-        self.master_seed = master_seed
-        self._streams.clear()

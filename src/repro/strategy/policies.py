@@ -82,18 +82,12 @@ class TyrantPolicy(ChokerPolicy):
 
     name = "tyrant"
     uses_optimistic = False
+    initial_cost = 8_192.0  # bytes/s a new peer is assumed to need
+    decrease = 0.9
+    increase = 1.25
+    cost_floor = 256.0
 
-    def __init__(
-        self,
-        initial_cost: float = 8_192.0,
-        decrease: float = 0.9,
-        increase: float = 1.25,
-        cost_floor: float = 256.0,
-    ) -> None:
-        self.initial_cost = initial_cost
-        self.decrease = decrease
-        self.increase = increase
-        self.cost_floor = cost_floor
+    def __init__(self) -> None:
         self.cost: Dict[str, float] = {}
         self._unchoked_last: Set[str] = set()
 

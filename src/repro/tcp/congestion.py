@@ -27,14 +27,13 @@ class NewRenoCongestionControl:
         mss: int = 1460,
         initial_cwnd_segments: int = 2,
         initial_ssthresh: int = 65535,
-        min_cwnd_segments: int = 1,
     ) -> None:
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.mss = mss
         self.cwnd = initial_cwnd_segments * mss
         self.ssthresh = initial_ssthresh
-        self.min_cwnd = min_cwnd_segments * mss
+        self.min_cwnd = mss  # one segment
         self.state = SLOW_START
         self.recover: Optional[int] = None
         self.fast_retransmits = 0

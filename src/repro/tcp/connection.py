@@ -598,7 +598,7 @@ class TCPConnection:
                 self._last_ack_sent = ack
             if self._delack_timer._live is not None:  # armed
                 self._delack_timer.cancel()
-        self.host.send(Packet(self.local_ip, self.remote_ip, segment, self.sim._now))
+        self.host.send(Packet(self.local_ip, self.remote_ip, segment))
 
     # ------------------------------------------------------------------
     # Timers
@@ -837,9 +837,11 @@ class TCPConnection:
             self.on_close(reason)
         # The last application callback has returned: drop every reference
         # that closes a cycle through this endpoint, so a closed connection
-        # is freed by reference count.  The timers get a no-op, not None:
-        # a refused accept re-arms a finished endpoint's RTO timer
-        # (TCPStack._accept) and that expiry stays a counted event.
+        # is freed by reference count.  The timers get a no-op, not None,
+        # so that a timer armed after the finish expires harmlessly.  No
+        # path arms one: TCPStack._accept answers a SYN whose listener
+        # refused the connection with a RST instead of opening the
+        # finished endpoint.
         self.on_established = self.on_message = self.on_close = None
         self._unregister = None
         self._rto_timer.callback = self._delack_timer.callback = _released

@@ -16,19 +16,18 @@ class RTTEstimator:
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
     K = 4.0
+    granularity = 0.01  # clock granularity G, seconds
 
     def __init__(
         self,
         initial_rto: float = 1.0,
         min_rto: float = 0.2,
         max_rto: float = 60.0,
-        clock_granularity: float = 0.01,
     ) -> None:
         if not 0 < min_rto <= initial_rto <= max_rto:
             raise ValueError("need 0 < min_rto <= initial_rto <= max_rto")
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.granularity = clock_granularity
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self._rto = initial_rto

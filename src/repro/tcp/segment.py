@@ -126,8 +126,6 @@ class TCPSegment:
         )
 
 
-def pure_ack(
-    src_port: int, dst_port: int, seq: int, ack: int, rwnd: int = 262144
-) -> TCPSegment:
+def pure_ack(src_port: int, dst_port: int, seq: int, ack: int) -> TCPSegment:
     """Build a 40-byte-on-the-wire pure acknowledgment segment."""
-    return TCPSegment(src_port, dst_port, seq, ack, ACK, 0, (), rwnd)
+    return TCPSegment(src_port, dst_port, seq, ack, ACK)

@@ -57,18 +57,12 @@ class TCPStack:
     def unlisten(self, port: int) -> None:
         self._listeners.pop(port, None)
 
-    def connect(
-        self,
-        remote_ip: str,
-        remote_port: int,
-        local_port: Optional[int] = None,
-    ) -> TCPConnection:
+    def connect(self, remote_ip: str, remote_port: int) -> TCPConnection:
         """Active-open a connection from this host's current address."""
         local_ip = self.host.ip
         if local_ip is None:
             raise RuntimeError(f"host {self.host.name} has no address (down)")
-        if local_port is None:
-            local_port = self._allocate_port(remote_ip, remote_port)
+        local_port = self._allocate_port(remote_ip, remote_port)
         key = (local_port, remote_ip, remote_port)
         if key in self._connections:
             raise ValueError(f"connection {key} already exists")
@@ -79,13 +73,6 @@ class TCPStack:
         self._connections[key] = conn
         conn.connect()
         return conn
-
-    def abort_all(self, reason: str = "aborted") -> int:
-        """Hard-close every connection (e.g. application shutdown)."""
-        conns = list(self._connections.values())
-        for conn in conns:
-            conn.abort(reason)
-        return len(conns)
 
     def connection_count(self) -> int:
         return len(self._connections)
@@ -120,6 +107,11 @@ class TCPStack:
         )
         self._connections[conn.key] = conn
         on_accept(conn)
+        if conn.closed:
+            # The listener refused the connection (finished it inside
+            # on_accept): answer the SYN as if nobody listened.
+            self._reject(packet, syn)
+            return
         conn.open_passive(syn)
 
     def _reject(self, packet: Packet, segment: TCPSegment) -> None:
@@ -132,7 +124,7 @@ class TCPStack:
             segment.ack if segment.ack is not None else 0,
             segment.end_seq, RST | ACK, 0, (), 0,
         )
-        self.host.send(Packet(self.host.ip, packet.src, rst, created_at=self.sim.now))
+        self.host.send(Packet(self.host.ip, packet.src, rst))
 
     def _allocate_port(self, remote_ip: str, remote_port: int) -> int:
         for _ in range(65536 - EPHEMERAL_BASE):

@@ -171,7 +171,7 @@ class AgeBasedManipulation:
                     segment.src_port, segment.dst_port, segment.seq,
                     segment.ack, ACK, 0, (), segment.rwnd,
                 )
-                extra = Packet(packet.src, packet.dst, pure, created_at=self.sim.now)
+                extra = Packet(packet.src, packet.dst, pure)
                 return [extra, packet]
             flow.last_egress_ack = max(flow.last_egress_ack, segment.ack)
             return None

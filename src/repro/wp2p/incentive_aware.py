@@ -140,10 +140,7 @@ def seed_lihd(
     client: "BitTorrentClient",
     foreground_rate: Callable[[], float],
     u_max: float,
-    alpha: float = 10_240.0,
-    beta: float = 10_240.0,
     interval: float = 5.0,
-    u_floor: float = 2_048.0,
 ) -> LIHDController:
     """LIHD for a *seeding* mobile peer (the paper's §4.2 future work).
 
@@ -152,12 +149,11 @@ def seed_lihd(
     This controller adapts the seed's upload cap to maximise a foreground
     application's download rate (e.g. a
     :class:`~repro.apps.bulk.ForegroundDownload`), keeping the peer a
-    useful seed without degrading the user's own traffic.
+    useful seed without degrading the user's own traffic.  Its step
+    sizes and floor are :class:`LIHDController`'s defaults.
     """
     return LIHDController(
-        client, u_max,
-        alpha=alpha, beta=beta, interval=interval, u_floor=u_floor,
-        rate_source=foreground_rate,
+        client, u_max, interval=interval, rate_source=foreground_rate
     )
 
 
@@ -179,6 +175,3 @@ class IdentityRetention:
 
     def recall(self, info_hash: str) -> Optional[str]:
         return self._ids.get(info_hash)
-
-    def forget(self, info_hash: str) -> None:
-        self._ids.pop(info_hash, None)

@@ -91,13 +91,6 @@ class TestPeerLedger:
         sim.run()
         assert ledger.rate("stable-id") > 0.5 * 10_000
 
-    def test_forget(self):
-        sim = Simulator()
-        ledger = PeerLedger(sim)
-        ledger.credit("p1", 100)
-        ledger.forget("p1")
-        assert ledger.rate("p1") == 0.0
-
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):
             PeerLedger(Simulator(), half_life=0)

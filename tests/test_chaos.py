@@ -60,22 +60,6 @@ class TestSchedule:
         ))
         assert [e.start for e in sched] == [5.0, 10.0, 20.0]
 
-    def test_json_round_trip(self):
-        sched = ChaosSchedule((
-            PeerCrash(start=1.0, target="a", downtime=3.0),
-            PeerChurn(start=2.0, duration=60.0, rate_per_min=1.5, downtime=9.0),
-            TrackerOutage(start=3.0, duration=12.0, mode="refuse"),
-            LinkBlackout(start=4.0, duration=6.0, target="wireless"),
-            LinkDegradation(start=5.0, duration=7.0, rate_factor=0.4, ber=1e-5),
-            HandoffStorm(start=6.0, count=4, spacing=8.0, downtime=0.5),
-            CorruptionBurst(start=7.0, duration=9.0, probability=0.3),
-        ))
-        assert ChaosSchedule.from_jsonable(sched.to_jsonable()) == sched
-
-    def test_from_jsonable_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault event kind"):
-            ChaosSchedule.from_jsonable([{"kind": "meteor_strike", "start": 1.0}])
-
     def test_composition(self):
         a = ChaosSchedule((PeerCrash(start=9.0),))
         b = ChaosSchedule((TrackerOutage(start=1.0),))
@@ -106,13 +90,6 @@ class TestPresets:
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="unknown chaos preset"):
             preset_schedule("lava", 1.0, 300.0)
-
-    def test_schedules_are_cache_keyable(self):
-        # Every preset's schedule survives the JSON round-trip the cache
-        # and worker payloads rely on.
-        for name in chaos.PRESET_NAMES:
-            sched = preset_schedule(name, 2.0, 300.0)
-            assert ChaosSchedule.from_jsonable(sched.to_jsonable()) == sched
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +427,6 @@ class TestCellTimeout:
         failure = run.failures[0]
         assert failure.key == (1.5,)
         assert "CellTimeout" in failure.error
-        assert failure.attempts == 1          # timeouts are not retried
         assert run.values[((0.01,), 0)] == 0.01
 
     def test_pool_workers_also_enforce_the_budget(self):

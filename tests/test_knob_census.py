@@ -1,20 +1,29 @@
-"""Every config field earns a caller.
+"""Every config field and every defaulted parameter earns a caller.
 
-A dataclass field that nothing ever sets is a constant written in two
-places: as the field's default and again wherever the value is read.
-This scan walks the library, the scripts, the tests, the benchmarks and
-the examples and requires every field of the simulator's config classes
-to be set somewhere outside its own class body: as a call keyword
-(constructor or ``replace()``), an attribute write, or a key of a
-strategy's ``config_overrides``.  A field that fails here should become
-a module constant (or a component default) instead.
+A dataclass field or a defaulted parameter that nothing ever sets is a
+constant written in two places: as the default and again wherever the
+value is read.  These scans walk the library, the scripts, the tests,
+the benchmarks and the examples.
+
+* Every field of the simulator's config classes is set somewhere
+  outside its own class body: as a call keyword (constructor or
+  ``replace()``), an attribute write, or a key of a strategy's
+  ``config_overrides``.
+* Every defaulted parameter of a public function, method or
+  constructor under ``src/repro`` is passed by some call to a callee of
+  that name (a constructor's callee is its class, a subclass that
+  inherits it, or ``super().__init__`` in a subclass): by keyword,
+  positionally far enough, or through ``*args`` / ``**kwargs``.
+
+A field or parameter that fails here should become a module constant
+(or a local with the same value) instead.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "scripts", "tests", "perfbench", "benchmarks", "examples")
@@ -83,3 +92,125 @@ def test_every_config_field_is_set_somewhere():
         for field in names if field in pending
     ]
     assert not unset, f"config fields nothing sets: {unset}"
+
+
+#: Calls the name match cannot resolve: (file, callee name) -> the
+#: public callee the call reaches.  One entry per call expression.
+UNRESOLVED = {
+    # SwarmScenario.add_wired_peer/add_wireless_peer call the class
+    # passed as ``client_factory`` (BitTorrentClient by default).
+    ("src/repro/bittorrent/swarm.py", "client_factory"): "BitTorrentClient",
+}
+
+Param = Tuple[str, Optional[int]]  # (name, positional index past self)
+
+
+def _defaulted(fn: ast.FunctionDef, shift: int) -> List[Param]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found: List[Param] = [
+        (arg.arg, index - shift) for index, arg in enumerate(positional) if index >= first
+    ]
+    found += [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _callables(src: pathlib.Path) -> Tuple[Dict[str, List[Tuple[str, List[Param]]]],
+                                           Dict[str, List[str]]]:
+    """callee name -> [(label, defaulted parameters)] for every public
+    function, method and constructor under ``src/repro``; and class name
+    -> base names for the classes that inherit their constructor."""
+    callables: Dict[str, List[Tuple[str, List[Param]]]] = {}
+    inherits: Dict[str, List[str]] = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src / "repro").as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                params = _defaulted(node, 0)
+                if params:
+                    callables.setdefault(node.name, []).append((f"{rel}:{node.name}", params))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            if not any(fn.name == "__init__" for fn in methods):
+                inherits[node.name] = [
+                    base.id for base in node.bases if isinstance(base, ast.Name)
+                ]
+            if node.name.startswith("_"):
+                continue
+            for fn in methods:
+                if fn.name.startswith("_") and fn.name != "__init__":
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                params = _defaulted(fn, 0 if static else 1)
+                if params:
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    callables.setdefault(callee, []).append(
+                        (f"{rel}:{node.name}.{fn.name}", params)
+                    )
+    return callables, inherits
+
+
+def _calls(path: pathlib.Path, rel: str) -> Iterator[Tuple[str, ast.Call]]:
+    """(callee name, call) for every call in one file; a
+    ``super().__init__`` call is a call to each base of its class."""
+    todo: List[Tuple[ast.AST, List[str]]] = [(ast.parse(path.read_text()), [])]
+    while todo:
+        node, bases = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                if func.attr == "__init__" and isinstance(func.value, ast.Call):
+                    for base in bases:
+                        yield base, node
+                else:
+                    yield func.attr, node
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if (rel, name) in UNRESOLVED:
+                yield UNRESOLVED[rel, name], node
+        todo.extend((child, bases) for child in ast.iter_child_nodes(node))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    callables, inherits = _callables(ROOT / "src")
+
+    def callees(name: str) -> List[str]:
+        """``name`` itself, or the bases whose constructor it inherits."""
+        found, todo = [], [name]
+        while todo:
+            name = todo.pop()
+            if name in callables:
+                found.append(name)
+            todo.extend(inherits.get(name, ()))
+        return found
+
+    passed: Set[Tuple[str, str]] = set()
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            for name, call in _calls(path, rel):
+                spread = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                    keyword.arg is None for keyword in call.keywords
+                )
+                keywords = {keyword.arg for keyword in call.keywords}
+                for callee in callees(name):
+                    for label, params in callables[callee]:
+                        passed.update(
+                            (label, param) for param, index in params
+                            if spread or param in keywords
+                            or (index is not None and index < len(call.args))
+                        )
+    unset = [
+        f"{label}({param})"
+        for entries in callables.values() for label, params in entries
+        for param, _ in params if (label, param) not in passed
+    ]
+    assert not unset, f"defaulted parameters no call passes: {sorted(unset)}"

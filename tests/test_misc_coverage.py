@@ -67,7 +67,7 @@ class TestWirelessDynamics:
                                        rate=20_000)
         for i in range(100):
             sim.schedule(i * 0.01, lambda: fixed.send(
-                Packet(fixed.ip, mob.ip, Payload(), created_at=sim.now)))
+                Packet(fixed.ip, mob.ip, Payload())))
         sim.run(until=2.0)
         slow_count = len(mob.transport.packets)
         channel.set_rate(200_000)

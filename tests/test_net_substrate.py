@@ -123,14 +123,14 @@ class TestWiredDelivery:
     def test_packet_reaches_destination(self):
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim)
-        a.send(Packet(a.ip, b.ip, Payload(1000), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(1000)))
         sim.run(until=1.0)
         assert len(b.transport.packets) == 1
 
     def test_unroutable_packet_dropped_at_core(self):
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim)
-        a.send(Packet(a.ip, "10.9.9.9", Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, "10.9.9.9", Payload(100)))
         sim.run(until=1.0)
         assert internet.unroutable == 1
 
@@ -138,7 +138,7 @@ class TestWiredDelivery:
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim)
         a.take_down()
-        a.send(Packet("stale", b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet("stale", b.ip, Payload(100)))
         sim.run(until=1.0)
         assert b.transport.packets == []
         assert a.drops == {"interface_down": 1}
@@ -151,7 +151,7 @@ class TestWiredDelivery:
         b.transport = Sink()
         attach_wired_host(sim, a, internet, alloc.allocate(), up_rate=10_000)
         attach_wired_host(sim, b, internet, alloc.allocate(), down_rate=1_000_000)
-        a.send(Packet(a.ip, b.ip, Payload(9_980), created_at=sim.now))  # 10 KB w/ header
+        a.send(Packet(a.ip, b.ip, Payload(9_980)))  # 10 KB w/ header
         sim.run()
         # uplink serialization dominates: 10000B / 10000Bps = 1 s
         assert sim.now == pytest.approx(1.0, abs=0.05)
@@ -161,8 +161,8 @@ class TestWirelessChannel:
     def test_lossless_delivery_both_directions(self):
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim, wireless_b=True, ber=0.0)
-        a.send(Packet(a.ip, b.ip, Payload(1000), created_at=sim.now))
-        b.send(Packet(b.ip, a.ip, Payload(1000), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(1000)))
+        b.send(Packet(b.ip, a.ip, Payload(1000)))
         sim.run(until=2.0)
         assert len(b.transport.packets) == 1
         assert len(a.transport.packets) == 1
@@ -174,7 +174,7 @@ class TestWirelessChannel:
         for i in range(200):
             sim.schedule(
                 i * 0.1,
-                lambda: a.send(Packet(a.ip, b.ip, Payload(1460), created_at=sim.now)),
+                lambda: a.send(Packet(a.ip, b.ip, Payload(1460))),
             )
         sim.run(until=200.0)
         ch = b.interface.link
@@ -190,7 +190,7 @@ class TestWirelessChannel:
             sim = Simulator(seed=1)
             internet, alloc, a, b = make_pair(sim, wireless_b=True, rate=50_000)
             for _ in range(20):
-                a.send(Packet(a.ip, b.ip, Payload(1460), created_at=sim.now))
+                a.send(Packet(a.ip, b.ip, Payload(1460)))
             sim.run()
             return sim.now
 
@@ -198,8 +198,8 @@ class TestWirelessChannel:
             sim = Simulator(seed=1)
             internet, alloc, a, b = make_pair(sim, wireless_b=True, rate=50_000)
             for _ in range(20):
-                a.send(Packet(a.ip, b.ip, Payload(1460), created_at=sim.now))
-                b.send(Packet(b.ip, a.ip, Payload(1460), created_at=sim.now))
+                a.send(Packet(a.ip, b.ip, Payload(1460)))
+                b.send(Packet(b.ip, a.ip, Payload(1460)))
             sim.run()
             return sim.now
 
@@ -211,7 +211,7 @@ class TestWirelessChannel:
             sim, wireless_b=True, rate=10_000, ap_queue_packets=5
         )
         for _ in range(50):
-            a.send(Packet(a.ip, b.ip, Payload(1460), created_at=sim.now))
+            a.send(Packet(a.ip, b.ip, Payload(1460)))
         sim.run(until=60)
         assert len(b.interface.link.buffer_drops) > 0
 
@@ -259,7 +259,7 @@ class TestMobility:
         old_ip = b.ip
         disconnect_host(b, internet, alloc)
         reconnect_host(b, internet, alloc)
-        a.send(Packet(a.ip, old_ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, old_ip, Payload(100)))
         sim.run(until=1.0)
         assert internet.unroutable == 1
         assert b.transport.packets == []
@@ -294,8 +294,8 @@ class TestDropsCostCounts:
         payload = Payload(100)  # at BER 0.5 every such frame is lost
 
         def send_both():
-            a.send(Packet(a.ip, old_ip, payload, created_at=sim.now))
-            a.send(Packet(a.ip, b.ip, payload, created_at=sim.now))
+            a.send(Packet(a.ip, old_ip, payload))
+            a.send(Packet(a.ip, b.ip, payload))
             sim.run()
 
         send_both()  # builds everything built lazily
@@ -317,7 +317,7 @@ class TestNetfilter:
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim)
         a.netfilter.egress.register(lambda pkt: [])
-        a.send(Packet(a.ip, b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(100)))
         sim.run(until=1.0)
         assert b.transport.packets == []
 
@@ -326,11 +326,11 @@ class TestNetfilter:
         internet, alloc, a, b = make_pair(sim)
 
         def duplicate(pkt):
-            extra = Packet(pkt.src, pkt.dst, pkt.payload, created_at=pkt.created_at)
+            extra = Packet(pkt.src, pkt.dst, pkt.payload)
             return [extra, pkt]
 
         a.netfilter.egress.register(duplicate)
-        a.send(Packet(a.ip, b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(100)))
         sim.run(until=1.0)
         assert len(b.transport.packets) == 2
 
@@ -340,14 +340,14 @@ class TestNetfilter:
         seen = []
         a.netfilter.egress.register(lambda pkt: [pkt, pkt])
         a.netfilter.egress.register(lambda pkt: seen.append(pkt) or None)
-        a.send(Packet(a.ip, b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(100)))
         assert len(seen) == 2
 
     def test_ingress_filter_applies(self):
         sim = Simulator(seed=1)
         internet, alloc, a, b = make_pair(sim)
         b.netfilter.ingress.register(lambda pkt: [])
-        a.send(Packet(a.ip, b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(100)))
         sim.run(until=1.0)
         assert b.transport.packets == []
 
@@ -357,6 +357,6 @@ class TestNetfilter:
         f = lambda pkt: []
         a.netfilter.egress.register(f)
         a.netfilter.egress.unregister(f)
-        a.send(Packet(a.ip, b.ip, Payload(100), created_at=sim.now))
+        a.send(Packet(a.ip, b.ip, Payload(100)))
         sim.run(until=1.0)
         assert len(b.transport.packets) == 1

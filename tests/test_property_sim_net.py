@@ -90,7 +90,7 @@ class TestWirelessConservation:
         attach_wired_host(sim, fixed, internet, alloc.allocate())
         for i in range(n_packets):
             sim.schedule(i * 0.05, lambda: mobile.send(
-                Packet(mobile.ip, fixed.ip, Payload(1000), created_at=sim.now)))
+                Packet(mobile.ip, fixed.ip, Payload(1000))))
         sim.run()
         delivered = len(fixed.transport.packets)
         bit_losses = channel.frames_lost  # only the uplink carries frames
@@ -112,7 +112,7 @@ class TestWirelessConservation:
         attach_wired_host(sim, fixed, internet, alloc.allocate())
         for i in range(n_packets):
             sim.schedule(i * 0.2, lambda: fixed.send(
-                Packet(fixed.ip, mobile.ip, Payload(500), created_at=sim.now)))
+                Packet(fixed.ip, mobile.ip, Payload(500))))
         sim.run()
         assert channel.airtime_busy > 0
         # airtime equals frames * frame_time exactly (one rate, one size)

@@ -395,8 +395,8 @@ class TestCache:
         entry = json.loads(_sql(tmp_path, "SELECT min(entry) FROM cells")[0])
         assert set(entry) == {"value", "meta"}
         meta = entry["meta"]
-        assert set(meta) == {"scenario", "backend", "seed", "key", "seconds", "attempts"}
-        assert (meta["scenario"], meta["backend"], meta["attempts"]) == ("fig2a", "packet", 1)
+        assert set(meta) == {"scenario", "backend", "seed", "key", "seconds"}
+        assert (meta["scenario"], meta["backend"]) == ("fig2a", "packet")
 
     def test_no_cache_runner_never_touches_disk(self, tmp_path):
         Runner(cache=None).run("fig2a", FAST_FIG2A)
@@ -408,7 +408,7 @@ class TestCache:
 # ----------------------------------------------------------------------
 @scenario
 class FlakyScenario(Scenario):
-    """Seed 2 always dies; seed 3 fails once then succeeds."""
+    """Seed 2 always dies."""
 
     name = "test-flaky"
     description = "test scenario: deterministic failures"
@@ -421,9 +421,6 @@ class FlakyScenario(Scenario):
     def run_cell(self, key, seed, p):
         if seed == 2:
             raise RuntimeError("seed 2 always dies")
-        if seed == 3 and not getattr(self, "_seed3_failed", False):
-            self._seed3_failed = True
-            raise RuntimeError("seed 3 dies once")
         return seed * 10
 
     def assemble(self, p, values, failures):
@@ -433,21 +430,14 @@ class FlakyScenario(Scenario):
 class TestFailures:
     def test_dead_seed_is_reported_not_fatal(self):
         run = Runner().run("test-flaky")
-        # seed 2 failed (after a retry), seeds 1 and 3 survived
+        # seed 2 failed, seeds 1 and 3 survived
         assert run.result == {"values": [10, 30], "failed": 1}
         assert [f.seed for f in run.failures] == [2]
         failure = run.failures[0]
-        assert failure.attempts == 2
         assert "seed 2 always dies" in failure.error
         assert "seed 2 always dies" in failure.summary()
-        # stats: retries counted for both the dead and the flaky seed
         assert run.stats.failed == 1
-        assert run.stats.retries == 2
         assert run.stats.executed == 3
-
-    def test_zero_retries_fails_immediately(self):
-        run = Runner(retries=0).run("test-flaky", {"seeds": [2]})
-        assert run.failures[0].attempts == 1
 
     def test_a_point_that_lost_every_seed_is_nan_not_fatal(self, monkeypatch):
         scn = get_scenario("fig2a")
@@ -459,7 +449,7 @@ class TestFailures:
             return run_cell(self, key, seed, p)
 
         monkeypatch.setattr(type(scn), "run_cell", refuse_ber_zero)
-        run = Runner(retries=0).run("fig2a", FAST_FIG2A)
+        run = Runner().run("fig2a", FAST_FIG2A)
         assert len(run.failures) == 4  # both modes x both seeds at BER 0
         assert all("BER 0 refused" in f.error for f in run.failures)
         for label in ("Bi-TCP", "Uni-TCP"):
@@ -481,8 +471,6 @@ class TestFailures:
     def test_invalid_runner_args_rejected(self):
         with pytest.raises(ValueError):
             Runner(jobs=0)
-        with pytest.raises(ValueError):
-            Runner(retries=-1)
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +522,7 @@ class TestSeedFreeSharing:
         monkeypatch.setattr(type(get_scenario("figx_scale")), "run_cell_fluid", boom)
         run = Runner(backend="fluid").run("figx_scale", {"runs": 3, "dt": 2.0})
         assert run.stats.total_cells == run.stats.failed == len(run.failures) == 60
-        assert (run.stats.executed, run.stats.shared, run.stats.retries) == (20, 40, 20)
+        assert (run.stats.executed, run.stats.shared) == (20, 40)
         assert run.values == {}
         for key in {f.key for f in run.failures}:
             group = [f for f in run.failures if f.key == key]
@@ -638,9 +626,7 @@ class TestRunContext:
         run = Runner(audit=True, chaos="churn", doomed=1).run(
             "test-flaky", {"seeds": [1, 4, 5]})
         assert run.stats.failed == run.stats.total_cells == 3
-        assert all(
-            f.attempts == 2 and "activation refused" in f.error for f in run.failures
-        )
+        assert all("activation refused" in f.error for f in run.failures)
         assert context.active() == {}
 
     def test_scope_restores_the_previous_state_on_error(self):

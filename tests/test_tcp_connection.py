@@ -303,15 +303,6 @@ class TestStack:
         with pytest.raises(ValueError):
             net.stack_b.listen(6881, lambda c: None)
 
-    def test_abort_all(self, two_hosts):
-        net = two_hosts
-        net.stack_b.listen(6881, lambda c: None)
-        for _ in range(5):
-            net.stack_a.connect(net.b.ip, 6881)
-        net.sim.run(until=1.0)
-        assert net.stack_a.abort_all() == 5
-        assert net.stack_a.connection_count() == 0
-
     def test_stale_connection_dies_after_ip_change(self):
         """A connection bound to the old address starves after a handoff."""
         from repro.net.mobility import disconnect_host, reconnect_host

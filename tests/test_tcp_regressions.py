@@ -6,7 +6,6 @@ redundant with broader suites.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,19 +171,14 @@ class TestAdversarialLossPatterns:
 
 
 class TestRefusedAcceptAnswersWithRst:
-    """Known issue, pinned not fixed (docs/ARCHITECTURE.md § repro.tcp).
-
-    ``TCPStack._accept`` calls ``open_passive`` even when the listener
-    aborted the new connection inside ``on_accept`` (what
-    ``BitTorrentClient._accept`` does at ``max_peers``): the finished,
-    unregistered endpoint still answers SYN-ACK and arms its RTO timer,
-    so the initiator completes a handshake with nobody and learns of the
-    refusal a round trip late.  The fix — reject with RST — changes
-    packets and every CDN digest, so it waits for a PR whose gate is not
-    bit-identity; this test turns green when it lands.
+    """A listener that aborts the new connection inside ``on_accept``
+    (what ``BitTorrentClient._accept`` does at ``max_peers`` or when
+    stopped) refuses it: ``TCPStack._accept`` answers the SYN with one
+    RST, as for a port nobody listens on, and the finished endpoint
+    neither sends a SYN-ACK nor arms a timer.  The initiator learns of
+    the refusal at once instead of completing a handshake with nobody.
     """
 
-    @pytest.mark.xfail(strict=True, reason="refused accept still sends SYN-ACK")
     def test_refused_accept_sends_rst_not_synack(self):
         net = TwoHostNet()
         refused = []

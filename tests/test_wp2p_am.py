@@ -13,11 +13,11 @@ from tests.helpers import Message, TwoHostNet
 
 def data_packet(src, dst, sport, dport, seq, ack, length=1460):
     seg = TCPSegment(sport, dport, seq, ack, ACK, length)
-    return Packet(src, dst, seg, created_at=0.0)
+    return Packet(src, dst, seg)
 
 
 def ack_packet(src, dst, sport, dport, seq, ack):
-    return Packet(src, dst, pure_ack(sport, dport, seq, ack), created_at=0.0)
+    return Packet(src, dst, pure_ack(sport, dport, seq, ack))
 
 
 class TestAMUnit:

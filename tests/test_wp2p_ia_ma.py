@@ -104,12 +104,6 @@ class TestIdentityRetention:
         assert ident.recall("ih1") == "peer-a"
         assert ident.recall("ih2") == "peer-b"
 
-    def test_forget(self):
-        ident = IdentityRetention()
-        ident.remember("ih1", "peer-a")
-        ident.forget("ih1")
-        assert ident.recall("ih1") is None
-
 
 class TestLIHD:
     def make_scenario(self, u_max=50_000.0, **lihd_kwargs):
