@@ -10,13 +10,12 @@ from __future__ import annotations
 from .series import ExperimentResult
 
 MARKERS = "*o+x#@%&"
+#: Plot area in characters.
+WIDTH = 64
+HEIGHT = 16
 
 
-def ascii_chart(
-    result: ExperimentResult,
-    width: int = 64,
-    height: int = 16,
-) -> str:
+def ascii_chart(result: ExperimentResult) -> str:
     """Render the result's series as a shared-axes ASCII scatter chart."""
     series = [s for s in result.series if len(s) > 0]
     if not series:
@@ -31,12 +30,12 @@ def ascii_chart(
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for index, s in enumerate(series):
         marker = MARKERS[index % len(MARKERS)]
         for x, y in zip(s.x, s.y):
-            col = int((x - x_min) / x_span * (width - 1))
-            row = height - 1 - int((y - y_min) / y_span * (height - 1))
+            col = int((x - x_min) / x_span * (WIDTH - 1))
+            row = HEIGHT - 1 - int((y - y_min) / y_span * (HEIGHT - 1))
             cell = grid[row][col]
             grid[row][col] = marker if cell in (" ", marker) else "?"
 
@@ -44,13 +43,13 @@ def ascii_chart(
     for row_index, row in enumerate(grid):
         if row_index == 0:
             label = f"{y_max:10.1f} |"
-        elif row_index == height - 1:
+        elif row_index == HEIGHT - 1:
             label = f"{y_min:10.1f} |"
         else:
             label = " " * 10 + " |"
         lines.append(label + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(" " * 12 + f"{_fmt(x_min)}".ljust(width - 8) + f"{_fmt(x_max)}")
+    lines.append(" " * 11 + "+" + "-" * WIDTH)
+    lines.append(" " * 12 + f"{_fmt(x_min)}".ljust(WIDTH - 8) + f"{_fmt(x_max)}")
     legend = "   ".join(
         f"{MARKERS[i % len(MARKERS)]} {s.label}" for i, s in enumerate(series)
     )

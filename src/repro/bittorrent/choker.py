@@ -13,9 +13,9 @@ zero and must win the optimistic slot first.
 Since the strategy layer (:mod:`repro.strategy`) the *decision* half —
 how peers are ranked and which win the ranked slots — lives in a
 :class:`~repro.strategy.base.ChokerPolicy`, while :class:`ChokerDriver`
-keeps everything temporal: round scheduling, the anti-snubbing filter,
-optimistic rotation (skipped for policies that disown it) and applying
-choke/unchoke edges.  Without an explicit policy the driver runs
+keeps everything temporal: round scheduling, optimistic rotation
+(skipped for policies that disown it) and applying choke/unchoke
+edges.  Without an explicit policy :class:`ChokerDriver` runs
 :class:`~repro.strategy.policies.ReferencePolicy`, whose ranking is the
 exact expression the pre-seam choker used — same sort order, same RNG
 draws, byte-identical trajectories.
@@ -80,14 +80,8 @@ class ChokerDriver:
         self.rounds_run += 1
         peers = [p for p in self.client.connected_peers() if p.ready]
         interested = [p for p in peers if p.peer_interested]
-
-        candidates = interested
-        if self.client.config.anti_snubbing:
-            # Snubbing peers may only win the optimistic slot.
-            timeout = self.client.config.snub_timeout
-            candidates = [p for p in interested if not p.snubbed(timeout)]
         unchoke = self.policy.allocate(
-            self.client, candidates, self.slots, self._rng
+            self.client, interested, self.slots, self._rng
         )
 
         if self.policy.uses_optimistic:

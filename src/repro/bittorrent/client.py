@@ -47,6 +47,7 @@ from .selection import (
     SelectionContext,
     make_selector,
 )
+from .tracker import TRACKER_PORT
 
 
 @dataclass
@@ -55,7 +56,6 @@ class ClientConfig:
 
     listen_port: int = 6881
     max_peers: int = 30
-    request_pipeline: int = 8
     choke_interval: float = 10.0
     unchoke_slots: int = 3
     optimistic_every: int = 3
@@ -66,16 +66,6 @@ class ClientConfig:
     task_restart_delay: float = 2.0
     keep_seeding: bool = True
     corrupt_probability: float = 0.0
-    keepalive_interval: float = 120.0
-    """Send a keep-alive on connections idle this long (standard 2 min)."""
-    idle_timeout: float = 0.0
-    """Drop connections silent for this long; 0 disables (most experiments
-    are shorter than a realistic 4-minute timeout)."""
-    anti_snubbing: bool = False
-    """Exclude peers that stopped sending us blocks from ranked unchoke
-    slots (real-client behaviour; off by default to match the paper's
-    CTorrent baseline)."""
-    snub_timeout: float = 60.0
 
 
 IPChangePolicy = Callable[["BitTorrentClient", Optional[str], Optional[str]], None]
@@ -92,6 +82,11 @@ REQUEST_TIMEOUT = 30.0
 SEND_BUFFER_CAP = 65_536
 #: New outgoing connections per housekeeping sweep.
 CONNECTS_PER_SWEEP = 4
+#: Block requests kept outstanding per unchoked peer.
+REQUEST_PIPELINE = 8
+#: Seconds a connection may go without us sending before a keep-alive
+#: goes out (the standard two minutes).
+KEEPALIVE_INTERVAL = 120.0
 
 
 def default_restart_policy(
@@ -317,7 +312,7 @@ class BitTorrentClient:
             self._schedule_announce(ANNOUNCE_RETRY)
             return
         try:
-            conn = self.stack.connect(self.torrent.tracker_ip, self.torrent.tracker_port)
+            conn = self.stack.connect(self.torrent.tracker_ip, TRACKER_PORT)
         except (RuntimeError, ValueError):
             self._schedule_announce(self._announce_backoff())
             return
@@ -551,7 +546,7 @@ class BitTorrentClient:
             now=self.sim.now,
             rng=self._rng,
         )
-        while len(peer.outstanding) < self.config.request_pipeline:
+        while len(peer.outstanding) < REQUEST_PIPELINE:
             choice = self.manager.next_request(peer.peer_bitfield, self.selector, ctx)
             if choice is None:
                 break
@@ -670,18 +665,10 @@ class BitTorrentClient:
             self.connect_to_known_peers(limit=CONNECTS_PER_SWEEP)
 
     def _keepalive_sweep(self, peers: List[PeerConnection]) -> None:
-        """Keep idle connections alive; reap dead-silent ones."""
+        """Keep idle connections alive."""
         now = self.sim.now
         for peer in peers:
-            if not peer.ready:
-                continue
-            if (
-                self.config.idle_timeout > 0
-                and now - peer.last_received > self.config.idle_timeout
-            ):
-                peer.close("idle_timeout")
-                continue
-            if now - peer.last_sent >= self.config.keepalive_interval:
+            if peer.ready and now - peer.last_sent >= KEEPALIVE_INTERVAL:
                 peer.send_keepalive()
 
     # ------------------------------------------------------------------

@@ -22,8 +22,9 @@ DEFAULT_PIECE_LENGTH = 262_144
 class Torrent:
     """Immutable description of one shared file.
 
-    ``tracker_ip``/``tracker_port`` point at the simulated tracker; peers
-    learn each other's addresses only through it, as in real BitTorrent.
+    ``tracker_ip`` points at the simulated tracker (which listens on
+    :data:`~repro.bittorrent.tracker.TRACKER_PORT`); peers learn each
+    other's addresses only through it, as in real BitTorrent.
     """
 
     info_hash: str
@@ -31,7 +32,6 @@ class Torrent:
     total_size: int
     piece_length: int = DEFAULT_PIECE_LENGTH
     tracker_ip: str = ""
-    tracker_port: int = 8000
 
     def __post_init__(self) -> None:
         if self.total_size <= 0:
@@ -82,24 +82,22 @@ class Torrent:
             raise IndexError(f"piece {index} out of range (0..{self.num_pieces - 1})")
 
 
-_torrent_counter = [0]
-
-
 def make_torrent(
     name: str,
     total_size: int,
     piece_length: int = DEFAULT_PIECE_LENGTH,
     tracker_ip: str = "",
-    tracker_port: int = 8000,
 ) -> Torrent:
-    """Create a torrent with a unique synthetic info-hash."""
-    _torrent_counter[0] += 1
-    info_hash = f"ih-{_torrent_counter[0]:08d}-{name}"
+    """Create a torrent whose synthetic info-hash names its content.
+
+    As in real BitTorrent the info-hash covers the file description
+    (name, size, piece geometry), not the tracker, so the same arguments
+    give equal torrents in any process.
+    """
     return Torrent(
-        info_hash=info_hash,
+        info_hash=f"ih-{name}-{total_size}-{piece_length}",
         name=name,
         total_size=total_size,
         piece_length=piece_length,
         tracker_ip=tracker_ip,
-        tracker_port=tracker_port,
     )

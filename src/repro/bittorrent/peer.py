@@ -68,8 +68,6 @@ class PeerConnection:
         self.closed = False
         self.close_reason: Optional[str] = None
         self.last_sent = self.sim.now
-        self.last_received = self.sim.now
-        self.last_block_at: Optional[float] = None
         self.keepalives_sent = 0
 
         tcp.on_established = self._on_established
@@ -104,16 +102,6 @@ class PeerConnection:
     def ready(self) -> bool:
         """Handshake exchanged in both directions."""
         return self.handshake_sent and self.handshake_received
-
-    def snubbed(self, timeout: float) -> bool:
-        """True if the peer has us unchoked-and-interested yet delivered no
-        block for ``timeout`` seconds (anti-snubbing input)."""
-        if self.peer_choking or not self.am_interested:
-            return False
-        reference = self.last_block_at
-        if reference is None:
-            reference = self.last_received
-        return self.sim.now - reference > timeout
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -205,7 +193,6 @@ class PeerConnection:
     def _on_message(self, message: object) -> None:
         if self.closed:
             return
-        self.last_received = self.sim._now
         if isinstance(message, Handshake):
             self._on_handshake(message)
         elif isinstance(message, BitfieldMessage):
@@ -282,7 +269,6 @@ class PeerConnection:
 
     def _on_piece(self, piece: Piece) -> None:
         key = piece.block_key
-        self.last_block_at = self.sim.now
         self.outstanding.pop(key, None)
         self.download_meter.add(piece.length)
         self.blocks_downloaded += 1

@@ -14,23 +14,18 @@ from ..sim import Simulator
 
 
 class TokenBucket:
-    """A byte-rate limiter.  ``rate=None`` means unlimited."""
+    """A byte-rate limiter.  ``rate=None`` means unlimited.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rate: Optional[float],
-        burst: Optional[float] = None,
-    ) -> None:
+    The burst (the most tokens on hand) is one second's worth of the
+    rate, and follows it through live rate changes.
+    """
+
+    def __init__(self, sim: Simulator, rate: Optional[float]) -> None:
         if rate is not None and rate < 0:
             raise ValueError("rate must be non-negative or None")
         self.sim = sim
         self.rate = rate
-        # A caller-supplied burst is a configuration choice that must
-        # survive live rate changes; only the default (burst == rate)
-        # tracks the rate.
-        self._explicit_burst = burst is not None
-        self.burst = burst if burst is not None else (rate if rate else 0.0)
+        self.burst = rate if rate else 0.0
         self._tokens = self.burst
         self._last = sim.now
         audit = sim.audit
@@ -41,17 +36,16 @@ class TokenBucket:
     def set_rate(self, rate: Optional[float]) -> None:
         """Change the sustained rate; tokens on hand are preserved.
 
-        A burst configured at construction is kept; the default burst
-        follows the rate (including down to 0 for ``None``/``0``, so a
-        bucket re-enabled later starts empty instead of spending a stale
-        balance).  Tokens are always clamped to the current burst.
+        The burst follows the rate (including down to 0 for
+        ``None``/``0``, so a bucket re-enabled later starts empty instead
+        of spending a stale balance).  Tokens are always clamped to the
+        current burst.
         """
         if rate is not None and rate < 0:
             raise ValueError("rate must be non-negative or None")
         self._refill()
         self.rate = rate
-        if not self._explicit_burst:
-            self.burst = rate if rate else 0.0
+        self.burst = rate if rate else 0.0
         self._tokens = min(self._tokens, self.burst)
 
     @property

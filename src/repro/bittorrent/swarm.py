@@ -25,12 +25,14 @@ from ..net import (
     attach_wireless_host,
 )
 from ..sim import Simulator
-from ..tcp.connection import TCPConfig
 from ..tcp.stack import TCPStack
 from .client import BitTorrentClient, ClientConfig
 from .metainfo import Torrent, make_torrent
 from .selection import PieceSelector
 from .tracker import Tracker
+
+#: Seconds between the starts of consecutive clients in ``start_all``.
+START_STAGGER = 0.1
 
 
 @dataclass
@@ -60,20 +62,16 @@ class SwarmScenario:
         seed: int = 0,
         file_size: int = 4 * 1024 * 1024,
         piece_length: int = 65_536,
-        core_delay: float = 0.02,
         tracker_interval: float = 120.0,
-        tcp_config: Optional[TCPConfig] = None,
         torrent_name: str = "shared-file",
-        strategy_mix=None,
         content=None,
     ) -> None:
         self.sim = Simulator(seed=seed)
-        self.internet = Internet(self.sim, core_delay=core_delay)
+        self.internet = Internet(self.sim)
         self.alloc = AddressAllocator()
-        self.tcp_config = tcp_config or TCPConfig()
 
         self.tracker_host = Host(self.sim, "tracker")
-        TCPStack(self.sim, self.tracker_host, config=self.tcp_config)
+        TCPStack(self.sim, self.tracker_host)
         attach_wired_host(
             self.sim, self.tracker_host, self.internet, self.alloc.allocate(),
             down_rate=10_000_000, up_rate=10_000_000,
@@ -86,18 +84,17 @@ class SwarmScenario:
             total_size=file_size,
             piece_length=piece_length,
             tracker_ip=self.tracker_host.ip or "",
-            tracker_port=self.tracker.port,
         )
         self.peers: Dict[str, PeerHandle] = {}
         # Ambient axes from the run context (repro.context): chaos is armed
-        # now, so a later add_chaos raises; an explicit strategy_mix= or
-        # content= beats the ambient value.
+        # now, so a later add_chaos raises; an explicit content= beats the
+        # ambient value.
         #: armed fault-injection controller, if any (see repro.chaos)
         self.chaos: Optional[ChaosController] = None
         chaos_defaults.apply_defaults(self)
         #: assigns peers their strategies from the mix, if any (repro.strategy)
         self._strategy_assigner: Optional[strategy_defaults.MixAssigner] = None
-        mix = strategy_mix if strategy_mix is not None else context.get("strategies")
+        mix = context.get("strategies")
         if mix:
             normalized = strategy_defaults.normalize_mix(mix)
             if not strategy_defaults.mix_is_default(normalized):
@@ -141,18 +138,17 @@ class SwarmScenario:
         up_rate: float = 48_000.0,
         config: Optional[ClientConfig] = None,
         selector: Optional[PieceSelector] = None,
-        client_factory=BitTorrentClient,
         initial_pieces=None,
         strategy=None,
     ) -> PeerHandle:
         """A fixed peer on an asymmetric wired access link."""
         host = Host(self.sim, name)
-        TCPStack(self.sim, host, config=self.tcp_config)
+        TCPStack(self.sim, host)
         attach_wired_host(
             self.sim, host, self.internet, self.alloc.allocate(),
             down_rate=down_rate, up_rate=up_rate,
         )
-        client = client_factory(
+        client = BitTorrentClient(
             self.sim, host, self.torrent,
             complete=complete, selector=selector, config=config, name=name,
             initial_pieces=initial_pieces,
@@ -178,7 +174,7 @@ class SwarmScenario:
     ) -> PeerHandle:
         """A (potentially mobile) peer behind a shared wireless cell."""
         host = Host(self.sim, name)
-        TCPStack(self.sim, host, config=self.tcp_config)
+        TCPStack(self.sim, host)
         channel = attach_wireless_host(
             self.sim, host, self.internet, self.alloc.allocate(),
             rate=rate, ber=ber, ap_queue_packets=ap_queue_packets,
@@ -232,25 +228,24 @@ class SwarmScenario:
         interval: float,
         downtime: float = 1.0,
         jitter: float = 0.0,
-        start: bool = True,
     ) -> MobilityController:
-        """Attach periodic IP renumbering to a peer."""
+        """Attach periodic IP renumbering to a peer and start it."""
         controller = MobilityController(
             self.sim, peer.host, self.internet, self.alloc,
             interval=interval, downtime=downtime, jitter=jitter,
         )
         peer.mobility = controller
-        if start:
-            controller.start()
+        controller.start()
         return controller
 
     # ------------------------------------------------------------------
     # Execution helpers
     # ------------------------------------------------------------------
-    def start_all(self, stagger: float = 0.1) -> None:
-        """Start every client, staggered to avoid thundering-herd announces."""
+    def start_all(self) -> None:
+        """Start every client, ``START_STAGGER`` apart to avoid
+        thundering-herd announces."""
         for i, handle in enumerate(self.peers.values()):
-            self.sim.schedule(i * stagger, handle.client.start)
+            self.sim.schedule(i * START_STAGGER, handle.client.start)
 
     def run(self, until: float) -> float:
         return self.sim.run(until=until)

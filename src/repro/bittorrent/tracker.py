@@ -61,7 +61,6 @@ class Tracker:
     ) -> None:
         self.sim = sim
         self.host = host
-        self.port = TRACKER_PORT
         self.interval = interval
         self._swarms: Dict[str, Dict[str, PeerRecord]] = {}
         self._rng = sim.rng.stream("tracker")

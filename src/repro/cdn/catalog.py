@@ -48,9 +48,8 @@ class Asset:
     def asset_id(self) -> str:
         """Content address: a digest of the asset description.
 
-        Stable across processes and runs (unlike
-        :func:`~repro.bittorrent.metainfo.make_torrent`'s process-local
-        counter), so serial and parallel workers name identical swarms.
+        Stable across processes and runs, so serial and parallel workers
+        name identical swarms.
         """
         body = f"{self.name}|{self.size}|{self.piece_length}"
         return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
@@ -203,7 +202,7 @@ class Catalog:
     def __iter__(self) -> Iterator[Asset]:
         return iter(self._assets)
 
-    def torrent(self, asset: Asset, tracker_ip: str, tracker_port: int) -> Torrent:
+    def torrent(self, asset: Asset, tracker_ip: str) -> Torrent:
         """The torrent serving one asset (info-hash = content address)."""
         return Torrent(
             info_hash=f"cdn-{asset.asset_id}",
@@ -211,5 +210,4 @@ class Catalog:
             total_size=asset.size,
             piece_length=asset.piece_length,
             tracker_ip=tracker_ip,
-            tracker_port=tracker_port,
         )

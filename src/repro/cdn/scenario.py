@@ -45,6 +45,8 @@ from .origin import Origin
 
 #: Per-asset peer listen ports start here (rank r listens on BASE + r).
 PEER_BASE_PORT = 6881
+#: Downlink of a wired peer, bytes/second.
+PEER_DOWN_RATE = 500_000.0
 
 
 @dataclass
@@ -90,13 +92,10 @@ class CdnScenario:
         wp2p: bool = False,
         horizon: float = 300.0,
         peer_up_rate: float = 48_000.0,
-        peer_down_rate: float = 500_000.0,
         wireless_rate: float = 100_000.0,
         handoff_interval: Optional[float] = 60.0,
         handoff_downtime: float = 1.0,
-        core_delay: float = 0.02,
         tracker_interval: float = 60.0,
-        client_config: Optional[ClientConfig] = None,
     ) -> None:
         # The ambient workload (Runner --catalog/--demand) beats
         # constructor arguments.
@@ -121,10 +120,9 @@ class CdnScenario:
             )
         self.horizon = float(horizon)
         self.wp2p = bool(wp2p)
-        self._base_config = client_config or ClientConfig()
 
         self.sim = Simulator(seed=seed)
-        self.internet = Internet(self.sim, core_delay=core_delay)
+        self.internet = Internet(self.sim)
         self.alloc = AddressAllocator()
 
         # One tracker hosts every asset's swarm (the tracker keys its
@@ -139,9 +137,7 @@ class CdnScenario:
             self.sim, self.tracker_host, interval=tracker_interval
         )
         self.torrents: Dict[int, Torrent] = {
-            asset.rank: self.catalog.torrent(
-                asset, self.tracker_host.ip or "", self.tracker.port
-            )
+            asset.rank: self.catalog.torrent(asset, self.tracker_host.ip or "")
             for asset in self.catalog
         }
 
@@ -168,7 +164,7 @@ class CdnScenario:
             else:
                 attach_wired_host(
                     self.sim, host, self.internet, self.alloc.allocate(),
-                    down_rate=peer_down_rate, up_rate=peer_up_rate,
+                    down_rate=PEER_DOWN_RATE, up_rate=peer_up_rate,
                 )
             # THE shared uplink: one token bucket serves every swarm this
             # peer participates in, so seeding a popular asset steals
@@ -239,8 +235,6 @@ class CdnScenario:
 
     def _make_client(self, peer: CdnPeer, rank: int) -> BitTorrentClient:
         """One per-asset client sharing the peer's uplink bucket."""
-        from dataclasses import replace
-
         if self.wp2p and peer.wireless:
             from ..wp2p.client import WP2PClient, WP2PConfig
 
@@ -256,7 +250,7 @@ class CdnScenario:
                 config=config, name=f"{peer.name}.r{rank}",
                 upload_bucket=peer.bucket,
             )
-        config = replace(self._base_config, listen_port=PEER_BASE_PORT + rank)
+        config = ClientConfig(listen_port=PEER_BASE_PORT + rank)
         return BitTorrentClient(
             self.sim, peer.host, self.torrents[rank],
             config=config, name=f"{peer.name}.r{rank}",

@@ -4,9 +4,8 @@ Importing this package registers every figure of the paper (``fig2a`` …
 ``fig9c``), every extension sweep (``figx_*``) and the design-choice
 ablations (``ablation_*``) with :mod:`repro.runner`;
 ``python -m repro.experiments list`` prints them with their
-descriptions.  Run one with ``repro.runner.run_scenario(name,
-overrides)`` (serial, uncached), ``Runner.run`` (parallel, cached) or
-``python -m repro.experiments run``.
+descriptions.  Run one with ``repro.runner.Runner().run(name,
+overrides)`` or ``python -m repro.experiments run``.
 
 Each run returns an :class:`repro.analysis.ExperimentResult` whose ``table()``
 prints the same rows/series the paper plots, alongside the paper's

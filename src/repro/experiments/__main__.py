@@ -143,7 +143,7 @@ def _resolve_names(figure: str) -> List[str]:
         get_scenario(figure)
     except UnknownScenarioError as exc:
         # The CLI turns the registry error into a clean exit; library
-        # callers of get_scenario/run_scenario get the exception itself.
+        # callers of get_scenario/Runner.run get the exception itself.
         raise SystemExit(f"error: {exc.args[0]}") from None
     return [figure]
 

@@ -22,7 +22,6 @@ from ..net import (
     attach_wired_host,
     attach_wireless_host,
 )
-from ..obs.tracing import JSONLSink, TraceSink
 from ..sim import Simulator
 from ..tcp import TCPConfig, TCPConnection, TCPStack
 
@@ -46,15 +45,8 @@ class WirelessPairTopology:
         ap_queue_packets: int = 50,
         core_delay: float = 0.02,
         tcp_config: Optional[TCPConfig] = None,
-        trace_path: Optional[str] = None,
     ) -> None:
         self.sim = Simulator(seed=seed)
-        # Observability: ``trace_path`` attaches a JSONL sink to this
-        # run's event bus, so a single topology can be traced without
-        # installing global defaults (render with scripts/run_report.py).
-        self.trace_sink: Optional[TraceSink] = None
-        if trace_path is not None:
-            self.trace_sink = self.sim.trace.attach(JSONLSink(trace_path))
         self.internet = Internet(self.sim, core_delay=core_delay)
         self.alloc = AddressAllocator()
         self.fixed = Host(self.sim, "fixed")
@@ -92,44 +84,35 @@ def run_transfer(
     duration: float = 40.0,
     rate: float = 60_000.0,
     ap_queue_packets: int = 50,
-    trace_path: Optional[str] = None,
 ) -> TransferStats:
     """One fixed->mobile transfer (optionally with a reverse bulk stream
     on the *same* connection — true bi-directional TCP).
 
-    ``trace_path`` records the run's structured event log as JSONL (see
-    :mod:`repro.obs.tracing`)."""
+    Trace it like any run, with :func:`repro.obs.tracing.capture`."""
     topo = WirelessPairTopology(
         seed=seed, rate=rate, ber=ber, ap_queue_packets=ap_queue_packets,
-        trace_path=trace_path,
     )
-    # try/finally so an exception mid-run still flushes and closes the
-    # trace sink — a truncated-but-valid JSONL log beats a leaked handle.
-    try:
-        server_conns: List[TCPConnection] = []
-        topo.mobile_stack.listen(6881, server_conns.append)
-        conn = topo.fixed_stack.connect(topo.mobile.ip, 6881)
-        down_sender = BulkSender(topo.sim, conn)
-        topo.sim.schedule(0.1, down_sender.start)
-        if bidirectional:
-            def start_reverse() -> None:
-                if server_conns:
-                    BulkSender(topo.sim, server_conns[0]).start()
-                else:
-                    topo.sim.schedule(0.2, start_reverse)
+    server_conns: List[TCPConnection] = []
+    topo.mobile_stack.listen(6881, server_conns.append)
+    conn = topo.fixed_stack.connect(topo.mobile.ip, 6881)
+    down_sender = BulkSender(topo.sim, conn)
+    topo.sim.schedule(0.1, down_sender.start)
+    if bidirectional:
+        def start_reverse() -> None:
+            if server_conns:
+                BulkSender(topo.sim, server_conns[0]).start()
+            else:
+                topo.sim.schedule(0.2, start_reverse)
 
-            topo.sim.schedule(0.3, start_reverse)
-        topo.sim.run(until=WARMUP)
-        base_down = server_conns[0].stats.payload_bytes_delivered if server_conns else 0
-        base_up = conn.stats.payload_bytes_delivered
-        topo.sim.run(until=WARMUP + duration)
-        delivered_down = (
-            server_conns[0].stats.payload_bytes_delivered - base_down if server_conns else 0
-        )
-        delivered_up = conn.stats.payload_bytes_delivered - base_up
-    finally:
-        if topo.trace_sink is not None:
-            topo.trace_sink.close()
+        topo.sim.schedule(0.3, start_reverse)
+    topo.sim.run(until=WARMUP)
+    base_down = server_conns[0].stats.payload_bytes_delivered if server_conns else 0
+    base_up = conn.stats.payload_bytes_delivered
+    topo.sim.run(until=WARMUP + duration)
+    delivered_down = (
+        server_conns[0].stats.payload_bytes_delivered - base_down if server_conns else 0
+    )
+    delivered_up = conn.stats.payload_bytes_delivered - base_up
     return TransferStats(delivered_down, delivered_up, duration)
 
 

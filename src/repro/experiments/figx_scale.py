@@ -20,6 +20,24 @@ small N, where it serves as the cross-validation anchor (the
 Expectation: completion time degrades as the mobile-host fraction
 rises, wP2P stays ahead of the default client wherever mobile hosts are
 present, and both backends agree at small N.
+
+Every :class:`SizeSweep` cell returns the same fields (``completion``,
+``wired_completion``, ``mobile_completion``, ``wired_goodput``,
+``mobile_goodput``), but each backend fills them with its own statistic:
+
+* :func:`packet_cell`: a group's completion is its last finisher, or
+  ``None`` if any member is censored at ``max_time``; goodput averages
+  bytes over completion time across the clients that finished, skipping
+  the unfinished ones.
+* :func:`fluid_cell`: a class's completion is the time its class-mean
+  progress reaches 1, and ``completion`` the latest leecher class's
+  (``None`` if one is censored); goodput is the class mean.
+* :func:`~repro.experiments.figx_hybrid.hybrid_cell`: the mean over the
+  focal hosts, a censored host counted at ``max_time``; goodput averages
+  every focal leecher, an unfinished one over ``max_time``.
+
+So the same field compares a maximum, a class mean and a censored mean
+across backends.  Making them one statistic moves pinned values.
 """
 
 from __future__ import annotations

@@ -66,9 +66,7 @@ class _Direction:
         q = self.queue
         fifo = q._queue
         size = packet.size_bytes
-        if len(fifo) >= q.capacity_packets or (
-            q.capacity_bytes is not None and q._bytes + size > q.capacity_bytes
-        ):
+        if len(fifo) >= q.capacity_packets:
             q.enqueue(packet, self.sim._now)  # records the overflow drop
             return
         q.enqueued += 1

@@ -14,25 +14,19 @@ from .packet import DropRecord, Packet
 
 
 class DropTailQueue:
-    """A FIFO packet queue bounded in packets (and optionally bytes)."""
+    """A FIFO packet queue bounded in packets."""
 
     __slots__ = (
-        "name", "capacity_packets", "capacity_bytes", "_queue", "_bytes",
+        "name", "capacity_packets", "_queue", "_bytes",
         "drops", "enqueued", "dequeued", "bytes_enqueued", "bytes_dequeued",
         "cleared", "cleared_bytes",
     )
 
-    def __init__(
-        self,
-        name: str,
-        capacity_packets: int = 100,
-        capacity_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, name: str, capacity_packets: int = 100) -> None:
         if capacity_packets <= 0:
             raise ValueError("capacity_packets must be positive")
         self.name = name
         self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
         self._queue: Deque[Packet] = deque()
         self._bytes = 0
         self.drops: List[DropRecord] = []
@@ -46,11 +40,7 @@ class DropTailQueue:
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Append ``packet``; returns False (and records a drop) on overflow."""
         size = packet.size_bytes
-        overflows = len(self._queue) >= self.capacity_packets or (
-            self.capacity_bytes is not None
-            and self._bytes + size > self.capacity_bytes
-        )
-        if overflows:
+        if len(self._queue) >= self.capacity_packets:
             self.drops.append(DropRecord(now, self.name, "buffer_overflow", size))
             return False
         self._queue.append(packet)

@@ -19,10 +19,10 @@ Everything is off by default and costs a boolean check when off.  Typical
 use::
 
     from repro.obs import tracing
-    from repro.runner import run_scenario
+    from repro.runner import Runner
 
     with tracing.capture(path="fig8a.jsonl"):
-        run_scenario("fig8a", {"runs": 1})
+        Runner().run("fig8a", {"runs": 1})
 
 then render the log with ``python scripts/run_report.py fig8a.jsonl``.
 """

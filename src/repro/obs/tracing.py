@@ -283,7 +283,7 @@ def capture(
     """Trace every simulator created inside the block.
 
     >>> with capture(path="run.jsonl") as sinks:     # doctest: +SKIP
-    ...     run_scenario("fig8a", {"runs": 1})
+    ...     Runner().run("fig8a", {"runs": 1})
     ...
     >>> events = read_jsonl("run.jsonl")             # doctest: +SKIP
 

@@ -28,8 +28,8 @@ one (every value is canonicalised through JSON either way).
 
 Quick use::
 
-    from repro.runner import run_scenario
-    result = run_scenario("fig2a", {"runs": 2}, jobs=4)
+    from repro.runner import Runner
+    result = Runner(jobs=4).run("fig2a", {"runs": 2}).result
     print(result.table())
 """
 
@@ -51,7 +51,6 @@ from .runner import (
     RunnerStats,
     ScenarioRun,
     print_progress,
-    run_scenario,
 )
 from .spec import ScenarioSpec, canonical_json, code_version, freeze_params
 
@@ -76,7 +75,6 @@ __all__ = [
     "freeze_params",
     "get_scenario",
     "print_progress",
-    "run_scenario",
     "scenario",
     "scenario_names",
 ]

@@ -435,17 +435,3 @@ def print_progress(line: str) -> None:
     """A ready-made progress callback: one line per event to stderr."""
     print(line, file=sys.stderr, flush=True)
 
-
-def run_scenario(
-    name: str,
-    overrides: Optional[Mapping[str, object]] = None,
-    **runner_options: object,
-):
-    """Run a registered scenario and return its ``ExperimentResult``.
-
-    The convenience front door for library callers, the benchmarks, and
-    ``scripts/generate_experiments_md.py``; keywords are
-    :class:`Runner`'s.  For the failure list and runner statistics, use
-    :class:`Runner` directly.
-    """
-    return Runner(**runner_options).run(name, overrides).result  # type: ignore[arg-type]

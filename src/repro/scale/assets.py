@@ -30,7 +30,7 @@ The balance per asset class, in bytes/second:
   one-request tail asset.
 
 The same calibration constants as the fluid engine apply
-(``efficiency``, ``startup_delay``), so the two tiers stay mutually
+(``EFFICIENCY``, ``STARTUP_DELAY``), so the two tiers stay mutually
 anchored.
 """
 
@@ -59,8 +59,6 @@ class AssetClassParams:
     origin_rate: float = 0.0  # origin uplink slice for this asset
     pinned: bool = False  # seeded from t=0 (no activation delay)
     activation_delay: float = 3.0
-    efficiency: float = EFFICIENCY
-    startup_delay: float = STARTUP_DELAY
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -75,10 +73,8 @@ class AssetClassParams:
             raise ValueError("uplink_share must be in (0, 1]")
         if self.seed_dwell < 0 or self.origin_rate < 0:
             raise ValueError("seed_dwell and origin_rate must be >= 0")
-        if self.activation_delay < 0 or self.startup_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
+        if self.activation_delay < 0:
+            raise ValueError("activation_delay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,15 +106,15 @@ def asset_class_outcome(
     # Effective per-leecher goodput ceiling: protocol efficiency plus the
     # requester's own duty cycle (a handed-off mobile host downloads
     # nothing mid-handoff).
-    d_eff = p.download_rate * p.efficiency * p.peer_availability
+    d_eff = p.download_rate * EFFICIENCY * p.peer_availability
     # Per-peer useful uplink toward this asset.
-    u_eff = p.upload_rate * p.uplink_share * p.peer_availability * p.efficiency
+    u_eff = p.upload_rate * p.uplink_share * p.peer_availability * EFFICIENCY
     activation = 0.0 if p.pinned else p.activation_delay
 
     # Cold latency: the first copy streams from the origin alone.
     if p.origin_rate > 0:
-        cold_rate = min(d_eff, p.origin_rate * p.efficiency)
-        cold_latency = p.startup_delay + activation + p.size / cold_rate
+        cold_rate = min(d_eff, p.origin_rate * EFFICIENCY)
+        cold_latency = STARTUP_DELAY + activation + p.size / cold_rate
     else:
         cold_latency = horizon  # censored: nobody has the bytes
     cold_latency = min(cold_latency, horizon)
@@ -133,8 +129,8 @@ def asset_class_outcome(
         )
 
     # Warm fixed point: latency <-> concurrency <-> peer supply.
-    latency = p.startup_delay + p.size / d_eff
-    origin_supply = p.origin_rate * p.efficiency
+    latency = STARTUP_DELAY + p.size / d_eff
+    origin_supply = p.origin_rate * EFFICIENCY
     peer_supply = 0.0
     for _ in range(_FIXED_POINT_ITERATIONS):
         concurrency = rate * latency
@@ -144,7 +140,7 @@ def asset_class_outcome(
         demand = max(concurrency, 1.0) * d_eff
         utilization = min(1.0, (peer_supply + origin_supply) / demand)
         goodput = max(d_eff * utilization, 1e-9)
-        latency = p.startup_delay + p.size / goodput
+        latency = STARTUP_DELAY + p.size / goodput
     latency = min(latency, horizon)
     concurrency = rate * latency
 

@@ -14,7 +14,7 @@ capacity and piece availability:
 * **demand** — online leechers ask for their access capacity; on a
   shared wireless cell uploads steal download airtime (Figure 3(b)),
   which is why wP2P classes throttle uploads LIHD-style
-  (``lihd_level * upload_rate``) while default mobile clients upload at
+  (``LIHD_LEVEL * upload_rate``) while default mobile clients upload at
   will and pay for it;
 * **mobility** — handoff cycles cost downtime plus a per-client recovery
   penalty (task restart for the default client, cheap re-announce for
@@ -89,6 +89,7 @@ from .model import (
     ClassResult,
     FluidParams,
     FluidResult,
+    LIHD_LEVEL,
     WARM_FRACTION,
     PeerClass,
     content_rate_factor,
@@ -442,7 +443,7 @@ class FluidSwarm:
             # Effective upload per online peer: wP2P throttles LIHD-style.
             u_cap = cls.upload_rate * upload_factor
             if cls.wp2p and not cls.seed:
-                u_cap *= cls.lihd_level
+                u_cap *= LIHD_LEVEL
 
             state.availability = availability
             state.u_cap = u_cap

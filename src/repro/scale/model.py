@@ -38,6 +38,10 @@ STARTUP_DELAY = 3.0
 #: Progress fraction at which a fluid leecher becomes a useful uploader.
 WARM_FRACTION = 0.05
 
+#: wP2P LIHD operating point as a fraction of a class's ``upload_rate``:
+#: the steady-state ``u_cur / u_max`` the controller converges to.
+LIHD_LEVEL = 0.5
+
 
 @dataclass(frozen=True)
 class PeerClass:
@@ -71,9 +75,6 @@ class PeerClass:
     handoff_downtime: float = 1.0
     restart_delay: float = 15.0
     reconnect_cost: float = 1.0
-    #: wP2P LIHD operating point as a fraction of ``upload_rate``: the
-    #: steady-state ``u_cur / u_max`` the controller converges to.
-    lihd_level: float = 0.5
     #: Piece-selection surrogate for the analytic playability curve.
     selection: str = "rarest"
     #: New peers of this class joining per second (entering at p=0).
@@ -86,8 +87,6 @@ class PeerClass:
             raise ValueError("rates must be positive (upload may be 0)")
         if self.handoff_interval is not None and self.handoff_interval <= 0:
             raise ValueError("handoff_interval must be positive")
-        if not 0.0 < self.lihd_level <= 1.0:
-            raise ValueError("lihd_level must be in (0, 1]")
         if self.selection not in SELECTION_POLICIES:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; "

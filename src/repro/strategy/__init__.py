@@ -10,17 +10,13 @@ name.  Built-ins: ``reference`` (tit-for-tat), ``freerider``,
 ``tyrant`` (BitTyrant-style) and ``propshare`` (Nielson et al.'s
 robust proportional-share choker).
 
-Strategies reach a swarm three ways, mirroring :mod:`repro.chaos`:
+Strategies reach a swarm two ways, mirroring :mod:`repro.chaos`:
 
 Explicitly, per peer::
 
     swarm.add_wired_peer("leech0", strategy="tyrant")
 
-As a scenario-level mix (name → fraction, optionally per population)::
-
-    swarm = SwarmScenario(seed=7, strategy_mix={"freerider": 0.25})
-
-Ambiently, for code that builds scenarios internally — the run
+As a mix (name → fraction, optionally per population) held by the run
 context's ``strategies`` value, which ``Runner(strategies=...)`` and the
 CLI's ``--strategy``/``--strategy-mix`` flags enter around every cell::
 
@@ -29,9 +25,9 @@ CLI's ``--strategy``/``--strategy-mix`` flags enter around every cell::
     with context.scope(strategies=normalize_mix({"mobile": {"freerider": 0.5}})):
         run_cell(...)    # every new SwarmScenario draws from the mix
 
-An explicit ``strategy_mix=`` beats the ambient one.  Strategy
-assignment is deterministic (no RNG), off by default, and costs one
-``is None`` check per scenario when off.
+An explicit per-peer ``strategy=`` beats the mix.  Strategy assignment
+is deterministic (no RNG), off by default, and costs one ``is None``
+check per scenario when off.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`ChokerPolicy` owns *what* the choker decides each round —
 how interested peers are ranked and which of them get the ranked
 unchoke slots — while the shared driver
 (:class:`~repro.bittorrent.choker.ChokerDriver`) owns *when*: round
-scheduling, the anti-snubbing filter, the optimistic-unchoke rotation
-and applying the choke/unchoke edge to each connection.  The split
+scheduling, the optimistic-unchoke rotation and applying the
+choke/unchoke edge to each connection.  The split
 mirrors :class:`~repro.bittorrent.selection.PieceSelector` on the
 download side.
 

@@ -18,6 +18,9 @@ SLOW_START = "slow_start"
 CONGESTION_AVOIDANCE = "congestion_avoidance"
 FAST_RECOVERY = "fast_recovery"
 
+#: Slow-start threshold of a new connection, bytes (the classic 64 KiB).
+INITIAL_SSTHRESH = 65535
+
 
 class NewRenoCongestionControl:
     """Congestion window state machine for one connection direction."""
@@ -26,13 +29,12 @@ class NewRenoCongestionControl:
         self,
         mss: int = 1460,
         initial_cwnd_segments: int = 2,
-        initial_ssthresh: int = 65535,
     ) -> None:
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.mss = mss
         self.cwnd = initial_cwnd_segments * mss
-        self.ssthresh = initial_ssthresh
+        self.ssthresh = INITIAL_SSTHRESH
         self.min_cwnd = mss  # one segment
         self.state = SLOW_START
         self.recover: Optional[int] = None

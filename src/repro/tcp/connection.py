@@ -42,6 +42,10 @@ CLOSING = "closing"
 
 #: Seconds a receiver holds a pure ACK for a second segment to arrive.
 DELACK_TIMEOUT = 0.1
+#: Back-to-back retransmission timeouts after which a connection gives up.
+MAX_CONSECUTIVE_TIMEOUTS = 7
+#: SYN (or SYN-ACK) retransmissions before a handshake gives up.
+MAX_SYN_RETRIES = 5
 
 
 def _released() -> None:
@@ -58,8 +62,6 @@ class TCPConfig:
     min_rto: float = 0.2
     max_rto: float = 60.0
     delack_segments: int = 2
-    max_consecutive_timeouts: int = 7
-    max_syn_retries: int = 5
     initial_cwnd_segments: int = 2
     track_cwnd: bool = False
     sack: bool = False
@@ -608,7 +610,7 @@ class TCPConnection:
             return
         if self.state == SYN_SENT:
             self._syn_retries += 1
-            if self._syn_retries > self.config.max_syn_retries:
+            if self._syn_retries > MAX_SYN_RETRIES:
                 self._finish("timeout")
                 return
             self.rtt.backoff()
@@ -616,7 +618,7 @@ class TCPConnection:
             return
         if self.state == SYN_RCVD:
             self._syn_retries += 1
-            if self._syn_retries > self.config.max_syn_retries:
+            if self._syn_retries > MAX_SYN_RETRIES:
                 self._finish("timeout")
                 return
             self.rtt.backoff()
@@ -634,7 +636,7 @@ class TCPConnection:
             return
         self._consecutive_timeouts += 1
         self.stats.timeouts += 1
-        if self._consecutive_timeouts > self.config.max_consecutive_timeouts:
+        if self._consecutive_timeouts > MAX_CONSECUTIVE_TIMEOUTS:
             self._finish("timeout")
             return
         if self.sim.trace.enabled:

@@ -9,7 +9,7 @@ bi-directional TCP stream to the wireless leg:
   survives bit errors that would kill the long data frame.  Small windows
   are where ACK losses actually hurt throughput.
 * **MATURE connections**: during a DUPACK burst, one in every
-  ``dupack_modulus`` (paper: 4) outgoing pure DUPACKs is dropped, so the
+  ``DUPACK_MODULUS`` (paper: 4) outgoing pure DUPACKs is dropped, so the
   pure-ACK flood TCP's never-piggyback-DUPACKs rule mandates does not keep
   the wireless leg as loaded after congestion as before it (§3.2).
 
@@ -37,6 +37,12 @@ FlowKey = Tuple[int, str, int]  # (local port, remote ip, remote port)
 DEFAULT_GAMMA_BYTES = 9_000
 """The paper's threshold: ~6 full packets (γ = 6, per [10])."""
 
+RTT_ESTIMATE = 0.2
+"""Seconds per measurement round of the remote-window estimate."""
+
+DUPACK_MODULUS = 4
+"""A MATURE flow drops one in this many outgoing pure DUPACKs (paper: 4)."""
+
 
 @dataclass
 class _FlowState:
@@ -59,20 +65,12 @@ class AgeBasedManipulation:
         sim: Simulator,
         host: Host,
         gamma_bytes: int = DEFAULT_GAMMA_BYTES,
-        rtt_estimate: float = 0.2,
-        dupack_modulus: int = 4,
     ) -> None:
         if gamma_bytes <= 0:
             raise ValueError("gamma_bytes must be positive")
-        if rtt_estimate <= 0:
-            raise ValueError("rtt_estimate must be positive")
-        if dupack_modulus < 2:
-            raise ValueError("dupack_modulus must be >= 2")
         self.sim = sim
         self.host = host
         self.gamma_bytes = gamma_bytes
-        self.rtt_estimate = rtt_estimate
-        self.dupack_modulus = dupack_modulus
         self._flows: Dict[FlowKey, _FlowState] = {}
         self._installed = False
 
@@ -127,7 +125,7 @@ class AgeBasedManipulation:
         if flow is None:
             flow = _FlowState(window_start=now)
             self._flows[key] = flow
-        if now - flow.window_start >= self.rtt_estimate:
+        if now - flow.window_start >= RTT_ESTIMATE:
             flow.cwnd_estimate = flow.window_bytes
             status = YOUNG if flow.cwnd_estimate < self.gamma_bytes else MATURE
             if status != flow.status and self.sim.trace.enabled:
@@ -182,7 +180,7 @@ class AgeBasedManipulation:
                 self.dupacks_seen += 1
                 if flow.status == MATURE:
                     flow.dupack_count += 1
-                    if flow.dupack_count % self.dupack_modulus == 0:
+                    if flow.dupack_count % DUPACK_MODULUS == 0:
                         self.dupacks_dropped += 1
                         if self.sim.trace.enabled:
                             self.sim.trace.event(

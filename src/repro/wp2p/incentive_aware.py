@@ -37,9 +37,6 @@ class LIHDController:
         Linear increment and base decrement, bytes/second per window.
     interval
         Measurement window length; download rates are window-averaged.
-    u_floor
-        Lower clamp — shutting uploads off entirely just triggers
-        tit-for-tat punishment (§3.3), so LIHD never goes below this.
     rate_source
         Callable returning the downstream rate LIHD optimises, bytes/s.
         Defaults to the client's own P2P download rate.  Passing another
@@ -50,6 +47,10 @@ class LIHDController:
         :func:`seed_lihd`.
     """
 
+    #: Lower clamp on the cap, bytes/second — shutting uploads off
+    #: entirely just triggers tit-for-tat punishment (§3.3).
+    u_floor = 2_048.0
+
     def __init__(
         self,
         client: "BitTorrentClient",
@@ -57,25 +58,21 @@ class LIHDController:
         alpha: float = 10_240.0,
         beta: float = 10_240.0,
         interval: float = 5.0,
-        u_floor: float = 2_048.0,
         rate_source: Optional[Callable[[], float]] = None,
     ) -> None:
-        if u_max <= 0:
-            raise ValueError("u_max must be positive")
+        if u_max < self.u_floor:
+            raise ValueError(f"u_max must be at least u_floor ({self.u_floor:g})")
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        if not 0 <= u_floor <= u_max:
-            raise ValueError("need 0 <= u_floor <= u_max")
         self.client = client
         self.sim: Simulator = client.sim
         self.u_max = u_max
         self.alpha = alpha
         self.beta = beta
-        self.u_floor = u_floor
         # Initialization per Figure 6: Ucur = 0.5 * Umax — but never below
         # the floor; with e.g. u_max=3000 the raw 0.5 * Umax would start
         # the controller outside its own [u_floor, u_max] operating band.
-        self.u_cur = min(u_max, max(u_floor, 0.5 * u_max))
+        self.u_cur = max(self.u_floor, 0.5 * u_max)
         self._d_prev = 0.0
         self._dec_count = 0
         self._downloaded_at_window_start = 0.0

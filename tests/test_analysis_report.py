@@ -50,7 +50,7 @@ class TestAsciiChart:
             Series("a", [0, 1], [1.0, 2.0]),
             Series("b", [0, 1], [1.0, 5.0]),
         ])
-        chart = ascii_chart(r, width=10, height=5)
+        chart = ascii_chart(r)
         assert "?" in chart
 
     def test_named_x_values_get_no_chart(self):

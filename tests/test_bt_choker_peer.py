@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bittorrent import ClientConfig
+from repro.bittorrent.client import REQUEST_PIPELINE
 from repro.bittorrent.swarm import SwarmScenario
 
 
@@ -103,7 +104,7 @@ class TestPeerProtocol:
         sc = wired_swarm(seed=57, n_leeches=0)
         other_torrent = make_torrent(
             "other", total_size=1024 * 1024,
-            tracker_ip=sc.torrent.tracker_ip, tracker_port=8000,
+            tracker_ip=sc.torrent.tracker_ip,
         )
         from repro.net import Host, attach_wired_host
         from repro.tcp import TCPStack
@@ -174,15 +175,14 @@ class TestPeerProtocol:
         assert all(not p.am_interested for p in l0.connected_peers())
 
     def test_request_pipeline_bounded(self):
-        cfg = ClientConfig(request_pipeline=4)
         sc = SwarmScenario(seed=62, file_size=4 * 1024 * 1024, piece_length=65_536)
         sc.add_wired_peer("seed", complete=True)
-        sc.add_wired_peer("l0", config=cfg)
+        sc.add_wired_peer("l0")
         sc.start_all()
         for _ in range(30):
             sc.run(until=sc.sim.now + 1.0)
             for peer in sc["l0"].client.connected_peers():
-                assert len(peer.outstanding) <= 4
+                assert len(peer.outstanding) <= REQUEST_PIPELINE
 
     def test_max_peers_enforced_on_accept(self):
         cfg = ClientConfig(max_peers=2)

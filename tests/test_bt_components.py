@@ -40,10 +40,11 @@ class TestTokenBucket:
 
     def test_burst_cap(self):
         sim = Simulator()
-        bucket = TokenBucket(sim, rate=100.0, burst=200.0)
+        bucket = TokenBucket(sim, rate=100.0)
         sim.schedule(100.0, lambda: None)
         sim.run()
-        assert bucket.tokens == pytest.approx(200.0)
+        assert bucket.burst == 100.0
+        assert bucket.tokens == pytest.approx(100.0)
 
     def test_set_rate_live(self):
         sim = Simulator()

@@ -55,9 +55,19 @@ class TestTorrent:
             Torrent("x", "f", total_size=100, piece_length=0)
 
     def test_unique_info_hashes(self):
-        a = make_torrent("f", total_size=100)
-        b = make_torrent("f", total_size=100)
-        assert a.info_hash != b.info_hash
+        hashes = {
+            make_torrent("f", total_size=100).info_hash,
+            make_torrent("g", total_size=100).info_hash,
+            make_torrent("f", total_size=200).info_hash,
+            make_torrent("f", total_size=100, piece_length=65_536).info_hash,
+        }
+        assert len(hashes) == 4
+
+    def test_same_arguments_give_equal_torrents(self):
+        a = make_torrent("f", total_size=100, tracker_ip="10.0.0.1")
+        b = make_torrent("f", total_size=100, tracker_ip="10.0.0.1")
+        assert a == b
+        assert make_torrent("f", total_size=100).info_hash == a.info_hash
 
 
 class TestBitfield:

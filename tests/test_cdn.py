@@ -91,7 +91,7 @@ class TestCatalog:
         # Content-derived and stable: same (name, size, piece) -> same id.
         again = Catalog.from_spec({"assets": 2, "size_kib": 64})
         assert [a.asset_id for a in again] == [a1.asset_id, a2.asset_id]
-        torrent = cat.torrent(a1, "10.0.0.1", 6969)
+        torrent = cat.torrent(a1, "10.0.0.1")
         assert torrent.info_hash == f"cdn-{a1.asset_id}"
 
 

@@ -17,7 +17,7 @@ from repro.experiments import (
     playability_run,
     run_transfer,
 )
-from repro.runner import Runner, get_scenario, run_scenario
+from repro.runner import Runner, get_scenario
 
 
 class TestSeriesContainers:
@@ -77,13 +77,13 @@ class TestFig2Helpers:
         assert drop_response_ratio(s, [1.0]) is None
 
     def test_fig2a_mini(self):
-        result = run_scenario(
+        result = Runner().run(
             "fig2a", {"bers": [0.0, 2e-5], "runs": 1, "duration": 10.0}
-        )
+        ).result
         assert result.get("Uni-TCP").y_at(0.0) > result.get("Uni-TCP").y_at(2e-5)
 
     def test_fig2bc_mini(self):
-        result = run_scenario("fig2bc", {"duration": 10.0})
+        result = Runner().run("fig2bc", {"duration": 10.0}).result
         assert len(result.get("Uni-directional")) > 10
         assert result.parameters["bi_drop_times"]
 
@@ -95,13 +95,13 @@ class TestPlayabilityHarness:
         assert curve[-1] == (100.0, 100.0)
 
     def test_fig4bc_mini(self):
-        result = run_scenario("fig4bc", {"num_pieces": 10, "runs": 2})
+        result = Runner().run("fig4bc", {"num_pieces": 10, "runs": 2}).result
         series = result.series[0]
         assert series.y_at(0.0) == 0.0
         assert series.y_at(100.0) == 100.0
 
     def test_fig9ab_mini(self):
-        result = run_scenario("fig9ab", {"num_pieces": 10, "runs": 2})
+        result = Runner().run("fig9ab", {"num_pieces": 10, "runs": 2}).result
         assert {s.label for s in result.series} == {"Default P2P", "wP2P"}
         # MF at least matches rarest-first mid-download on average
         assert result.get("wP2P").y_at(50.0) >= result.get("Default P2P").y_at(50.0) - 10
@@ -109,9 +109,9 @@ class TestPlayabilityHarness:
 
 class TestFig8Mini:
     def test_fig8a_mini_runs(self):
-        result = run_scenario(
+        result = Runner().run(
             "fig8a", {"bers": [1e-5], "runs": 1, "duration": 15.0}
-        )
+        ).result
         assert result.get("Default P2P").y[0] > 0
         assert result.get("wP2P").y[0] > 0
 

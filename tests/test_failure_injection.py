@@ -105,9 +105,7 @@ class TestPeerChurn:
         assert sc.chaos.faults_injected == 1
 
     def test_all_peers_vanish_then_client_keeps_waiting(self):
-        tcp_config = TCPConfig(max_consecutive_timeouts=4, max_rto=2.0)
-        sc = SwarmScenario(seed=35, file_size=1024 * 1024, piece_length=65_536,
-                           tcp_config=tcp_config)
+        sc = SwarmScenario(seed=35, file_size=1024 * 1024, piece_length=65_536)
         seed = sc.add_wired_peer("seed", complete=True)
         leech = sc.add_wired_peer("leech")
         sc.add_chaos(ChaosSchedule((
@@ -185,7 +183,7 @@ class TestMobileBlackouts:
 
 class TestTransportAbuse:
     def test_send_to_unroutable_address_times_out_cleanly(self):
-        net = TwoHostNet(tcp_config=TCPConfig(max_syn_retries=2, max_rto=2.0))
+        net = TwoHostNet(tcp_config=TCPConfig(max_rto=2.0))
         conn = net.stack_a.connect("10.99.99.99", 6881)
         closed = []
         conn.on_close = lambda r: closed.append(r)

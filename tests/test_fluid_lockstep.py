@@ -40,7 +40,7 @@ from repro.obs.tracing import RingBufferSink
 from repro.scale import CrashImpulse, FluidParams, FluidSwarm, PeerClass, RateWindow
 from repro.scale import fluid as fluid_module
 from repro.scale.chaosmap import class_matches
-from repro.scale.model import WARM_FRACTION, content_rate_factor
+from repro.scale.model import LIHD_LEVEL, WARM_FRACTION, content_rate_factor
 
 KIB = 1024
 
@@ -160,7 +160,7 @@ class _ReferenceSwarm(FluidSwarm):
 
             u_cap = cls.upload_rate * upload_factor
             if cls.wp2p and not cls.seed:
-                u_cap *= cls.lihd_level
+                u_cap *= LIHD_LEVEL
             ramp = 1.0 if state.complete else min(1.0, state.progress / warm)
             u_used = u_cap * ramp
             supply_total += state.online * availability * u_used

@@ -29,14 +29,13 @@ class TestSwarmScenarioApi:
     def test_torrent_points_at_tracker(self):
         sc = SwarmScenario(seed=3, file_size=128 * 1024, piece_length=65_536)
         assert sc.torrent.tracker_ip == sc.tracker_host.ip
-        assert sc.torrent.tracker_port == sc.tracker.port
 
     def test_mobility_helper_registers_controller(self):
         sc = SwarmScenario(seed=4, file_size=128 * 1024, piece_length=65_536)
         mob = sc.add_wireless_peer("m")
-        ctl = sc.add_mobility(mob, interval=30.0, start=False)
+        ctl = sc.add_mobility(mob, interval=30.0)
         assert mob.mobility is ctl
-        assert not ctl._running if hasattr(ctl, "_running") else True
+        assert ctl._running
 
 
 class TestWirelessDynamics:

@@ -102,11 +102,6 @@ class TestDropTailQueue:
         assert q.drops[0].time == 1.5
         assert q.drops[0].reason == "buffer_overflow"
 
-    def test_byte_capacity(self):
-        q = DropTailQueue("q", capacity_packets=10, capacity_bytes=100)
-        assert q.enqueue(Packet("a", "b", Payload(50)), 0.0)  # 70B with IP header
-        assert not q.enqueue(Packet("a", "b", Payload(50)), 0.0)
-
     def test_clear(self):
         q = DropTailQueue("q", capacity_packets=10)
         q.enqueue(Packet("a", "b", Payload(10)), 0.0)

@@ -267,10 +267,8 @@ class TestCrossLayerTrace:
         from repro.experiments.base import run_transfer
 
         path = str(tmp_path / "transfer.jsonl")
-        run_transfer(
-            seed=1, ber=1e-5, bidirectional=True, duration=5.0,
-            trace_path=path,
-        )
+        with tracing.capture(path=path):
+            run_transfer(seed=1, ber=1e-5, bidirectional=True, duration=5.0)
         events = read_jsonl(path)
         assert {r["layer"] for r in events} >= {"sim", "tcp"}
 

@@ -30,7 +30,6 @@ from repro.runner import (
     collect,
     freeze_params,
     get_scenario,
-    run_scenario,
     scenario,
     scenario_names,
 )
@@ -180,13 +179,6 @@ class TestDeterminism:
         s = [(s.label, s.x, s.y, s.y_err) for s in serial.result.series]
         p = [(s.label, s.x, s.y, s.y_err) for s in parallel.result.series]
         assert json.dumps(s) == json.dumps(p)
-
-    def test_wrapper_matches_runner(self):
-        direct = run_scenario(
-            "fig2a", {"runs": 2, "duration": 2.0, "bers": [0.0, 1e-5]}
-        )
-        via_runner = Runner(jobs=2).run("fig2a", FAST_FIG2A).result
-        assert [s.y for s in direct.series] == [s.y for s in via_runner.series]
 
     def test_trace_sinks_force_serial(self, tmp_path):
         # Global sinks live in this process; the runner must not fan out.
@@ -561,7 +553,7 @@ class TestObservability:
         assert "8 cells: 8 executed" in run.stats.summary()
 
     def test_run_scenario_front_door(self):
-        result = run_scenario("fig2bc", {"duration": 5.0})
+        result = Runner().run("fig2bc", {"duration": 5.0}).result
         assert result.figure == "Figure 2(b, c)"
 
 

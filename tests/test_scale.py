@@ -78,7 +78,7 @@ class TestModel:
         dict(count=-1),
         dict(download_rate=0.0),
         dict(handoff_interval=0.0),
-        dict(lihd_level=0.0),
+        dict(upload_rate=-1.0),
         dict(selection="weirdest"),
         dict(arrival_rate=-1.0),
     ])

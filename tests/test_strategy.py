@@ -334,10 +334,8 @@ class TestChokerIntegration:
 # ----------------------------------------------------------------------
 class TestSwarmAssignment:
     def test_explicit_strategy_beats_mix(self):
-        sc = SwarmScenario(
-            seed=65, file_size=256 * 1024,
-            strategy_mix={"freerider": 1.0},
-        )
+        with context.scope(strategies=AXES["strategies"].normalize({"freerider": 1.0})):
+            sc = SwarmScenario(seed=65, file_size=256 * 1024)
         sc.add_wired_peer("seed", complete=True)
         pinned = sc.add_wired_peer("pinned", strategy="tyrant")
         drawn = sc.add_wired_peer("drawn")
@@ -345,19 +343,16 @@ class TestSwarmAssignment:
         assert drawn.client.strategy_name == "freerider"
 
     def test_seeds_never_draw_from_mix(self):
-        sc = SwarmScenario(
-            seed=66, file_size=256 * 1024,
-            strategy_mix={"freerider": 1.0},
-        )
+        with context.scope(strategies=AXES["strategies"].normalize({"freerider": 1.0})):
+            sc = SwarmScenario(seed=66, file_size=256 * 1024)
         seed = sc.add_wired_peer("seed", complete=True)
         assert seed.client.strategy_name == "reference"
         assert seed.client.strategy is None
 
     def test_population_scoped_mix(self):
-        sc = SwarmScenario(
-            seed=67, file_size=256 * 1024,
-            strategy_mix={"mobile": {"freerider": 1.0}},
-        )
+        mix = AXES["strategies"].normalize({"mobile": {"freerider": 1.0}})
+        with context.scope(strategies=mix):
+            sc = SwarmScenario(seed=67, file_size=256 * 1024)
         wired = sc.add_wired_peer("w0")
         wireless = sc.add_wireless_peer("m0")
         assert wired.client.strategy_name == "reference"
@@ -504,10 +499,8 @@ class TestArenaBehaviour:
 
     def test_mixed_swarm_diverges_from_default_but_stays_deterministic(self):
         def run(mix):
-            sc = SwarmScenario(
-                seed=71, file_size=512 * 1024, piece_length=65_536,
-                strategy_mix=mix,
-            )
+            with context.scope(strategies=AXES["strategies"].normalize(mix)):
+                sc = SwarmScenario(seed=71, file_size=512 * 1024, piece_length=65_536)
             sc.add_wired_peer("seed", complete=True)
             for i in range(3):
                 sc.add_wired_peer(f"l{i}")

@@ -26,7 +26,7 @@ class TestScale:
         sc.add_wired_peer("seed", complete=True, up_rate=80_000)
         for i in range(10):
             sc.add_wired_peer(f"l{i}")
-        sc.start_all(stagger=0.1)
+        sc.start_all()
         assert sc.run_until_complete(timeout=900)
 
     def test_staggered_arrivals_all_complete(self):

@@ -218,7 +218,7 @@ class TestLossRecovery:
         assert client.stats.timeouts > 0
 
     def test_connection_dies_after_max_timeouts(self):
-        config = TCPConfig(max_consecutive_timeouts=3, max_rto=2.0)
+        config = TCPConfig(max_rto=2.0)
         net = TwoHostNet(tcp_config=config)
         client, accepted = open_connection(net)
         net.sim.run(until=1.0)
@@ -307,7 +307,7 @@ class TestStack:
         """A connection bound to the old address starves after a handoff."""
         from repro.net.mobility import disconnect_host, reconnect_host
 
-        config = TCPConfig(max_consecutive_timeouts=3, max_rto=2.0)
+        config = TCPConfig(max_rto=2.0)
         net = TwoHostNet(tcp_config=config)
         client, accepted = open_connection(net)
         net.sim.run(until=1.0)

@@ -71,8 +71,7 @@ class TestRTTEstimator:
 
 class TestNewReno:
     def make(self, mss=1000):
-        return NewRenoCongestionControl(mss=mss, initial_cwnd_segments=2,
-                                        initial_ssthresh=16_000)
+        return NewRenoCongestionControl(mss=mss, initial_cwnd_segments=2)
 
     def test_slow_start_doubles_per_rtt(self):
         cc = self.make()

@@ -7,6 +7,7 @@ import pytest
 from repro.bittorrent import ClientConfig
 from repro.bittorrent.client import ANNOUNCE_RETRY
 from repro.bittorrent.swarm import SwarmScenario
+from repro.bittorrent.tracker import TRACKER_PORT
 from repro.net.mobility import disconnect_host, reconnect_host
 
 
@@ -82,7 +83,7 @@ class TestAnnounceRecovery:
         sc = SwarmScenario(seed=85, file_size=256 * 1024, piece_length=65_536)
         l0 = sc.add_wired_peer("l0")
         errors = []
-        conn = l0.client.stack.connect(sc.torrent.tracker_ip, sc.torrent.tracker_port)
+        conn = l0.client.stack.connect(sc.torrent.tracker_ip, TRACKER_PORT)
         conn.on_message = lambda m: errors.append(m)
 
         class Garbage:

@@ -45,7 +45,7 @@ class TestFlowLifecycle:
         assert len(am._flows) == 0
 
     def test_status_transitions_young_to_mature_and_back(self):
-        net, am = make_am(rtt_estimate=0.1, gamma_bytes=9000)
+        net, am = make_am(gamma_bytes=9000)
         key = (6881, net.a.ip, 50000)
         # heavy ingress: MATURE
         for i in range(20):

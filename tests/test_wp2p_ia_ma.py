@@ -150,9 +150,9 @@ class TestLIHD:
         with pytest.raises(ValueError):
             LIHDController(peer.client, u_max=0)
         with pytest.raises(ValueError):
-            LIHDController(peer.client, u_max=100.0, alpha=0)
-        with pytest.raises(ValueError):
-            LIHDController(peer.client, u_max=100.0, u_floor=200.0)
+            LIHDController(peer.client, u_max=100_000.0, alpha=0)
+        with pytest.raises(ValueError):  # a ceiling below the floor
+            LIHDController(peer.client, u_max=LIHDController.u_floor / 2)
 
 
 class TestWP2PClient:

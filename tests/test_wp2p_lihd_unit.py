@@ -76,9 +76,9 @@ class TestLIHDControlLaw:
         sc, client = make_client()
         rates = ScriptedRate([100] + [50] * 50)  # perpetual stagnation
         c = LIHDController(client, u_max=20_000.0, alpha=1_000.0, beta=5_000.0,
-                           interval=1.0, u_floor=3_000.0, rate_source=rates)
+                           interval=1.0, rate_source=rates)
         self.run_windows(sc, c, 30)
-        assert c.u_cur == pytest.approx(3_000.0)
+        assert c.u_cur == pytest.approx(c.u_floor)
 
         rates_up = ScriptedRate([100] + list(range(200, 20_000, 100)))
         c2 = LIHDController(client, u_max=20_000.0, alpha=50_000.0, beta=1_000.0,
