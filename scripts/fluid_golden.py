@@ -24,6 +24,7 @@ integrator), so after any change to ``src/repro/scale/fluid.py`` run::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.chaos import PRESET_NAMES, preset_schedule
@@ -43,20 +44,17 @@ from repro.scale import FluidParams, FluidSwarm, HybridSpec, HybridSwarm, PeerCl
 MIB = 1 << 20
 
 
-def _classes(**wired_kw) -> tuple:
+def _classes(arrival_rate: float = 0.0) -> tuple:
     return (
         PeerClass("seeds", 5.0, 96_000.0, 1_000_000.0, seed=True),
-        PeerClass("wired", 75.0, 48_000.0, 500_000.0, **wired_kw),
+        PeerClass("wired", 75.0, 48_000.0, 500_000.0, arrival_rate=arrival_rate),
         PeerClass("mobile", 20.0, 24_000.0, 100_000.0, mobile=True,
                   wireless_shared=True, handoff_interval=90.0),
     )
 
 
-def _params(classes: Optional[tuple] = None, **kw) -> FluidParams:
-    return FluidParams(
-        file_size=4 * MIB, piece_length=65_536,
-        classes=classes if classes is not None else _classes(), **kw,
-    )
+#: The clean 4 MiB swarm; the other cases vary it with ``replace``.
+CLEAN = FluidParams(file_size=4 * MIB, piece_length=65_536, classes=_classes())
 
 
 def _fluid(params: FluidParams, chaos: Optional[ChaosSchedule] = None) -> object:
@@ -75,8 +73,8 @@ def _coded() -> object:
                   wp2p=True, wireless_shared=True, handoff_interval=45.0,
                   selection="inorder"),
     )
-    params = _params(classes, max_time=3_600.0, content_mode="group",
-                     code_k=4, code_n=6)
+    params = replace(CLEAN, classes=classes, max_time=3_600.0,
+                     content_mode="group", code_k=4, code_n=6)
     return _fluid(params, ChaosSchedule((
         LinkBlackout(start=20.0, duration=15.0, target="wireless"),
         PeerCrash(start=50.0, target="custody", downtime=None),
@@ -84,7 +82,7 @@ def _coded() -> object:
 
 
 def _arrivals_churn() -> object:
-    params = _params(_classes(arrival_rate=0.5), max_time=400.0,
+    params = replace(CLEAN, classes=_classes(arrival_rate=0.5), max_time=400.0,
                      departure_rate=0.002, dt=0.1)
     return _fluid(params, ChaosSchedule((
         PeerChurn(start=10.0, duration=120.0, rate_per_min=6.0,
@@ -97,7 +95,7 @@ def _overlapping() -> object:
     # both on and off the dt grid, windows shorter than one step (one
     # covering a step time, one between two), and impulses
     # (transient, back-to-back, zero-downtime, permanent) inside them.
-    return _fluid(_params(max_time=1_200.0), ChaosSchedule((
+    return _fluid(replace(CLEAN, max_time=1_200.0), ChaosSchedule((
         PeerChurn(start=5.0, duration=60.0, rate_per_min=4.0,
                   downtime=12.0, target="wired"),
         PeerChurn(start=20.0, duration=20.0, rate_per_min=9.0,
@@ -157,7 +155,7 @@ def _steady_interrupted() -> object:
     # run: off-grid sample points, window edges on and off the dt grid,
     # a transient crash whose pool drains for a while, and a
     # zero-downtime crash that moves nothing but still fires.
-    params = _params(dt=0.05, sample_interval=0.7, max_time=1_200.0)
+    params = replace(CLEAN, dt=0.05, sample_interval=0.7, max_time=1_200.0)
     return _fluid(params, ChaosSchedule((
         LinkDegradation(start=61.37, duration=30.0, target="wireless",
                         rate_factor=0.5),
@@ -169,7 +167,7 @@ def _steady_interrupted() -> object:
 def _external_slices() -> object:
     # Nonzero boundary terms held constant over 2 s coupling slices:
     # each advance() call starts a fresh steady run.
-    fluid = FluidSwarm(_params(dt=0.05, max_time=1_200.0))
+    fluid = FluidSwarm(replace(CLEAN, dt=0.05, max_time=1_200.0))
     fluid.external_supply = 40_000.0
     fluid.external_demand = 250_000.0
     boundary: List[List[float]] = []
@@ -181,19 +179,15 @@ def _external_slices() -> object:
     return {"result": fluid.finish().to_jsonable(), "boundary": boundary}
 
 
-def _cdn(**kw) -> Callable[[], object]:
-    return lambda: cdn_fluid_cell(**kw)
-
-
 def cases() -> Dict[str, Callable[[], object]]:
     """Case name -> thunk producing the JSON data that is hashed."""
     out: Dict[str, Callable[[], object]] = {
-        "clean_dt0.25": lambda: _fluid(_params()),
-        "clean_dt0.05": lambda: _fluid(_params(dt=0.05)),
+        "clean_dt0.25": lambda: _fluid(CLEAN),
+        "clean_dt0.05": lambda: _fluid(replace(CLEAN, dt=0.05)),
     }
     for preset in PRESET_NAMES:
         out[f"preset_{preset}_x2"] = lambda preset=preset: _fluid(
-            _params(), preset_schedule(preset, 2.0, 300.0)
+            CLEAN, preset_schedule(preset, 2.0, 300.0)
         )
     out["coded_group_4_6"] = _coded
     out["arrivals_churn"] = _arrivals_churn
@@ -204,19 +198,19 @@ def cases() -> Dict[str, Callable[[], object]]:
     out["figx_scale_1e6_wp2p"] = lambda: _figx_scale_cell(True)
     out["steady_interrupted"] = _steady_interrupted
     out["external_constant_slices"] = _external_slices
-    out["cdn_uniform_1e4"] = _cdn(
+    out["cdn_uniform_1e4"] = lambda: cdn_fluid_cell(
         catalog={"assets": 10_000, "size_kib": 256, "piece_kib": 16},
         demand="zipf:0.9@50.0",
         origin={"policy": "pin_top_k", "k": 100, "capacity": 10_000},
         peers=100_000, mobile_fraction=0.221, horizon=600.0,
     )
-    out["cdn_sizes_kib"] = _cdn(
+    out["cdn_sizes_kib"] = lambda: cdn_fluid_cell(
         catalog={"assets": 40,
                  "sizes_kib": [64 + 97 * (i % 13) for i in range(40)]},
         demand="zipf:1.1@4.0", origin={"policy": "pin_top_k", "k": 3},
         peers=50, mobile_fraction=0.5, wp2p=True,
     )
-    out["cdn_flash_lru"] = _cdn(
+    out["cdn_flash_lru"] = lambda: cdn_fluid_cell(
         catalog={"assets": 300, "size_kib": 512},
         demand={"kind": "zipf", "alpha": 0.8, "rate": 6.0,
                 "flash_crowd": {"at": 60.0, "rank": 7, "size": 40,

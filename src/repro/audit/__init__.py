@@ -20,7 +20,7 @@ because components register themselves at construction)::
     auditor.sweep()          # also runs automatically during run()
 
 Ambiently, for code that builds its simulators internally — the run
-context's ``audit`` options, which ``Runner(audit=True)`` and the CLI's
+context's ``audit`` flag, which ``Runner(audit=True)`` and the CLI's
 ``--audit`` flag enter around every cell::
 
     from repro import audit
@@ -54,10 +54,10 @@ __all__ = [
 def apply_defaults(sim) -> Optional[Auditor]:
     """Kernel hook: attach a fresh auditor to ``sim`` when the run context
     audits.  Invariants are per-run, so each simulator gets its own."""
-    options = context.get("audit")
-    if options is None:
+    raising = context.get("audit")
+    if raising is None:
         return None
-    auditor = Auditor(**options).attach(sim)  # type: ignore[arg-type]
+    auditor = Auditor(raise_on_violation=bool(raising)).attach(sim)
     made = context.get("auditors")
     if made is not None:
         made.append(auditor)  # type: ignore[attr-defined]
@@ -65,14 +65,14 @@ def apply_defaults(sim) -> Optional[Auditor]:
 
 
 @contextmanager
-def audited(**options) -> Iterator[List[Auditor]]:
+def audited(raise_on_violation: bool = True) -> Iterator[List[Auditor]]:
     """Audit every simulator created inside the block.
 
-    ``options`` are :class:`Auditor` keywords.  Yields the (live) list
-    of created auditors, so callers running in collect mode
-    (``raise_on_violation=False``) can inspect ``auditor.violations``
-    afterwards.
+    ``raise_on_violation`` is passed to each :class:`Auditor`.  Yields
+    the (live) list of created auditors, so callers running in collect
+    mode (``raise_on_violation=False``) can inspect
+    ``auditor.violations`` afterwards.
     """
     made: List[Auditor] = []
-    with context.scope(audit=options, auditors=made):
+    with context.scope(audit=raise_on_violation, auditors=made):
         yield made

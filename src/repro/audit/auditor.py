@@ -6,8 +6,8 @@ and watches it from three angles at once:
 * **Kernel hook** — the event loop calls :meth:`Auditor.before_event`
   for every dispatched event (only when an auditor is attached; an
   unaudited run pays one ``is None`` test per event).  The hook asserts
-  event-queue time monotonicity and, every ``sweep_interval`` events,
-  runs a full invariant sweep.
+  event-queue time monotonicity and, every :data:`SWEEP_INTERVAL`
+  events, runs a full invariant sweep.
 * **Component sweeps** — instrumented components register themselves at
   construction (``sim.audit is not None`` is the whole cost when off);
   a sweep runs every checker in :mod:`repro.audit.checkers` over every
@@ -38,6 +38,12 @@ from . import checkers
 
 #: Slack when comparing simulated timestamps.
 TIME_EPS = 1e-9
+
+#: Events between two full invariant sweeps.
+SWEEP_INTERVAL = 256
+
+#: Violations a collect-mode auditor keeps; later ones are not stored.
+MAX_VIOLATIONS = 1000
 
 _LEGAL_AM_STATUS = ("young", "mature")
 _LEGAL_MA_MODES = ("rarest", "sequential")
@@ -73,21 +79,16 @@ class Auditor(TraceSink):
     >>> auditor.sweep()                  # doctest: +SKIP
 
     Attach **before** building the topology: components register with
-    ``sim.audit`` in their constructors.  (The :func:`repro.audit.install`
-    globals do this automatically for every new simulator.)
+    ``sim.audit`` in their constructors.  (:func:`repro.audit.audited`
+    does this automatically for every new simulator.)
+
+    ``raise_on_violation=False`` is collect mode: violations, up to
+    :data:`MAX_VIOLATIONS`, land on :attr:`violations` instead of
+    raising.  A full sweep runs every :data:`SWEEP_INTERVAL` events.
     """
 
-    def __init__(
-        self,
-        raise_on_violation: bool = True,
-        sweep_interval: int = 256,
-        max_violations: int = 1000,
-    ) -> None:
-        if sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
+    def __init__(self, raise_on_violation: bool = True) -> None:
         self.raise_on_violation = raise_on_violation
-        self.sweep_interval = sweep_interval
-        self.max_violations = max_violations
         self.violations: List[Violation] = []
         self.sweeps = 0
         self.events_seen = 0
@@ -201,7 +202,7 @@ class Auditor(TraceSink):
             )
         self._last_event_time = event_time
         self.events_seen += 1
-        if self.events_seen % self.sweep_interval == 0:
+        if self.events_seen % SWEEP_INTERVAL == 0:
             self.sweep()
 
     def on_run_end(self) -> None:
@@ -383,7 +384,7 @@ class Auditor(TraceSink):
     def report(self, checker: str, message: str) -> None:
         """Record one violation; raise unless in collect mode."""
         violation = Violation(self._clock(), checker, message)
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(violation)
         if self.raise_on_violation:
             raise AuditViolation(violation)

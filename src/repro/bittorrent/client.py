@@ -62,7 +62,6 @@ class ClientConfig:
     numwant: int = 50
     upload_limit: Optional[float] = None  # bytes/second; None = unlimited
     ledger_half_life: float = 60.0
-    sweep_interval: float = 1.0
     task_restart_delay: float = 2.0
     keep_seeding: bool = True
     corrupt_probability: float = 0.0
@@ -80,6 +79,8 @@ REQUEST_TIMEOUT = 30.0
 #: Unacknowledged bytes on a connection above which uploads to that peer
 #: wait their turn.
 SEND_BUFFER_CAP = 65_536
+#: Seconds between two housekeeping sweeps.
+SWEEP_INTERVAL = 1.0
 #: New outgoing connections per housekeeping sweep.
 CONNECTS_PER_SWEEP = 4
 #: Block requests kept outstanding per unchoked peer.
@@ -203,7 +204,7 @@ class BitTorrentClient:
         self._tracker_interval_hint: Optional[float] = None
         self._backoff_rng = None
 
-        self._sweep = PeriodicTask(sim, self.config.sweep_interval, self._on_sweep)
+        self._sweep = PeriodicTask(sim, SWEEP_INTERVAL, self._on_sweep)
         self._announce_event = None
         self._restart_event = None
         self.started = False
@@ -224,7 +225,7 @@ class BitTorrentClient:
         self.started = True
         self.stack.listen(self.config.listen_port, self._accept)
         self.choker.start()
-        self._sweep.start(first_delay=self.config.sweep_interval)
+        self._sweep.start(first_delay=SWEEP_INTERVAL)
         if self._availability_sampler is not None:
             self._availability_sampler.start()
         self.announce(EVENT_STARTED)

@@ -152,8 +152,8 @@ class SwarmScenario:
             self.sim, host, self.torrent,
             complete=complete, selector=selector, config=config, name=name,
             initial_pieces=initial_pieces,
-            **self._strategy_kwargs(strategy, "wired", complete),
-            **self._codec_kwargs(),
+            strategy=self._strategy(strategy, "wired", complete),
+            codec=self._codec(),
         )
         handle = PeerHandle(name, host, client)
         self.peers[name] = handle
@@ -172,7 +172,12 @@ class SwarmScenario:
         initial_pieces=None,
         strategy=None,
     ) -> PeerHandle:
-        """A (potentially mobile) peer behind a shared wireless cell."""
+        """A (potentially mobile) peer behind a shared wireless cell.
+
+        ``client_factory`` is :class:`BitTorrentClient` or
+        :class:`~repro.wp2p.WP2PClient`; it is called with the
+        constructor keywords they share, each passed by name.
+        """
         host = Host(self.sim, name)
         TCPStack(self.sim, host)
         channel = attach_wireless_host(
@@ -183,32 +188,28 @@ class SwarmScenario:
             self.sim, host, self.torrent,
             complete=complete, selector=selector, config=config, name=name,
             initial_pieces=initial_pieces,
-            **self._strategy_kwargs(strategy, "mobile", complete),
-            **self._codec_kwargs(),
+            strategy=self._strategy(strategy, "mobile", complete),
+            codec=self._codec(),
         )
         handle = PeerHandle(name, host, client, channel=channel)
         self.peers[name] = handle
         return handle
 
-    def _strategy_kwargs(self, strategy, population: str, complete: bool):
+    def _strategy(self, strategy, population: str, complete: bool):
         """Resolve a peer's strategy: explicit beats the scenario mix.
 
-        Returned as kwargs so the default path passes nothing — custom
-        ``client_factory`` callables that predate the strategy layer
-        keep working untouched.  Seeds never draw from the mix (the
-        sweep fractions describe the leecher population).
+        Seeds never draw from the mix (the sweep fractions describe the
+        leecher population).
         """
         if strategy is None and self._strategy_assigner is not None and not complete:
             strategy = self._strategy_assigner.assign(population)
-        return {} if strategy is None else {"strategy": strategy}
+        return strategy
 
-    def _codec_kwargs(self):
-        """A fresh codec per peer when a content mode is set, else nothing
-        (so ``client_factory`` callables predating the codec seam keep
-        working untouched)."""
+    def _codec(self):
+        """A fresh codec per peer when a content mode is set, else None."""
         if self.content is None:
-            return {}
-        return {"codec": coding_defaults.make_codec(self.content, self.torrent)}
+            return None
+        return coding_defaults.make_codec(self.content, self.torrent)
 
     def custody_pieces(self, column: int, custodians: int) -> List[int]:
         """Initial pieces for custody seed ``column`` of ``custodians``.

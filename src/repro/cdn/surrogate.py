@@ -34,22 +34,22 @@ from ..summation import left_sum
 from .catalog import normalize_catalog
 from .demand import mean_cycle_factor, normalize_demand, zipf_weights
 from .origin import normalize_origin
+from .scenario import PEER_DOWN_RATE
 
 #: Geometric banding keeps the head of the Zipf curve exact (the top
 #: asset is its own band) while the long tail aggregates coarsely.
-DEFAULT_MAX_BANDS = 16
+MAX_BANDS = 16
 
 
-def rank_bands(assets: int, max_bands: int = DEFAULT_MAX_BANDS) -> List[Tuple[int, int]]:
-    """Inclusive 1-based ``(first, last)`` rank ranges, geometric widths."""
+def rank_bands(assets: int) -> List[Tuple[int, int]]:
+    """Inclusive 1-based ``(first, last)`` rank ranges, geometric widths,
+    at most :data:`MAX_BANDS` of them (the last takes the rest)."""
     if assets < 1:
         raise ValueError("assets must be >= 1")
-    if max_bands < 1:
-        raise ValueError("max_bands must be >= 1")
     bands: List[Tuple[int, int]] = []
     start, width = 1, 1
     while start <= assets:
-        if len(bands) == max_bands - 1:
+        if len(bands) == MAX_BANDS - 1:
             bands.append((start, assets))
             break
         end = min(assets, start + width - 1)
@@ -68,16 +68,16 @@ def cdn_fluid_cell(
     wp2p: bool = False,
     horizon: float = 300.0,
     peer_up_rate: float = 48_000.0,
-    peer_down_rate: float = 500_000.0,
     wireless_rate: float = 100_000.0,
     handoff_interval: Optional[float] = 60.0,
     handoff_downtime: float = 1.0,
-    max_bands: int = DEFAULT_MAX_BANDS,
 ) -> Dict[str, object]:
     """One fluid CDN cell: the packet cell's axes through band solves.
 
-    Returns the same result keys as
-    :meth:`repro.cdn.scenario.CdnScenario.results`, so scenarios can
+    Wired peers download at the packet cell's
+    :data:`~repro.cdn.scenario.PEER_DOWN_RATE`; the catalog splits into
+    at most :data:`MAX_BANDS` rank bands.  Returns the same result keys
+    as :meth:`repro.cdn.scenario.CdnScenario.results`, so scenarios can
     assemble either backend's values identically.
     """
     ambient = context.get("workload") or {}  # beats the arguments
@@ -126,7 +126,7 @@ def cdn_fluid_cell(
         (1.0 - mobile_fraction) + mobile_fraction * mobile_availability
     )
     download = (
-        (1.0 - mobile_fraction) * peer_down_rate
+        (1.0 - mobile_fraction) * PEER_DOWN_RATE
         + mobile_fraction * wireless_rate
     )
 
@@ -155,7 +155,7 @@ def cdn_fluid_cell(
         expected_active = min(expected_active, float(org["capacity"]))  # type: ignore[arg-type]
     origin_slice = float(org["up_rate"]) / max(expected_active, 1.0)  # type: ignore[arg-type]
 
-    bands = rank_bands(assets, max_bands=max_bands)
+    bands = rank_bands(assets)
     per_band: Dict[str, Dict[str, object]] = {}
     total_requests = 0.0
     served_requests = 0.0

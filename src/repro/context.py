@@ -2,7 +2,7 @@
 
 Experiments build their simulators and swarms internally, yet a
 campaign's chaos preset, strategy mix, content mode and CDN workload
-must reach every swarm a cell builds, and audit options and trace sinks
+must reach every swarm a cell builds, and the audit mode and trace sinks
 must reach every simulator.  Those values live in one dict here, read
 through :func:`get` and set by :func:`scope`, which restores the
 previous dict when the block ends however it ends — so nothing entered

@@ -25,10 +25,10 @@ from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
 from ..tcp import TCPConfig
 from ..wp2p import (
+    MobilityAwareSelector,
     WP2PClient,
     exponential_progress_schedule,
     linear_progress_schedule,
-    mf_only_config,
 )
 from .base import BulkSender, WirelessPairTopology
 from .fig4_mobility import playability_run
@@ -108,14 +108,11 @@ class AblationMfSchedule(Scenario):
         return [(label,) for label in MF_SCHEDULES]
 
     def run_cell(self, key, seed, p):
-        schedule = MF_SCHEDULES[key[0]]
-
-        def factory(sim, host, torrent, **kwargs):
-            kwargs.setdefault("config", mf_only_config())
-            kwargs.setdefault("pr_schedule", schedule)
-            return WP2PClient(sim, host, torrent, **kwargs)
-
-        curve = playability_run(seed, p["num_pieces"], client_factory=factory)
+        curve = playability_run(
+            seed, p["num_pieces"],
+            selector=MobilityAwareSelector(MF_SCHEDULES[key[0]]),
+            client_factory=WP2PClient,
+        )
         return [[d, play] for d, play in curve]
 
     def series(self, p, values):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..analysis import Series, sweep
-from ..bittorrent import ClientConfig, RarestFirstSelector
+from ..bittorrent import BitTorrentClient, ClientConfig, RarestFirstSelector
 from ..bittorrent.selection import PieceSelector
 from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves, playability_curve
@@ -126,7 +126,7 @@ def playability_run(
     seed: int,
     num_pieces: int,
     selector: Optional[PieceSelector] = None,
-    client_factory=None,
+    client_factory=BitTorrentClient,
 ) -> List[tuple]:
     """One full download; returns its (downloaded %, playable %) curve.
 
@@ -144,11 +144,8 @@ def playability_run(
         sc.add_wired_peer(f"s{i}", complete=True, up_rate=80_000)
     for i in range(2):
         sc.add_wired_peer(f"l{i}", up_rate=60_000)
-    kwargs = {}
-    if client_factory is not None:
-        kwargs["client_factory"] = client_factory
     x = sc.add_wireless_peer(
-        "x", rate=200_000, selector=selector, **kwargs
+        "x", rate=200_000, selector=selector, client_factory=client_factory,
     )
     sc.start_all()
     sc.run_until_complete(["x"], timeout=1200.0)

@@ -22,13 +22,8 @@ from ..bittorrent.swarm import SwarmScenario
 from ..media import average_curves
 from ..runner import Scenario, Verdict, collect, scenario
 from ..summation import left_sum
-from ..wp2p import WP2PClient, mf_only_config, rr_only_config
+from ..wp2p import WP2PClient, rr_only_config
 from .fig4_mobility import GRID, playability_run
-
-
-def _mf_factory(sim, host, torrent, **kwargs):
-    kwargs.setdefault("config", mf_only_config())
-    return WP2PClient(sim, host, torrent, **kwargs)
 
 
 @scenario
@@ -37,7 +32,9 @@ class Fig9AB(Scenario):
 
     ``num_pieces=20`` is the paper's 5 MB file, ``num_pieces=400`` the
     100 MB file; pr equals the downloaded fraction, as in the paper's
-    evaluation.
+    evaluation.  The wP2P downloader runs the default
+    :class:`~repro.wp2p.WP2PConfig`: mobility-aware fetching with every
+    other wP2P component on.
     """
 
     name = "fig9ab"
@@ -65,7 +62,7 @@ class Fig9AB(Scenario):
 
     def run_cell(self, key, seed, p):
         if key[0] == "wp2p":
-            curve = playability_run(seed, p["num_pieces"], client_factory=_mf_factory)
+            curve = playability_run(seed, p["num_pieces"], client_factory=WP2PClient)
         else:
             curve = playability_run(
                 seed, p["num_pieces"], selector=RarestFirstSelector()

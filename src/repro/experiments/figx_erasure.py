@@ -22,7 +22,10 @@ Three content variants run on the same seeds and the same byte volume:
   still leaves ``k`` live pieces per group and the swarm keeps fetching
   at full rate.
 * **ma** — replication content plus the paper's own §5.2.3 mitigation:
-  mobile leechers run wP2P's mobility-aware fetching.  Smarter piece
+  mobile leechers run wP2P with the default
+  :class:`~repro.wp2p.WP2PConfig` — mobility-aware fetching with every
+  other wP2P component on, and the stock task restart delay where the
+  other variants' mobile leechers wait 15 s.  Smarter piece
   *ordering* cannot manufacture availability, so it trails coding as
   custodian churn intensifies.
 
@@ -52,7 +55,7 @@ from ..coding import coded_file_size
 from ..runner import Scenario, Verdict, collect, scenario
 from ..scale import FluidParams, FluidSwarm, PeerClass
 from ..summation import left_sum
-from ..wp2p import WP2PClient, mf_only_config
+from ..wp2p import WP2PClient
 
 VARIANTS: Sequence[str] = ("replication", "coded", "ma")
 CHAOS_INTENSITIES: Sequence[float] = (0.0, 8.0, 16.0)
@@ -77,11 +80,6 @@ def erasure_schedule(intensity: float, horizon: float) -> ChaosSchedule:
             "handoff-storm", intensity * STORM_SCALE, horizon
         )
     return schedule
-
-
-def _ma_factory(sim, host, torrent, **kwargs):
-    kwargs.setdefault("config", mf_only_config(task_restart_delay=15.0))
-    return WP2PClient(sim, host, torrent, **kwargs)
 
 
 def erasure_run(
@@ -142,7 +140,7 @@ def erasure_run(
         names.append(f"mob{i}")
         if variant == "ma":
             handle = sc.add_wireless_peer(
-                names[-1], rate=64_000, client_factory=_ma_factory,
+                names[-1], rate=64_000, client_factory=WP2PClient,
             )
         else:
             handle = sc.add_wireless_peer(

@@ -8,7 +8,6 @@ from .mobility import MobilityController, disconnect_host, reconnect_host
 from .netfilter import EGRESS, INGRESS, HookChain, Netfilter, PacketFilter
 from .packet import IP_HEADER_BYTES, DropRecord, Packet, loss_probability
 from .queues import DropTailQueue
-from .trace import PacketTrace, TraceRecord
 from .wireless import MAC_OVERHEAD_BYTES, WirelessChannel, attach_wireless_host
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "Packet",
     "loss_probability",
     "DropTailQueue",
-    "PacketTrace",
-    "TraceRecord",
     "MAC_OVERHEAD_BYTES",
     "WirelessChannel",
     "attach_wireless_host",

@@ -69,10 +69,3 @@ class Netfilter:
     def __init__(self) -> None:
         self.egress = HookChain(EGRESS)
         self.ingress = HookChain(INGRESS)
-
-    def chain(self, direction: str) -> HookChain:
-        if direction == EGRESS:
-            return self.egress
-        if direction == INGRESS:
-            return self.ingress
-        raise ValueError(f"unknown direction {direction!r}")

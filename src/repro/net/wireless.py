@@ -32,6 +32,9 @@ DOWNLINK = "down"
 MAC_OVERHEAD_BYTES = 34
 """Per-frame MAC/PHY overhead added to airtime (header + preamble equiv)."""
 
+PROP_DELAY = 0.0005
+"""Air propagation delay in seconds (effectively zero indoors)."""
+
 
 class WirelessChannel:
     """One wireless cell: station <-> AP <-> Internet core.
@@ -42,14 +45,13 @@ class WirelessChannel:
         Channel capacity in bytes/second (shared by both directions).
     ber:
         Bit error rate applied independently per transmitted frame.
-    prop_delay:
-        Air propagation delay (effectively zero indoors; kept configurable).
     ap_queue_packets / station_queue_packets:
         Drop-tail buffer sizes at the access point (downlink) and the
         station (uplink).
-    mac_efficiency:
-        Fraction of the nominal rate usable for frames, folding in
-        contention/backoff overheads (0 < eff <= 1).
+
+    These are the paper's emulator knobs (BER, bandwidth, buffers).  The
+    air propagation delay is :data:`PROP_DELAY`, every frame uses the
+    whole nominal rate, and the cell is named ``wlan.<host name>``.
     """
 
     def __init__(
@@ -59,26 +61,20 @@ class WirelessChannel:
         internet: Internet,
         rate: float = 100_000.0,
         ber: float = 0.0,
-        prop_delay: float = 0.0005,
         ap_queue_packets: int = 50,
         station_queue_packets: int = 50,
-        mac_efficiency: float = 1.0,
-        name: Optional[str] = None,
     ) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
         if not 0.0 <= ber < 1.0:
             raise ValueError("ber must be in [0, 1)")
-        if not 0.0 < mac_efficiency <= 1.0:
-            raise ValueError("mac_efficiency must be in (0, 1]")
         self.sim = sim
         self.host = host
         self.internet = internet
         self.rate = rate
         self.ber = ber
-        self.prop_delay = prop_delay
-        self.mac_efficiency = mac_efficiency
-        self.name = name or f"wlan.{host.name}"
+        self.prop_delay = PROP_DELAY
+        self.name = f"wlan.{host.name}"
         self._rng = sim.rng.stream(f"{self.name}.loss")
 
         self.uplink_queue = DropTailQueue(
@@ -96,7 +92,6 @@ class WirelessChannel:
         self._arrival_seq = 0
         self._up_order: Deque[int] = deque()
         self._down_order: Deque[int] = deque()
-        self._tx_denom = rate * mac_efficiency
         self._baseline: Optional[Tuple[float, float, float]] = None
 
         # Instrumentation -------------------------------------------------
@@ -126,7 +121,6 @@ class WirelessChannel:
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self._tx_denom = rate * self.mac_efficiency
 
     # ------------------------------------------------------------------
     # Fault hooks (repro.chaos)
@@ -162,7 +156,6 @@ class WirelessChannel:
         if self._baseline is None:
             return
         self.rate, self.ber, self.prop_delay = self._baseline
-        self._tx_denom = self.rate * self.mac_efficiency
         self._baseline = None
 
     # ------------------------------------------------------------------
@@ -231,7 +224,7 @@ class WirelessChannel:
         queue.dequeued += 1
         queue.bytes_dequeued += size
         self._busy = True
-        tx_time = (size + MAC_OVERHEAD_BYTES) / self._tx_denom
+        tx_time = (size + MAC_OVERHEAD_BYTES) / self.rate
         self.airtime_busy += tx_time
         # Airtime and propagation events are never cancelled: the
         # kernel's handle-free push.
@@ -282,10 +275,17 @@ def attach_wireless_host(
     ip: str,
     rate: float = 100_000.0,
     ber: float = 0.0,
-    **kwargs: object,
+    ap_queue_packets: int = 50,
+    station_queue_packets: int = 50,
 ) -> WirelessChannel:
-    """Create a cell for ``host``, route ``ip`` to it, and bring it up."""
-    channel = WirelessChannel(sim, host, internet, rate=rate, ber=ber, **kwargs)  # type: ignore[arg-type]
+    """Create a cell for ``host``, route ``ip`` to it, and bring it up.
+
+    The keywords are :class:`WirelessChannel`'s, passed on by name."""
+    channel = WirelessChannel(
+        sim, host, internet, rate=rate, ber=ber,
+        ap_queue_packets=ap_queue_packets,
+        station_queue_packets=station_queue_packets,
+    )
     internet.register(ip, channel)
     host.bring_up(ip)
     return channel

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from ..analysis.series import ExperimentResult, Series
-from .spec import ScenarioSpec, freeze_params
+from .spec import freeze_params
 
 if TYPE_CHECKING:
     from .runner import ScenarioRun
@@ -134,23 +134,6 @@ class Scenario:
                 )
             merged.update(overrides)
         return freeze_params(merged)
-
-    def spec(
-        self,
-        overrides: Optional[Mapping[str, object]] = None,
-        backend: Optional[str] = None,
-    ) -> ScenarioSpec:
-        """A :class:`ScenarioSpec` for this scenario at the given params.
-
-        ``backend=None`` selects the scenario's default (the first entry
-        of :attr:`backends`).
-        """
-        params = self.params(overrides)
-        seeds = sorted({seed for _, seed in self.cells(params)})
-        return ScenarioSpec.create(
-            self.name, params, seeds=seeds, description=self.description,
-            backend=self.resolve_backend(backend),
-        )
 
     def resolve_backend(self, backend: Optional[str]) -> str:
         """Validate ``backend`` against :attr:`backends` (None = default)."""

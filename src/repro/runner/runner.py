@@ -197,7 +197,7 @@ def _execute_cell(
     with context.scope() as read:
         try:
             ambient = activate(axes)
-            with context.scope(audit={} if audit_on else None, **ambient), \
+            with context.scope(audit=True if audit_on else None, **ambient), \
                     _cell_deadline(cell_timeout):
                 run_cell = scn.cell_runner(context.get("backend") or "packet")
                 value = run_cell(tuple(key_list), seed, params)

@@ -10,7 +10,6 @@ from .client import (
     WP2PClient,
     WP2PConfig,
     am_only_config,
-    mf_only_config,
     rr_only_config,
     wp2p_ip_change_policy,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "WP2PClient",
     "WP2PConfig",
     "am_only_config",
-    "mf_only_config",
     "rr_only_config",
     "wp2p_ip_change_policy",
     "IdentityRetention",

@@ -27,7 +27,7 @@ from ..net.host import Host
 from ..sim import Simulator
 from .age_manipulation import DEFAULT_GAMMA_BYTES, AgeBasedManipulation
 from .incentive_aware import IdentityRetention, LIHDController
-from .mobility_aware import MobilityAwareSelector, PrSchedule
+from .mobility_aware import MobilityAwareSelector
 
 #: Seconds between an address change and role reversal's reconnects.
 ROLE_REVERSAL_DELAY = 0.5
@@ -51,12 +51,12 @@ class WP2PConfig(ClientConfig):
     role_reversal: bool = True
 
 
-def _components(overrides, am=False, mf=False, ia=False) -> WP2PConfig:
+def _components(overrides, am=False, ia=False) -> WP2PConfig:
     """wP2P with only the named components on (``ia``: identity retention
     + role reversal), then ``overrides`` applied field by field."""
     cfg = WP2PConfig(
         am_enabled=am,
-        mobility_aware_fetching=mf,
+        mobility_aware_fetching=False,
         identity_retention=ia,
         role_reversal=ia,
     )
@@ -68,11 +68,6 @@ def _components(overrides, am=False, mf=False, ia=False) -> WP2PConfig:
 def am_only_config(**overrides) -> WP2PConfig:
     """wP2P with only the AM component active (isolates §5.2.1)."""
     return _components(overrides, am=True)
-
-
-def mf_only_config(**overrides) -> WP2PConfig:
-    """wP2P with only mobility-aware fetching active (isolates §5.2.3)."""
-    return _components(overrides, mf=True)
 
 
 def rr_only_config(**overrides) -> WP2PConfig:
@@ -103,7 +98,14 @@ def wp2p_ip_change_policy(client: "WP2PClient", old, new) -> None:
 
 
 class WP2PClient(BitTorrentClient):
-    """Mobile-host BitTorrent client with the wP2P solution suite."""
+    """Mobile-host BitTorrent client with the wP2P solution suite.
+
+    Takes :class:`BitTorrentClient`'s arguments.  With mobility-aware
+    fetching on and no ``selector``, it fetches with a
+    :class:`MobilityAwareSelector` on the paper's linear pr schedule; a
+    caller wanting another schedule passes
+    ``selector=MobilityAwareSelector(schedule)``.
+    """
 
     def __init__(
         self,
@@ -114,7 +116,6 @@ class WP2PClient(BitTorrentClient):
         selector: Optional[PieceSelector] = None,
         config: Optional[WP2PConfig] = None,
         name: Optional[str] = None,
-        pr_schedule: Optional[PrSchedule] = None,
         initial_pieces=None,
         strategy=None,
         codec=None,
@@ -125,7 +126,7 @@ class WP2PClient(BitTorrentClient):
             # MA fetching outranks a strategy's selector preference: it is
             # the wP2P component under test, while strategies primarily
             # carry choking behaviour (which composes freely with it).
-            selector = MobilityAwareSelector(pr_schedule)
+            selector = MobilityAwareSelector()
         super().__init__(
             sim, host, torrent,
             complete=complete, selector=selector, config=wconfig, name=name,

@@ -37,6 +37,7 @@ from repro.cdn import (
 )
 from repro.cdn.demand import cycle_factor, mean_cycle_factor
 from repro.cdn.origin import POLICIES
+from repro.cdn.surrogate import MAX_BANDS
 from repro.runner import Runner
 from repro.runner.spec import ScenarioSpec, cell_digest
 from repro.scale.assets import AssetClassParams, asset_class_outcome
@@ -312,7 +313,11 @@ class TestCdnScenario:
 class TestFluidSurrogate:
     def test_rank_bands_partition_geometrically(self):
         assert rank_bands(1) == [(1, 1)]
-        assert rank_bands(10, max_bands=3) == [(1, 1), (2, 3), (4, 10)]
+        assert rank_bands(10) == [(1, 1), (2, 3), (4, 7), (8, 10)]
+        # The last of MAX_BANDS bands takes every remaining rank.
+        assert rank_bands(2**20) == [
+            (2**i, 2**(i + 1) - 1) for i in range(MAX_BANDS - 1)
+        ] + [(2**(MAX_BANDS - 1), 2**20)]
         bands = rank_bands(10_000)
         assert bands[0] == (1, 1)
         assert bands[-1][1] == 10_000

@@ -14,8 +14,10 @@ each run by CI), but not the tests.
 * Every defaulted parameter of a public function, method or
   constructor under ``src/repro`` is passed by some call to a callee of
   that name (a constructor's callee is its class, a subclass that
-  inherits it, or ``super().__init__`` in a subclass): by keyword,
-  positionally far enough, or through ``*args`` / ``**kwargs``.
+  inherits it, or ``super().__init__`` in a subclass): by keyword, or
+  positionally far enough.  A ``*args`` / ``**kwargs`` spread names
+  nothing, so it passes nothing: a relay names what it passes on, and a
+  setting that reaches its callee only through a spread is flagged.
 
 A field or parameter that fails here should become a module constant
 (or a local with the same value) instead, unless a tier-1 test needs a
@@ -59,13 +61,9 @@ EXEMPT = {
         "tests/test_tcp_flow_control.py::test_delack_segments_one_acks_every_segment",
         "the ACK policy's other value; ROADMAP items 3 and 12 sweep it",
     ),
-    "net/trace.py:PacketTrace.__init__(keep)": (
-        "tests/test_trace_stats.py::test_filter_predicate",
-        "PacketTrace is tier-1's own capture instrument; its filter",
-    ),
-    "net/trace.py:PacketTrace.__init__(max_records)": (
-        "tests/test_trace_stats.py::test_max_records_cap",
-        "PacketTrace is tier-1's own capture instrument; its record cap",
+    "audit/__init__.py:audited(raise_on_violation)": (
+        "tests/test_audit.py::test_audited_context_keeps_auditors_inspectable",
+        "collect mode: the alarm-ring tests plant violations and read them back",
     ),
 }
 
@@ -140,11 +138,11 @@ def test_every_config_field_is_set_somewhere():
 
 
 #: Calls the name match cannot resolve: (file, callee name) -> the
-#: public callee the call reaches.  One entry per call expression.
+#: public callees the call reaches.  One entry per call expression.
 UNRESOLVED = {
-    # SwarmScenario.add_wired_peer/add_wireless_peer call the class
-    # passed as ``client_factory`` (BitTorrentClient by default).
-    ("src/repro/bittorrent/swarm.py", "client_factory"): "BitTorrentClient",
+    # SwarmScenario.add_wireless_peer calls the class passed as
+    # ``client_factory``: BitTorrentClient by default, else WP2PClient.
+    ("src/repro/bittorrent/swarm.py", "client_factory"): ("BitTorrentClient", "WP2PClient"),
 }
 
 #: Bound-method aliases of public methods, callable anywhere: the kernel
@@ -223,15 +221,17 @@ def _calls(path: pathlib.Path, rel: str) -> Iterator[Tuple[str, ast.Call]]:
                 else:
                     yield func.attr, node
             name = getattr(func, "id", getattr(func, "attr", None))
-            if (rel, name) in UNRESOLVED:
-                yield UNRESOLVED[rel, name], node
+            for callee in UNRESOLVED.get((rel, name), ()):
+                yield callee, node
             if name in ALIASES:
                 yield ALIASES[name], node
         todo.extend((child, bases) for child in ast.iter_child_nodes(node))
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    callables, inherits = _callables(ROOT / "src")
+def _unpassed(root: pathlib.Path, scanned: Tuple[str, ...] = SCANNED) -> List[str]:
+    """Labels of the defaulted parameters under ``root/src/repro`` that no
+    call in the ``scanned`` trees of ``root`` passes by name or position."""
+    callables, inherits = _callables(root / "src")
 
     def callees(name: str) -> List[str]:
         """``name`` itself, or the bases whose constructor it inherits."""
@@ -244,25 +244,39 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         return found
 
     passed: Set[Tuple[str, str]] = set()
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            rel = path.relative_to(ROOT).as_posix()
+    for top in scanned:
+        for path in sorted((root / top).rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
             for name, call in _calls(path, rel):
-                spread = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
-                    keyword.arg is None for keyword in call.keywords
-                )
                 keywords = {keyword.arg for keyword in call.keywords}
+                positional = next(
+                    (i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+                    len(call.args),
+                )
                 for callee in callees(name):
                     for label, params in callables[callee]:
                         passed.update(
                             (label, param) for param, index in params
-                            if spread or param in keywords
-                            or (index is not None and index < len(call.args))
+                            if param in keywords
+                            or (index is not None and index < positional)
                         )
-    unset = [
+    return sorted(
         f"{label}({param})"
         for entries in callables.values() for label, params in entries
         for param, _ in params if (label, param) not in passed
-    ]
-    unset = _unexempted(unset, "parameters")
-    assert not unset, f"defaulted parameters no call passes: {sorted(unset)}"
+    )
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    unset = _unexempted(_unpassed(ROOT), "parameters")
+    assert not unset, f"defaulted parameters no call passes: {unset}"
+
+
+def test_a_spread_passes_nothing(tmp_path):
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "relay.py").write_text(
+        "def callee(x=1, y=2):\n    return x + y\n\n\n"
+        "def relay(*args, **kw):\n    return callee(*args, **kw)\n\n\n"
+        "relay(x=3, y=4)\n"
+    )
+    assert _unpassed(tmp_path, ("src",)) == ["relay.py:callee(x)", "relay.py:callee(y)"]

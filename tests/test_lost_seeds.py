@@ -26,7 +26,8 @@ def _assemble(name, overrides, value, drop=lambda key, seed: False):
         for key, seed in scn.cells(params) if not drop(key, seed)
     }
     result = scn.assemble(params, values, [])
-    return result, SimpleNamespace(spec=scn.spec(overrides), result=result)
+    spec = SimpleNamespace(params=params, backend=scn.backends[0])
+    return result, SimpleNamespace(spec=spec, result=result)
 
 
 def _failed(verdicts):

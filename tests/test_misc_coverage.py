@@ -74,16 +74,12 @@ class TestWirelessDynamics:
         fast_count = len(mob.transport.packets) - slow_count
         assert fast_count > slow_count  # drains much faster after the boost
 
-    def test_mac_efficiency_validated(self):
+    def test_rate_and_ber_validated(self):
         from repro.net import WirelessChannel, Host, Internet
 
         sim = Simulator()
         internet = Internet(sim)
         host = Host(sim, "h")
-        with pytest.raises(ValueError):
-            WirelessChannel(sim, host, internet, mac_efficiency=0.0)
-        with pytest.raises(ValueError):
-            WirelessChannel(sim, host, internet, mac_efficiency=1.5)
         with pytest.raises(ValueError):
             WirelessChannel(sim, host, internet, rate=0)
         with pytest.raises(ValueError):
